@@ -1,8 +1,8 @@
 """Command-line front end: run scenarios, handoff sweeps, plots, replays.
 
 Exit codes: 0 success, 2 configuration problems, 3 topology load/generation
-failures, 4 internal invariant violations (the offending run's child seed is
-printed for replay).
+failures, 4 failed runs: internal invariant violations or movement traces
+that cannot continue (the offending run's child seed is printed for replay).
 """
 
 from __future__ import annotations

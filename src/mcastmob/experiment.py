@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import metrics, movement, routing
 from .config import ScenarioConfig, stable_seed
@@ -23,11 +23,14 @@ from .topology import PathOracle, Topology, generate, load_edge_list
 
 
 class RunFailure(Exception):
-    """A run violated a simulation invariant; carries the seed for replay."""
+    """A run violated a simulation invariant or its trace could not continue.
+
+    Carries the child seed for replay.
+    """
 
     def __init__(self, topology, model, run_index, child_seed, cause):
         super().__init__(
-            f"invariant violation in {topology}/{model}/run{run_index} "
+            f"run {topology}/{model}/run{run_index} failed "
             f"(child seed {child_seed}): {cause}"
         )
         self.topology = topology
@@ -73,7 +76,7 @@ def child_seed(master_seed, topology_name, model, run_index) -> int:
     return stable_seed(master_seed, "run", topology_name, model, run_index)
 
 
-def run_single(topo, oracle, topo_type, model_kind, cluster_radius, moves, seed,
+def run_single(topo, oracle, topo_type, model_kind, cluster_radius, moves, seed, run_index,
                endpoints=None) -> RunResult:
     """Execute one seeded run: draw CN/HA, generate the trace, walk the tree.
 
@@ -81,13 +84,7 @@ def run_single(topo, oracle, topo_type, model_kind, cluster_radius, moves, seed,
     otherwise both are drawn from the child-seed stream.
     """
     rng = random.Random(seed)
-    if endpoints is None:
-        cn = rng.randrange(topo.n)
-        ha = rng.randrange(topo.n)
-        while ha == cn:
-            ha = rng.randrange(topo.n)
-    else:
-        cn, ha = endpoints
+    cn, ha = endpoints or _draw_endpoints(rng, topo.n)
     trace_seed = rng.getrandbits(64)
     trace = movement.generate_trace(
         topo,
@@ -103,7 +100,7 @@ def run_single(topo, oracle, topo_type, model_kind, cluster_radius, moves, seed,
             topo_type=topo_type,
             model=model_kind,
             nodes=topo.n,
-            run_index=-1,  # filled by the caller, which knows the matrix position
+            run_index=run_index,
             child_seed=seed,
             stats=metrics.run_stats(samples),
         ),
@@ -135,18 +132,13 @@ def _pair_job(args):
     out = []
     for run_index, seed in seeds:
         try:
-            result = run_single(
-                topo, oracle, topo_type, model_kind, cluster_radius, moves, seed,
+            out.append(run_single(
+                topo, oracle, topo_type, model_kind, cluster_radius, moves, seed, run_index,
                 endpoints=endpoints,
-            )
-        except routing.SimulationInvariantError as exc:
+            ))
+        except (routing.SimulationInvariantError, movement.MovementError) as exc:
             raise RunFailure(topo.name, model_kind, run_index, seed, exc) from exc
-        out.append(replace_run_index(result, run_index))
     return out
-
-
-def replace_run_index(result: RunResult, run_index) -> RunResult:
-    return replace(result, record=replace(result.record, run_index=run_index))
 
 
 def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
@@ -227,12 +219,23 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     block = cfg.handoff
     if block is None:
         raise ValueError("config has no handoff block")
+    base = dict(
+        per_hop_delay=block.per_hop_delay,
+        packet_interval=block.packet_interval,
+        message_loss_rate=block.message_loss_rate,
+        advance_lead=block.advance_lead,
+        overlap=block.overlap,
+        refresh_period=block.refresh_period,
+    )
+    oracles = {}  # one per topology, shared by its runs
     rows = []
     for run in result.runs:
         if run.record.run_index >= block.runs:
             continue
         topo = result.topologies[run.record.topology]
-        oracle = PathOracle(topo)
+        oracle = oracles.get(topo.name)
+        if oracle is None:
+            oracle = oracles[topo.name] = PathOracle(topo)
         steps = run.trace.steps
         tree = routing.establish(topo, oracle, run.cn, steps[0])
         limit = min(len(steps) - 1, block.max_moves)
@@ -240,14 +243,6 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
             old, new = steps[i - 1], steps[i]
             if old == new:
                 continue
-            base = dict(
-                per_hop_delay=block.per_hop_delay,
-                packet_interval=block.packet_interval,
-                message_loss_rate=block.message_loss_rate,
-                advance_lead=block.advance_lead,
-                overlap=block.overlap,
-                refresh_period=block.refresh_period,
-            )
             b_hops = oracle.dist(run.ha, new)
             graft = -1
             for strategy in block.strategies:

@@ -23,9 +23,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from .routing import MulticastTree
-from .topology import PathOracle, Topology
-
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
 
@@ -67,32 +64,6 @@ class HandoffConfig:
 
 
 @dataclass(frozen=True)
-class TransmissionPlan:
-    """How a join/prune hop is (re)transmitted under the configured strategy."""
-
-    copies_per_hop: int
-    refresh_period: float
-
-
-def apply_strategy(cfg: HandoffConfig, message="join") -> TransmissionPlan:
-    """Copies per hop for a control message plus the soft-state refresh period.
-
-    triple_join sends three back-to-back copies of joins and prunes; state
-    is created when at least one copy survives. All strategies fall back to
-    a refresh-period re-send when every copy of a hop is lost.
-    """
-    if message not in ("join", "prune"):
-        raise HandoffError(f"unknown control message {message!r}")
-    copies = 3 if cfg.strategy == "triple_join" else 1
-    return TransmissionPlan(copies_per_hop=copies, refresh_period=cfg.refresh_period)
-
-
-def per_hop_failure_probability(cfg: HandoffConfig) -> float:
-    """Probability a control hop creates no state despite all its copies."""
-    return cfg.message_loss_rate ** apply_strategy(cfg).copies_per_hop
-
-
-@dataclass(frozen=True)
 class HandoffReport:
     """Outcome of one simulated handoff.
 
@@ -118,48 +89,120 @@ class HandoffReport:
     deliveries: tuple[tuple[int, float, str], ...]
 
 
-class _EventLoop:
-    """Deterministic heap of (time, priority, insertion order, action)."""
+class _Kernel:
+    """The event machinery both simulators share.
 
-    def __init__(self):
-        self._heap = []
-        self._n = 0
+    It owns the heap of (time, priority, insertion order), CN emission up to
+    the tail or give-up deadline, the seeded per-hop loss draw, control
+    sends with their refresh-period re-sends, and delivery bookkeeping gated
+    by attachment. A simulator starts its control chain with `push` and
+    passes `run` a `launch(t, seq)` that sends packet `seq` out of the CN
+    with `hop`. Scheduled callables are called as fn(t, *args).
+    """
 
-    def push(self, time, prio, action):
-        heapq.heappush(self._heap, (time, prio, self._n, action))
-        self._n += 1
-
-    def run(self):
-        while self._heap:
-            time, _, _, action = heapq.heappop(self._heap)
-            action(time)
-
-
-class _Mailbox:
-    """Delivery bookkeeping shared by both simulators."""
-
-    def __init__(self):
+    def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn):
+        self.cfg = cfg
+        self.t0 = t0
+        self.copies = copies  # copies sent per control hop
+        self.loss_fn = loss_fn
+        self.rng = random.Random(cfg.seed)
+        self.heap = []
+        self.order = 0
+        self.emitted = 0
+        self.control = 0
         self.delivered: dict[int, float] = {}
         self.log: list[tuple[int, float, str]] = []
         self.duplicates = 0
         self.out_of_order = 0
+        self.max_seq = -1
         self.first_new: float | None = None
-        self._max_seq = -1
         self.on_first_new = None
 
-    def accept(self, seq, t, via):
+    def push(self, time, prio, fn, *args):
+        heapq.heappush(self.heap, (time, prio, self.order, fn, args))
+        self.order += 1
+
+    def lost(self, kind, src, dst, attempt=0, copies=1):
+        """True when every copy of a hop is lost; one draw per copy until one survives."""
+        if self.loss_fn is not None:
+            return self.loss_fn(kind, src, dst, attempt)
+        rate = self.cfg.message_loss_rate
+        if copies == 1:
+            return self.rng.random() < rate
+        return all(self.rng.random() < rate for _ in range(copies))
+
+    def hop(self, t, src, dst, fn, *args):
+        """A data packet crosses src -> dst unless lost; fn(t', *args) runs on arrival."""
+        if not self.lost("data", src, dst):
+            self.push(t + self.cfg.per_hop_delay, _DATA, fn, *args)
+
+    def send(self, t, kind, src, dst, attempt, on_arrive, *args):
+        """A control hop; re-sent a refresh period later while every copy is lost."""
+        self.control += self.copies
+        if not self.lost(kind, src, dst, attempt, self.copies):
+            self.push(t + self.cfg.per_hop_delay, _CONTROL, on_arrive, *args)
+        elif attempt + 1 < _MAX_RETRIES:
+            self.push(t + self.cfg.refresh_period, _CONTROL, self.send,
+                      kind, src, dst, attempt + 1, on_arrive, *args)
+
+    def relay(self, t, kind, path, idx, on_hop):
+        """Control message `kind` has reached path[idx]: on_hop(t, idx), then the next hop."""
+        on_hop(t, idx)
+        if idx + 1 < len(path):
+            self.send(t, kind, path[idx], path[idx + 1], 0, self.relay, kind, path, idx + 1, on_hop)
+
+    def deliver(self, t, seq, via):
+        """Hand packet `seq` to the mobile through "old" or "new" if attached there."""
+        if via == "new":
+            if t < self.t0:
+                return
+        elif t >= self.t0 and self.cfg.overlap != "make_before_break":
+            return
         self.log.append((seq, t, via))
         if seq in self.delivered:
             self.duplicates += 1
         else:
-            if seq < self._max_seq:
+            if seq < self.max_seq:
                 self.out_of_order += 1
-            self._max_seq = max(self._max_seq, seq)
+            self.max_seq = max(self.max_seq, seq)
             self.delivered[seq] = t
         if via == "new" and self.first_new is None:
             self.first_new = t
             if self.on_first_new is not None:
                 self.on_first_new(t)
+
+    def _emit(self, t, seq, launch):
+        self.emitted += 1
+        launch(t, seq)
+        interval = self.cfg.packet_interval
+        if self.first_new is not None:
+            deadline = self.first_new + _TAIL_INTERVALS * interval
+        else:
+            deadline = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period + _TAIL_INTERVALS * interval
+        if t + interval <= deadline:
+            self.push(t + interval, _DATA, self._emit, seq + 1, launch)
+
+    def run(self, launch, strategy, control_path_hops) -> HandoffReport:
+        self.push(0.0, _DATA, self._emit, 0, launch)
+        heap = self.heap
+        while heap:
+            t, _, _, fn, args = heapq.heappop(heap)
+            fn(t, *args)
+        first_new = self.first_new
+        return HandoffReport(
+            strategy=strategy,
+            trigger_ms=self.t0,
+            handoff_latency=first_new - self.t0 if first_new is not None else math.inf,
+            packets_lost=self.emitted - len(self.delivered),
+            packets_duplicated=self.duplicates,
+            out_of_order=self.out_of_order,
+            control_messages=self.control,
+            control_path_hops=control_path_hops,
+            packets_emitted=self.emitted,
+            packets_delivered=len(self.delivered),
+            first_new_delivery_ms=first_new,
+            deliveries=tuple(self.log),
+        )
 
 
 def _trigger_time(cfg, warm_hops):
@@ -170,18 +213,14 @@ def _trigger_time(cfg, warm_hops):
     return t0
 
 
-def _graft_walk(tree: MulticastTree, oracle: PathOracle, new):
-    walk = [new]
-    while walk[-1] not in tree.on_tree:
-        walk.append(oracle.next_hop(walk[-1], tree.cn))
-    return walk
-
-
 def simulate_handoff(topo, oracle, tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     """Simulate one handoff old -> new on the current delivery tree.
 
-    The tree is read, never mutated. `loss_fn(kind, src, dst, attempt) ->
-    bool` optionally overrides the seeded per-hop loss draw (test hook).
+    Packets follow the tree's forwarding map; the join grafts the branch
+    [new, ..., meet] hop by hop, and under make_before_break the first
+    delivery through new starts the prune of the old branch. The tree is
+    read, never mutated. `loss_fn(kind, src, dst, attempt) -> bool`
+    optionally overrides the seeded per-hop loss draw (test hook).
     """
     cn = tree.cn
     if tree.leaves != {old}:
@@ -192,146 +231,52 @@ def simulate_handoff(topo, oracle, tree, old, new, cfg, loss_fn=None) -> Handoff
         raise HandoffError("handoff requires distinct old and new locations")
     oracle._check(new)
 
-    d = cfg.per_hop_delay
     path_old = tree.branch_to_root(old)  # [old, ..., cn]
-    walk = _graft_walk(tree, oracle, new)  # [new, ..., meet]
-    graft_links = len(walk) - 1
-    plan = apply_strategy(cfg)
-
-    upstream = dict(tree.parent)
-    for child, up in zip(walk, walk[1:]):
-        upstream[child] = up
+    walk = tree.graft_walk(new)  # [new, ..., meet]
     fwd: dict[int, set[int]] = {}
     for child in path_old[:-1]:
         fwd.setdefault(tree.parent[child], set()).add(child)
+    k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),
+                3 if cfg.strategy == "triple_join" else 1, loss_fn)
 
-    t0 = _trigger_time(cfg, len(path_old) - 1)
-    join_time = t0 - (cfg.advance_lead if cfg.strategy == "advance_join" else 0.0)
-
-    loop = _EventLoop()
-    box = _Mailbox()
-    rng = random.Random(cfg.seed)
-    member = {"old": True, "new": False}
-    counters = {"control": 0, "emitted": 0}
-
-    def lost(kind, src, dst, copies, attempt):
-        if loss_fn is not None:
-            return loss_fn(kind, src, dst, attempt)
-        return all(rng.random() < cfg.message_loss_rate for _ in range(copies))
-
-    def attached(via, t):
-        if via == "new":
-            return t >= t0
-        return cfg.overlap == "make_before_break" or t < t0
-
-    def deliver_check(node, seq, t):
+    def arrive(t, node, seq):
         # the old side is gated by attachment alone: with make_before_break the
         # mobile keeps accepting in-flight packets while the prune tears the
         # branch down, which is what makes the handoff lossless
-        if node == old and attached("old", t):
-            box.accept(seq, t, "old")
-        if node == new and member["new"] and attached("new", t):
-            box.accept(seq, t, "new")
-
-    def forward(node, seq, t):
+        if node == old:
+            k.deliver(t, seq, "old")
+        elif node == new:
+            k.deliver(t, seq, "new")
         for child in sorted(fwd.get(node, ())):
-            if not lost("data", node, child, 1, 0):
-                loop.push(t + d, _DATA, _data_at(child, seq))
+            k.hop(t, node, child, arrive, child, seq)
 
-    def _data_at(node, seq):
-        def action(t):
-            deliver_check(node, seq, t)
-            forward(node, seq, t)
-
-        return action
-
-    def emit_deadline():
-        if box.first_new is not None:
-            return box.first_new + _TAIL_INTERVALS * cfg.packet_interval
-        return t0 + _GIVE_UP_REFRESH * cfg.refresh_period + _TAIL_INTERVALS * cfg.packet_interval
-
-    def emit(seq):
-        def action(t):
-            counters["emitted"] += 1
-            forward(cn, seq, t)
-            if t + cfg.packet_interval <= emit_deadline():
-                loop.push(t + cfg.packet_interval, _DATA, emit(seq + 1))
-
-        return action
-
-    def send_control(kind, src, dst, on_arrive, attempt=0):
-        def action(t):
-            counters["control"] += plan.copies_per_hop
-            if lost(kind, src, dst, plan.copies_per_hop, attempt):
-                if attempt + 1 < _MAX_RETRIES:
-                    loop.push(t + plan.refresh_period, _CONTROL,
-                              send_control(kind, src, dst, on_arrive, attempt + 1))
-            else:
-                loop.push(t + d, _CONTROL, on_arrive)
-
-        return action
-
-    def join_arrive(idx):
-        def action(t):
-            node = walk[idx]
-            fwd.setdefault(node, set()).add(walk[idx - 1])
-            if idx < graft_links:
-                loop.push(t, _CONTROL, send_control("join", node, walk[idx + 1], join_arrive(idx + 1)))
-
-        return action
-
-    def start_join(t):
-        member["new"] = True
-        if graft_links > 0:
-            send_control("join", walk[0], walk[1], join_arrive(1))(t)
-
-    def is_member_node(node):
-        return (node == new and member["new"]) or (node == old and member["old"])
+    def grafted(t, idx):
+        if idx:
+            fwd.setdefault(walk[idx], set()).add(walk[idx - 1])
 
     # The prune walks up toward the CN collecting the branch to remove and
     # commits the teardown only when it reaches the fork (a node with other
-    # downstream state, a joined member, or the CN). Packets already past
+    # downstream state, the new location, or the CN). Packets already past
     # the fork keep draining to the old base station, so a lossless channel
     # with make_before_break never drops a packet.
     pending: list[tuple[int, int]] = []
 
-    def _prune_step(node, from_child, t):
+    def prune_at(t, node, from_child=None):
         if from_child is not None:
             pending.append((node, from_child))
         live = fwd.get(node, set()) - {c for n, c in pending if n == node}
-        if live or node == cn or is_member_node(node):
+        if live or node == cn or node == new:
             for holder, child in pending:
                 fwd.get(holder, set()).discard(child)
             return
-        up = upstream[node]
-        send_control("prune", node, up, lambda tt: _prune_step(up, node, tt))(t)
-
-    def start_prune(t):
-        member["old"] = False
-        _prune_step(old, None, t)
+        up = tree.parent[node]
+        k.send(t, "prune", node, up, 0, prune_at, up, node)
 
     if cfg.overlap == "make_before_break":
-        box.on_first_new = lambda t: loop.push(t, _CONTROL, start_prune)
-
-    loop.push(0.0, _DATA, emit(0))
-    loop.push(join_time, _CONTROL, start_join)
-    loop.run()
-
-    latency = box.first_new - t0 if box.first_new is not None else math.inf
-    return HandoffReport(
-        strategy=cfg.strategy,
-        trigger_ms=t0,
-        handoff_latency=latency,
-        packets_lost=counters["emitted"] - len(box.delivered),
-        packets_duplicated=box.duplicates,
-        out_of_order=box.out_of_order,
-        control_messages=counters["control"],
-        control_path_hops=graft_links,
-        packets_emitted=counters["emitted"],
-        packets_delivered=len(box.delivered),
-        first_new_delivery_ms=box.first_new,
-        deliveries=tuple(box.log),
-    )
+        k.on_first_new = lambda t: k.push(t, _CONTROL, prune_at, old)
+    lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
+    k.push(k.t0 - lead, _CONTROL, k.relay, "join", walk, 0, grafted)
+    return k.run(lambda t, seq: arrive(t, cn, seq), cfg.strategy, len(walk) - 1)
 
 
 def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> HandoffReport:
@@ -349,115 +294,25 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
     if new == cn:
         raise HandoffError("cannot hand off to the correspondent node")
 
-    d = cfg.per_hop_delay
     path_a = oracle.shortest_path(cn, ha)
     tunnels = {"old": oracle.shortest_path(ha, old), "new": oracle.shortest_path(ha, new)}
     reg_path = oracle.shortest_path(new, ha)
-    reg_hops = len(reg_path) - 1
+    k = _Kernel(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1, loss_fn)
+    registered = False
 
-    t0 = _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1)
-
-    loop = _EventLoop()
-    box = _Mailbox()
-    rng = random.Random(cfg.seed)
-    state = {"registered": False}
-    counters = {"control": 0, "emitted": 0}
-
-    def lost(kind, src, dst, attempt):
-        if loss_fn is not None:
-            return loss_fn(kind, src, dst, attempt)
-        return rng.random() < cfg.message_loss_rate
-
-    def attached(via, t):
-        if via == "new":
-            return t >= t0
-        return cfg.overlap == "make_before_break" or t < t0
-
-    def hop_along(path, idx, seq, via):
-        def action(t):
-            if idx == len(path) - 1:
-                if attached(via, t):
-                    box.accept(seq, t, via)
-                return
-            if not lost("data", path[idx], path[idx + 1], 0):
-                loop.push(t + d, _DATA, hop_along(path, idx + 1, seq, via))
-
-        return action
-
-    def dispatch(seq):
-        # packet is at the HA: tunnel toward the currently registered location
-        def action(t):
-            via = "new" if state["registered"] else "old"
-            path = tunnels[via]
-            if len(path) == 1:
-                if attached(via, t):
-                    box.accept(seq, t, via)
-            elif not lost("data", path[0], path[1], 0):
-                loop.push(t + d, _DATA, hop_along(path, 1, seq, via))
-
-        return action
-
-    def leg_a(idx, seq):
-        def action(t):
-            if idx == len(path_a) - 1:
-                dispatch(seq)(t)
-            elif not lost("data", path_a[idx], path_a[idx + 1], 0):
-                loop.push(t + d, _DATA, leg_a(idx + 1, seq))
-
-        return action
-
-    def emit_deadline():
-        if box.first_new is not None:
-            return box.first_new + _TAIL_INTERVALS * cfg.packet_interval
-        return t0 + _GIVE_UP_REFRESH * cfg.refresh_period + _TAIL_INTERVALS * cfg.packet_interval
-
-    def emit(seq):
-        def action(t):
-            counters["emitted"] += 1
-            leg_a(0, seq)(t)
-            if t + cfg.packet_interval <= emit_deadline():
-                loop.push(t + cfg.packet_interval, _DATA, emit(seq + 1))
-
-        return action
-
-    def register_arrive(t):
-        state["registered"] = True
-
-    def reg_hop(idx, attempt=0):
-        def action(t):
-            counters["control"] += 1
-            if lost("registration", reg_path[idx], reg_path[idx + 1], attempt):
-                if attempt + 1 < _MAX_RETRIES:
-                    loop.push(t + cfg.refresh_period, _CONTROL, reg_hop(idx, attempt + 1))
-            elif idx + 1 == len(reg_path) - 1:
-                loop.push(t + d, _CONTROL, register_arrive)
-            else:
-                loop.push(t + d, _CONTROL, reg_hop(idx + 1))
-
-        return action
-
-    def start_registration(t):
-        if reg_hops == 0:
-            register_arrive(t)
+    def along(t, path, idx, seq, via):
+        if idx + 1 < len(path):
+            k.hop(t, path[idx], path[idx + 1], along, path, idx + 1, seq, via)
+        elif via is None:  # at the HA: tunnel toward the registered location
+            via = "new" if registered else "old"
+            along(t, tunnels[via], 0, seq, via)
         else:
-            reg_hop(0)(t)
+            k.deliver(t, seq, via)
 
-    loop.push(0.0, _DATA, emit(0))
-    loop.push(t0, _CONTROL, start_registration)
-    loop.run()
+    def registered_at(t, idx):
+        nonlocal registered
+        if idx == len(reg_path) - 1:
+            registered = True
 
-    latency = box.first_new - t0 if box.first_new is not None else math.inf
-    return HandoffReport(
-        strategy="mobile_ip",
-        trigger_ms=t0,
-        handoff_latency=latency,
-        packets_lost=counters["emitted"] - len(box.delivered),
-        packets_duplicated=box.duplicates,
-        out_of_order=box.out_of_order,
-        control_messages=counters["control"],
-        control_path_hops=reg_hops,
-        packets_emitted=counters["emitted"],
-        packets_delivered=len(box.delivered),
-        first_new_delivery_ms=box.first_new,
-        deliveries=tuple(box.log),
-    )
+    k.push(k.t0, _CONTROL, k.relay, "registration", reg_path, 0, registered_at)
+    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), "mobile_ip", len(reg_path) - 1)

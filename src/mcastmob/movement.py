@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .topology import PathOracle, Topology
-
 MODEL_KINDS = ("random", "neighbor", "cluster")
 
 
@@ -61,13 +59,25 @@ def cluster_window(node, n, radius=6):
     return sorted(window)
 
 
+def _moves(topo, model, eligible, forbidden, node):
+    """Nodes the mobile may move to from `node` under `model`."""
+    if model.kind == "random":
+        return eligible
+    if model.kind == "neighbor":
+        return [v for v in topo.adj[node] if v not in forbidden]
+    return [v for v in cluster_window(node, topo.n, model.cluster_radius) if v not in forbidden]
+
+
 def generate_trace(topo, model, forbidden, count, seed, start=None):
     """Seeded visit sequence of exactly `count` nodes.
 
     `forbidden` ids (typically the correspondent node) never appear. The
-    start is drawn uniformly from eligible nodes unless given. Sampling is
-    with replacement: revisits are allowed, and the random model may stay
-    put. Raises MovementError when a step has no eligible candidate.
+    start is drawn uniformly from eligible nodes unless given; a drawn start
+    with no eligible move is drawn again among the nodes that have one (for
+    the neighbor model a node reached by a move can always move back, so
+    only the start can be trapped). Sampling is with replacement: revisits
+    are allowed, and the random model may stay put. Raises MovementError
+    when a step has no eligible candidate.
     """
     if count < 1:
         raise MovementError("count must be >= 1")
@@ -80,33 +90,23 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
         raise MovementError("forbidden set excludes every node")
     if start is None:
         start = rng.choice(eligible)
+        if count > 1 and not _moves(topo, model, eligible, forbidden, start):
+            free = [v for v in eligible if _moves(topo, model, eligible, forbidden, v)]
+            if not free:
+                raise MovementError(f"no eligible node has a move under {model.kind}")
+            start = rng.choice(free)
     elif not (0 <= start < topo.n) or start in forbidden:
         raise MovementError(f"invalid start node {start}")
 
     steps = [start]
     current = start
     for _ in range(count - 1):
-        if model.kind == "random":
-            candidates = eligible
-        elif model.kind == "neighbor":
-            candidates = [v for v in topo.adj[current] if v not in forbidden]
-        else:
-            candidates = [
-                v
-                for v in cluster_window(current, topo.n, model.cluster_radius)
-                if v not in forbidden
-            ]
+        candidates = _moves(topo, model, eligible, forbidden, current)
         if not candidates:
             raise MovementError(f"no eligible move from node {current} under {model.kind}")
         current = rng.choice(candidates)
         steps.append(current)
     return MovementTrace(start=start, steps=tuple(steps), model=model, seed=seed)
-
-
-def trace_stats(trace, oracle: PathOracle):
-    """Hop distance between consecutive visits; length len(steps) - 1."""
-    steps = trace.steps
-    return [oracle.dist(steps[i], steps[i + 1]) for i in range(len(steps) - 1)]
 
 
 def trace_to_csv(trace):

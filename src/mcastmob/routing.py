@@ -21,14 +21,6 @@ class SimulationInvariantError(Exception):
 
 
 @dataclass(frozen=True)
-class FlowKey:
-    """(source, group): the correspondent node and the mobile's group id."""
-
-    source: int
-    group: int = 0
-
-
-@dataclass(frozen=True)
 class StepSample:
     """Per-visit measurement.
 
@@ -54,19 +46,15 @@ class MulticastTree:
     oracle reference is read-only shared.
     """
 
-    def __init__(self, flow: FlowKey, topo: Topology, oracle: PathOracle):
-        oracle._check(flow.source)
-        self.flow = flow
+    def __init__(self, cn, topo: Topology, oracle: PathOracle):
+        oracle._check(cn)
+        self.cn = cn
         self.topo = topo
         self.oracle = oracle
         self.parent: dict[int, int] = {}
         self.children: dict[int, set[int]] = {}
-        self.on_tree: set[int] = {flow.source}
+        self.on_tree: set[int] = {cn}
         self.leaves: set[int] = set()
-
-    @property
-    def cn(self):
-        return self.flow.source
 
     @property
     def edge_count(self):
@@ -82,18 +70,23 @@ class MulticastTree:
         self.oracle._check(new_location)
         if new_location == self.cn:
             raise SimulationInvariantError("mobile cannot join at the correspondent node")
-        if new_location in self.on_tree:
-            self.leaves.add(new_location)
-            return 0
-        walk = [new_location]
-        while walk[-1] not in self.on_tree:
-            walk.append(self.oracle.next_hop(walk[-1], self.cn))
+        walk = self.graft_walk(new_location)
         for child, up in zip(walk, walk[1:]):
             self.parent[child] = up
             self.children.setdefault(up, set()).add(child)
             self.on_tree.add(child)
         self.leaves.add(new_location)
         return len(walk) - 1
+
+    def graft_walk(self, node):
+        """The branch a join from `node` would graft: [node, ..., first on-tree node].
+
+        Read-only; [node] when `node` already holds (S,G) state.
+        """
+        walk = [node]
+        while walk[-1] not in self.on_tree:
+            walk.append(self.oracle.next_hop(walk[-1], self.cn))
+        return walk
 
     def prune(self, old_location) -> int:
         """Tear down the branch below old_location; returns removed links.
@@ -131,18 +124,13 @@ class MulticastTree:
         return path
 
 
-def establish(topo, oracle, cn, first_location, group=0) -> MulticastTree:
+def establish(topo, oracle, cn, first_location) -> MulticastTree:
     """Initial (CN, G) join: the tree becomes the branch CN -> first_location."""
     if cn == first_location:
         raise SimulationInvariantError("mobile cannot start at the correspondent node")
-    tree = MulticastTree(FlowKey(cn, group), topo, oracle)
+    tree = MulticastTree(cn, topo, oracle)
     tree.join(first_location)
     return tree
-
-
-def mobile_ip_step(oracle, cn, ha, mn):
-    """Basic Mobile IP legs for one placement: (CN->HA hops, HA->MN hops)."""
-    return oracle.dist(cn, ha), oracle.dist(ha, mn)
 
 
 def run_scenario(topo, oracle, cn, ha, trace: MovementTrace):

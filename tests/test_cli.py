@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mcastmob.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
+from mcastmob.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
 
 RING = "\n".join(["0 1", "1 2", "2 3", "3 4", "4 5", "5 0", "0 3"]) + "\n"
 
@@ -169,3 +169,16 @@ def test_missing_topology_file_exit_code(workdir, capsys):
 def test_malformed_topology_file_exit_code(workdir):
     (workdir / "edges.txt").write_text("0 1\n1 1\n")
     assert main(["run", "--config", "cfg.json"]) == EXIT_TOPOLOGY
+
+
+def test_trapped_trace_exits_with_replay_line(workdir, capsys):
+    # cluster_radius 1 only ever steps to id - 1, so every walk reaches the
+    # node just above the CN and has nowhere left to go
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc.update(movement_models=["cluster"], cluster_radius=1)
+    (workdir / "trap.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", "trap.json"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "no eligible move" in err
+    seed = err.split("--replay ")[1].split()[0]
+    assert main(["replay", "--config", "trap.json", "--replay", seed]) == EXIT_INVARIANT

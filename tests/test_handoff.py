@@ -7,23 +7,28 @@ the trigger lands on t0=60; packet k passes node 1 at 20k+10 and reaches the
 old leaf at 20k+30 and the new one (once grafted) at 20k+50.
 """
 
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcastmob import config, experiment, reporting
+from mcastmob.config import HandoffBlock, ScenarioConfig, TopologySpec, stable_seed
 from mcastmob.handoff import (
+    OVERLAP_MODES,
+    STRATEGIES,
     HandoffConfig,
     HandoffError,
-    apply_strategy,
-    per_hop_failure_probability,
     simulate_handoff,
     simulate_mip_handoff,
 )
 from mcastmob.routing import establish
-from mcastmob.topology import PathOracle, Topology
+from mcastmob.topology import GeneratorParams, PathOracle, Topology
 
-from conftest import random_connected_edges
+from conftest import bfs_dist, random_connected_edges
 
 BASE = dict(per_hop_delay=10.0, packet_interval=20.0)
 
@@ -31,25 +36,6 @@ BASE = dict(per_hop_delay=10.0, packet_interval=20.0)
 def _fixture_tree(handoff_fixture):
     topo, oracle = handoff_fixture
     return topo, oracle, establish(topo, oracle, 0, 3)
-
-
-class TestApplyStrategy:
-    def test_plain_single_copy(self):
-        plan = apply_strategy(HandoffConfig(strategy="plain_join"))
-        assert plan.copies_per_hop == 1
-
-    def test_triple_three_copies_for_join_and_prune(self):
-        cfg = HandoffConfig(strategy="triple_join")
-        assert apply_strategy(cfg, "join").copies_per_hop == 3
-        assert apply_strategy(cfg, "prune").copies_per_hop == 3
-        assert apply_strategy(cfg).refresh_period == cfg.refresh_period
-
-    def test_triple_failure_probability(self):
-        cfg = HandoffConfig(strategy="triple_join", message_loss_rate=0.5)
-        assert per_hop_failure_probability(cfg) == pytest.approx(0.125)
-        assert per_hop_failure_probability(
-            HandoffConfig(strategy="plain_join", message_loss_rate=0.5)
-        ) == pytest.approx(0.5)
 
 
 class TestConfigValidation:
@@ -289,3 +275,78 @@ class TestPreconditions:
             simulate_handoff(topo, oracle, tree, 3, 0, HandoffConfig(**BASE))
         with pytest.raises(HandoffError, match="correspondent"):
             simulate_mip_handoff(oracle, 0, 1, 3, 0, HandoffConfig(**BASE))
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("overlap", OVERLAP_MODES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_kernel_properties(strategy, overlap, loss, seed):
+    """Delivery times, loss and duplicate accounting of both simulators on random graphs."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 30)
+    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    oracle = PathOracle(topo)
+    adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
+    cn, ha = rng.randrange(n), rng.randrange(n)
+    nodes = [v for v in range(n) if v != cn]
+    old = rng.choice(nodes)
+    new = rng.choice([v for v in nodes if v != old])
+    tree = establish(topo, oracle, cn, old)
+    before = (dict(tree.parent), set(tree.on_tree), set(tree.leaves))
+    cfg = HandoffConfig(
+        strategy=strategy, overlap=overlap, message_loss_rate=loss,
+        advance_lead=rng.choice([0.0, 40.0, 100.0]), refresh_period=500.0, seed=seed, **BASE,
+    )
+    from_cn, from_ha = bfs_dist(adj, cn), bfs_dist(adj, ha)
+    mcast = simulate_handoff(topo, oracle, tree, old, new, cfg)
+    mip = simulate_mip_handoff(oracle, cn, ha, old, new, cfg)
+    for rep, hops in (
+        (mcast, {"old": from_cn[old], "new": from_cn[new]}),
+        (mip, {"old": from_cn[ha] + from_ha[old], "new": from_cn[ha] + from_ha[new]}),
+    ):
+        # data is never re-sent, so every delivery took the plain path delay
+        for seq, t, via in rep.deliveries:
+            assert t == seq * cfg.packet_interval + hops[via] * cfg.per_hop_delay
+        distinct = {seq for seq, _, _ in rep.deliveries}
+        assert rep.packets_delivered == len(distinct)
+        assert rep.packets_duplicated == len(rep.deliveries) - len(distinct)
+        assert rep.packets_lost == rep.packets_emitted - rep.packets_delivered >= 0
+        if loss == 0:
+            assert rep.handoff_latency < math.inf
+            if overlap == "make_before_break":
+                assert rep.packets_lost == 0
+    assert (tree.parent, tree.on_tree, tree.leaves) == before
+    assert simulate_handoff(topo, oracle, tree, old, new, cfg) == mcast
+    assert simulate_mip_handoff(oracle, cn, ha, old, new, cfg) == mip
+
+
+def test_lossy_sweep_csv_is_pinned(tmp_path):
+    """handoff.csv of a small lossy sweep, byte for byte.
+
+    Pins the order of the seeded loss draws: one per data hop at the sending
+    node's event, one per registration hop, and up to three per join or
+    prune hop until a copy survives.
+    """
+    specs = tuple(
+        TopologySpec(
+            name=name, topo_type=ttype,
+            generator=GeneratorParams(kind, nodes, deg, seed=stable_seed(7, "topology", name)),
+        )
+        for name, ttype, kind, nodes, deg in config.REFERENCE_SUITE
+        if name in ("ts50", "r50")
+    )
+    cfg = ScenarioConfig(
+        topologies=specs, master_seed=7, seeds_per_scenario=1, moves_per_run=21,
+        handoff=HandoffBlock(
+            message_loss_rate=0.1, refresh_period=500.0, overlap="break_before_make"
+        ),
+    )
+    rows = experiment.handoff_sweep(experiment.execute_scenario(cfg))
+    assert len(rows) == 476
+    path = tmp_path / "handoff.csv"
+    reporting.write_handoff(str(path), rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c6bfa06f140ac9576cc9d834a3587bd247c9aa7ddad2b486dd83eb1d4e942754"
+    )

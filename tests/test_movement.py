@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from mcastmob.movement import (
     MovementError,
     MovementModel,
-    MovementTrace,
     cluster_window,
     generate_trace,
-    trace_stats,
     trace_to_csv,
 )
-from mcastmob.topology import GeneratorParams, PathOracle, Topology, generate
+from mcastmob.topology import GeneratorParams, Topology, generate
 
-from conftest import bfs_dist, random_connected_edges
+from conftest import random_connected_edges
 
 # chi-square critical value at the 1% significance level, 49 degrees of freedom
 CHI2_99_DF49 = 74.919
@@ -76,6 +74,30 @@ def test_no_candidate_raises(path5):
         generate_trace(path5, MovementModel("neighbor"), frozenset({1}), 3, seed=1, start=0)
 
 
+def test_trapped_start_is_drawn_again(path5):
+    # forbidding node 1 leaves node 0 without a neighbor to move to
+    eligible = [0, 2, 3, 4]
+    redrawn = 0
+    for seed in range(40):
+        trace = generate_trace(path5, MovementModel("neighbor"), frozenset({1}), 6, seed=seed)
+        first = random.Random(seed).choice(eligible)
+        if first == 0:
+            redrawn += 1
+            assert trace.steps[0] in (2, 3, 4)
+        else:
+            assert trace.steps[0] == first  # an untrapped start keeps its draw
+        assert all(path5.has_edge(a, b) for a, b in zip(trace.steps, trace.steps[1:]))
+    assert redrawn > 0
+
+
+def test_every_start_trapped_raises(star):
+    # a star centred on the forbidden hub: no spoke can move anywhere
+    with pytest.raises(MovementError, match="no eligible node has a move"):
+        generate_trace(star, MovementModel("neighbor"), frozenset({0}), 3, seed=1)
+    trace = generate_trace(star, MovementModel("neighbor"), frozenset({0}), 1, seed=1)
+    assert len(trace.steps) == 1
+
+
 def test_count_one_is_just_the_start(path5):
     trace = generate_trace(path5, MovementModel("random"), frozenset(), 1, seed=1, start=2)
     assert trace.steps == (2,)
@@ -105,31 +127,6 @@ def test_neighbor_steps_are_edges(seed):
     topo = Topology.from_edges("g", n, random_connected_edges(rng, n, n))
     trace = generate_trace(topo, MovementModel("neighbor"), frozenset(), 40, seed=seed)
     assert all(topo.has_edge(a, b) for a, b in zip(trace.steps, trace.steps[1:]))
-
-
-def test_trace_stats_neighbor_all_ones():
-    topo = generate(GeneratorParams("transit_stub", 60, 3.7, seed=3))
-    oracle = PathOracle(topo)
-    trace = generate_trace(topo, MovementModel("neighbor"), frozenset(), 30, seed=6)
-    assert trace_stats(trace, oracle) == [1] * 29
-
-
-def test_trace_stats_stationary_all_zero(path5):
-    trace = MovementTrace(start=2, steps=(2, 2, 2, 2), model=MovementModel("random"), seed=0)
-    assert trace_stats(trace, PathOracle(path5)) == [0, 0, 0]
-
-
-def test_trace_stats_matches_bfs():
-    rng = random.Random(13)
-    edges = random_connected_edges(rng, 20, 15)
-    topo = Topology.from_edges("g", 20, edges)
-    oracle = PathOracle(topo)
-    trace = generate_trace(topo, MovementModel("random"), frozenset(), 25, seed=14)
-    adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
-    expected = [
-        bfs_dist(adj, a)[b] for a, b in zip(trace.steps, trace.steps[1:])
-    ]
-    assert trace_stats(trace, oracle) == expected
 
 
 def test_trace_csv_round_trip(path5):

@@ -10,7 +10,6 @@ from mcastmob.movement import MovementModel, MovementTrace, generate_trace
 from mcastmob.routing import (
     SimulationInvariantError,
     establish,
-    mobile_ip_step,
     run_scenario,
     samples_to_csv,
     validate_tree,
@@ -67,6 +66,15 @@ class TestJoin:
         assert tree.join(3) == 1
         assert tree.parent[3] == 0
 
+    def test_graft_walk_is_read_only(self):
+        topo = Topology.from_edges("fig", 4, [(0, 1), (1, 3), (3, 2)])
+        tree = _tree_on(topo, 0, 1)
+        before = (dict(tree.parent), set(tree.on_tree), set(tree.leaves))
+        assert tree.graft_walk(2) == [2, 3, 1]
+        assert tree.graft_walk(1) == [1]
+        assert (tree.parent, tree.on_tree, tree.leaves) == before
+        assert tree.join(2) == 2
+
     def test_join_at_cn_rejected(self, path5):
         tree = _tree_on(path5, 0, 4)
         with pytest.raises(SimulationInvariantError):
@@ -121,29 +129,6 @@ class TestTreePathHops:
                     loc = new
                 assert tree.path_hops(loc) == bfs_dist(adj, cn)[loc]
                 validate_tree(tree)
-
-
-class TestMobileIpStep:
-    def test_mobile_at_home(self, path5):
-        oracle = PathOracle(path5)
-        assert mobile_ip_step(oracle, 0, 3, 3) == (3, 0)
-
-    def test_cn_is_home_agent(self, path5):
-        oracle = PathOracle(path5)
-        a, b = mobile_ip_step(oracle, 2, 2, 4)
-        assert (a, a + b) == (0, oracle.dist(2, 4))
-
-    def test_matches_bfs(self):
-        rng = random.Random(31)
-        topo = Topology.from_edges("g", 20, random_connected_edges(rng, 20, 18))
-        oracle = PathOracle(topo)
-        adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
-        for _ in range(30):
-            cn, ha, mn = (rng.randrange(20) for _ in range(3))
-            assert mobile_ip_step(oracle, cn, ha, mn) == (
-                bfs_dist(adj, cn)[ha],
-                bfs_dist(adj, ha)[mn],
-            )
 
 
 class TestRunScenario:
