@@ -1,8 +1,9 @@
 """Command-line front end: run scenarios, handoff sweeps, plots, replays.
 
 Exit codes: 0 success, 2 configuration problems, 3 topology load/generation
-failures, 4 failed runs: internal invariant violations or movement traces
-that cannot continue (the offending run's child seed is printed for replay).
+failures, 4 failed runs in `run`, `handoff` or `replay`: internal invariant
+violations or movement traces that cannot continue (the offending run's
+child seed is printed for replay).
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ def _execute(cfg, workers):
         raise _CliError(EXIT_TOPOLOGY, f"topology error: {exc}") from exc
     except OSError as exc:
         raise _CliError(EXIT_TOPOLOGY, f"topology file error: {exc}") from exc
-    except RunFailure as exc:
-        raise _CliError(
-            EXIT_INVARIANT, f"{exc}\nreplay with: mcastmob replay --config <cfg> "
-            f"--replay {exc.child_seed}"
-        ) from exc
 
 
 def cmd_run(args):
@@ -176,6 +172,10 @@ def main(argv=None):
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except RunFailure as exc:  # from `run` or `handoff`; `replay` reports its own
+        print(f"{exc}\nreplay with: mcastmob replay --config <cfg> --replay {exc.child_seed}",
+              file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

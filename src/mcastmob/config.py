@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import re
+from dataclasses import asdict, dataclass
 
-from .handoff import OVERLAP_MODES, STRATEGIES
+from .handoff import STRATEGIES, HandoffConfig, HandoffError
 from .movement import MODEL_KINDS
 from .topology import GENERATOR_KINDS, GeneratorParams
 
@@ -21,6 +22,10 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+# Topology names and types become report file names and CSV cells.
+_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """One topology to simulate: either an edge-list file or generator params."""
@@ -31,6 +36,9 @@ class TopologySpec:
     generator: GeneratorParams | None = None
 
     def __post_init__(self):
+        for key, label in (("name", self.name), ("type", self.topo_type)):
+            if not (isinstance(label, str) and _LABEL.fullmatch(label)):
+                raise ConfigError(f"topology {key} {label!r} must match [A-Za-z0-9_.-]+")
         if (self.file is None) == (self.generator is None):
             raise ConfigError(f"topology {self.name!r}: give exactly one of file/generator")
 
@@ -54,10 +62,25 @@ class HandoffBlock:
         bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad or not self.strategies:
             raise ConfigError(f"invalid handoff strategies {bad or self.strategies}")
-        if self.overlap not in OVERLAP_MODES:
-            raise ConfigError(f"invalid overlap mode {self.overlap!r}")
         if self.max_moves < 1 or self.runs < 1:
             raise ConfigError("handoff max_moves and runs must be >= 1")
+        try:
+            self.handoff_config("plain_join", 0)
+        except HandoffError as exc:
+            raise ConfigError(f"handoff block: {exc}") from exc
+
+    def handoff_config(self, strategy, seed) -> HandoffConfig:
+        """The simulator settings of one handoff: the shared wire fields plus its own."""
+        return HandoffConfig(
+            per_hop_delay=self.per_hop_delay,
+            packet_interval=self.packet_interval,
+            message_loss_rate=self.message_loss_rate,
+            strategy=strategy,
+            advance_lead=self.advance_lead,
+            overlap=self.overlap,
+            refresh_period=self.refresh_period,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +115,9 @@ class ScenarioConfig:
             raise ConfigError("seeds_per_scenario must be >= 1")
         if self.endpoint_policy not in ("per_run", "per_topology"):
             raise ConfigError(f"unknown endpoint_policy {self.endpoint_policy!r}")
+        # a window of one id is a chain that ends at the node just above the CN
+        if "cluster" in self.movement_models and self.cluster_radius < 2:
+            raise ConfigError("cluster_radius must be >= 2 for the cluster model")
 
     def to_dict(self):
         doc = asdict(self)

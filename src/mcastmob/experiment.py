@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import metrics, movement, routing
 from .config import ScenarioConfig, stable_seed
-from .handoff import HandoffConfig, HandoffReport, simulate_handoff, simulate_mip_handoff
+from .handoff import HandoffReport, simulate_handoff, simulate_mip_handoff
 from .metrics import RunRecord
 from .movement import MovementModel, MovementTrace
 from .routing import StepSample
@@ -46,10 +46,6 @@ class RunResult:
     ha: int
     trace: MovementTrace
     samples: tuple[StepSample, ...]
-
-    @property
-    def key(self):
-        return self.record.topology, self.record.model, self.record.run_index
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def run_single(topo, oracle, topo_type, model_kind, cluster_radius, moves, seed,
         moves,
         trace_seed,
     )
-    samples = routing.run_scenario(topo, oracle, cn, ha, trace)
+    samples = routing.run_scenario(oracle, cn, ha, trace.steps)
     return RunResult(
         record=RunRecord(
             topology=topo.name,
@@ -119,22 +115,27 @@ def _draw_endpoints(rng, n):
     return cn, ha
 
 
+def _job(cfg, spec, topo, model, run_indices):
+    """The `_pair_job` argument for the given runs of one (topology, model)."""
+    seeds = [(i, child_seed(cfg.master_seed, spec.name, model, i)) for i in run_indices]
+    return cfg, topo, spec.topo_type, model, seeds
+
+
 def _pair_job(args):
     """All runs for one (topology, model): executed inline or in a pool worker."""
-    topo, topo_type, model_kind, cfg_fields, seeds = args
-    cluster_radius, moves, master_seed, endpoint_policy = cfg_fields
+    cfg, topo, topo_type, model_kind, seeds = args
     oracle = PathOracle(topo)
     endpoints = None
-    if endpoint_policy == "per_topology":
+    if cfg.endpoint_policy == "per_topology":
         endpoints = _draw_endpoints(
-            random.Random(stable_seed(master_seed, "endpoints", topo.name)), topo.n
+            random.Random(stable_seed(cfg.master_seed, "endpoints", topo.name)), topo.n
         )
     out = []
     for run_index, seed in seeds:
         try:
             out.append(run_single(
-                topo, oracle, topo_type, model_kind, cluster_radius, moves, seed, run_index,
-                endpoints=endpoints,
+                topo, oracle, topo_type, model_kind, cfg.cluster_radius, cfg.moves_per_run,
+                seed, run_index, endpoints=endpoints,
             ))
         except (routing.SimulationInvariantError, movement.MovementError) as exc:
             raise RunFailure(topo.name, model_kind, run_index, seed, exc) from exc
@@ -146,23 +147,11 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
     topologies = {
         spec.name: build_topology(spec, cfg.master_seed) for spec in cfg.topologies
     }
-    jobs = []
-    for spec in cfg.topologies:
-        for model in cfg.movement_models:
-            seeds = [
-                (i, child_seed(cfg.master_seed, spec.name, model, i))
-                for i in range(cfg.seeds_per_scenario)
-            ]
-            jobs.append(
-                (
-                    topologies[spec.name],
-                    spec.topo_type,
-                    model,
-                    (cfg.cluster_radius, cfg.moves_per_run, cfg.master_seed,
-                     cfg.endpoint_policy),
-                    seeds,
-                )
-            )
+    jobs = [
+        _job(cfg, spec, topologies[spec.name], model, range(cfg.seeds_per_scenario))
+        for spec in cfg.topologies
+        for model in cfg.movement_models
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_pair_job, jobs))
@@ -183,15 +172,8 @@ def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
         for model in cfg.movement_models:
             for i in range(cfg.seeds_per_scenario):
                 if child_seed(cfg.master_seed, spec.name, model, i) == seed:
-                    job = (
-                        build_topology(spec, cfg.master_seed),
-                        spec.topo_type,
-                        model,
-                        (cfg.cluster_radius, cfg.moves_per_run, cfg.master_seed,
-                         cfg.endpoint_policy),
-                        [(i, seed)],
-                    )
-                    return _pair_job(job)[0]
+                    topo = build_topology(spec, cfg.master_seed)
+                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0]
     return None
 
 
@@ -210,64 +192,43 @@ class HandoffRow:
 
 
 def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
-    """Replay traces move by move, simulating each configured strategy per move.
+    """Replay the first moves of each trace, simulating each configured strategy per move.
 
-    The tree is advanced with the same join/prune sequence as the metrics
-    run, so each handoff is simulated against the exact pre-move tree.
+    The tree comes from `routing.run_scenario` over the same visits as the
+    metrics run, so each handoff is simulated against the exact pre-move
+    tree and every step is held to the same invariants. A run that breaks
+    one raises RunFailure with its child seed.
     """
-    cfg = result.config
-    block = cfg.handoff
+    block = result.config.handoff
     if block is None:
         raise ValueError("config has no handoff block")
-    base = dict(
-        per_hop_delay=block.per_hop_delay,
-        packet_interval=block.packet_interval,
-        message_loss_rate=block.message_loss_rate,
-        advance_lead=block.advance_lead,
-        overlap=block.overlap,
-        refresh_period=block.refresh_period,
-    )
     oracles = {}  # one per topology, shared by its runs
     rows = []
     for run in result.runs:
-        if run.record.run_index >= block.runs:
+        rec = run.record
+        if rec.run_index >= block.runs:
             continue
-        topo = result.topologies[run.record.topology]
-        oracle = oracles.get(topo.name)
+        where = (rec.topology, rec.model, rec.run_index)
+        oracle = oracles.get(rec.topology)
         if oracle is None:
-            oracle = oracles[topo.name] = PathOracle(topo)
-        steps = run.trace.steps
-        tree = routing.establish(topo, oracle, run.cn, steps[0])
-        limit = min(len(steps) - 1, block.max_moves)
-        for i in range(1, limit + 1):
-            old, new = steps[i - 1], steps[i]
-            if old == new:
-                continue
+            oracle = oracles[rec.topology] = PathOracle(result.topologies[rec.topology])
+
+        def on_move(i, tree, old, new):
             b_hops = oracle.dist(run.ha, new)
-            graft = -1
             for strategy in block.strategies:
-                hcfg = HandoffConfig(
-                    strategy=strategy,
-                    seed=stable_seed(run.record.child_seed, "handoff", i, strategy),
-                    **base,
-                )
-                rep = simulate_handoff(topo, oracle, tree, old, new, hcfg)
-                graft = rep.control_path_hops
-                rows.append(
-                    HandoffRow(run.record.topology, run.record.model,
-                               run.record.run_index, i, strategy, graft, b_hops, rep)
-                )
+                seed = stable_seed(rec.child_seed, "handoff", i, strategy)
+                rep = simulate_handoff(tree, old, new, block.handoff_config(strategy, seed))
+                rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
             if block.include_mobile_ip:
-                hcfg = HandoffConfig(
-                    strategy="plain_join",
-                    seed=stable_seed(run.record.child_seed, "handoff", i, "mobile_ip"),
-                    **base,
-                )
-                rep = simulate_mip_handoff(oracle, run.cn, run.ha, old, new, hcfg)
-                rows.append(
-                    HandoffRow(run.record.topology, run.record.model,
-                               run.record.run_index, i, "mobile_ip", graft, b_hops, rep)
-                )
-            tree.join(new)
-            tree.prune(old)
+                seed = stable_seed(rec.child_seed, "handoff", i, "mobile_ip")
+                rep = simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
+                                           block.handoff_config("plain_join", seed))
+                # the graft length of the multicast rows above, for comparison
+                rows.append(HandoffRow(*where, i, "mobile_ip", rows[-1].graft_links, b_hops, rep))
+
+        try:
+            routing.run_scenario(oracle, run.cn, run.ha, run.trace.steps[:block.max_moves + 1],
+                                 on_move)
+        except routing.SimulationInvariantError as exc:
+            raise RunFailure(*where, rec.child_seed, exc) from exc
     return rows

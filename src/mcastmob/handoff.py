@@ -51,16 +51,17 @@ class HandoffConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.per_hop_delay <= 0 or self.packet_interval <= 0 or self.refresh_period <= 0:
-            raise HandoffError("delays, intervals and refresh period must be positive")
+        if not all(0 < t < math.inf for t in (self.per_hop_delay, self.packet_interval,
+                                             self.refresh_period)):
+            raise HandoffError("delays, intervals and refresh period must be positive and finite")
         if not (0.0 <= self.message_loss_rate < 1.0):
             raise HandoffError("message_loss_rate must be in [0, 1)")
         if self.strategy not in STRATEGIES:
             raise HandoffError(f"unknown strategy {self.strategy!r}")
         if self.overlap not in OVERLAP_MODES:
             raise HandoffError(f"unknown overlap mode {self.overlap!r}")
-        if self.advance_lead < 0:
-            raise HandoffError("advance_lead must be >= 0")
+        if not (0 <= self.advance_lead < math.inf):
+            raise HandoffError("advance_lead must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ def _trigger_time(cfg, warm_hops):
     return t0
 
 
-def simulate_handoff(topo, oracle, tree, old, new, cfg, loss_fn=None) -> HandoffReport:
+def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     """Simulate one handoff old -> new on the current delivery tree.
 
     Packets follow the tree's forwarding map; the join grafts the branch
@@ -229,7 +230,7 @@ def simulate_handoff(topo, oracle, tree, old, new, cfg, loss_fn=None) -> Handoff
         raise HandoffError("cannot hand off to the correspondent node")
     if new == old:
         raise HandoffError("handoff requires distinct old and new locations")
-    oracle._check(new)
+    tree.oracle._check(new)
 
     path_old = tree.branch_to_root(old)  # [old, ..., cn]
     walk = tree.graft_walk(new)  # [new, ..., meet]

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .movement import MovementTrace
-from .topology import PathOracle, Topology
+from .topology import PathOracle
 
 
 class SimulationInvariantError(Exception):
@@ -43,13 +42,12 @@ class MulticastTree:
     """Mutable (S,G) state: parent map rooted at the CN plus the joined leaves.
 
     Single-run object: one simulation thread mutates it at a time. The
-    oracle reference is read-only shared.
+    oracle, and through it the topology, is read-only shared.
     """
 
-    def __init__(self, cn, topo: Topology, oracle: PathOracle):
+    def __init__(self, cn, oracle: PathOracle):
         oracle._check(cn)
         self.cn = cn
-        self.topo = topo
         self.oracle = oracle
         self.parent: dict[int, int] = {}
         self.children: dict[int, set[int]] = {}
@@ -118,31 +116,32 @@ class MulticastTree:
         path = [node]
         while path[-1] != self.cn:
             up = self.parent.get(path[-1])
-            if up is None or len(path) > self.topo.n:
+            if up is None or len(path) > self.oracle.topo.n:
                 raise SimulationInvariantError(f"broken parent chain from node {node}")
             path.append(up)
         return path
 
 
-def establish(topo, oracle, cn, first_location) -> MulticastTree:
+def establish(oracle, cn, first_location) -> MulticastTree:
     """Initial (CN, G) join: the tree becomes the branch CN -> first_location."""
     if cn == first_location:
         raise SimulationInvariantError("mobile cannot start at the correspondent node")
-    tree = MulticastTree(cn, topo, oracle)
+    tree = MulticastTree(cn, oracle)
     tree.join(first_location)
     return tree
 
 
-def run_scenario(topo, oracle, cn, ha, trace: MovementTrace):
-    """Drive one full movement trace and record a StepSample per visit.
+def run_scenario(oracle, cn, ha, steps, on_move=None):
+    """Drive one sequence of visits and record a StepSample per visit.
 
-    Sample 0 is the establishment at trace.steps[0]; each later sample is a
+    Sample 0 is the establishment at steps[0]; each later sample is a
     handoff (join the new location, then prune the old). Cheap invariants
     (tree path equals shortest path; added minus removed links equals the
     live edge count) are checked every step and raise
     SimulationInvariantError so a bad run can never be reported silently.
+    For each move that changes location, `on_move(i, tree, old, new)` is
+    called just before the join, with the tree as it stands before the move.
     """
-    steps = trace.steps
     oracle._check(cn)
     oracle._check(ha)
     if cn == ha:
@@ -150,7 +149,7 @@ def run_scenario(topo, oracle, cn, ha, trace: MovementTrace):
     if cn in steps:
         raise SimulationInvariantError("trace visits the correspondent node")
 
-    tree = establish(topo, oracle, cn, steps[0])
+    tree = establish(oracle, cn, steps[0])
     a_hops = oracle.dist(cn, ha)
     samples = [
         StepSample(
@@ -170,6 +169,8 @@ def run_scenario(topo, oracle, cn, ha, trace: MovementTrace):
         if new == old:
             added = removed = 0
         else:
+            if on_move is not None:
+                on_move(i, tree, old, new)
             added = tree.join(new)
             removed = tree.prune(old)
         total_added += added
@@ -210,7 +211,7 @@ def validate_tree(tree: MulticastTree):
     if not tree.leaves <= tree.on_tree:
         raise SimulationInvariantError("leaf not on tree")
     for child, up in tree.parent.items():
-        if not tree.topo.has_edge(child, up):
+        if not tree.oracle.topo.has_edge(child, up):
             raise SimulationInvariantError(f"parent link {child}->{up} is not a topology edge")
         if child not in tree.children.get(up, set()):
             raise SimulationInvariantError(f"children map missing {up}->{child}")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mcastmob import experiment
 from mcastmob.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
 
 RING = "\n".join(["0 1", "1 2", "2 3", "3 4", "4 5", "5 0", "0 3"]) + "\n"
@@ -172,13 +173,63 @@ def test_malformed_topology_file_exit_code(workdir):
 
 
 def test_trapped_trace_exits_with_replay_line(workdir, capsys):
-    # cluster_radius 1 only ever steps to id - 1, so every walk reaches the
-    # node just above the CN and has nowhere left to go
+    # on a two-node topology the mobile's only neighbour is the CN, so every
+    # start is trapped under the neighbor model
+    (workdir / "pair.txt").write_text("0 1\n")
     doc = json.loads((workdir / "cfg.json").read_text())
-    doc.update(movement_models=["cluster"], cluster_radius=1)
+    doc.update(
+        movement_models=["neighbor"],
+        topologies=[{"name": "pair", "type": "measured", "file": "pair.txt"}],
+    )
     (workdir / "trap.json").write_text(json.dumps(doc))
     assert main(["run", "--config", "trap.json"]) == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert "no eligible move" in err
+    assert "no eligible node has a move" in err
     seed = err.split("--replay ")[1].split()[0]
     assert main(["replay", "--config", "trap.json", "--replay", seed]) == EXIT_INVARIANT
+
+
+def test_handoff_invariant_failure_exits_with_replay_line(workdir, capsys, monkeypatch):
+    real = experiment.simulate_handoff
+
+    def corrupting(tree, old, new, cfg, loss_fn=None):
+        rep = real(tree, old, new, cfg, loss_fn)
+        # graft a link that no join accounted for
+        node, up = next((v, u) for u in sorted(tree.on_tree)
+                        for v in tree.oracle.topo.adj[u] if v not in tree.on_tree)
+        tree.parent[node] = up
+        tree.children.setdefault(up, set()).add(node)
+        tree.on_tree.add(node)
+        return rep
+
+    monkeypatch.setattr(experiment, "simulate_handoff", corrupting)
+    assert main(["handoff", "--config", "cfg.json"]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    first = experiment.child_seed(11, "ring6", "random", 0)
+    assert f"run ring6/random/run0 failed (child seed {first}): link accounting broken" in err
+    assert f"--replay {first}" in err
+    assert not (workdir / "out" / "handoff.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(handoff={"message_loss_rate": 1.5}),
+        lambda doc: doc.update(movement_models=["cluster"], cluster_radius=1),
+        lambda doc: doc["topologies"][0].update(name="../../escaped"),
+        lambda doc: doc["topologies"][0].update(type="x,y"),
+    ],
+    ids=["handoff_loss", "cluster_radius", "topology_name", "topology_type"],
+)
+def test_bad_values_fail_at_load(workdir, capsys, monkeypatch, mutate):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    mutate(doc)
+    (workdir / "bad.json").write_text(json.dumps(doc))
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a simulation ran before the config was checked")
+
+    monkeypatch.setattr(experiment, "execute_scenario", no_runs)
+    assert main(["run", "--config", "bad.json"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (workdir / "out").exists()

@@ -62,6 +62,24 @@ def test_canonical_json_is_stable():
         ('{"topologies": [{"name": "x", "file": "a"}, {"name": "x", "file": "b"}]}', "unique"),
         ('{"handoff": {"strategies": ["warp"]}, "topologies": [{"name": "x", "file": "f"}]}',
          "strategies"),
+        ('{"handoff": {"message_loss_rate": 1.5}, "topologies": [{"name": "x", "file": "f"}]}',
+         "message_loss_rate"),
+        ('{"handoff": {"per_hop_delay": 0}, "topologies": [{"name": "x", "file": "f"}]}',
+         "must be positive"),
+        ('{"handoff": {"refresh_period": 0}, "topologies": [{"name": "x", "file": "f"}]}',
+         "must be positive"),
+        ('{"handoff": {"advance_lead": -1}, "topologies": [{"name": "x", "file": "f"}]}',
+         "advance_lead"),
+        ('{"handoff": {"per_hop_delay": NaN}, "topologies": [{"name": "x", "file": "f"}]}',
+         "finite"),
+        ('{"handoff": {"advance_lead": Infinity}, "topologies": [{"name": "x", "file": "f"}]}',
+         "advance_lead"),
+        ('{"cluster_radius": 1, "topologies": [{"name": "x", "file": "f"}]}', "cluster_radius"),
+        ('{"movement_models": ["cluster"], "cluster_radius": 0, '
+         '"topologies": [{"name": "x", "file": "f"}]}', "cluster_radius"),
+        ('{"topologies": [{"name": "../../escaped", "file": "f"}]}', "topology name"),
+        ('{"topologies": [{"name": "x", "type": "x,y", "file": "f"}]}', "topology type"),
+        ('{"topologies": [{"name": "", "file": "f"}]}', "topology name"),
         ("not json", "not valid JSON"),
     ],
 )
@@ -77,6 +95,11 @@ def test_handoff_block_validation():
         HandoffBlock(max_moves=0)
     block = HandoffBlock(strategies=("plain_join",))
     assert block.include_mobile_ip
+
+
+def test_cluster_radius_is_free_without_the_cluster_model():
+    doc = '{"movement_models": ["random"], "cluster_radius": 1, ' + MINIMAL.strip()[1:]
+    assert from_json(doc).cluster_radius == 1
 
 
 def test_topology_spec_requires_one_source():

@@ -35,7 +35,7 @@ BASE = dict(per_hop_delay=10.0, packet_interval=20.0)
 
 def _fixture_tree(handoff_fixture):
     topo, oracle = handoff_fixture
-    return topo, oracle, establish(topo, oracle, 0, 3)
+    return topo, oracle, establish(oracle, 0, 3)
 
 
 class TestConfigValidation:
@@ -60,7 +60,7 @@ class TestBreakBeforeMake:
     def test_closed_form(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
-        rep = simulate_handoff(topo, oracle, tree, 3, 6, cfg)
+        rep = simulate_handoff(tree, 3, 6, cfg)
         assert rep.trigger_ms == 60.0
         # join sent at 60 completes the graft at node 1 at t=90; the first
         # packet passing afterwards is k=4 (emitted 80), reaching node 6 at 120
@@ -76,10 +76,10 @@ class TestBreakBeforeMake:
     def test_triple_join_triples_control_traffic(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         plain = simulate_handoff(
-            topo, oracle, tree, 3, 6, HandoffConfig(overlap="break_before_make", **BASE)
+            tree, 3, 6, HandoffConfig(overlap="break_before_make", **BASE)
         )
         triple = simulate_handoff(
-            topo, oracle, tree, 3, 6,
+            tree, 3, 6,
             HandoffConfig(overlap="break_before_make", strategy="triple_join", **BASE),
         )
         assert triple.control_messages == 3 * plain.control_messages
@@ -90,7 +90,7 @@ class TestMakeBeforeBreak:
     def test_closed_form(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         cfg = HandoffConfig(overlap="make_before_break", **BASE)
-        rep = simulate_handoff(topo, oracle, tree, 3, 6, cfg)
+        rep = simulate_handoff(tree, 3, 6, cfg)
         assert rep.handoff_latency == 60.0
         assert rep.packets_lost == 0
         # k=4 and k=5 drain down the old branch while the prune (issued at
@@ -113,9 +113,9 @@ class TestMakeBeforeBreak:
             nodes = [v for v in range(n) if v != cn]
             old = rng.choice(nodes)
             new = rng.choice([v for v in nodes if v != old])
-            tree = establish(topo, oracle, cn, old)
+            tree = establish(oracle, cn, old)
             rep = simulate_handoff(
-                topo, oracle, tree, old, new,
+                tree, old, new,
                 HandoffConfig(overlap="make_before_break", seed=trial, **BASE),
             )
             assert rep.packets_lost == 0
@@ -127,7 +127,7 @@ class TestAdvanceJoin:
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         # graft round trip is 2L*d = 60; lead 80 also clears L+depth = 7 hops
         cfg = HandoffConfig(strategy="advance_join", advance_lead=80.0, **BASE)
-        rep = simulate_handoff(topo, oracle, tree, 3, 6, cfg)
+        rep = simulate_handoff(tree, 3, 6, cfg)
         assert rep.trigger_ms == 80.0
         assert rep.packets_lost == 0
         assert rep.handoff_latency <= cfg.packet_interval
@@ -136,7 +136,7 @@ class TestAdvanceJoin:
     def test_insufficient_lead_still_delivers(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         cfg = HandoffConfig(strategy="advance_join", advance_lead=10.0, **BASE)
-        rep = simulate_handoff(topo, oracle, tree, 3, 6, cfg)
+        rep = simulate_handoff(tree, 3, 6, cfg)
         assert rep.packets_lost == 0  # make_before_break still covers the gap
         assert rep.handoff_latency > 0.0
 
@@ -145,7 +145,7 @@ class TestNoGraftNeeded:
     def test_new_location_already_on_tree(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         cfg = HandoffConfig(**BASE)
-        rep = simulate_handoff(topo, oracle, tree, 3, 2, cfg)
+        rep = simulate_handoff(tree, 3, 2, cfg)
         assert rep.control_path_hops == 0
         assert rep.handoff_latency <= cfg.packet_interval
         assert rep.packets_lost == 0
@@ -159,7 +159,7 @@ class TestLossRecovery:
         )
         lost_first = lambda kind, src, dst, attempt: kind == "join" and attempt == 0 and src == 6
 
-        rep = simulate_handoff(topo, oracle, tree, 3, 6, cfg, loss_fn=lost_first)
+        rep = simulate_handoff(tree, 3, 6, cfg, loss_fn=lost_first)
         # first hop dies at t=60, retries at 560; graft completes at 590 and
         # the next packet through the meet (emitted 580) lands at 620
         assert rep.first_new_delivery_ms == 620.0
@@ -171,7 +171,7 @@ class TestLossRecovery:
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=400.0, **BASE)
         lose_prunes = lambda kind, src, dst, attempt: kind == "prune" and attempt == 0
 
-        rep = simulate_handoff(topo, oracle, tree, 3, 6, cfg, loss_fn=lose_prunes)
+        rep = simulate_handoff(tree, 3, 6, cfg, loss_fn=lose_prunes)
         assert rep.packets_lost == 0
         assert rep.control_messages >= 5  # retried prune hops add traffic
 
@@ -184,8 +184,8 @@ class TestMonotonicity:
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
         for new in range(3, 9):  # L = 1..6, meet always node 1
-            tree = establish(topo, oracle, 0, 2)
-            rep = simulate_handoff(topo, oracle, tree, 2, new, cfg)
+            tree = establish(oracle, 0, 2)
+            rep = simulate_handoff(tree, 2, new, cfg)
             assert rep.control_path_hops == new - 2
             latencies.append(rep.handoff_latency)
         assert latencies == sorted(latencies)
@@ -246,14 +246,14 @@ class TestDeterminism:
     def test_same_seed_same_report(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         cfg = HandoffConfig(message_loss_rate=0.3, seed=123, **BASE)
-        a = simulate_handoff(topo, oracle, tree, 3, 6, cfg)
-        b = simulate_handoff(topo, oracle, tree, 3, 6, cfg)
+        a = simulate_handoff(tree, 3, 6, cfg)
+        b = simulate_handoff(tree, 3, 6, cfg)
         assert a == b
 
     def test_tree_not_mutated(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         before = (dict(tree.parent), set(tree.on_tree), set(tree.leaves))
-        simulate_handoff(topo, oracle, tree, 3, 6, HandoffConfig(**BASE))
+        simulate_handoff(tree, 3, 6, HandoffConfig(**BASE))
         assert (tree.parent, tree.on_tree, tree.leaves) == before
 
 
@@ -262,17 +262,17 @@ class TestPreconditions:
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         tree.join(2)
         with pytest.raises(HandoffError, match="only joined leaf"):
-            simulate_handoff(topo, oracle, tree, 3, 6, HandoffConfig(**BASE))
+            simulate_handoff(tree, 3, 6, HandoffConfig(**BASE))
 
     def test_rejects_same_location(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         with pytest.raises(HandoffError, match="distinct"):
-            simulate_handoff(topo, oracle, tree, 3, 3, HandoffConfig(**BASE))
+            simulate_handoff(tree, 3, 3, HandoffConfig(**BASE))
 
     def test_rejects_cn_target(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         with pytest.raises(HandoffError, match="correspondent"):
-            simulate_handoff(topo, oracle, tree, 3, 0, HandoffConfig(**BASE))
+            simulate_handoff(tree, 3, 0, HandoffConfig(**BASE))
         with pytest.raises(HandoffError, match="correspondent"):
             simulate_mip_handoff(oracle, 0, 1, 3, 0, HandoffConfig(**BASE))
 
@@ -293,14 +293,14 @@ def test_kernel_properties(strategy, overlap, loss, seed):
     nodes = [v for v in range(n) if v != cn]
     old = rng.choice(nodes)
     new = rng.choice([v for v in nodes if v != old])
-    tree = establish(topo, oracle, cn, old)
+    tree = establish(oracle, cn, old)
     before = (dict(tree.parent), set(tree.on_tree), set(tree.leaves))
     cfg = HandoffConfig(
         strategy=strategy, overlap=overlap, message_loss_rate=loss,
         advance_lead=rng.choice([0.0, 40.0, 100.0]), refresh_period=500.0, seed=seed, **BASE,
     )
     from_cn, from_ha = bfs_dist(adj, cn), bfs_dist(adj, ha)
-    mcast = simulate_handoff(topo, oracle, tree, old, new, cfg)
+    mcast = simulate_handoff(tree, old, new, cfg)
     mip = simulate_mip_handoff(oracle, cn, ha, old, new, cfg)
     for rep, hops in (
         (mcast, {"old": from_cn[old], "new": from_cn[new]}),
@@ -318,7 +318,7 @@ def test_kernel_properties(strategy, overlap, loss, seed):
             if overlap == "make_before_break":
                 assert rep.packets_lost == 0
     assert (tree.parent, tree.on_tree, tree.leaves) == before
-    assert simulate_handoff(topo, oracle, tree, old, new, cfg) == mcast
+    assert simulate_handoff(tree, old, new, cfg) == mcast
     assert simulate_mip_handoff(oracle, cn, ha, old, new, cfg) == mip
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcastmob.movement import MovementModel, MovementTrace, generate_trace
+from mcastmob.movement import MovementModel, generate_trace
 from mcastmob.routing import (
     SimulationInvariantError,
     establish,
@@ -20,7 +20,7 @@ from conftest import bfs_dist, random_connected_edges
 
 
 def _tree_on(topo, cn, loc):
-    return establish(topo, PathOracle(topo), cn, loc)
+    return establish(PathOracle(topo), cn, loc)
 
 
 class TestEstablish:
@@ -120,7 +120,7 @@ class TestTreePathHops:
             cn = rng.randrange(n)
             spots = [v for v in range(n) if v != cn]
             loc = rng.choice(spots)
-            tree = establish(topo, oracle, cn, loc)
+            tree = establish(oracle, cn, loc)
             for _ in range(15):
                 new = rng.choice(spots)
                 if new != loc:
@@ -134,8 +134,7 @@ class TestTreePathHops:
 class TestRunScenario:
     def test_stationary_trace(self, path5):
         oracle = PathOracle(path5)
-        trace = MovementTrace(start=3, steps=(3, 3, 3), model=MovementModel("random"), seed=0)
-        samples = run_scenario(path5, oracle, 0, 1, trace)
+        samples = run_scenario(oracle, 0, 1, (3, 3, 3))
         assert samples[0].establishment
         assert samples[0].added_links == 3
         for s in samples[1:]:
@@ -157,7 +156,7 @@ class TestRunScenario:
                 topo, MovementModel("neighbor"), frozenset({cn}), 25, seed=rng.randrange(10**6)
             )
             ha = rng.choice([v for v in range(n) if v != cn])
-            samples = run_scenario(topo, oracle, cn, ha, trace)
+            samples = run_scenario(oracle, cn, ha, trace.steps)
             assert all(s.added_links <= 1 for s in samples[1:])
 
     def test_c_hops_equals_distance_everywhere(self):
@@ -166,7 +165,7 @@ class TestRunScenario:
         oracle = PathOracle(topo)
         adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
         trace = generate_trace(topo, MovementModel("random"), frozenset({0}), 50, seed=10)
-        samples = run_scenario(topo, oracle, 0, 5, trace)
+        samples = run_scenario(oracle, 0, 5, trace.steps)
         dist_cn = bfs_dist(adj, 0)
         for s, node in zip(samples, trace.steps):
             assert s.c_hops == dist_cn[node]
@@ -176,7 +175,7 @@ class TestRunScenario:
         topo = Topology.from_edges("g", 30, random_connected_edges(rng, 30, 30))
         oracle = PathOracle(topo)
         trace = generate_trace(topo, MovementModel("random"), frozenset({2}), 60, seed=12)
-        samples = run_scenario(topo, oracle, 2, 7, trace)
+        samples = run_scenario(oracle, 2, 7, trace.steps)
         added = removed = 0
         for s in samples:
             added += s.added_links
@@ -190,7 +189,7 @@ class TestRunScenario:
         topo = Topology.from_edges("g", 25, random_connected_edges(rng, 25, 20))
         oracle = PathOracle(topo)
         trace = generate_trace(topo, MovementModel("cluster"), frozenset({1}), 40, seed=14)
-        for s in run_scenario(topo, oracle, 1, 9, trace):
+        for s in run_scenario(oracle, 1, 9, trace.steps):
             assert s.a_hops + s.b_hops >= s.c_hops
 
     def test_deterministic(self):
@@ -198,19 +197,40 @@ class TestRunScenario:
         topo = Topology.from_edges("g", 18, random_connected_edges(rng, 18, 12))
         oracle = PathOracle(topo)
         trace = generate_trace(topo, MovementModel("random"), frozenset({4}), 30, seed=16)
-        first = run_scenario(topo, oracle, 4, 6, trace)
-        second = run_scenario(topo, PathOracle(topo), 4, 6, trace)
+        first = run_scenario(oracle, 4, 6, trace.steps)
+        second = run_scenario(PathOracle(topo), 4, 6, trace.steps)
         assert first == second
 
     def test_rejects_cn_in_trace(self, path5):
-        trace = MovementTrace(start=0, steps=(0, 1), model=MovementModel("random"), seed=0)
         with pytest.raises(SimulationInvariantError, match="correspondent"):
-            run_scenario(path5, PathOracle(path5), 0, 3, trace)
+            run_scenario(PathOracle(path5), 0, 3, (0, 1))
 
     def test_rejects_cn_equals_ha(self, path5):
-        trace = MovementTrace(start=2, steps=(2, 3), model=MovementModel("random"), seed=0)
         with pytest.raises(SimulationInvariantError):
-            run_scenario(path5, PathOracle(path5), 0, 0, trace)
+            run_scenario(PathOracle(path5), 0, 0, (2, 3))
+
+    def test_on_move_fires_once_per_change_of_location(self, path5):
+        seen = []
+        samples = run_scenario(PathOracle(path5), 0, 1, (4, 4, 2, 3, 3, 1, 4),
+                               lambda i, tree, old, new: seen.append((i, old, new)))
+        assert seen == [(2, 4, 2), (3, 2, 3), (5, 3, 1), (6, 1, 4)]
+        assert samples == run_scenario(PathOracle(path5), 0, 1, (4, 4, 2, 3, 3, 1, 4))
+
+    def test_on_move_gets_the_pre_move_tree(self):
+        rng = random.Random(17)
+        topo = Topology.from_edges("g", 20, random_connected_edges(rng, 20, 15))
+        trace = generate_trace(topo, MovementModel("cluster"), frozenset({3}), 60, seed=18)
+        moves = []
+
+        def on_move(i, tree, old, new):
+            validate_tree(tree)
+            assert tree.leaves == {old}
+            assert new not in tree.leaves
+            moves.append(i)
+
+        run_scenario(PathOracle(topo), 3, 8, trace.steps, on_move)
+        steps = trace.steps
+        assert moves == [i for i in range(1, len(steps)) if steps[i - 1] != steps[i]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,7 +243,7 @@ def test_tree_invariants_hold_under_random_scenarios(seed):
     cn = rng.randrange(n)
     spots = [v for v in range(n) if v != cn]
     loc = rng.choice(spots)
-    tree = establish(topo, oracle, cn, loc)
+    tree = establish(oracle, cn, loc)
     validate_tree(tree)
     for _ in range(12):
         new = rng.choice(spots)
@@ -239,8 +259,7 @@ def test_tree_invariants_hold_under_random_scenarios(seed):
 
 def test_samples_csv(path5):
     oracle = PathOracle(path5)
-    trace = MovementTrace(start=4, steps=(4, 3), model=MovementModel("neighbor"), seed=0)
-    samples = run_scenario(path5, oracle, 0, 1, trace)
+    samples = run_scenario(oracle, 0, 1, (4, 3))
     text = samples_to_csv(samples)
     lines = text.strip().splitlines()
     assert lines[0] == "step,a,b,c,added,removed"
