@@ -45,9 +45,13 @@ def _load_config(path):
         raise _CliError(EXIT_CONFIG, f"config error: {exc}") from exc
 
 
-def _run_key(result):
-    rec = result.record
-    return f"{rec.topology}__{rec.model}__run{rec.run_index:02d}"
+def _write_run_files(out_dir, run):
+    """runs/<key>.csv and traces/<key>.csv of one run; returns the key."""
+    rec = run.record
+    key = f"{rec.topology}__{rec.model}__run{rec.run_index:02d}"
+    reporting.write_run_samples(os.path.join(out_dir, "runs", f"{key}.csv"), run.samples)
+    reporting.write_trace(os.path.join(out_dir, "traces", f"{key}.csv"), run.trace)
+    return key
 
 
 def _write_report(out_dir, result):
@@ -66,9 +70,7 @@ def _write_report(out_dir, result):
         },
     )
     for run in result.runs:
-        key = _run_key(run)
-        reporting.write_run_samples(os.path.join(out_dir, "runs", f"{key}.csv"), run.samples)
-        reporting.write_trace(os.path.join(out_dir, "traces", f"{key}.csv"), run.trace)
+        _write_run_files(out_dir, run)
     reporting.write_run_stats(os.path.join(out_dir, "run_stats.csv"), result.runs)
     reporting.write_aggregate(os.path.join(out_dir, "aggregate.csv"), result.aggregate)
     reporting.write_summary(os.path.join(out_dir, "summary.csv"), result.runs)
@@ -134,9 +136,7 @@ def cmd_replay(args):
         raise _CliError(EXIT_INVARIANT, str(exc)) from exc
     if result is None:
         raise _CliError(EXIT_CONFIG, f"child seed {args.replay} does not belong to this config")
-    key = _run_key(result)
-    reporting.write_run_samples(os.path.join(out_dir, "runs", f"{key}.csv"), result.samples)
-    reporting.write_trace(os.path.join(out_dir, "traces", f"{key}.csv"), result.trace)
+    key = _write_run_files(out_dir, result)
     print(f"replayed {key} (cn={result.cn}, ha={result.ha}) into {out_dir}")
     return EXIT_OK
 

@@ -26,6 +26,14 @@ def stable_seed(*parts) -> int:
 _LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
 
+def _check_counts(obj, *fields):
+    """ConfigError unless each field is an int >= 1 (a float or a bool is no count)."""
+    for name in fields:
+        value = getattr(obj, name)
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """One topology to simulate: either an edge-list file or generator params."""
@@ -59,11 +67,13 @@ class HandoffBlock:
     runs: int = 1
 
     def __post_init__(self):
+        _check_counts(self, "max_moves", "runs")
+        if type(self.include_mobile_ip) is not bool:
+            raise ConfigError(f"include_mobile_ip must be true or false, not "
+                              f"{self.include_mobile_ip!r}")
         bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad or not self.strategies:
             raise ConfigError(f"invalid handoff strategies {bad or self.strategies}")
-        if self.max_moves < 1 or self.runs < 1:
-            raise ConfigError("handoff max_moves and runs must be >= 1")
         try:
             self.handoff_config("plain_join", 0)
         except HandoffError as exc:
@@ -109,10 +119,7 @@ class ScenarioConfig:
         bad = [m for m in self.movement_models if m not in MODEL_KINDS]
         if bad:
             raise ConfigError(f"unknown movement models {bad}")
-        if self.moves_per_run < 1:
-            raise ConfigError("moves_per_run must be >= 1")
-        if self.seeds_per_scenario < 1:
-            raise ConfigError("seeds_per_scenario must be >= 1")
+        _check_counts(self, "moves_per_run", "seeds_per_scenario", "cluster_radius")
         if self.endpoint_policy not in ("per_run", "per_topology"):
             raise ConfigError(f"unknown endpoint_policy {self.endpoint_policy!r}")
         # a window of one id is a chain that ends at the node just above the CN

@@ -167,13 +167,19 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
 
 
 def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
-    """Re-execute the single run whose child seed matches, or None if unknown."""
+    """Re-execute the single run whose child seed matches, or None if unknown.
+
+    A run that the handoff sweep covers is swept again too.
+    """
     for spec in cfg.topologies:
         for model in cfg.movement_models:
             for i in range(cfg.seeds_per_scenario):
                 if child_seed(cfg.master_seed, spec.name, model, i) == seed:
                     topo = build_topology(spec, cfg.master_seed)
-                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0]
+                    run = _pair_job(_job(cfg, spec, topo, model, [i]))[0]
+                    if cfg.handoff is not None and i < cfg.handoff.runs:
+                        _sweep_run(PathOracle(topo), run, cfg.handoff)
+                    return run
     return None
 
 
@@ -205,30 +211,37 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     oracles = {}  # one per topology, shared by its runs
     rows = []
     for run in result.runs:
-        rec = run.record
-        if rec.run_index >= block.runs:
+        name = run.record.topology
+        if run.record.run_index >= block.runs:
             continue
-        where = (rec.topology, rec.model, rec.run_index)
-        oracle = oracles.get(rec.topology)
-        if oracle is None:
-            oracle = oracles[rec.topology] = PathOracle(result.topologies[rec.topology])
+        if name not in oracles:
+            oracles[name] = PathOracle(result.topologies[name])
+        rows.extend(_sweep_run(oracles[name], run, block))
+    return rows
 
-        def on_move(i, tree, old, new):
-            b_hops = oracle.dist(run.ha, new)
-            for strategy in block.strategies:
-                seed = stable_seed(rec.child_seed, "handoff", i, strategy)
-                rep = simulate_handoff(tree, old, new, block.handoff_config(strategy, seed))
-                rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
-            if block.include_mobile_ip:
-                seed = stable_seed(rec.child_seed, "handoff", i, "mobile_ip")
-                rep = simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
-                                           block.handoff_config("plain_join", seed))
-                # the graft length of the multicast rows above, for comparison
-                rows.append(HandoffRow(*where, i, "mobile_ip", rows[-1].graft_links, b_hops, rep))
 
-        try:
-            routing.run_scenario(oracle, run.cn, run.ha, run.trace.steps[:block.max_moves + 1],
-                                 on_move)
-        except routing.SimulationInvariantError as exc:
-            raise RunFailure(*where, rec.child_seed, exc) from exc
+def _sweep_run(oracle, run: RunResult, block) -> list[HandoffRow]:
+    """The handoff sweep's rows of one run; RunFailure if a step breaks an invariant."""
+    rec = run.record
+    where = (rec.topology, rec.model, rec.run_index)
+    rows = []
+
+    def on_move(i, tree, old, new):
+        b_hops = oracle.dist(run.ha, new)
+        for strategy in block.strategies:
+            seed = stable_seed(rec.child_seed, "handoff", i, strategy)
+            rep = simulate_handoff(tree, old, new, block.handoff_config(strategy, seed))
+            rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
+        if block.include_mobile_ip:
+            seed = stable_seed(rec.child_seed, "handoff", i, "mobile_ip")
+            rep = simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
+                                       block.handoff_config("plain_join", seed))
+            # the graft length of the multicast rows above, for comparison
+            rows.append(HandoffRow(*where, i, "mobile_ip", rows[-1].graft_links, b_hops, rep))
+
+    try:
+        routing.run_scenario(oracle, run.cn, run.ha, run.trace.steps[:block.max_moves + 1],
+                             on_move)
+    except routing.SimulationInvariantError as exc:
+        raise RunFailure(*where, rec.child_seed, exc) from exc
     return rows

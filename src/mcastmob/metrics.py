@@ -146,6 +146,40 @@ class AggregateStats:
         return total_ab / total_c
 
 
+def group_stats(records) -> GroupStats:
+    """The GroupStats of one group's RunRecords; of one topology, its level-one values."""
+    by_topo: dict[str, list[RunStats]] = {}
+    for rec in records:
+        by_topo.setdefault(rec.topology, []).append(rec.stats)
+    per_topo = [stats for _, stats in sorted(by_topo.items())]
+
+    def level_one(field, reduce=fmean):
+        return [reduce(getattr(s, field) for s in stats) for stats in per_topo]
+
+    max_r, max_l = level_one("max_r", max), level_one("max_L", max)
+    total_c, total_ab = level_one("total_c", sum), level_one("total_ab", sum)
+    known_bols = level_one("b_over_l", lambda values: [v for v in values if v is not None])
+    bols = [fmean(known) for known in known_bols if known]
+    return GroupStats(
+        topo_type=records[0].topo_type,
+        model=records[0].model,
+        topologies=len(per_topo),
+        runs=len(records),
+        mean_r=fmean(level_one("mean_r")),
+        p90_r=fmean(level_one("p90_r")),
+        max_r_avg=fmean(max_r),
+        max_r=max(max_r),
+        mean_L=fmean(level_one("mean_L")),
+        p90_L=fmean(level_one("p90_L")),
+        max_L_avg=fmean(max_l),
+        max_L=max(max_l),
+        b_over_l=fmean(bols) if bols else None,
+        total_c=fmean(total_c),
+        total_ab=fmean(total_ab),
+        bw_ratio=sum(total_ab) / sum(total_c),
+    )
+
+
 def aggregate(records) -> AggregateStats:
     """Group RunRecords by (topology type, movement model), two-level averaged.
 
@@ -153,51 +187,10 @@ def aggregate(records) -> AggregateStats:
     """
     if not records:
         raise ValueError("aggregate needs at least one record")
-    groups: dict[tuple[str, str], dict[str, list[RunStats]]] = {}
+    groups: dict[tuple[str, str], list[RunRecord]] = {}
     for rec in records:
-        groups.setdefault((rec.topo_type, rec.model), {}).setdefault(rec.topology, []).append(
-            rec.stats
-        )
-    rows = []
-    for (ttype, model), by_topo in sorted(groups.items()):
-        topo_means = {
-            field: [] for field in ("mean_r", "p90_r", "mean_L", "p90_L", "mean_b")
-        }
-        topo_max_r, topo_max_l, topo_bol = [], [], []
-        topo_tc, topo_tab = [], []
-        run_count = 0
-        for _, stats_list in sorted(by_topo.items()):
-            run_count += len(stats_list)
-            for field, acc in topo_means.items():
-                acc.append(fmean(getattr(s, field) for s in stats_list))
-            topo_max_r.append(max(s.max_r for s in stats_list))
-            topo_max_l.append(max(s.max_L for s in stats_list))
-            bols = [s.b_over_l for s in stats_list if s.b_over_l is not None]
-            if bols:
-                topo_bol.append(fmean(bols))
-            topo_tc.append(sum(s.total_c for s in stats_list))
-            topo_tab.append(sum(s.total_ab for s in stats_list))
-        rows.append(
-            GroupStats(
-                topo_type=ttype,
-                model=model,
-                topologies=len(by_topo),
-                runs=run_count,
-                mean_r=fmean(topo_means["mean_r"]),
-                p90_r=fmean(topo_means["p90_r"]),
-                max_r_avg=fmean(topo_max_r),
-                max_r=max(topo_max_r),
-                mean_L=fmean(topo_means["mean_L"]),
-                p90_L=fmean(topo_means["p90_L"]),
-                max_L_avg=fmean(topo_max_l),
-                max_L=max(topo_max_l),
-                b_over_l=fmean(topo_bol) if topo_bol else None,
-                total_c=fmean(topo_tc),
-                total_ab=fmean(topo_tab),
-                bw_ratio=sum(topo_tab) / sum(topo_tc),
-            )
-        )
-    return AggregateStats(rows=tuple(rows))
+        groups.setdefault((rec.topo_type, rec.model), []).append(rec)
+    return AggregateStats(rows=tuple(group_stats(g) for _, g in sorted(groups.items())))
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,3 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
         steps.append(current)
     return MovementTrace(start=start, steps=tuple(steps), model=model, seed=seed)
 
-
-def trace_to_csv(trace):
-    """CSV dump (step_index,node_id) for reproducibility audits."""
-    lines = ["step_index,node_id"]
-    lines.extend(f"{i},{node}" for i, node in enumerate(trace.steps))
-    return "\n".join(lines) + "\n"

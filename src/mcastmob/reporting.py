@@ -7,11 +7,15 @@ so re-running a scenario reproduces the report directory byte for byte.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
+from html import escape
+from operator import attrgetter
 
-from .metrics import REFERENCE
+from .metrics import REFERENCE, group_stats
 
 
 def fmt(value):
@@ -37,113 +41,106 @@ def _write(path, text):
         fh.write(text)
 
 
-def write_run_samples(path, samples):
-    from .routing import samples_to_csv
+def _write_table(path, header, rows):
+    """One CSV file: the header, then the rows, written in a single call."""
+    buf = io.StringIO()
+    table = csv.writer(buf, lineterminator="\n")
+    table.writerow(header)
+    table.writerows(rows)
+    _write(path, buf.getvalue())
 
-    _write(path, samples_to_csv(samples))
+
+# Samples and traces hold ints only, which the csv module prints as fmt does
+# (str(int)); they skip fmt because they are most of a report's rows.
+_SAMPLE_CELLS = attrgetter("step", "a_hops", "b_hops", "c_hops", "added_links", "removed_links")
+
+
+def write_run_samples(path, samples):
+    _write_table(path, ("step", "a", "b", "c", "added", "removed"), map(_SAMPLE_CELLS, samples))
 
 
 def write_trace(path, trace):
-    from .movement import trace_to_csv
-
-    _write(path, trace_to_csv(trace))
+    _write_table(path, ("step_index", "node_id"), enumerate(trace.steps))
 
 
 RUN_STATS_COLUMNS = (
-    "topology,type,model,run,child_seed,nodes,cn,ha,samples,handoffs,"
-    "mean_r,p90_r,max_r,mean_L,p90_L,max_L,mean_b,b_over_l,total_c,total_ab"
+    "topology", "type", "model", "run", "child_seed", "nodes", "cn", "ha", "samples", "handoffs",
+    "mean_r", "p90_r", "max_r", "mean_L", "p90_L", "max_L", "mean_b", "b_over_l", "total_c",
+    "total_ab",
 )
 
 
 def write_run_stats(path, results):
-    lines = [RUN_STATS_COLUMNS]
-    for res in results:
-        rec, s = res.record, res.record.stats
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    rec.topology, rec.topo_type, rec.model, rec.run_index,
-                    rec.child_seed, rec.nodes, res.cn, res.ha, s.samples, s.handoffs,
-                    s.mean_r, s.p90_r, s.max_r, s.mean_L, s.p90_L, s.max_L,
-                    s.mean_b, s.b_over_l, s.total_c, s.total_ab,
-                )
-            )
-        )
-    _write(path, "\n".join(lines) + "\n")
+    def rows():
+        for res in results:
+            rec, s = res.record, res.record.stats
+            yield map(fmt, (
+                rec.topology, rec.topo_type, rec.model, rec.run_index, rec.child_seed, rec.nodes,
+                res.cn, res.ha, s.samples, s.handoffs, s.mean_r, s.p90_r, s.max_r, s.mean_L,
+                s.p90_L, s.max_L, s.mean_b, s.b_over_l, s.total_c, s.total_ab,
+            ))
+
+    _write_table(path, RUN_STATS_COLUMNS, rows())
 
 
 AGGREGATE_COLUMNS = (
-    "type,model,topologies,runs,mean_r,p90_r,max_r_avg,max_r,"
-    "mean_L,p90_L,max_L_avg,max_L,b_over_l,total_c,total_ab,bw_ratio"
+    "type", "model", "topologies", "runs", "mean_r", "p90_r", "max_r_avg", "max_r",
+    "mean_L", "p90_L", "max_L_avg", "max_L", "b_over_l", "total_c", "total_ab", "bw_ratio",
 )
 
 
 def write_aggregate(path, agg):
-    lines = [AGGREGATE_COLUMNS]
-    for g in agg.rows:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    g.topo_type, g.model, g.topologies, g.runs, g.mean_r, g.p90_r,
-                    g.max_r_avg, g.max_r, g.mean_L, g.p90_L, g.max_L_avg, g.max_L,
-                    g.b_over_l, g.total_c, g.total_ab, g.bw_ratio,
-                )
-            )
-        )
-    _write(path, "\n".join(lines) + "\n")
+    _write_table(path, AGGREGATE_COLUMNS, (
+        map(fmt, (
+            g.topo_type, g.model, g.topologies, g.runs, g.mean_r, g.p90_r, g.max_r_avg, g.max_r,
+            g.mean_L, g.p90_L, g.max_L_avg, g.max_L, g.b_over_l, g.total_c, g.total_ab,
+            g.bw_ratio,
+        ))
+        for g in agg.rows
+    ))
 
 
 def write_summary(path, results):
     """Per (topology, movement) metric table: mean / p90 / max columns.
 
-    r and L rows carry all three statistics (averaged over the topology's
-    runs; max is the max across runs); b_over_l and the link totals only
-    have a mean (totals are summed over runs).
+    Rows are `metrics.group_stats` of one topology's runs: r and L carry all
+    three statistics (averaged over runs; max is the max across runs);
+    b_over_l and the link totals only have a mean (totals summed over runs).
     """
-    from statistics import fmean
-
     by_key: dict[tuple[str, str], list] = {}
     for res in results:
-        by_key.setdefault((res.record.topology, res.record.model), []).append(res.record.stats)
-    lines = ["topology,model,metric,mean,p90,max"]
-    for (topo, model), stats in sorted(by_key.items()):
-        bols = [s.b_over_l for s in stats if s.b_over_l is not None]
-        rows = (
-            ("r", fmean(s.mean_r for s in stats), fmean(s.p90_r for s in stats),
-             max(s.max_r for s in stats)),
-            ("L", fmean(s.mean_L for s in stats), fmean(s.p90_L for s in stats),
-             max(s.max_L for s in stats)),
-            ("b_over_l", fmean(bols) if bols else None, None, None),
-            ("total_c", sum(s.total_c for s in stats), None, None),
-            ("total_ab", sum(s.total_ab for s in stats), None, None),
-        )
-        for metric, mean, p90, mx in rows:
-            lines.append(",".join((topo, model, metric, fmt(mean), fmt(p90), fmt(mx))))
-    _write(path, "\n".join(lines) + "\n")
+        by_key.setdefault((res.record.topology, res.record.model), []).append(res.record)
+
+    def rows():
+        for (topo, model), records in sorted(by_key.items()):
+            g = group_stats(records)
+            for metric, *cells in (
+                ("r", g.mean_r, g.p90_r, g.max_r),
+                ("L", g.mean_L, g.p90_L, g.max_L),
+                ("b_over_l", g.b_over_l, None, None),
+                ("total_c", g.total_c, None, None),
+                ("total_ab", g.total_ab, None, None),
+            ):
+                yield (topo, model, metric, *map(fmt, cells))
+
+    _write_table(path, ("topology", "model", "metric", "mean", "p90", "max"), rows())
 
 
 HANDOFF_COLUMNS = (
-    "topology,model,run,step,strategy,L,B,latency_ms,lost,dup,out_of_order,control_msgs"
+    "topology", "model", "run", "step", "strategy", "L", "B", "latency_ms", "lost", "dup",
+    "out_of_order", "control_msgs",
 )
 
 
 def write_handoff(path, rows):
-    lines = [HANDOFF_COLUMNS]
-    for row in rows:
-        rep = row.report
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    row.topology, row.model, row.run_index, row.step, row.strategy,
-                    row.graft_links, row.b_hops, rep.handoff_latency, rep.packets_lost,
-                    rep.packets_duplicated, rep.out_of_order, rep.control_messages,
-                )
-            )
-        )
-    _write(path, "\n".join(lines) + "\n")
+    _write_table(path, HANDOFF_COLUMNS, (
+        map(fmt, (
+            row.topology, row.model, row.run_index, row.step, row.strategy, row.graft_links,
+            row.b_hops, row.report.handoff_latency, row.report.packets_lost,
+            row.report.packets_duplicated, row.report.out_of_order, row.report.control_messages,
+        ))
+        for row in rows
+    ))
 
 
 def write_report_json(path, payload):
@@ -174,9 +171,10 @@ def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
         f'viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{width / 2:g}" y="22" font-family="sans-serif" font-size="15" '
-        f'text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{escape(title)}</text>',
         f'<text x="16" y="{top + plot_h / 2:g}" font-family="sans-serif" font-size="12" '
-        f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h / 2:g})">{ylabel}</text>',
+        f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h / 2:g})">'
+        f'{escape(ylabel)}</text>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" y2="{top + plot_h}" '
         'stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" stroke="black"/>',
@@ -206,7 +204,7 @@ def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
             )
         parts.append(
             f'<text x="{gx + group_w / 2:.2f}" y="{top + plot_h + 16}" '
-            f'font-family="sans-serif" font-size="11" text-anchor="middle">{group}</text>'
+            f'font-family="sans-serif" font-size="11" text-anchor="middle">{escape(group)}</text>'
         )
     for ri, (label, val) in enumerate(references):
         parts.append(
@@ -215,7 +213,7 @@ def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
         )
         parts.append(
             f'<text x="{left + plot_w - 4}" y="{y(val) - 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end" fill="#555555">{label} {val:g}</text>'
+            f'font-size="11" text-anchor="end" fill="#555555">{escape(label)} {val:g}</text>'
         )
     legend_y = height - 36
     lx = left
@@ -226,18 +224,29 @@ def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
         )
         parts.append(
             f'<text x="{lx + 16}" y="{legend_y + 10}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
+            f'font-size="11">{escape(name)}</text>'
         )
         lx += 16 + 8 * len(name) + 24
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _read_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+def _read_csv(path, columns):
+    """Rows of a CSV file as dicts; ValueError unless it has `columns` and no ragged row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks the columns {', '.join(missing)}")
+        rows = []
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"{path} line {reader.line_num} does not match its header")
+            rows.append(row)
+    return rows
+
+
+_PLOT_COLUMNS = ("type", "model", "mean_r", "mean_L", "b_over_l", "total_ab", "total_c")
 
 
 def render_plots(report_dir):
@@ -250,50 +259,33 @@ def render_plots(report_dir):
     agg_path = os.path.join(report_dir, "aggregate.csv")
     if not os.path.exists(agg_path):
         raise FileNotFoundError(f"missing {agg_path}; run a scenario first")
-    rows = _read_csv(agg_path)
+    rows = _read_csv(agg_path, _PLOT_COLUMNS)
     if not rows:
         raise ValueError(f"{agg_path} has no data rows")
     groups = sorted({r["type"] for r in rows})
     series = sorted({r["model"] for r in rows})
-    plots_dir = os.path.join(report_dir, "plots")
-    written = []
 
     def grab(column):
-        out = {}
-        for r in rows:
-            text = r[column]
-            out[(r["type"], r["model"])] = float(text) if text else None
-        return out
-
-    charts = (
-        ("mean_r.svg", "Route efficiency ratio r by topology type and movement",
-         "mean r = (A+B)/C", grab("mean_r"), (("reference", REFERENCE["mean_r"]),)),
-        ("added_links.svg", "Links added per handoff by topology type and movement",
-         "mean added links L", grab("mean_L"), (("reference", REFERENCE["mean_L"]),)),
-        ("b_over_l.svg", "Handoff latency ratio av.B/av.L",
-         "B/L", grab("b_over_l"), (("reference", REFERENCE["b_over_l"]),)),
-    )
-    for fname, title, ylabel, values, refs in charts:
-        path = os.path.join(plots_dir, fname)
-        _write(path, svg_grouped_bars(title, ylabel, groups, series, values, refs))
-        written.append(path)
+        return {(r["type"], r["model"]): float(r[column]) if r[column] else None for r in rows}
 
     totals = {}
     for r in rows:
         totals[(r["type"], f"{r['model']} A+B")] = float(r["total_ab"])
         totals[(r["type"], f"{r['model']} C")] = float(r["total_c"])
-    total_series = sorted({key[1] for key in totals})
-    path = os.path.join(plots_dir, "total_links.svg")
-    _write(
-        path,
-        svg_grouped_bars(
-            "Total links traversed (Mobile IP A+B vs multicast C)",
-            "links per topology (all runs)",
-            groups,
-            total_series,
-            totals,
-            (("reference A+B", REFERENCE["total_ab"]), ("reference C", REFERENCE["total_c"])),
-        ),
+    charts = (
+        ("mean_r.svg", "Route efficiency ratio r by topology type and movement",
+         "mean r = (A+B)/C", series, grab("mean_r"), (("reference", REFERENCE["mean_r"]),)),
+        ("added_links.svg", "Links added per handoff by topology type and movement",
+         "mean added links L", series, grab("mean_L"), (("reference", REFERENCE["mean_L"]),)),
+        ("b_over_l.svg", "Handoff latency ratio av.B/av.L",
+         "B/L", series, grab("b_over_l"), (("reference", REFERENCE["b_over_l"]),)),
+        ("total_links.svg", "Total links traversed (Mobile IP A+B vs multicast C)",
+         "links per topology (all runs)", sorted({key[1] for key in totals}), totals,
+         (("reference A+B", REFERENCE["total_ab"]), ("reference C", REFERENCE["total_c"]))),
     )
-    written.append(path)
+    written = []
+    for fname, title, ylabel, names, values, refs in charts:
+        path = os.path.join(report_dir, "plots", fname)
+        _write(path, svg_grouped_bars(title, ylabel, groups, names, values, refs))
+        written.append(path)
     return written

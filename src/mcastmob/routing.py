@@ -225,12 +225,3 @@ def validate_tree(tree: MulticastTree):
         if tree.path_hops(leaf) != tree.oracle.dist(cn, leaf):
             raise SimulationInvariantError(f"tree path to leaf {leaf} is not shortest")
 
-
-def samples_to_csv(samples):
-    """CSV dump with columns step,a,b,c,added,removed."""
-    lines = ["step,a,b,c,added,removed"]
-    lines.extend(
-        f"{s.step},{s.a_hops},{s.b_hops},{s.c_hops},{s.added_links},{s.removed_links}"
-        for s in samples
-    )
-    return "\n".join(lines) + "\n"

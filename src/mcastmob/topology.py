@@ -156,6 +156,9 @@ class GeneratorParams:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise GenerationError(f"unknown generator kind {self.kind!r}")
+        counts = (self.node_count, self.stub_size, self.stubs_per_transit)
+        if any(type(v) is not int for v in counts):
+            raise GenerationError("node_count, stub_size and stubs_per_transit must be integers")
         if self.node_count < 2:
             raise GenerationError("node_count must be >= 2")
         if self.target_avg_degree < 2:

@@ -1,8 +1,10 @@
 """CLI behavior: end-to-end runs, determinism, replay, exit codes."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -63,6 +65,70 @@ def test_run_writes_report(workdir, capsys):
     assert "ring6 6 7 2.33" in report["topologies"]
     out = capsys.readouterr().out
     assert "overall mean_r" in out
+
+
+# sha256sum of every file of the pinned report, recorded before the report
+# writers moved onto the csv module
+PINNED_REPORT = """\
+9d8ce7512b68e214ae5f8e1bed2015055c907d6523bf4340083d089c0082e8fa  aggregate.csv
+2c6188e22091284d8e382476f7f1fc3857ae26833605785fda8c7e694b76201f  plots/added_links.svg
+60788e8177cae1d668c55cfcdf11b5963d4023755e9c11baceaadab114395cdf  plots/b_over_l.svg
+dc48a8dab35803e49270d0059927b7337f163c4fb5a674e6837ce0e7ad366c65  plots/mean_r.svg
+5964dd1860515297fc988e030b5a1e6dd99c80a8e6320f52f450d7f18201aa46  plots/total_links.svg
+f03b116d9ddf993312c8cda4afbe3ef71e6d19e85421ffe3b41d6fcb4a7e171d  report.json
+482938f59724a0d9ea9c90b1418528c7a7a814931ee432639e2840c8f7c74730  run_stats.csv
+58b1031cf32bbd1fdeb8994db1647986112727943a39ad209fcbadb7b9b0b9f5  runs/r20__cluster__run00.csv
+56292a9a6283783ccdfe7539e4d0fd33810162ef060c2834b2d74865be200df2  runs/r20__cluster__run01.csv
+87b1369bce6e9c7f1de02b4642d5f2886de50b94d83339b944ec5add7968c52e  runs/r20__neighbor__run00.csv
+c12f42a371e5a8deae0690713cf6b07439305f1a11559a89313caf20fbfb9d38  runs/r20__neighbor__run01.csv
+fa4a314058dffb77ccc1c6d2cc1c51efc506b5093f2553377a9315404d0fa9ff  runs/r20__random__run00.csv
+f29762281b3429f80c24cc96e1f656399dee08c74889fd2a302e36e7e3e9029d  runs/r20__random__run01.csv
+9cc90d8092d54a4dc2086c3f6233492d7b359dc911666cbe7ae9ac752db30e0b  runs/ts40__cluster__run00.csv
+e22416e89036027a5bc7077f47a49f94d59f3426d68841da04e36ef124043f90  runs/ts40__cluster__run01.csv
+b279bf1bf6de01cf0f64a09b9098c202ba8c8d0c5112e1f8e41f78ec880df08f  runs/ts40__neighbor__run00.csv
+4a2f54c91a485c0a099d4b2474d6071d628430679714a6e28609d73b279f00c4  runs/ts40__neighbor__run01.csv
+e2d6798daecea171c68b5c0e4b83e486022b639fd26d3400ab60379214c2a823  runs/ts40__random__run00.csv
+aba447a78f47bb1c0787dfe8fd801a710cd3e4ac4286d70876ef5e6a9ccf480e  runs/ts40__random__run01.csv
+cf0a1fe3394888732ff8855414ed30f902e57eb463d18b1539ed08c914cb3c65  summary.csv
+7851711d152ff821eede009829bf7cc7bf000af6bf2290f0ec509c68e56445a5  traces/r20__cluster__run00.csv
+312d44fa3f230a45573181dd603e5cd364c34b5a95c4da3963cae6e8e1c7b516  traces/r20__cluster__run01.csv
+f930bbecb930ae32cdbfd13c98a46350a2a0cf7d29c03d31de07b2e4d23061ed  traces/r20__neighbor__run00.csv
+dba168db12dc397f340c265a7092816f31aeaf48ebcbf649b2171c7efc94c748  traces/r20__neighbor__run01.csv
+6786ea0f58cc1a2e15500410c41fe0c400e844b6732a33a4ee216c6969382f32  traces/r20__random__run00.csv
+c3316e64ce66607e37cb0485fceba7fea7c53b5cf73d10055e74dbfd39aba47e  traces/r20__random__run01.csv
+73955fe1a322efa36b9b891a40fc724fc9fd1ed42efb77635545871ebef99c9d  traces/ts40__cluster__run00.csv
+8a1ba6a58853c1553553fa9cd25725bb6030eaa30e1972e9999ff0ca9377212f  traces/ts40__cluster__run01.csv
+e4aa8bc641383bdef5141ee871a9369846eeafadaa7576028c446de1139f73a1  traces/ts40__neighbor__run00.csv
+4697f7b0def66582fb0d4f5d44aeedacd9412ea7360c6e1f77a354e9813fc8e0  traces/ts40__neighbor__run01.csv
+923ad70bbf4a5f561cb47e9402fe728f1cdda01049fe7dc86b59146721c5a457  traces/ts40__random__run00.csv
+663b5acaa87bbfbb3178e258817369f9b5dc6c1fc69c163b8a73163d52bff0cc  traces/ts40__random__run01.csv
+"""
+
+
+def test_run_and_plot_report_is_pinned(tmp_path, monkeypatch):
+    """Every file of a small `run` + `plot` report directory, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    doc = {
+        "name": "pinned",
+        "master_seed": 5,
+        "moves_per_run": 15,
+        "seeds_per_scenario": 2,
+        "topologies": [
+            {"name": "r20", "type": "random",
+             "generator": {"kind": "flat_random", "node_count": 20, "target_avg_degree": 4.0}},
+            {"name": "ts40", "type": "transit_stub",
+             "generator": {"kind": "transit_stub", "node_count": 40, "target_avg_degree": 3.7}},
+        ],
+        "output_dir": "rep",
+    }
+    (tmp_path / "pin.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", "pin.json"]) == EXIT_OK
+    assert main(["plot", "--out", "rep"]) == EXIT_OK
+    digests = "".join(
+        f"{hashlib.sha256(data).hexdigest()}  {name}\n"
+        for name, data in tree_bytes(tmp_path / "rep").items()
+    )
+    assert digests == PINNED_REPORT
 
 
 def test_run_is_byte_deterministic(workdir):
@@ -147,6 +213,53 @@ def test_plot_without_report(workdir, capsys):
     assert "run a scenario first" in capsys.readouterr().err
 
 
+AGGREGATE_HEADER = (
+    "type,model,topologies,runs,mean_r,p90_r,max_r_avg,max_r,"
+    "mean_L,p90_L,max_L_avg,max_L,b_over_l,total_c,total_ab,bw_ratio\n"
+)
+
+
+def _plot_rows(workdir, out, header, *types):
+    """`plot` on a hand-written aggregate.csv with one row per type; returns the exit code."""
+    rows = "".join(f"{t},random,1,2,2.5,3,5,5,1.5,3,4,4,1.2,69,127,1.84\n" for t in types)
+    (workdir / out).mkdir()
+    (workdir / out / "aggregate.csv").write_text(header + rows)
+    return main(["plot", "--out", out])
+
+
+@pytest.mark.parametrize(
+    "header,topo_type,fragment",
+    [
+        (AGGREGATE_HEADER.replace("mean_L,", ""), "r", "lacks the columns mean_L"),
+        (AGGREGATE_HEADER, "a,b", "line 2 does not match its header"),  # unquoted: one cell more
+    ],
+    ids=["missing_column", "ragged_row"],
+)
+def test_plot_rejects_malformed_aggregate(workdir, capsys, header, topo_type, fragment):
+    assert _plot_rows(workdir, "bad", header, topo_type) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "plot error" in err and fragment in err
+    assert not (workdir / "bad" / "plots").exists()
+
+
+def test_plot_escapes_svg_text(workdir):
+    assert _plot_rows(workdir, "lt", AGGREGATE_HEADER, "a<b", "c&d") == EXIT_OK
+    for svg in (workdir / "lt" / "plots").iterdir():
+        text = svg.read_text()
+        minidom.parseString(text)  # well-formed XML
+        assert ">a&lt;b</text>" in text and ">c&amp;d</text>" in text
+
+
+def test_plot_reads_quoted_cells(workdir):
+    assert _plot_rows(workdir, "quoted", AGGREGATE_HEADER, '"a,b"') == EXIT_OK
+    assert _plot_rows(workdir, "plain", AGGREGATE_HEADER, "ab") == EXIT_OK
+    for svg in (workdir / "plain" / "plots").iterdir():
+        quoted = (workdir / "quoted" / "plots" / svg.name).read_text()
+        assert ">a,b</text>" in quoted
+        # the same bars as the unquoted type: no cell shifted into the next column
+        assert quoted.replace(">a,b</text>", ">ab</text>") == svg.read_text()
+
+
 def test_env_var_output_dir(workdir, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(workdir / "envout"))
     assert main(["run", "--config", "cfg.json"]) == EXIT_OK
@@ -209,19 +322,28 @@ def test_handoff_invariant_failure_exits_with_replay_line(workdir, capsys, monke
     assert f"run ring6/random/run0 failed (child seed {first}): link accounting broken" in err
     assert f"--replay {first}" in err
     assert not (workdir / "out" / "handoff.csv").exists()
+    # the replay sweeps the run again, so the printed seed reproduces the failure
+    assert main(["replay", "--config", "cfg.json", "--replay", str(first)]) == EXIT_INVARIANT
+    assert "link accounting broken" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "command,mutate",
     [
-        lambda doc: doc.update(handoff={"message_loss_rate": 1.5}),
-        lambda doc: doc.update(movement_models=["cluster"], cluster_radius=1),
-        lambda doc: doc["topologies"][0].update(name="../../escaped"),
-        lambda doc: doc["topologies"][0].update(type="x,y"),
+        pytest.param("run", lambda doc: doc.update(handoff={"message_loss_rate": 1.5}),
+                     id="handoff_loss"),
+        pytest.param("run", lambda doc: doc.update(movement_models=["cluster"], cluster_radius=1),
+                     id="cluster_radius"),
+        pytest.param("run", lambda doc: doc["topologies"][0].update(name="../../escaped"),
+                     id="topology_name"),
+        pytest.param("run", lambda doc: doc["topologies"][0].update(type="x,y"),
+                     id="topology_type"),
+        pytest.param("run", lambda doc: doc.update(moves_per_run=True), id="moves_per_run"),
+        pytest.param("handoff", lambda doc: doc["handoff"].update(max_moves=2.5),
+                     id="handoff_max_moves"),
     ],
-    ids=["handoff_loss", "cluster_radius", "topology_name", "topology_type"],
 )
-def test_bad_values_fail_at_load(workdir, capsys, monkeypatch, mutate):
+def test_bad_values_fail_at_load(workdir, capsys, monkeypatch, command, mutate):
     doc = json.loads((workdir / "cfg.json").read_text())
     mutate(doc)
     (workdir / "bad.json").write_text(json.dumps(doc))
@@ -230,6 +352,6 @@ def test_bad_values_fail_at_load(workdir, capsys, monkeypatch, mutate):
         raise AssertionError("a simulation ran before the config was checked")
 
     monkeypatch.setattr(experiment, "execute_scenario", no_runs)
-    assert main(["run", "--config", "bad.json"]) == EXIT_CONFIG
+    assert main([command, "--config", "bad.json"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (workdir / "out").exists()

@@ -80,6 +80,22 @@ def test_canonical_json_is_stable():
         ('{"topologies": [{"name": "../../escaped", "file": "f"}]}', "topology name"),
         ('{"topologies": [{"name": "x", "type": "x,y", "file": "f"}]}', "topology type"),
         ('{"topologies": [{"name": "", "file": "f"}]}', "topology name"),
+        ('{"seeds_per_scenario": 2.5, "topologies": [{"name": "x", "file": "f"}]}',
+         "seeds_per_scenario"),
+        ('{"moves_per_run": 2.5, "topologies": [{"name": "x", "file": "f"}]}', "moves_per_run"),
+        ('{"moves_per_run": true, "topologies": [{"name": "x", "file": "f"}]}', "moves_per_run"),
+        ('{"cluster_radius": 2.5, "topologies": [{"name": "x", "file": "f"}]}', "cluster_radius"),
+        ('{"movement_models": ["random"], "cluster_radius": 0, '
+         '"topologies": [{"name": "x", "file": "f"}]}', "cluster_radius"),
+        ('{"topologies": [{"name": "x", "generator": {"kind": "flat_random", '
+         '"node_count": 20.5, "target_avg_degree": 3}}]}', "must be integers"),
+        ('{"topologies": [{"name": "x", "generator": {"kind": "transit_stub", '
+         '"node_count": 20, "target_avg_degree": 3, "stub_size": 2.5}}]}', "must be integers"),
+        ('{"handoff": {"max_moves": 2.5}, "topologies": [{"name": "x", "file": "f"}]}',
+         "max_moves"),
+        ('{"handoff": {"runs": 1.5}, "topologies": [{"name": "x", "file": "f"}]}', "runs"),
+        ('{"handoff": {"include_mobile_ip": "no"}, "topologies": [{"name": "x", "file": "f"}]}',
+         "include_mobile_ip"),
         ("not json", "not valid JSON"),
     ],
 )

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcastmob import reporting
 from mcastmob.movement import (
     MovementError,
     MovementModel,
     cluster_window,
     generate_trace,
-    trace_to_csv,
 )
 from mcastmob.topology import GeneratorParams, Topology, generate
 
@@ -129,10 +129,12 @@ def test_neighbor_steps_are_edges(seed):
     assert all(topo.has_edge(a, b) for a, b in zip(trace.steps, trace.steps[1:]))
 
 
-def test_trace_csv_round_trip(path5):
+def test_trace_csv_round_trip(path5, tmp_path):
     trace = generate_trace(path5, MovementModel("neighbor"), frozenset(), 4, seed=2, start=0)
-    text = trace_to_csv(trace)
-    lines = text.strip().splitlines()
+    path = tmp_path / "traces" / "t.csv"
+    reporting.write_trace(str(path), trace)
+    lines = path.read_text().splitlines()
     assert lines[0] == "step_index,node_id"
     assert len(lines) == 5
     assert lines[1] == "0,0"
+    assert [int(ln.split(",")[1]) for ln in lines[1:]] == list(trace.steps)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcastmob import reporting
 from mcastmob.movement import MovementModel, generate_trace
 from mcastmob.routing import (
     SimulationInvariantError,
     establish,
     run_scenario,
-    samples_to_csv,
     validate_tree,
 )
 from mcastmob.topology import PathOracle, Topology
@@ -257,11 +257,13 @@ def test_tree_invariants_hold_under_random_scenarios(seed):
         assert tree.leaves == {loc}
 
 
-def test_samples_csv(path5):
+def test_samples_csv(path5, tmp_path):
     oracle = PathOracle(path5)
     samples = run_scenario(oracle, 0, 1, (4, 3))
-    text = samples_to_csv(samples)
-    lines = text.strip().splitlines()
+    path = tmp_path / "runs" / "s.csv"
+    reporting.write_run_samples(str(path), samples)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3
     assert lines[0] == "step,a,b,c,added,removed"
     assert lines[1] == "0,1,3,4,4,0"
     assert lines[2] == "1,1,2,3,0,1"
