@@ -27,9 +27,7 @@ OUTPUT_DIR_ENV = "MCASTMOB_OUT"
 
 
 class _CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+    """A usage problem, printed as it is; exit 2."""
 
 
 def _resolve_out(args, cfg):
@@ -38,11 +36,8 @@ def _resolve_out(args, cfg):
 
 def _load_config(path):
     if path is None:
-        raise _CliError(EXIT_CONFIG, "--config is required")
-    try:
-        return config_mod.load(path)
-    except ConfigError as exc:
-        raise _CliError(EXIT_CONFIG, f"config error: {exc}") from exc
+        raise _CliError("--config is required")
+    return config_mod.load(path)
 
 
 def _write_run_files(out_dir, run):
@@ -76,19 +71,10 @@ def _write_report(out_dir, result):
     reporting.write_summary(os.path.join(out_dir, "summary.csv"), result.runs)
 
 
-def _execute(cfg, workers):
-    try:
-        return experiment.execute_scenario(cfg, workers=workers)
-    except TopologyError as exc:
-        raise _CliError(EXIT_TOPOLOGY, f"topology error: {exc}") from exc
-    except OSError as exc:
-        raise _CliError(EXIT_TOPOLOGY, f"topology file error: {exc}") from exc
-
-
 def cmd_run(args):
     cfg = _load_config(args.config)
     out_dir = _resolve_out(args, cfg)
-    result = _execute(cfg, args.workers)
+    result = experiment.execute_scenario(cfg, workers=args.workers)
     _write_report(out_dir, result)
     agg = result.aggregate
     print(f"wrote {len(result.runs)} runs to {out_dir}")
@@ -101,9 +87,9 @@ def cmd_run(args):
 def cmd_handoff(args):
     cfg = _load_config(args.config)
     if cfg.handoff is None:
-        raise _CliError(EXIT_CONFIG, "config error: handoff command needs a 'handoff' block")
+        raise ConfigError("handoff command needs a 'handoff' block")
     out_dir = _resolve_out(args, cfg)
-    result = _execute(cfg, args.workers)
+    result = experiment.execute_scenario(cfg, workers=args.workers)
     rows = experiment.handoff_sweep(result)
     reporting.write_handoff(os.path.join(out_dir, "handoff.csv"), rows)
     print(f"wrote {len(rows)} handoff simulations to {os.path.join(out_dir, 'handoff.csv')}")
@@ -113,11 +99,11 @@ def cmd_handoff(args):
 def cmd_plot(args):
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV)
     if not out_dir:
-        raise _CliError(EXIT_CONFIG, "plot needs --out (the report directory)")
+        raise _CliError("plot needs --out (the report directory)")
     try:
         written = reporting.render_plots(out_dir)
     except (FileNotFoundError, ValueError) as exc:
-        raise _CliError(EXIT_CONFIG, f"plot error: {exc}") from exc
+        raise _CliError(f"plot error: {exc}") from exc
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -126,16 +112,11 @@ def cmd_plot(args):
 def cmd_replay(args):
     cfg = _load_config(args.config)
     if args.replay is None:
-        raise _CliError(EXIT_CONFIG, "replay needs --replay <child-seed>")
+        raise _CliError("replay needs --replay <child-seed>")
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or os.path.join(cfg.output_dir, "replay")
-    try:
-        result = experiment.replay_run(cfg, args.replay)
-    except TopologyError as exc:
-        raise _CliError(EXIT_TOPOLOGY, f"topology error: {exc}") from exc
-    except RunFailure as exc:
-        raise _CliError(EXIT_INVARIANT, str(exc)) from exc
+    result = experiment.replay_run(cfg, args.replay)
     if result is None:
-        raise _CliError(EXIT_CONFIG, f"child seed {args.replay} does not belong to this config")
+        raise _CliError(f"child seed {args.replay} does not belong to this config")
     key = _write_run_files(out_dir, result)
     print(f"replayed {key} (cn={result.cn}, ha={result.ha}) into {out_dir}")
     return EXIT_OK
@@ -170,9 +151,15 @@ def main(argv=None):
     try:
         return args.handler(args)
     except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except RunFailure as exc:  # from `run` or `handoff`; `replay` reports its own
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except TopologyError as exc:
+        print(f"topology error: {exc}", file=sys.stderr)
+        return EXIT_TOPOLOGY
+    except RunFailure as exc:
         print(f"{exc}\nreplay with: mcastmob replay --config <cfg> --replay {exc.child_seed}",
               file=sys.stderr)
         return EXIT_INVARIANT

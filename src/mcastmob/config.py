@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 from .handoff import STRATEGIES, HandoffConfig, HandoffError
 from .movement import MODEL_KINDS
-from .topology import GENERATOR_KINDS, GeneratorParams
+from .topology import GenerationError, GeneratorParams
 
 
 class ConfigError(Exception):
@@ -26,9 +29,9 @@ def stable_seed(*parts) -> int:
 _LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
 
-def _check_counts(obj, *fields):
+def _check_counts(obj, *names):
     """ConfigError unless each field is an int >= 1 (a float or a bool is no count)."""
-    for name in fields:
+    for name in names:
         value = getattr(obj, name)
         if type(value) is not int or value < 1:
             raise ConfigError(f"{name} must be an integer >= 1, not {value!r}")
@@ -39,7 +42,7 @@ class TopologySpec:
     """One topology to simulate: either an edge-list file or generator params."""
 
     name: str
-    topo_type: str
+    topo_type: str = "unknown"
     file: str | None = None
     generator: GeneratorParams | None = None
 
@@ -128,12 +131,10 @@ class ScenarioConfig:
 
     def to_dict(self):
         doc = asdict(self)
-        topo_docs = []
-        for t in self.topologies:
-            td = {k: v for k, v in asdict(t).items() if v is not None}
-            td["type"] = td.pop("topo_type")  # JSON schema key
-            topo_docs.append(td)
-        doc["topologies"] = topo_docs
+        doc["topologies"] = [
+            {_JSON_KEYS.get(k, k): v for k, v in asdict(t).items() if v is not None}
+            for t in self.topologies
+        ]
         if self.handoff is None:
             doc.pop("handoff")
         return doc
@@ -145,87 +146,79 @@ class ScenarioConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def _generator_from_dict(doc, topo_name, master_seed):
-    known = {"kind", "node_count", "target_avg_degree", "seed", "stub_size", "stubs_per_transit"}
-    extra = set(doc) - known
-    if extra:
-        raise ConfigError(f"topology {topo_name!r}: unknown generator keys {sorted(extra)}")
-    if doc.get("kind") not in GENERATOR_KINDS:
-        raise ConfigError(f"topology {topo_name!r}: unknown generator kind {doc.get('kind')!r}")
-    args = dict(doc)
-    args.setdefault("seed", stable_seed(master_seed, "topology", topo_name))
+# The JSON key of each field named otherwise in its dataclass.
+_JSON_KEYS = {"topo_type": "type"}
+
+# What a field of each annotation takes from JSON, and how a message names it.
+# An int field takes any number here: the classes' own integer checks run
+# first and keep their messages, and `_build` holds the rest to integers.
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) in (int, float)),
+    float: ("a number", lambda v: type(v) is float
+            or type(v) is int and abs(v) <= sys.float_info.max),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("a string", lambda v: type(v) is str),
+    str | None: ("a string or null", lambda v: v is None or type(v) is str),
+    tuple[str, ...]: ("an array of strings",
+                      lambda v: type(v) is list and all(type(s) is str for s in v)),
+}
+
+_hints = functools.cache(get_type_hints)
+
+
+def _object(doc, where):
+    if type(doc) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, not {doc!r}")
+    return doc
+
+
+def _build(cls, doc, where, **nested):
+    """The `cls` dataclass built from its JSON object; ConfigError naming `where`.
+
+    The dataclass fields are the schema: an absent key keeps the field's
+    default and a JSON array becomes a tuple. `nested` gives the fields
+    whose objects the caller built.
+    """
+    names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = sorted(set(_object(doc, where)) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}")
+    hints = _hints(cls)
+    given = [(key, names[key], value) for key, value in doc.items() if names[key] not in nested]
+    for key, name, value in given:
+        expected, fits = _JSON_TYPES[hints[name]]
+        if not fits(value):
+            raise ConfigError(f"{where}: {key} must be {expected}, not {value!r}")
     try:
-        return GeneratorParams(**args)
-    except Exception as exc:
-        raise ConfigError(f"topology {topo_name!r}: {exc}") from exc
+        obj = cls(**{name: tuple(v) if type(v) is list else v for _, name, v in given}, **nested)
+    except (TypeError, GenerationError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    for key, name, value in given:
+        if hints[name] is int and type(value) is not int:
+            raise ConfigError(f"{where}: {key} must be an integer, not {value!r}")
+    return obj
 
 
 def from_dict(doc) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    known = {
-        "name", "master_seed", "moves_per_run", "seeds_per_scenario", "movement_models",
-        "cluster_radius", "endpoint_policy", "topologies", "handoff", "output_dir",
-    }
-    extra = set(doc) - known
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}")
-    master_seed = doc.get("master_seed", 0)
-    topo_docs = doc.get("topologies")
-    if not isinstance(topo_docs, list) or not topo_docs:
+    topo_docs = _object(doc, "config").get("topologies")
+    if type(topo_docs) is not list or not topo_docs:
         raise ConfigError("'topologies' must be a non-empty list")
     specs = []
     for td in topo_docs:
-        if not isinstance(td, dict) or "name" not in td:
-            raise ConfigError(f"bad topology entry {td!r}")
+        where = f"topology {_object(td, 'topology').get('name')!r}"
         gen = td.get("generator")
-        try:
-            specs.append(
-                TopologySpec(
-                    name=td["name"],
-                    topo_type=td.get("type", "unknown"),
-                    file=td.get("file"),
-                    generator=(
-                        _generator_from_dict(gen, td["name"], master_seed)
-                        if gen is not None
-                        else None
-                    ),
-                )
-            )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"topology {td.get('name')!r}: {exc}") from exc
-    handoff_doc = doc.get("handoff")
-    handoff_block = None
-    if handoff_doc is not None:
-        try:
-            hd = dict(handoff_doc)
-            if "strategies" in hd:
-                hd["strategies"] = tuple(hd["strategies"])
-            handoff_block = HandoffBlock(**hd)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"handoff block: {exc}") from exc
-    try:
-        return ScenarioConfig(
-            topologies=tuple(specs),
-            name=doc.get("name", "scenario"),
-            master_seed=master_seed,
-            moves_per_run=doc.get("moves_per_run", 100),
-            seeds_per_scenario=doc.get("seeds_per_scenario", 10),
-            movement_models=tuple(doc.get("movement_models", MODEL_KINDS)),
-            cluster_radius=doc.get("cluster_radius", 6),
-            endpoint_policy=doc.get("endpoint_policy", "per_run"),
-            handoff=handoff_block,
-            output_dir=doc.get("output_dir", "report"),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+        if gen is not None:
+            # the document may still give the seed the master seed would derive
+            seed = stable_seed(doc.get("master_seed", 0), "topology", td.get("name"))
+            gen = _build(GeneratorParams, {"seed": seed, **_object(gen, f"{where} generator")},
+                         f"{where} generator")
+        specs.append(_build(TopologySpec, td, where, generator=gen))
+    handoff = doc.get("handoff")
+    return _build(
+        ScenarioConfig, doc, "config", topologies=tuple(specs),
+        handoff=None if handoff is None else _build(HandoffBlock, handoff, "handoff block"),
+    )
 
 
 def from_json(text) -> ScenarioConfig:
@@ -240,7 +233,7 @@ def load(path) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             return from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 

@@ -19,7 +19,7 @@ from .handoff import HandoffReport, simulate_handoff, simulate_mip_handoff
 from .metrics import RunRecord
 from .movement import MovementModel, MovementTrace
 from .routing import StepSample
-from .topology import PathOracle, Topology, generate, load_edge_list
+from .topology import PathOracle, Topology, TopologyError, generate, load_edge_list
 
 
 class RunFailure(Exception):
@@ -63,8 +63,12 @@ class ExperimentResult:
 def build_topology(spec, master_seed) -> Topology:
     """Load or generate the topology named by a TopologySpec."""
     if spec.file is not None:
-        with open(spec.file, encoding="utf-8") as fh:
-            return load_edge_list(fh.read(), name=spec.name)
+        try:
+            with open(spec.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise TopologyError(f"cannot read edge list {spec.file}: {exc}") from exc
+        return load_edge_list(text, name=spec.name)
     return generate(spec.generator, name=spec.name)
 
 

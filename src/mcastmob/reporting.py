@@ -231,22 +231,35 @@ def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
     return "\n".join(parts) + "\n"
 
 
-def _read_csv(path, columns):
-    """Rows of a CSV file as dicts; ValueError unless it has `columns` and no ragged row."""
+def _read_csv(path, columns, numbers):
+    """Rows of a CSV file as dicts; ValueError unless it has `columns` and no ragged row.
+
+    The cells of the `numbers` columns become floats, or None where empty; a
+    cell that is not a finite number >= 0 is named by its line and column.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        missing = [c for c in columns + numbers if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path} lacks the columns {', '.join(missing)}")
         rows = []
         for row in reader:
             if None in row or None in row.values():
                 raise ValueError(f"{path} line {reader.line_num} does not match its header")
+            for column in numbers:
+                cell = row[column]
+                try:
+                    row[column] = float(cell) if cell else None
+                except ValueError:
+                    row[column] = math.nan
+                if row[column] is not None and not 0 <= row[column] < math.inf:
+                    raise ValueError(f"{path} line {reader.line_num} column {column}: "
+                                     f"{cell!r} is not a finite number >= 0")
             rows.append(row)
     return rows
 
 
-_PLOT_COLUMNS = ("type", "model", "mean_r", "mean_L", "b_over_l", "total_ab", "total_c")
+_PLOT_NUMBERS = ("mean_r", "mean_L", "b_over_l", "total_ab", "total_c")
 
 
 def render_plots(report_dir):
@@ -259,19 +272,17 @@ def render_plots(report_dir):
     agg_path = os.path.join(report_dir, "aggregate.csv")
     if not os.path.exists(agg_path):
         raise FileNotFoundError(f"missing {agg_path}; run a scenario first")
-    rows = _read_csv(agg_path, _PLOT_COLUMNS)
+    rows = _read_csv(agg_path, ("type", "model"), _PLOT_NUMBERS)
     if not rows:
         raise ValueError(f"{agg_path} has no data rows")
     groups = sorted({r["type"] for r in rows})
     series = sorted({r["model"] for r in rows})
 
     def grab(column):
-        return {(r["type"], r["model"]): float(r[column]) if r[column] else None for r in rows}
+        return {(r["type"], r["model"]): r[column] for r in rows}
 
-    totals = {}
-    for r in rows:
-        totals[(r["type"], f"{r['model']} A+B")] = float(r["total_ab"])
-        totals[(r["type"], f"{r['model']} C")] = float(r["total_c"])
+    totals = {(r["type"], f"{r['model']} {label}"): r[column]
+              for r in rows for label, column in (("A+B", "total_ab"), ("C", "total_c"))}
     charts = (
         ("mean_r.svg", "Route efficiency ratio r by topology type and movement",
          "mean r = (A+B)/C", series, grab("mean_r"), (("reference", REFERENCE["mean_r"]),)),

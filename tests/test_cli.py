@@ -219,6 +219,9 @@ AGGREGATE_HEADER = (
 )
 
 
+BAD_ROW = "q,random,1,2,{mean_r},3,5,5,1.5,3,4,4,{b_over_l},69,{total_ab},1.84\n"
+
+
 def _plot_rows(workdir, out, header, *types):
     """`plot` on a hand-written aggregate.csv with one row per type; returns the exit code."""
     rows = "".join(f"{t},random,1,2,2.5,3,5,5,1.5,3,4,4,1.2,69,127,1.84\n" for t in types)
@@ -232,8 +235,15 @@ def _plot_rows(workdir, out, header, *types):
     [
         (AGGREGATE_HEADER.replace("mean_L,", ""), "r", "lacks the columns mean_L"),
         (AGGREGATE_HEADER, "a,b", "line 2 does not match its header"),  # unquoted: one cell more
+        # the bad row goes in before the generated one, as line 2
+        (AGGREGATE_HEADER + BAD_ROW.format(mean_r="nan", b_over_l=1.2, total_ab=127), "r",
+         "line 2 column mean_r: 'nan' is not a finite number >= 0"),
+        (AGGREGATE_HEADER + BAD_ROW.format(mean_r=2.5, b_over_l="inf", total_ab=127), "r",
+         "line 2 column b_over_l: 'inf' is not a finite number >= 0"),
+        (AGGREGATE_HEADER + BAD_ROW.format(mean_r=2.5, b_over_l=1.2, total_ab=-127), "r",
+         "line 2 column total_ab: '-127' is not a finite number >= 0"),
     ],
-    ids=["missing_column", "ragged_row"],
+    ids=["missing_column", "ragged_row", "nan", "inf", "negative"],
 )
 def test_plot_rejects_malformed_aggregate(workdir, capsys, header, topo_type, fragment):
     assert _plot_rows(workdir, "bad", header, topo_type) == EXIT_CONFIG
@@ -278,6 +288,16 @@ def test_missing_topology_file_exit_code(workdir, capsys):
     (workdir / "ghost.json").write_text(json.dumps(doc))
     assert main(["run", "--config", "ghost.json"]) == EXIT_TOPOLOGY
     assert "topology" in capsys.readouterr().err
+
+
+def test_undecodable_files_exit_codes(workdir, capsys):
+    (workdir / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["run", "--config", "latin1.json"]) == EXIT_CONFIG
+    assert "config error: cannot read config latin1.json" in capsys.readouterr().err
+    (workdir / "edges.txt").write_bytes(b"0 1\n\xff\xfe\n")
+    assert main(["run", "--config", "cfg.json"]) == EXIT_TOPOLOGY
+    assert "topology error: cannot read edge list edges.txt" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_malformed_topology_file_exit_code(workdir):
@@ -341,6 +361,8 @@ def test_handoff_invariant_failure_exits_with_replay_line(workdir, capsys, monke
         pytest.param("run", lambda doc: doc.update(moves_per_run=True), id="moves_per_run"),
         pytest.param("handoff", lambda doc: doc["handoff"].update(max_moves=2.5),
                      id="handoff_max_moves"),
+        pytest.param("run", lambda doc: doc.update(output_dir=5), id="output_dir"),
+        pytest.param("run", lambda doc: doc["topologies"][0].update(file=7), id="file"),
     ],
 )
 def test_bad_values_fail_at_load(workdir, capsys, monkeypatch, command, mutate):

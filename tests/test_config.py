@@ -1,7 +1,10 @@
 """Scenario configuration parsing and validation."""
 
+import json
+
 import pytest
 
+from mcastmob import experiment
 from mcastmob.config import (
     ConfigError,
     HandoffBlock,
@@ -97,6 +100,39 @@ def test_canonical_json_is_stable():
         ('{"handoff": {"include_mobile_ip": "no"}, "topologies": [{"name": "x", "file": "f"}]}',
          "include_mobile_ip"),
         ("not json", "not valid JSON"),
+        ('{"master_seed": 2.5, "topologies": [{"name": "x", "file": "f"}]}',
+         "master_seed must be an integer, not 2.5"),
+        ('{"master_seed": "x", "topologies": [{"name": "x", "file": "f"}]}',
+         "master_seed must be an integer, not 'x'"),
+        ('{"master_seed": null, "topologies": [{"name": "x", "file": "f"}]}',
+         "master_seed must be an integer, not None"),
+        ('{"master_seed": [1], "topologies": [{"name": "x", "file": "f"}]}',
+         r"master_seed must be an integer, not \[1\]"),
+        ('{"name": 5, "topologies": [{"name": "x", "file": "f"}]}', "name must be a string"),
+        ('{"handoff": {"per_hop_delay": true}, "topologies": [{"name": "x", "file": "f"}]}',
+         "per_hop_delay must be a number, not True"),
+        ('{"handoff": {"per_hop_delay": "x"}, "topologies": [{"name": "x", "file": "f"}]}',
+         "per_hop_delay must be a number, not 'x'"),
+        ('{"handoff": {"strategies": "plain_join"}, "topologies": [{"name": "x", "file": "f"}]}',
+         "strategies must be an array of strings, not 'plain_join'"),
+        ('{"movement_models": "random", "topologies": [{"name": "x", "file": "f"}]}',
+         "movement_models must be an array of strings, not 'random'"),
+        ('{"output_dir": 5, "topologies": [{"name": "x", "file": "f"}]}',
+         "output_dir must be a string"),
+        ('{"topologies": [{"name": "x", "generator": {"kind": "flat_random", '
+         '"node_count": 20, "target_avg_degree": 3, "seed": "s"}}]}',
+         "generator: seed must be an integer, not 's'"),
+        ('{"topologies": [{"name": "x", "generator": {"kind": "flat_random", '
+         '"node_count": 20, "target_avg_degree": null}}]}',
+         "target_avg_degree must be a number, not None"),
+        ('{"topologies": [{"name": "x", "file": 7}]}', "file must be a string or null, not 7"),
+        ('{"topologies": [{"name": "x", "file": "f", "size": 3}]}',
+         r"unknown topology 'x' keys \['size'\]"),
+        ('{"handoff": [], "topologies": [{"name": "x", "file": "f"}]}',
+         "handoff block must be a JSON object"),
+        pytest.param('{"handoff": {"per_hop_delay": 1%s}, "topologies": [{"name": "x", '
+                     '"file": "f"}]}' % ("0" * 400), "per_hop_delay must be a number",
+                     id="int_beyond_float_range"),
     ],
 )
 def test_rejects_bad_documents(mutate, fragment):
@@ -152,3 +188,47 @@ def test_round_trip_through_dict():
 
     rebuilt = from_json(json.dumps(doc))
     assert rebuilt.canonical_json() == cfg.canonical_json()
+
+
+def test_round_trip_of_every_block():
+    # an edge-list topology (the `type` key), the handoff block with an int
+    # delay and non-default strategies, a generator with its own seed
+    doc = {
+        "name": "whole", "master_seed": 4, "endpoint_policy": "per_topology",
+        "movement_models": ["cluster", "random"], "cluster_radius": 3,
+        "topologies": [
+            {"name": "e", "type": "measured", "file": "edges.txt"},
+            {"name": "g", "generator": {"kind": "transit_stub", "node_count": 40,
+                                        "target_avg_degree": 3.5, "seed": 17, "stub_size": 5}},
+        ],
+        "handoff": {"per_hop_delay": 5, "strategies": ["triple_join", "advance_join"],
+                    "overlap": "break_before_make", "include_mobile_ip": False, "runs": 2},
+    }
+    cfg = from_json(json.dumps(doc))
+    assert cfg.topologies[0].topo_type == "measured"
+    assert cfg.topologies[1].topo_type == "unknown" and cfg.topologies[1].generator.seed == 17
+    assert cfg.handoff.strategies == ("triple_join", "advance_join")
+    assert type(cfg.handoff.per_hop_delay) is int
+    assert from_json(json.dumps(cfg.to_dict())).canonical_json() == cfg.canonical_json()
+
+
+@pytest.mark.parametrize("policy", ["per_run", "per_topology"])
+def test_endpoint_policy(policy):
+    doc = {
+        "endpoint_policy": policy, "seeds_per_scenario": 4, "moves_per_run": 5,
+        "topologies": [
+            {"name": name, "generator": {"kind": "flat_random", "node_count": 30,
+                                         "target_avg_degree": 4}}
+            for name in ("a", "b")
+        ],
+    }
+    result = experiment.execute_scenario(from_json(json.dumps(doc)))
+    pairs = {}
+    for run in result.runs:
+        pairs.setdefault(run.record.topology, set()).add((run.cn, run.ha))
+    assert len(result.runs) == 2 * 3 * 4
+    if policy == "per_topology":  # one (cn, ha) for every run of a topology, across models
+        assert all(len(p) == 1 for p in pairs.values())
+        assert pairs["a"] != pairs["b"]
+    else:  # drawn again for each run
+        assert all(len(p) > 1 for p in pairs.values())
