@@ -45,8 +45,10 @@ def cluster_window(node, n, radius=6):
     """Candidate ids at circular offsets +/-1, +/-2, ... around `node`.
 
     Takes the `radius` nearest offsets (interleaved -1, +1, -2, +2, ...),
-    wraps modulo n, and never includes `node` itself. Returned sorted.
+    wraps modulo n, and never includes `node` itself. Returned sorted. The
+    first n - 1 offsets already reach every other id, so no more are built.
     """
+    radius = min(radius, n - 1)
     offsets = []
     k = 1
     while len(offsets) < radius:

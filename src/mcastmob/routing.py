@@ -197,31 +197,3 @@ def run_scenario(oracle, cn, ha, steps, on_move=None):
         )
     return samples
 
-
-def validate_tree(tree: MulticastTree):
-    """Full structural audit; raises SimulationInvariantError on any breach.
-
-    Checks rootedness/acyclicity of the parent map, that every parent link
-    is a topology edge, that every on-tree node supports some leaf, and
-    that each leaf's tree path length equals the shortest-path distance.
-    """
-    cn = tree.cn
-    if set(tree.parent) != tree.on_tree - {cn}:
-        raise SimulationInvariantError("parent map does not cover on-tree nodes")
-    if not tree.leaves <= tree.on_tree:
-        raise SimulationInvariantError("leaf not on tree")
-    for child, up in tree.parent.items():
-        if not tree.oracle.topo.has_edge(child, up):
-            raise SimulationInvariantError(f"parent link {child}->{up} is not a topology edge")
-        if child not in tree.children.get(up, set()):
-            raise SimulationInvariantError(f"children map missing {up}->{child}")
-    supported = {cn}
-    for leaf in tree.leaves:
-        supported.update(tree.branch_to_root(leaf))
-    if supported != tree.on_tree:
-        stale = tree.on_tree - supported
-        raise SimulationInvariantError(f"stale on-tree nodes not supporting any leaf: {stale}")
-    for leaf in tree.leaves:
-        if tree.path_hops(leaf) != tree.oracle.dist(cn, leaf):
-            raise SimulationInvariantError(f"tree path to leaf {leaf} is not shortest")
-

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 
 GENERATOR_KINDS = ("flat_random", "transit_stub", "tiers_like")
@@ -33,7 +32,7 @@ class Topology:
 
     name: str
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_count: int
     adj: tuple[tuple[int, ...], ...]
     clusters: tuple[tuple[int, int], ...] = ()
 
@@ -42,6 +41,7 @@ class Topology:
         if n < 2:
             raise TopologyError("a topology needs at least 2 nodes")
         seen = set()
+        adj_lists = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise TopologyError(f"self-loop at node {u}")
@@ -51,26 +51,32 @@ class Topology:
             if key in seen:
                 raise TopologyError(f"duplicate edge {key[0]} {key[1]}")
             seen.add(key)
-        adj_lists = [[] for _ in range(n)]
-        for u, v in seen:
             adj_lists[u].append(v)
             adj_lists[v].append(u)
-        _check_connected(adj_lists, n)
+        dist = _levels(adj_lists, 0)
+        if -1 in dist:
+            raise TopologyError(
+                f"disconnected graph: only {n - dist.count(-1)} of {n} nodes reachable "
+                f"(node {dist.index(-1)} unreached)"
+            )
+        for nbrs in adj_lists:
+            nbrs.sort()
         return cls(
             name=name,
             n=n,
-            edges=tuple(sorted(seen)),
-            adj=tuple(tuple(sorted(nbrs)) for nbrs in adj_lists),
+            edge_count=len(seen),
+            adj=tuple(map(tuple, adj_lists)),
             clusters=tuple(clusters),
         )
 
     @property
-    def edge_count(self):
-        return len(self.edges)
+    def edges(self):
+        """Every edge once as (u, v) with u < v, in sorted order."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
     @property
     def avg_degree(self):
-        return 2.0 * len(self.edges) / self.n
+        return 2.0 * self.edge_count / self.n
 
     def has_edge(self, u, v):
         return v in self.adj[u]
@@ -80,24 +86,23 @@ class Topology:
         return f"{self.name} {self.n} {self.edge_count} {round(self.avg_degree, 2):g}"
 
 
-def _check_connected(adj_lists, n):
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj_lists[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    if count != n:
-        missing = next(i for i, s in enumerate(seen) if not s)
-        raise TopologyError(
-            f"disconnected graph: only {count} of {n} nodes reachable "
-            f"(node {missing} unreached)"
-        )
+def _levels(adj, source):
+    """Breadth-first hop distance from `source` to every node, -1 where unreached."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        level = []
+        push = level.append
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    push(v)
+        frontier = level
+    return dist
 
 
 def load_edge_list(text, name="edges"):
@@ -210,11 +215,28 @@ def _edge_budget(params):
     return max(target, n - 1)
 
 
+def _drawer(rng):
+    """`draw(lo, hi)` for hi > lo: `rng.randrange(lo, hi)`'s own getrandbits
+    rejection loop, without its argument handling, so edge sets are unchanged."""
+    getrandbits = rng.getrandbits
+
+    def draw(lo, hi):
+        n = hi - lo
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    return draw
+
+
 def _random_tree(nodes, rng):
     # random recursive tree: guarantees connectivity of the node block
     order = list(nodes)
     rng.shuffle(order)
-    return [(order[i], order[rng.randrange(i)]) for i in range(1, len(order))]
+    draw = _drawer(rng)
+    return [(order[i], order[draw(0, i)]) for i in range(1, len(order))]
 
 
 def _add_edge(edges, u, v):
@@ -228,13 +250,14 @@ def _add_edge(edges, u, v):
 
 
 def _fill_uniform(edges, n, budget, rng):
+    draw = _drawer(rng)
     attempts = 0
     cap = 60 * budget + 10_000
     while len(edges) < budget:
         attempts += 1
         if attempts > cap:
             raise GenerationError("edge sampling stalled before reaching the budget")
-        _add_edge(edges, rng.randrange(n), rng.randrange(n))
+        _add_edge(edges, draw(0, n), draw(0, n))
 
 
 def _flat_random(params, rng):
@@ -259,14 +282,14 @@ def _blocks(first, total, size):
     return [b for b in out if b[1] > b[0]]
 
 
-def _core_edges(edges, count, rng):
+def _core_edges(edges, count, draw):
     if count == 2:
         _add_edge(edges, 0, 1)
     elif count >= 3:
         for i in range(count):
             _add_edge(edges, i, (i + 1) % count)
         for _ in range(count // 4):
-            _add_edge(edges, rng.randrange(count), rng.randrange(count))
+            _add_edge(edges, draw(0, count), draw(0, count))
 
 
 def _transit_stub(params, rng):
@@ -276,12 +299,13 @@ def _transit_stub(params, rng):
     per_transit = 1 + params.stubs_per_transit * params.stub_size
     core = max(1, min(round(n / per_transit), n // 2))
     edges = set()
-    _core_edges(edges, core, rng)
+    draw = _drawer(rng)
+    _core_edges(edges, core, draw)
     blocks = _blocks(core, n - core, params.stub_size)
     for i, (lo, hi) in enumerate(blocks):
         for u, v in _random_tree(range(lo, hi), rng):
             _add_edge(edges, u, v)
-        _add_edge(edges, rng.randrange(lo, hi), i % core)
+        _add_edge(edges, draw(lo, hi), i % core)
     _fill_clustered(edges, n, budget, rng, blocks, core)
     return edges, tuple(blocks)
 
@@ -292,22 +316,24 @@ def _tiers_like(params, rng):
     budget = _edge_budget(params)
     core = max(1, min(round(math.sqrt(n) / 3), n // 4))
     edges = set()
-    _core_edges(edges, core, rng)
+    draw = _drawer(rng)
+    _core_edges(edges, core, draw)
     blocks = _blocks(core, n - core, params.stub_size)
     mid = max(1, len(blocks) // 4)
     for i, (lo, hi) in enumerate(blocks):
         for j in range(lo + 1, hi):
             _add_edge(edges, lo, j)  # LAN-style star around the first id
         if i < mid:
-            _add_edge(edges, rng.randrange(lo, hi), i % core)
+            _add_edge(edges, draw(lo, hi), i % core)
         else:
-            plo, phi = blocks[rng.randrange(mid)]
-            _add_edge(edges, rng.randrange(lo, hi), rng.randrange(plo, phi))
+            plo, phi = blocks[draw(0, mid)]
+            _add_edge(edges, draw(lo, hi), draw(plo, phi))
     _fill_clustered(edges, n, budget, rng, blocks, core)
     return edges, tuple(blocks)
 
 
 def _fill_clustered(edges, n, budget, rng, blocks, core):
+    draw = _drawer(rng)
     attempts = 0
     cap = 80 * max(budget, 1) + 10_000
     while len(edges) < budget:
@@ -316,17 +342,17 @@ def _fill_clustered(edges, n, budget, rng, blocks, core):
             raise GenerationError("edge sampling stalled before reaching the budget")
         if attempts > cap // 2:
             # nearly saturated clusters: fall back to uniform placement
-            _add_edge(edges, rng.randrange(n), rng.randrange(n))
+            _add_edge(edges, draw(0, n), draw(0, n))
             continue
         r = rng.random()
         if r < 0.85 and blocks:
-            lo, hi = blocks[rng.randrange(len(blocks))]
-            _add_edge(edges, rng.randrange(lo, hi), rng.randrange(lo, hi))
+            lo, hi = blocks[draw(0, len(blocks))]
+            _add_edge(edges, draw(lo, hi), draw(lo, hi))
         elif r < 0.95 and blocks and core:
-            lo, hi = blocks[rng.randrange(len(blocks))]
-            _add_edge(edges, rng.randrange(lo, hi), rng.randrange(core))
+            lo, hi = blocks[draw(0, len(blocks))]
+            _add_edge(edges, draw(lo, hi), draw(0, core))
         elif core >= 2:
-            _add_edge(edges, rng.randrange(core), rng.randrange(core))
+            _add_edge(edges, draw(0, core), draw(0, core))
 
 
 class PathOracle:
@@ -346,30 +372,27 @@ class PathOracle:
             raise TopologyError(f"unknown node id {node!r}")
 
     def dist_from(self, source):
-        """Distance vector from `source` to every node (cached)."""
+        """Distance vector from `source` to every node.
+
+        The first call per source runs the breadth-first search; later calls
+        read the cache. Every query of the oracle reads its vector here.
+        """
         self._check(source)
         cached = self._dist.get(source)
         if cached is not None:
             return cached
-        adj = self.topo.adj
-        dist = [-1] * self.topo.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    queue.append(v)
-        vec = tuple(dist)
+        vec = tuple(_levels(self.topo.adj, source))
         self._dist[source] = vec
         return vec
 
     def dist(self, u, v):
-        """Shortest hop count between u and v (symmetric)."""
-        self._check(u)
-        return self.dist_from(v)[u]
+        """Shortest hop count between u and v (symmetric).
+
+        `u` is the source whose distance vector is computed and cached, so
+        pass the endpoint that stays fixed across queries first.
+        """
+        self._check(v)
+        return self.dist_from(u)[v]
 
     def next_hop(self, u, v):
         """Lowest-id neighbor of u one hop closer to v; None when u == v.

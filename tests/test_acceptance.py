@@ -17,10 +17,10 @@ from mcastmob import experiment, metrics
 from mcastmob.cli import EXIT_OK, main
 from mcastmob.handoff import HandoffConfig, simulate_handoff, simulate_mip_handoff
 from mcastmob.movement import MovementModel, generate_trace
-from mcastmob.routing import establish, run_scenario, validate_tree
+from mcastmob.routing import establish, run_scenario
 from mcastmob.topology import PathOracle, Topology
 
-from conftest import bfs_dist, random_connected_edges
+from conftest import bfs_dist, random_connected_edges, validate_tree
 
 
 @pytest.fixture(scope="session")

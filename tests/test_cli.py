@@ -131,6 +131,30 @@ def test_run_and_plot_report_is_pinned(tmp_path, monkeypatch):
     assert digests == PINNED_REPORT
 
 
+def test_huge_cluster_radius_runs_like_a_full_window(tmp_path, monkeypatch):
+    # on a 4-node ring a radius of 3 already reaches every other node
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring4.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+    samples = {}
+    for radius in (3, 10**9):
+        doc = {
+            "name": "wide",
+            "master_seed": 5,
+            "moves_per_run": 30,
+            "seeds_per_scenario": 2,
+            "movement_models": ["cluster"],
+            "cluster_radius": radius,
+            "topologies": [{"name": "ring4", "type": "measured", "file": "ring4.txt"}],
+            "output_dir": f"out{radius}",
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", "cfg.json"]) == EXIT_OK
+        files = tree_bytes(tmp_path / f"out{radius}")
+        samples[radius] = {k: v for k, v in files.items() if k.startswith(("runs/", "traces/"))}
+    assert len(samples[3]) == 4
+    assert samples[3] == samples[10**9]
+
+
 def test_run_is_byte_deterministic(workdir):
     assert main(["run", "--config", "cfg.json", "--out", "a"]) == EXIT_OK
     assert main(["run", "--config", "cfg.json", "--out", "b"]) == EXIT_OK

@@ -42,6 +42,8 @@ def test_cluster_window_wraps():
     assert cluster_window(0, 100) == [1, 2, 3, 97, 98, 99]
     # tiny graph: offsets collide and the window is everyone else
     assert cluster_window(1, 4) == [0, 2, 3]
+    # a radius past n - 1 adds no id, and builds no more offsets
+    assert cluster_window(1, 4, radius=10**9) == [0, 2, 3]
 
 
 def test_cluster_steps_stay_in_window():

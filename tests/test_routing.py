@@ -8,15 +8,10 @@ from hypothesis import strategies as st
 
 from mcastmob import reporting
 from mcastmob.movement import MovementModel, generate_trace
-from mcastmob.routing import (
-    SimulationInvariantError,
-    establish,
-    run_scenario,
-    validate_tree,
-)
+from mcastmob.routing import SimulationInvariantError, establish, run_scenario
 from mcastmob.topology import PathOracle, Topology
 
-from conftest import bfs_dist, random_connected_edges
+from conftest import bfs_dist, random_connected_edges, validate_tree
 
 
 def _tree_on(topo, cn, loc):
@@ -200,6 +195,22 @@ class TestRunScenario:
         first = run_scenario(oracle, 4, 6, trace.steps)
         second = run_scenario(PathOracle(topo), 4, 6, trace.steps)
         assert first == second
+
+    def test_searches_only_from_the_cn_and_the_ha(self, monkeypatch):
+        sources = set()
+        dist_from = PathOracle.dist_from
+
+        def counted(oracle, source):
+            sources.add(source)
+            return dist_from(oracle, source)
+
+        monkeypatch.setattr(PathOracle, "dist_from", counted)
+        rng = random.Random(19)
+        topo = Topology.from_edges("g", 40, random_connected_edges(rng, 40, 30))
+        trace = generate_trace(topo, MovementModel("random"), frozenset({5}), 80, seed=20)
+        run_scenario(PathOracle(topo), 5, 11, trace.steps)
+        assert len(set(trace.steps)) > 20
+        assert sources == {5, 11}
 
     def test_rejects_cn_in_trace(self, path5):
         with pytest.raises(SimulationInvariantError, match="correspondent"):

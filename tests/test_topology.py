@@ -1,5 +1,6 @@
 """Topology loading, generation, and shortest-path oracle tests."""
 
+import hashlib
 import random
 
 import pytest
@@ -63,6 +64,15 @@ class TestLoadEdgeList:
         with pytest.raises(TopologyError, match="disconnected"):
             load_edge_list("0 1\n2 3")
 
+    def test_edges_are_the_sorted_normalised_input(self):
+        rng = random.Random(3)
+        edges = random_connected_edges(rng, 30, 40)
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(flipped)
+        topo = load_edge_list("\n".join(f"{u} {v}" for u, v in flipped))
+        assert topo.edges == tuple(sorted(edges))
+        assert topo.edge_count == len(edges)
+
     def test_gap_in_ids_is_disconnected(self):
         with pytest.raises(TopologyError, match="disconnected"):
             load_edge_list("0 2\n2 3\n5 3\n4 5\n6 4")
@@ -78,7 +88,31 @@ class TestFromEdges:
         assert topo.adj[0] == (1, 2, 3)
 
 
+# sha256 of "u v\n" per edge of generate(params).edges, recorded before the
+# generators drew through getrandbits directly and Topology derived its edges
+PINNED_EDGES = [
+    ("flat_random", 50, 8.68, 1, "56d5f573290b700626a29c50db7f76160247fd6064126f01e9f49055753dfe08"),
+    ("flat_random", 50, 8.68, 2, "dec1bb128047877e2436f053292d710a4552f7913072b28b1456366dc808b662"),
+    ("flat_random", 400, 4.0, 1, "957e18774b4baa8196c0cbfe19e75f0e136f66f9e57fcacbeb9544e560321b6e"),
+    ("flat_random", 400, 4.0, 2, "9c6a0cd0782cd4e7b3c11cd4f93b1ba372b45ad178dde6e4237b2051c98d8666"),
+    ("transit_stub", 100, 3.7, 1, "f0c831c8638500e10060da71aa6bdeeeb6ea016b3a5e6087c80d91694bcddd9a"),
+    ("transit_stub", 100, 3.7, 2, "01dd636490184c03fd7351dbb28f6cb29f964d56369e08bd892273b80f052f1c"),
+    ("transit_stub", 2000, 3.7, 1, "e881b9f492ff965aecfeb44cb20c898435a3946cbb61d6ec96d595fb10a2e1c4"),
+    ("transit_stub", 2000, 3.7, 2, "6ce4a17a9217255cde86b193ce02a989338a84b82e1ff38e6ca162bde92d3b78"),
+    ("tiers_like", 200, 2.81, 1, "5142c18bbbd06a92de0bf98d5080e30b2c74446b9a5e4d95fe94a60ed3379a0c"),
+    ("tiers_like", 200, 2.81, 2, "ecaa53d2cafbd1fa0519fbeb2f19b0b05ac8d049596d3d38bb928af0e823ff57"),
+    ("tiers_like", 1000, 2.81, 1, "5661eaa353ef6bb9b59d4de5a51eec33332b460d20983b82bb5ed3574a97ad48"),
+    ("tiers_like", 1000, 2.81, 2, "8bd766ef6e7d14231b1474fd29f6ec784c06a7e31561b0f96996026bc0fa110b"),
+]
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("kind,n,deg,seed,digest", PINNED_EDGES)
+    def test_edge_sets_are_pinned(self, kind, n, deg, seed, digest):
+        edges = generate(GeneratorParams(kind, n, deg, seed=seed)).edges
+        text = "".join(f"{u} {v}\n" for u, v in edges)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_flat_random_r50(self):
         params = GeneratorParams("flat_random", 50, 8.68, seed=1)
         topo = generate(params, name="r50")
@@ -205,3 +239,27 @@ class TestPathOracle:
                 assert oracle.dist(u, v) == oracle.dist(v, u)
                 for w in range(n):
                     assert oracle.dist(u, w) <= oracle.dist(u, v) + oracle.dist(v, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9), data=st.data())
+    def test_answers_do_not_depend_on_which_vectors_are_warm(self, seed, data):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 25)
+        topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(0, 2 * n)))
+        adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
+        expect = {s: bfs_dist(adj, s) for s in range(n)}
+        oracle = PathOracle(topo)
+        order = data.draw(st.permutations(range(n)))
+        for s in order[: data.draw(st.integers(min_value=0, max_value=n))]:
+            oracle.dist_from(s)
+        for u in range(n):
+            for v in range(n):
+                assert oracle.dist(u, v) == oracle.dist(v, u) == expect[u][v]
+                if u == v:
+                    assert oracle.next_hop(u, v) is None
+                    continue
+                # lowest-id neighbour one hop closer, from the independent BFS
+                hop = min(w for w in topo.adj[u] if expect[v][w] == expect[v][u] - 1)
+                assert oracle.next_hop(u, v) == hop
+                path = oracle.shortest_path(u, v)
+                assert path[:2] == [u, hop] and len(path) == expect[u][v] + 1
