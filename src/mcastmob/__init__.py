@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .config import ScenarioConfig, reference_suite_config
 from .handoff import HandoffConfig, HandoffReport, simulate_handoff, simulate_mip_handoff
-from .metrics import RunStats, aggregate, run_stats, size_sensitivity
+from .metrics import RunStats, aggregate, run_stats
 from .movement import MovementModel, MovementTrace, generate_trace
 from .routing import MulticastTree, StepSample, establish, run_scenario
 from .topology import GeneratorParams, PathOracle, Topology, generate, load_edge_list
@@ -31,5 +31,4 @@ __all__ = [
     "run_stats",
     "simulate_handoff",
     "simulate_mip_handoff",
-    "size_sensitivity",
 ]

@@ -5,9 +5,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import get_type_hints
 
 from .handoff import STRATEGIES, HandoffConfig, HandoffError
@@ -230,11 +231,16 @@ def from_json(text) -> ScenarioConfig:
 
 
 def load(path) -> ScenarioConfig:
+    """The config file at `path`; a relative topology `file` is taken from its directory."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return from_json(fh.read())
+            cfg = from_json(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    base = os.path.dirname(path)
+    specs = tuple(spec if spec.file is None else replace(spec, file=os.path.join(base, spec.file))
+                  for spec in cfg.topologies)
+    return replace(cfg, topologies=specs)
 
 
 # Table of generator stand-ins for the published topology suite:

@@ -55,10 +55,6 @@ class ExperimentResult:
     runs: tuple[RunResult, ...]
     aggregate: metrics.AggregateStats
 
-    @property
-    def records(self):
-        return [r.record for r in self.runs]
-
 
 def build_topology(spec, master_seed) -> Topology:
     """Load or generate the topology named by a TopologySpec."""

@@ -68,15 +68,15 @@ class HandoffConfig:
 class HandoffReport:
     """Outcome of one simulated handoff.
 
-    handoff_latency is the time from the relocation trigger to the first
-    packet delivered through the new attachment point (inf when it never
-    happens within the simulated window). control_path_hops is the graft
-    length L for the multicast architecture and the registration distance B
-    for Mobile IP. deliveries logs every packet handed to the mobile as
-    (seq, time_ms, "old"/"new"), duplicates included.
+    trigger_ms is the relocation trigger. handoff_latency is the time from it
+    to the first packet delivered through the new attachment point, which
+    arrives at trigger_ms + handoff_latency (inf when none arrives within the
+    simulated window). control_path_hops is the graft length L for the
+    multicast architecture and the registration distance B for Mobile IP.
+    deliveries logs every packet handed to the mobile as (seq, time_ms,
+    "old"/"new"), duplicates included.
     """
 
-    strategy: str
     trigger_ms: float
     handoff_latency: float
     packets_lost: int
@@ -86,7 +86,6 @@ class HandoffReport:
     control_path_hops: int
     packets_emitted: int
     packets_delivered: int
-    first_new_delivery_ms: float | None
     deliveries: tuple[tuple[int, float, str], ...]
 
 
@@ -183,7 +182,7 @@ class _Kernel:
         if t + interval <= deadline:
             self.push(t + interval, _DATA, self._emit, seq + 1, launch)
 
-    def run(self, launch, strategy, control_path_hops) -> HandoffReport:
+    def run(self, launch, control_path_hops) -> HandoffReport:
         self.push(0.0, _DATA, self._emit, 0, launch)
         heap = self.heap
         while heap:
@@ -191,7 +190,6 @@ class _Kernel:
             fn(t, *args)
         first_new = self.first_new
         return HandoffReport(
-            strategy=strategy,
             trigger_ms=self.t0,
             handoff_latency=first_new - self.t0 if first_new is not None else math.inf,
             packets_lost=self.emitted - len(self.delivered),
@@ -201,7 +199,6 @@ class _Kernel:
             control_path_hops=control_path_hops,
             packets_emitted=self.emitted,
             packets_delivered=len(self.delivered),
-            first_new_delivery_ms=first_new,
             deliveries=tuple(self.log),
         )
 
@@ -277,16 +274,18 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
         k.on_first_new = lambda t: k.push(t, _CONTROL, prune_at, old)
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
     k.push(k.t0 - lead, _CONTROL, k.relay, "join", walk, 0, grafted)
-    return k.run(lambda t, seq: arrive(t, cn, seq), cfg.strategy, len(walk) - 1)
+    return k.run(lambda t, seq: arrive(t, cn, seq), len(walk) - 1)
 
 
 def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> HandoffReport:
     """Mobile IP baseline: registration new -> HA, then packets redirect at the HA.
 
     Packets always travel CN -> HA, then down the tunnel to whichever
-    location is registered when they reach the HA. The advance_join
-    strategy has no Mobile IP analogue (registration cannot precede
-    arrival) and is treated as a plain registration; copies are always 1.
+    location is registered when they reach the HA. Each tunnel is a path
+    toward the HA reversed, so every path is read from the HA's vector. The
+    advance_join strategy has no Mobile IP analogue (registration cannot
+    precede arrival) and is treated as a plain registration; copies are
+    always 1.
     """
     for node in (cn, ha, old, new):
         oracle._check(node)
@@ -296,8 +295,8 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
         raise HandoffError("cannot hand off to the correspondent node")
 
     path_a = oracle.shortest_path(cn, ha)
-    tunnels = {"old": oracle.shortest_path(ha, old), "new": oracle.shortest_path(ha, new)}
     reg_path = oracle.shortest_path(new, ha)
+    tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}
     k = _Kernel(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1, loss_fn)
     registered = False
 
@@ -316,4 +315,4 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
             registered = True
 
     k.push(k.t0, _CONTROL, k.relay, "registration", reg_path, 0, registered_at)
-    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), "mobile_ip", len(reg_path) - 1)
+    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), len(reg_path) - 1)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean, pstdev
-
-from .routing import StepSample
+from statistics import fmean
 
 # Headline averages of the original wide-area evaluation. Emitted as
 # annotations for side-by-side comparison, never asserted: the topology
@@ -191,53 +189,3 @@ def aggregate(records) -> AggregateStats:
     for rec in records:
         groups.setdefault((rec.topo_type, rec.model), []).append(rec)
     return AggregateStats(rows=tuple(group_stats(g) for _, g in sorted(groups.items())))
-
-
-@dataclass(frozen=True)
-class SizeSensitivity:
-    """Dispersion of per-size means for one movement model within a topology type."""
-
-    model: str
-    sizes: tuple[int, ...]
-    mean_r_values: tuple[float, ...]
-    mean_r_mean: float
-    mean_r_cv: float
-    mean_L_values: tuple[float, ...]
-    mean_L_mean: float
-    mean_L_cv: float
-
-
-def _cv(values):
-    center = fmean(values)
-    return pstdev(values) / center if center else 0.0
-
-
-def size_sensitivity(records, topo_type):
-    """Mean and coefficient of variation of mean_r / mean_L across sizes.
-
-    Requires at least three distinct node counts of the given type.
-    """
-    filtered = [r for r in records if r.topo_type == topo_type]
-    sizes = sorted({r.nodes for r in filtered})
-    if len(sizes) < 3:
-        raise ValueError(f"need >= 3 sizes of type {topo_type!r}, have {len(sizes)}")
-    out = []
-    for model in sorted({r.model for r in filtered}):
-        r_vals, l_vals = [], []
-        for size in sizes:
-            stats = [r.stats for r in filtered if r.model == model and r.nodes == size]
-            r_vals.append(fmean(s.mean_r for s in stats))
-            l_vals.append(fmean(s.mean_L for s in stats))
-        out.append(
-            SizeSensitivity(
-                model=model,
-                sizes=tuple(sizes),
-                mean_r_values=tuple(r_vals),
-                mean_r_mean=fmean(r_vals),
-                mean_r_cv=_cv(r_vals),
-                mean_L_values=tuple(l_vals),
-                mean_L_mean=fmean(l_vals),
-                mean_L_cv=_cv(l_vals),
-            )
-        )
-    return tuple(out)

@@ -35,10 +35,7 @@ class MovementModel:
 class MovementTrace:
     """Ordered node visits; steps[0] is the start where the tree is established."""
 
-    start: int
     steps: tuple[int, ...]
-    model: MovementModel
-    seed: int
 
 
 def cluster_window(node, n, radius=6):
@@ -108,5 +105,5 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
             raise MovementError(f"no eligible move from node {current} under {model.kind}")
         current = rng.choice(candidates)
         steps.append(current)
-    return MovementTrace(start=start, steps=tuple(steps), model=model, seed=seed)
+    return MovementTrace(tuple(steps))
 

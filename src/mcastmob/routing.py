@@ -41,6 +41,8 @@ class StepSample:
 class MulticastTree:
     """Mutable (S,G) state: parent map rooted at the CN plus the joined leaves.
 
+    The CN and every node with a parent hold (S,G) state.
+
     Single-run object: one simulation thread mutates it at a time. The
     oracle, and through it the topology, is read-only shared.
     """
@@ -51,7 +53,6 @@ class MulticastTree:
         self.oracle = oracle
         self.parent: dict[int, int] = {}
         self.children: dict[int, set[int]] = {}
-        self.on_tree: set[int] = {cn}
         self.leaves: set[int] = set()
 
     @property
@@ -72,7 +73,6 @@ class MulticastTree:
         for child, up in zip(walk, walk[1:]):
             self.parent[child] = up
             self.children.setdefault(up, set()).add(child)
-            self.on_tree.add(child)
         self.leaves.add(new_location)
         return len(walk) - 1
 
@@ -82,7 +82,7 @@ class MulticastTree:
         Read-only; [node] when `node` already holds (S,G) state.
         """
         walk = [node]
-        while walk[-1] not in self.on_tree:
+        while walk[-1] not in self.parent and walk[-1] != self.cn:
             walk.append(self.oracle.next_hop(walk[-1], self.cn))
         return walk
 
@@ -100,7 +100,6 @@ class MulticastTree:
         while node != self.cn and node not in self.leaves and not self.children.get(node):
             up = self.parent.pop(node)
             self.children[up].discard(node)
-            self.on_tree.discard(node)
             removed += 1
             node = up
         return removed

@@ -78,9 +78,6 @@ class Topology:
     def avg_degree(self):
         return 2.0 * self.edge_count / self.n
 
-    def has_edge(self, u, v):
-        return v in self.adj[u]
-
     def summary(self):
         """One-line `name nodes links avg_degree` summary, e.g. "ts100 100 185 3.7"."""
         return f"{self.name} {self.n} {self.edge_count} {round(self.avg_degree, 2):g}"
@@ -398,7 +395,8 @@ class PathOracle:
         """Lowest-id neighbor of u one hop closer to v; None when u == v.
 
         The lowest-id rule makes every shortest path, and hence every tree
-        shape and added-link count, reproducible.
+        shape and added-link count, reproducible. Reads `v`'s distance
+        vector, so pass the endpoint that stays fixed across queries as `v`.
         """
         self._check(u)
         dist = self.dist_from(v)
@@ -411,7 +409,10 @@ class PathOracle:
         raise TopologyError(f"no next hop from {u} toward {v}")  # unreachable when connected
 
     def shortest_path(self, u, v):
-        """Deterministic shortest path from u to v, inclusive of both ends."""
+        """Deterministic shortest path from u to v, inclusive of both ends.
+
+        Reads `v`'s vector, like `next_hop`: pass the fixed endpoint as `v`.
+        """
         self._check(u)
         self._check(v)
         path = [u]

@@ -31,23 +31,28 @@ def bfs_dist(adj, source):
 def validate_tree(tree):
     """Full structural audit of a MulticastTree; path lengths come from bfs_dist.
 
-    The parent map covers exactly the on-tree nodes below the CN, every
-    parent link is a topology edge mirrored in the children map, every
-    on-tree node supports some leaf, and each leaf's tree path is shortest.
+    Every parent link is a topology edge mirrored in the children map, every
+    on-tree node (the CN and each node with a parent) supports some leaf,
+    and each leaf's tree path is shortest.
     """
     cn, topo = tree.cn, tree.oracle.topo
-    assert set(tree.parent) == tree.on_tree - {cn}, "parent map does not cover on-tree nodes"
-    assert tree.leaves <= tree.on_tree, "leaf not on tree"
+    on_tree = set(tree.parent) | {cn}
+    assert tree.leaves <= on_tree, "leaf not on tree"
     for child, up in tree.parent.items():
-        assert topo.has_edge(child, up), f"parent link {child}->{up} is not a topology edge"
+        assert up in topo.adj[child], f"parent link {child}->{up} is not a topology edge"
         assert child in tree.children.get(up, set()), f"children map missing {up}->{child}"
     supported = {cn}
     for leaf in tree.leaves:
         supported.update(tree.branch_to_root(leaf))  # raises on a broken or cyclic chain
-    assert supported == tree.on_tree, f"stale on-tree nodes: {tree.on_tree - supported}"
+    assert supported == on_tree, f"stale on-tree nodes: {on_tree - supported}"
     from_cn = bfs_dist(topo.adj, cn)
     for leaf in tree.leaves:
         assert tree.path_hops(leaf) == from_cn[leaf], f"tree path to leaf {leaf} is not shortest"
+
+
+def tree_state(tree):
+    """A copy of the tree's (parent, children, leaves), for before/after comparisons."""
+    return dict(tree.parent), {u: set(c) for u, c in tree.children.items()}, set(tree.leaves)
 
 
 def random_connected_edges(rng, n, extra):

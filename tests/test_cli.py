@@ -192,6 +192,23 @@ def test_replay_reproduces_run(workdir):
     ).read_bytes()
 
 
+def test_edge_list_path_is_relative_to_the_config(workdir):
+    sub = workdir / "sub"
+    sub.mkdir()
+    for name in ("edges.txt", "cfg.json"):
+        (workdir / name).rename(sub / name)
+    assert main(["run", "--config", "sub/cfg.json"]) == EXIT_OK
+    stats = (workdir / "out" / "run_stats.csv").read_text().strip().splitlines()
+    row = dict(zip(stats[0].split(","), stats[1].split(",")))
+    assert row["topology"] == "ring6"
+    seed = row["child_seed"]
+    assert main(["replay", "--config", "sub/cfg.json", "--replay", seed, "--out", "rp"]) == EXIT_OK
+    key = f"ring6__{row['model']}__run{int(row['run']):02d}.csv"
+    assert (workdir / "rp" / "runs" / key).read_bytes() == (
+        workdir / "out" / "runs" / key
+    ).read_bytes()
+
+
 def test_replay_unknown_seed(workdir, capsys):
     assert main(["replay", "--config", "cfg.json", "--replay", "42"]) == EXIT_CONFIG
     assert "does not belong" in capsys.readouterr().err
@@ -352,11 +369,11 @@ def test_handoff_invariant_failure_exits_with_replay_line(workdir, capsys, monke
     def corrupting(tree, old, new, cfg, loss_fn=None):
         rep = real(tree, old, new, cfg, loss_fn)
         # graft a link that no join accounted for
-        node, up = next((v, u) for u in sorted(tree.on_tree)
-                        for v in tree.oracle.topo.adj[u] if v not in tree.on_tree)
+        on_tree = set(tree.parent) | {tree.cn}
+        node, up = next((v, u) for u in sorted(on_tree)
+                        for v in tree.oracle.topo.adj[u] if v not in on_tree)
         tree.parent[node] = up
         tree.children.setdefault(up, set()).add(node)
-        tree.on_tree.add(node)
         return rep
 
     monkeypatch.setattr(experiment, "simulate_handoff", corrupting)

@@ -28,7 +28,7 @@ from mcastmob.handoff import (
 from mcastmob.routing import establish
 from mcastmob.topology import GeneratorParams, PathOracle, Topology
 
-from conftest import bfs_dist, random_connected_edges
+from conftest import bfs_dist, random_connected_edges, tree_state
 
 BASE = dict(per_hop_delay=10.0, packet_interval=20.0)
 
@@ -64,7 +64,7 @@ class TestBreakBeforeMake:
         assert rep.trigger_ms == 60.0
         # join sent at 60 completes the graft at node 1 at t=90; the first
         # packet passing afterwards is k=4 (emitted 80), reaching node 6 at 120
-        assert rep.first_new_delivery_ms == 120.0
+        assert rep.trigger_ms + rep.handoff_latency == 120.0
         assert rep.handoff_latency == 60.0
         # emissions 2 and 3 were already past the meet and died at the old leaf
         assert rep.packets_lost == 2
@@ -162,7 +162,7 @@ class TestLossRecovery:
         rep = simulate_handoff(tree, 3, 6, cfg, loss_fn=lost_first)
         # first hop dies at t=60, retries at 560; graft completes at 590 and
         # the next packet through the meet (emitted 580) lands at 620
-        assert rep.first_new_delivery_ms == 620.0
+        assert rep.trigger_ms + rep.handoff_latency == 620.0
         assert rep.handoff_latency == 560.0
         assert rep.control_messages == 4  # one lost copy, three good hops
 
@@ -252,9 +252,9 @@ class TestDeterminism:
 
     def test_tree_not_mutated(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
-        before = (dict(tree.parent), set(tree.on_tree), set(tree.leaves))
+        before = tree_state(tree)
         simulate_handoff(tree, 3, 6, HandoffConfig(**BASE))
-        assert (tree.parent, tree.on_tree, tree.leaves) == before
+        assert tree_state(tree) == before
 
 
 class TestPreconditions:
@@ -294,7 +294,7 @@ def test_kernel_properties(strategy, overlap, loss, seed):
     old = rng.choice(nodes)
     new = rng.choice([v for v in nodes if v != old])
     tree = establish(oracle, cn, old)
-    before = (dict(tree.parent), set(tree.on_tree), set(tree.leaves))
+    before = tree_state(tree)
     cfg = HandoffConfig(
         strategy=strategy, overlap=overlap, message_loss_rate=loss,
         advance_lead=rng.choice([0.0, 40.0, 100.0]), refresh_period=500.0, seed=seed, **BASE,
@@ -317,7 +317,7 @@ def test_kernel_properties(strategy, overlap, loss, seed):
             assert rep.handoff_latency < math.inf
             if overlap == "make_before_break":
                 assert rep.packets_lost == 0
-    assert (tree.parent, tree.on_tree, tree.leaves) == before
+    assert tree_state(tree) == before
     assert simulate_handoff(tree, old, new, cfg) == mcast
     assert simulate_mip_handoff(oracle, cn, ha, old, new, cfg) == mip
 
@@ -350,3 +350,34 @@ def test_lossy_sweep_csv_is_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "c6bfa06f140ac9576cc9d834a3587bd247c9aa7ddad2b486dd83eb1d4e942754"
     )
+
+
+def test_searches_only_from_the_cn_and_the_ha(monkeypatch):
+    """Mobile IP reads every path from the HA's vector; a sweep adds only the CN's."""
+    sources = set()
+    dist_from = PathOracle.dist_from
+
+    def counted(oracle, source):
+        sources.add(source)
+        return dist_from(oracle, source)
+
+    rng = random.Random(23)
+    topo = Topology.from_edges("g", 40, random_connected_edges(rng, 40, 30))
+    monkeypatch.setattr(PathOracle, "dist_from", counted)
+    oracle = PathOracle(topo)
+    for old, new in ((3, 17), (17, 29), (29, 3), (3, 11)):
+        simulate_mip_handoff(oracle, 5, 11, old, new, HandoffConfig(**BASE))
+    assert sources == {11}
+
+    monkeypatch.setattr(PathOracle, "dist_from", dist_from)
+    spec = TopologySpec(name="ts50", topo_type="transit_stub",
+                        generator=GeneratorParams("transit_stub", 50, 3.7, seed=3))
+    cfg = ScenarioConfig(topologies=(spec,), master_seed=7, seeds_per_scenario=2,
+                         moves_per_run=21, handoff=HandoffBlock(runs=2))
+    result = experiment.execute_scenario(cfg)
+    monkeypatch.setattr(PathOracle, "dist_from", counted)
+    for run in result.runs:
+        sources.clear()
+        rows = experiment._sweep_run(PathOracle(result.topologies["ts50"]), run, cfg.handoff)
+        assert len({row.report.control_path_hops for row in rows}) > 1
+        assert sources == {run.cn, run.ha}

@@ -1,5 +1,5 @@
 """Statistics pipeline: run stats against an independent recomputation,
-aggregation semantics, and size-sensitivity dispersion."""
+and aggregation semantics."""
 
 import math
 import random
@@ -15,7 +15,6 @@ from mcastmob.metrics import (
     aggregate,
     nearest_rank_p90,
     run_stats,
-    size_sensitivity,
 )
 from mcastmob.routing import StepSample
 
@@ -195,32 +194,6 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
-
-
-class TestSizeSensitivity:
-    def test_identical_sizes_give_zero_cv(self):
-        records = [
-            _record(f"ts{n}", "ts", "random", n, mean_r=2.0, mean_L=1.5)
-            for n in (50, 100, 150, 200)
-        ]
-        (report,) = size_sensitivity(records, "ts")
-        assert report.mean_r_cv == 0.0
-        assert report.mean_L_cv == 0.0
-        assert report.sizes == (50, 100, 150, 200)
-
-    def test_needs_three_sizes(self):
-        records = [_record("ts50", "ts", "random", 50), _record("ts100", "ts", "random", 100)]
-        with pytest.raises(ValueError, match="3 sizes"):
-            size_sensitivity(records, "ts")
-
-    def test_cv_value(self):
-        records = [
-            _record(f"ts{n}", "ts", "random", n, mean_r=r)
-            for n, r in ((50, 1.0), (100, 2.0), (150, 3.0))
-        ]
-        (report,) = size_sensitivity(records, "ts")
-        # population stdev of (1,2,3) is sqrt(2/3), mean 2
-        assert report.mean_r_cv == pytest.approx(math.sqrt(2 / 3) / 2)
 
 
 @settings(max_examples=30, deadline=None)

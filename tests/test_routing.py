@@ -11,7 +11,7 @@ from mcastmob.movement import MovementModel, generate_trace
 from mcastmob.routing import SimulationInvariantError, establish, run_scenario
 from mcastmob.topology import PathOracle, Topology
 
-from conftest import bfs_dist, random_connected_edges, validate_tree
+from conftest import bfs_dist, random_connected_edges, tree_state, validate_tree
 
 
 def _tree_on(topo, cn, loc):
@@ -21,7 +21,6 @@ def _tree_on(topo, cn, loc):
 class TestEstablish:
     def test_path_graph(self, path5):
         tree = _tree_on(path5, 0, 2)
-        assert tree.on_tree == {0, 1, 2}
         assert tree.parent == {2: 1, 1: 0}
         assert tree.leaves == {2}
 
@@ -64,10 +63,10 @@ class TestJoin:
     def test_graft_walk_is_read_only(self):
         topo = Topology.from_edges("fig", 4, [(0, 1), (1, 3), (3, 2)])
         tree = _tree_on(topo, 0, 1)
-        before = (dict(tree.parent), set(tree.on_tree), set(tree.leaves))
+        before = tree_state(tree)
         assert tree.graft_walk(2) == [2, 3, 1]
         assert tree.graft_walk(1) == [1]
-        assert (tree.parent, tree.on_tree, tree.leaves) == before
+        assert tree_state(tree) == before
         assert tree.join(2) == 2
 
     def test_join_at_cn_rejected(self, path5):
@@ -81,14 +80,14 @@ class TestPrune:
         tree = _tree_on(path5, 0, 4)
         tree.leaves.add(4)
         assert tree.prune(4) == 4
-        assert tree.on_tree == {0}
+        assert tree.parent == {}
         assert tree.edge_count == 0
 
     def test_fork_keeps_shared_prefix(self, star):
         tree = _tree_on(star, 1, 2)
         tree.join(3)
         assert tree.prune(2) == 1  # only the 2-hub link goes; hub feeds leaf 3
-        assert tree.on_tree == {1, 0, 3}
+        assert tree.parent == {0: 1, 3: 0}
 
     def test_prune_non_leaf_rejected(self, path5):
         tree = _tree_on(path5, 0, 4)
