@@ -34,6 +34,12 @@ def _resolve_out(args, cfg):
     return args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
 
 
+def _workers(args):
+    if args.workers < 1:
+        raise _CliError(f"--workers must be at least 1, not {args.workers}")
+    return args.workers
+
+
 def _load_config(path):
     if path is None:
         raise _CliError("--config is required")
@@ -72,9 +78,10 @@ def _write_report(out_dir, result):
 
 
 def cmd_run(args):
+    workers = _workers(args)
     cfg = _load_config(args.config)
     out_dir = _resolve_out(args, cfg)
-    result = experiment.execute_scenario(cfg, workers=args.workers)
+    result = experiment.execute_scenario(cfg, workers=workers)
     _write_report(out_dir, result)
     agg = result.aggregate
     print(f"wrote {len(result.runs)} runs to {out_dir}")
@@ -85,11 +92,12 @@ def cmd_run(args):
 
 
 def cmd_handoff(args):
+    workers = _workers(args)
     cfg = _load_config(args.config)
     if cfg.handoff is None:
         raise ConfigError("handoff command needs a 'handoff' block")
     out_dir = _resolve_out(args, cfg)
-    result = experiment.execute_scenario(cfg, workers=args.workers)
+    result = experiment.execute_scenario(cfg, workers=workers)
     rows = experiment.handoff_sweep(result)
     reporting.write_handoff(os.path.join(out_dir, "handoff.csv"), rows)
     print(f"wrote {len(rows)} handoff simulations to {os.path.join(out_dir, 'handoff.csv')}")

@@ -152,6 +152,7 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
         for spec in cfg.topologies
         for model in cfg.movement_models
     ]
+    workers = min(workers, len(jobs))  # the pool forks all its workers up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_pair_job, jobs))
@@ -178,7 +179,7 @@ def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
                     topo = build_topology(spec, cfg.master_seed)
                     run = _pair_job(_job(cfg, spec, topo, model, [i]))[0]
                     if cfg.handoff is not None and i < cfg.handoff.runs:
-                        _sweep_run(PathOracle(topo), run, cfg.handoff)
+                        _sweep_run(PathOracle(topo), run, cfg.handoff, {})
                     return run
     return None
 
@@ -204,11 +205,22 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     metrics run, so each handoff is simulated against the exact pre-move
     tree and every step is held to the same invariants. A run that breaks
     one raises RunFailure with its child seed.
+
+    A report depends on node ids only through the handoff's shape, and on the
+    seed only when there is loss. So the sweep simulates each distinct (shape,
+    HandoffConfig) once and rows of one shape share the report. A multicast
+    shape is the old branch's length, the graft walk with its nodes labelled
+    by position on that branch (off-tree nodes numbered after it), and, when
+    the meet node forwards down both branches, whether the grafted child has
+    the lower id. A Mobile IP shape is the HA's distances to the CN, the old
+    and the new location. At loss > 0 each row's own seed is in the key, so
+    every row is simulated.
     """
     block = result.config.handoff
     if block is None:
         raise ValueError("config has no handoff block")
     oracles = {}  # one per topology, shared by its runs
+    memo = {}  # (shape, HandoffConfig) -> report, shared by the whole sweep
     rows = []
     for run in result.runs:
         name = run.record.topology
@@ -216,26 +228,56 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
             continue
         if name not in oracles:
             oracles[name] = PathOracle(result.topologies[name])
-        rows.extend(_sweep_run(oracles[name], run, block))
+        rows.extend(_sweep_run(oracles[name], run, block, memo))
     return rows
 
 
-def _sweep_run(oracle, run: RunResult, block) -> list[HandoffRow]:
-    """The handoff sweep's rows of one run; RunFailure if a step breaks an invariant."""
+def _mcast_shape(tree, old, new):
+    """What a multicast handoff's report depends on besides its HandoffConfig.
+
+    The pre-move tree is exactly the old branch (old is its only leaf), so the
+    graft walk meets it and only the meet node can forward to two children,
+    which `simulate_handoff` visits in id order.
+    """
+    path_old = tree.branch_to_root(old)
+    walk = tree.graft_walk(new)
+    n = len(path_old)
+    index = {v: i for i, v in enumerate(path_old)}
+    labelled = tuple(index.get(v, n + j) for j, v in enumerate(walk))
+    meet = labelled[-1]
+    order = walk[-2] < path_old[meet - 1] if len(walk) > 1 and meet > 0 else None
+    return n, labelled, order
+
+
+def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
+    """The handoff sweep's rows of one run; RunFailure if a step breaks an invariant.
+
+    `memo` maps (shape, HandoffConfig) to a report already simulated in this
+    sweep; see `handoff_sweep`.
+    """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
     rows = []
 
+    def simulated(shape, strategy, i, label, simulate, *args):
+        # without loss the seed is inert (no draw is made), so it leaves the key
+        seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
+        cfg = block.handoff_config(strategy, seed)
+        rep = memo.get((shape, cfg))
+        if rep is None:
+            rep = memo[shape, cfg] = simulate(*args, cfg)
+        return rep
+
     def on_move(i, tree, old, new):
         b_hops = oracle.dist(run.ha, new)
+        shape = _mcast_shape(tree, old, new)
         for strategy in block.strategies:
-            seed = stable_seed(rec.child_seed, "handoff", i, strategy)
-            rep = simulate_handoff(tree, old, new, block.handoff_config(strategy, seed))
+            rep = simulated(shape, strategy, i, strategy, simulate_handoff, tree, old, new)
             rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
         if block.include_mobile_ip:
-            seed = stable_seed(rec.child_seed, "handoff", i, "mobile_ip")
-            rep = simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
-                                       block.handoff_config("plain_join", seed))
+            shape = ("mobile_ip", oracle.dist(run.ha, run.cn), oracle.dist(run.ha, old), b_hops)
+            rep = simulated(shape, "plain_join", i, "mobile_ip", simulate_mip_handoff,
+                            oracle, run.cn, run.ha, old, new)
             # the graft length of the multicast rows above, for comparison
             rows.append(HandoffRow(*where, i, "mobile_ip", rows[-1].graft_links, b_hops, rep))
 

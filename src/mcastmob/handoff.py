@@ -39,7 +39,11 @@ class HandoffError(Exception):
 
 @dataclass(frozen=True)
 class HandoffConfig:
-    """Wire-level knobs for one handoff simulation. Times are milliseconds."""
+    """Wire-level knobs for one handoff simulation. Times are milliseconds.
+
+    `seed` seeds the per-hop loss draws. At message_loss_rate 0 no draw is
+    made, so the seed cannot change the report.
+    """
 
     per_hop_delay: float = 10.0
     packet_interval: float = 20.0
@@ -98,6 +102,9 @@ class _Kernel:
     by attachment. A simulator starts its control chain with `push` and
     passes `run` a `launch(t, seq)` that sends packet `seq` out of the CN
     with `hop`. Scheduled callables are called as fn(t, *args).
+
+    Without loss (rate 0 and no `loss_fn`) no hop draws from the RNG, so the
+    seed is inert and the report is a function of the paths and the config.
     """
 
     def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn):
@@ -127,6 +134,8 @@ class _Kernel:
         if self.loss_fn is not None:
             return self.loss_fn(kind, src, dst, attempt)
         rate = self.cfg.message_loss_rate
+        if not rate:
+            return False
         if copies == 1:
             return self.rng.random() < rate
         return all(self.rng.random() < rate for _ in range(copies))
@@ -219,6 +228,12 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     delivery through new starts the prune of the old branch. The tree is
     read, never mutated. `loss_fn(kind, src, dst, attempt) -> bool`
     optionally overrides the seeded per-hop loss draw (test hook).
+
+    Node ids matter only as labels: without loss the report depends on the
+    length of the old branch, where the graft walk meets it and how long the
+    walk is, and, when the meet node forwards down both branches, which of its
+    two children has the lower id, since same-instant packets leave in id
+    order. `experiment.handoff_sweep` simulates each such shape once.
     """
     cn = tree.cn
     if tree.leaves != {old}:

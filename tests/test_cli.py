@@ -167,6 +167,43 @@ def test_workers_match_serial(workdir):
     assert tree_bytes(workdir / "serial") == tree_bytes(workdir / "par")
 
 
+def test_workers_are_bounded_by_the_jobs(workdir, monkeypatch):
+    sizes = []
+
+    class Recorder:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
+    assert main(["run", "--config", "cfg.json", "--out", "wide", "--workers", "100000"]) == EXIT_OK
+    assert main(["run", "--config", "cfg.json", "--out", "serial"]) == EXIT_OK
+    assert sizes == [4]  # 2 topologies x 2 models
+    assert tree_bytes(workdir / "wide") == tree_bytes(workdir / "serial")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "handoff"])
+def test_workers_below_one_exit_2(workdir, capsys, monkeypatch, command, workers):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("a simulation ran with an invalid worker count")
+
+    monkeypatch.setattr(experiment, "execute_scenario", no_runs)
+    assert main([command, "--config", "cfg.json", "--workers", workers]) == EXIT_CONFIG
+    assert f"--workers must be at least 1, not {workers}" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_cn_never_in_trace_and_differs_from_ha(workdir):
     assert main(["run", "--config", "cfg.json"]) == EXIT_OK
     stats = (workdir / "out" / "run_stats.csv").read_text().strip().splitlines()

@@ -7,15 +7,17 @@ the trigger lands on t0=60; packet k passes node 1 at 20k+10 and reaches the
 old leaf at 20k+30 and the new one (once grafted) at 20k+50.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcastmob import config, experiment, reporting
+from mcastmob import config, experiment, handoff, reporting, routing
 from mcastmob.config import HandoffBlock, ScenarioConfig, TopologySpec, stable_seed
 from mcastmob.handoff import (
     OVERLAP_MODES,
@@ -25,6 +27,7 @@ from mcastmob.handoff import (
     simulate_handoff,
     simulate_mip_handoff,
 )
+from mcastmob.movement import MovementTrace
 from mcastmob.routing import establish
 from mcastmob.topology import GeneratorParams, PathOracle, Topology
 
@@ -378,6 +381,105 @@ def test_searches_only_from_the_cn_and_the_ha(monkeypatch):
     monkeypatch.setattr(PathOracle, "dist_from", counted)
     for run in result.runs:
         sources.clear()
-        rows = experiment._sweep_run(PathOracle(result.topologies["ts50"]), run, cfg.handoff)
+        rows = experiment._sweep_run(PathOracle(result.topologies["ts50"]), run, cfg.handoff,
+                                       {})
         assert len({row.report.control_path_hops for row in rows}) > 1
         assert sources == {run.cn, run.ha}
+
+
+def _fresh_reports(oracle, run, block):
+    """The sweep's reports of one run, each from its own simulator call and real seed."""
+    reports = []
+
+    def on_move(i, tree, old, new):
+        for strategy in block.strategies:
+            seed = stable_seed(run.record.child_seed, "handoff", i, strategy)
+            reports.append(simulate_handoff(tree, old, new, block.handoff_config(strategy, seed)))
+        if block.include_mobile_ip:
+            seed = stable_seed(run.record.child_seed, "handoff", i, "mobile_ip")
+            reports.append(simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
+                                                block.handoff_config("plain_join", seed)))
+
+    routing.run_scenario(oracle, run.cn, run.ha, run.trace.steps[:block.max_moves + 1], on_move)
+    return reports
+
+
+@pytest.mark.parametrize("advance_lead", [0.0, 60.0])
+@pytest.mark.parametrize("overlap", OVERLAP_MODES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       nodes=st.integers(min_value=6, max_value=24),
+       degree=st.floats(min_value=2.0, max_value=4.0))
+def test_lossless_sweep_shares_reports_only_between_equal_shapes(overlap, advance_lead, seed,
+                                                                  nodes, degree):
+    """Every row of a lossless sweep equals a fresh simulation of its own handoff."""
+    spec = TopologySpec(name="g", topo_type="random",
+                        generator=GeneratorParams("flat_random", nodes, degree, seed=seed))
+    block = HandoffBlock(overlap=overlap, advance_lead=advance_lead, max_moves=10, runs=3)
+    cfg = ScenarioConfig(topologies=(spec,), master_seed=seed, seeds_per_scenario=3,
+                         moves_per_run=12, handoff=block)
+    result = experiment.execute_scenario(cfg)
+    rows = experiment.handoff_sweep(result)
+    oracle = PathOracle(result.topologies["g"])
+    expected = [rep for run in result.runs for rep in _fresh_reports(oracle, run, block)]
+    assert [row.report for row in rows] == expected
+
+
+def test_sweep_keeps_the_forwarding_order_at_the_meet_node():
+    """Handoffs that differ only in which child of the meet node has the lower id.
+
+    cn 0 forwards through 1 to the leaves 2 and 3, both two hops away, so a
+    packet reaches the old and the new location at the same instant and the
+    delivery log lists first the one node 1 forwards to first: the lower id.
+    """
+    topo = Topology.from_edges("fork", 4, [(0, 1), (1, 2), (1, 3)])
+    oracle = PathOracle(topo)
+    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=2,
+                                seed=5, run_index=0, endpoints=(0, 1))
+    run = dataclasses.replace(run, trace=MovementTrace((2, 3, 2)))
+    block = HandoffBlock(max_moves=2)
+    rows = experiment._sweep_run(oracle, run, block, {})
+    assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
+    # move 1 grafts 3 (higher id than the old child 2), move 2 grafts 2
+    first, second = (next(r.report for r in rows if r.step == i and r.strategy == "plain_join")
+                     for i in (1, 2))
+    assert first.deliveries != second.deliveries
+    assert sorted(first.deliveries) == sorted(second.deliveries)
+
+
+@pytest.mark.parametrize("loss", [0.05, 0.0])
+def test_sweep_simulates_each_lossless_shape_once(monkeypatch, loss):
+    calls = []
+    for name in ("simulate_handoff", "simulate_mip_handoff"):
+        real = getattr(experiment, name)
+
+        def counted(*args, _real=real):
+            calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(experiment, name, counted)
+    spec = TopologySpec(name="ts50", topo_type="transit_stub",
+                        generator=GeneratorParams("transit_stub", 50, 3.7, seed=3))
+    cfg = ScenarioConfig(topologies=(spec,), master_seed=7, seeds_per_scenario=2,
+                         moves_per_run=21,
+                         handoff=HandoffBlock(message_loss_rate=loss, refresh_period=500.0, runs=2))
+    rows = experiment.handoff_sweep(experiment.execute_scenario(cfg))
+    if loss:
+        assert len(calls) == len(rows)
+    else:
+        assert len(calls) < len(rows)
+
+
+def test_lossless_kernel_draws_nothing(monkeypatch, handoff_fixture):
+    """At loss 0 no hop consults the RNG, so the seed cannot reach the report."""
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("a loss draw at rate 0")
+
+    monkeypatch.setattr(handoff, "random", SimpleNamespace(Random=NoDraws))
+    topo, oracle, tree = _fixture_tree(handoff_fixture)
+    for strategy in STRATEGIES:
+        cfg = HandoffConfig(strategy=strategy, advance_lead=40.0, seed=3, **BASE)
+        assert simulate_handoff(tree, 3, 6, cfg) == simulate_handoff(
+            tree, 3, 6, dataclasses.replace(cfg, seed=4))
+        simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
