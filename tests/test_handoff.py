@@ -355,6 +355,39 @@ def test_lossy_sweep_csv_is_pinned(tmp_path):
     )
 
 
+def test_lossy_make_before_break_sweep_csv_is_pinned(tmp_path):
+    """The sweep above under make_before_break, so prunes run under loss too.
+
+    314 of its 357 multicast rows send prune hops. Pins handoff.csv and the
+    delivery log of every row, whose duplicates last until the prune commits.
+    """
+    specs = tuple(
+        TopologySpec(
+            name=name, topo_type=ttype,
+            generator=GeneratorParams(kind, nodes, deg, seed=stable_seed(7, "topology", name)),
+        )
+        for name, ttype, kind, nodes, deg in config.REFERENCE_SUITE
+        if name in ("ts50", "r50")
+    )
+    cfg = ScenarioConfig(
+        topologies=specs, master_seed=7, seeds_per_scenario=1, moves_per_run=21,
+        handoff=HandoffBlock(message_loss_rate=0.1, refresh_period=500.0),
+    )
+    rows = experiment.handoff_sweep(experiment.execute_scenario(cfg))
+    assert len(rows) == 476
+    path = tmp_path / "handoff.csv"
+    reporting.write_handoff(str(path), rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9c817ab51591e48444aa641ec55de04182e849e27c8c47273ccbc954b6307fae"
+    )
+    deliveries = hashlib.sha256()
+    for row in rows:
+        deliveries.update(repr(row.report.deliveries).encode())
+    assert deliveries.hexdigest() == (
+        "b0459460ab8df04662bc1b9f2f5be01b51c31c979a3d7a48f2073cbf6590ec1b"
+    )
+
+
 def test_searches_only_from_the_cn_and_the_ha(monkeypatch):
     """Mobile IP reads every path from the HA's vector; a sweep adds only the CN's."""
     sources = set()
