@@ -209,10 +209,9 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     A report depends on node ids only through the handoff's shape, and on the
     seed only when there is loss. So the sweep simulates each distinct (shape,
     HandoffConfig) once and rows of one shape share the report. A multicast
-    shape is the old branch's length, the graft walk with its nodes labelled
-    by position on that branch (off-tree nodes numbered after it), and, when
-    the meet node forwards down both branches, whether the grafted child has
-    the lower id. A Mobile IP shape is the HA's distances to the CN, the old
+    shape is the old branch's length, the meet node's index on it, the graft
+    walk's length, and the meet node's forwarding order when a packet's two
+    copies tie. A Mobile IP shape is the HA's distances to the CN, the old
     and the new location. At loss > 0 each row's own seed is in the key, so
     every row is simulated.
     """
@@ -235,18 +234,16 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
 def _mcast_shape(tree, old, new):
     """What a multicast handoff's report depends on besides its HandoffConfig.
 
-    The pre-move tree is exactly the old branch (old is its only leaf), so the
-    graft walk meets it and only the meet node can forward to two children,
-    which `simulate_handoff` visits in id order.
+    The pre-move tree is exactly the old branch (old is its only leaf), so only
+    the walk's last node, the meet node, is on it. When old and new are
+    equally far from the meet node, a packet's two copies reach them at the
+    same instant in the order the meet node forwards them: by child id.
     """
     path_old = tree.branch_to_root(old)
     walk = tree.graft_walk(new)
-    n = len(path_old)
-    index = {v: i for i, v in enumerate(path_old)}
-    labelled = tuple(index.get(v, n + j) for j, v in enumerate(walk))
-    meet = labelled[-1]
-    order = walk[-2] < path_old[meet - 1] if len(walk) > 1 and meet > 0 else None
-    return n, labelled, order
+    meet = path_old.index(walk[-1])
+    order = walk[-2] < path_old[meet - 1] if meet == len(walk) - 1 else None
+    return len(path_old), meet, len(walk), order
 
 
 def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:

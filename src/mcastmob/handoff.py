@@ -97,11 +97,12 @@ class _Kernel:
     """The event machinery both simulators share.
 
     It owns the heap of (time, priority, insertion order), CN emission up to
-    the tail or give-up deadline, the seeded per-hop loss draw, control
-    sends with their refresh-period re-sends, and delivery bookkeeping gated
-    by attachment. A simulator starts its control chain with `push` and
-    passes `run` a `launch(t, seq)` that sends packet `seq` out of the CN
-    with `hop`. Scheduled callables are called as fn(t, *args).
+    the tail or give-up deadline, the seeded per-hop loss draw, the control
+    relay with its refresh-period re-sends, and delivery bookkeeping gated by
+    attachment. A simulator schedules each control message as a `relay` along
+    its path whose `on_done` commits the message's state change where it
+    ends, and passes `run` a `launch(t, seq)` that sends packet `seq` out of
+    the CN with `hop`. Scheduled callables are called as fn(t, *args).
 
     Without loss (rate 0 and no `loss_fn`) no hop draws from the RNG, so the
     seed is inert and the report is a function of the paths and the config.
@@ -117,7 +118,7 @@ class _Kernel:
         self.order = 0
         self.emitted = 0
         self.control = 0
-        self.delivered: dict[int, float] = {}
+        self.delivered: set[int] = set()
         self.log: list[tuple[int, float, str]] = []
         self.duplicates = 0
         self.out_of_order = 0
@@ -145,20 +146,22 @@ class _Kernel:
         if not self.lost("data", src, dst):
             self.push(t + self.cfg.per_hop_delay, _DATA, fn, *args)
 
-    def send(self, t, kind, src, dst, attempt, on_arrive, *args):
-        """A control hop; re-sent a refresh period later while every copy is lost."""
-        self.control += self.copies
-        if not self.lost(kind, src, dst, attempt, self.copies):
-            self.push(t + self.cfg.per_hop_delay, _CONTROL, on_arrive, *args)
-        elif attempt + 1 < _MAX_RETRIES:
-            self.push(t + self.cfg.refresh_period, _CONTROL, self.send,
-                      kind, src, dst, attempt + 1, on_arrive, *args)
+    def relay(self, t, kind, path, on_done, idx=0, attempt=0):
+        """Control message `kind` is at path[idx]; on_done(t) runs once it is at path[-1].
 
-    def relay(self, t, kind, path, idx, on_hop):
-        """Control message `kind` has reached path[idx]: on_hop(t, idx), then the next hop."""
-        on_hop(t, idx)
-        if idx + 1 < len(path):
-            self.send(t, kind, path[idx], path[idx + 1], 0, self.relay, kind, path, idx + 1, on_hop)
+        A hop sends `copies` messages and is re-sent a refresh period later
+        while every copy is lost.
+        """
+        if idx + 1 == len(path):
+            on_done(t)
+            return
+        self.control += self.copies
+        if not self.lost(kind, path[idx], path[idx + 1], attempt, self.copies):
+            self.push(t + self.cfg.per_hop_delay, _CONTROL, self.relay, kind, path, on_done,
+                      idx + 1)
+        elif attempt + 1 < _MAX_RETRIES:
+            self.push(t + self.cfg.refresh_period, _CONTROL, self.relay, kind, path, on_done,
+                      idx, attempt + 1)
 
     def deliver(self, t, seq, via):
         """Hand packet `seq` to the mobile through "old" or "new" if attached there."""
@@ -174,7 +177,7 @@ class _Kernel:
             if seq < self.max_seq:
                 self.out_of_order += 1
             self.max_seq = max(self.max_seq, seq)
-            self.delivered[seq] = t
+            self.delivered.add(seq)
         if via == "new" and self.first_new is None:
             self.first_new = t
             if self.on_first_new is not None:
@@ -223,17 +226,19 @@ def _trigger_time(cfg, warm_hops):
 def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     """Simulate one handoff old -> new on the current delivery tree.
 
-    Packets follow the tree's forwarding map; the join grafts the branch
-    [new, ..., meet] hop by hop, and under make_before_break the first
-    delivery through new starts the prune of the old branch. The tree is
-    read, never mutated. `loss_fn(kind, src, dst, attempt) -> bool`
-    optionally overrides the seeded per-hop loss draw (test hook).
+    Packets follow the tree's forwarding map. The join grafts the walk
+    [new, ..., meet] whole when it reaches the meet node (no packet enters the
+    walk before its top link exists). Under make_before_break the first
+    delivery through new starts the prune, which drops the old branch below
+    the meet node when it gets there. The tree is read, never mutated.
+    `loss_fn(kind, src, dst, attempt) -> bool` optionally overrides the
+    seeded per-hop loss draw (test hook).
 
     Node ids matter only as labels: without loss the report depends on the
-    length of the old branch, where the graft walk meets it and how long the
-    walk is, and, when the meet node forwards down both branches, which of its
-    two children has the lower id, since same-instant packets leave in id
-    order. `experiment.handoff_sweep` simulates each such shape once.
+    old branch's length, the meet node's index on it, the walk's length and,
+    only when a packet's two copies reach old and new at the same instant,
+    which child the meet node forwards to first (the lower id).
+    `experiment.handoff_sweep` simulates each such shape once.
     """
     cn = tree.cn
     if tree.leaves != {old}:
@@ -246,9 +251,8 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
 
     path_old = tree.branch_to_root(old)  # [old, ..., cn]
     walk = tree.graft_walk(new)  # [new, ..., meet]
-    fwd: dict[int, set[int]] = {}
-    for child in path_old[:-1]:
-        fwd.setdefault(tree.parent[child], set()).add(child)
+    meet = path_old.index(walk[-1])
+    fwd = {up: {child} for child, up in zip(path_old, path_old[1:])}
     k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),
                 3 if cfg.strategy == "triple_join" else 1, loss_fn)
 
@@ -263,32 +267,19 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
         for child in sorted(fwd.get(node, ())):
             k.hop(t, node, child, arrive, child, seq)
 
-    def grafted(t, idx):
-        if idx:
-            fwd.setdefault(walk[idx], set()).add(walk[idx - 1])
+    def grafted(t):
+        for child, up in zip(walk, walk[1:]):
+            fwd.setdefault(up, set()).add(child)
 
-    # The prune walks up toward the CN collecting the branch to remove and
-    # commits the teardown only when it reaches the fork (a node with other
-    # downstream state, the new location, or the CN). Packets already past
-    # the fork keep draining to the old base station, so a lossless channel
-    # with make_before_break never drops a packet.
-    pending: list[tuple[int, int]] = []
-
-    def prune_at(t, node, from_child=None):
-        if from_child is not None:
-            pending.append((node, from_child))
-        live = fwd.get(node, set()) - {c for n, c in pending if n == node}
-        if live or node == cn or node == new:
-            for holder, child in pending:
-                fwd.get(holder, set()).discard(child)
-            return
-        up = tree.parent[node]
-        k.send(t, "prune", node, up, 0, prune_at, up, node)
+    def pruned(t):
+        for child, up in zip(path_old, path_old[1:meet + 1]):
+            fwd[up].discard(child)
 
     if cfg.overlap == "make_before_break":
-        k.on_first_new = lambda t: k.push(t, _CONTROL, prune_at, old)
+        k.on_first_new = lambda t: k.push(t, _CONTROL, k.relay, "prune", path_old[:meet + 1],
+                                          pruned)
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
-    k.push(k.t0 - lead, _CONTROL, k.relay, "join", walk, 0, grafted)
+    k.push(k.t0 - lead, _CONTROL, k.relay, "join", walk, grafted)
     return k.run(lambda t, seq: arrive(t, cn, seq), len(walk) - 1)
 
 
@@ -324,10 +315,9 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
         else:
             k.deliver(t, seq, via)
 
-    def registered_at(t, idx):
+    def registered_at(t):
         nonlocal registered
-        if idx == len(reg_path) - 1:
-            registered = True
+        registered = True
 
-    k.push(k.t0, _CONTROL, k.relay, "registration", reg_path, 0, registered_at)
+    k.push(k.t0, _CONTROL, k.relay, "registration", reg_path, registered_at)
     return k.run(lambda t, seq: along(t, path_a, 0, seq, None), len(reg_path) - 1)

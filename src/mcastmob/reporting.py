@@ -22,8 +22,6 @@ def fmt(value):
     """Stable, compact number formatting for CSV cells."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

@@ -237,13 +237,8 @@ def _random_tree(nodes, rng):
 
 
 def _add_edge(edges, u, v):
-    if u == v:
-        return False
-    key = (u, v) if u < v else (v, u)
-    if key in edges:
-        return False
-    edges.add(key)
-    return True
+    if u != v:
+        edges.add((u, v) if u < v else (v, u))
 
 
 def _fill_uniform(edges, n, budget, rng):

@@ -251,6 +251,17 @@ def test_replay_unknown_seed(workdir, capsys):
     assert "does not belong" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "handoff"])
+def test_config_is_required(workdir, capsys, command):
+    assert main([command]) == EXIT_CONFIG
+    assert "--config is required" in capsys.readouterr().err
+
+
+def test_replay_needs_a_seed(workdir, capsys):
+    assert main(["replay", "--config", "cfg.json"]) == EXIT_CONFIG
+    assert "replay needs --replay" in capsys.readouterr().err
+
+
 def test_handoff_command(workdir):
     assert main(["handoff", "--config", "cfg.json"]) == EXIT_OK
     lines = (workdir / "out" / "handoff.csv").read_text().strip().splitlines()
@@ -284,6 +295,12 @@ def test_plot_deterministic(workdir):
     assert main(["plot", "--out", "out"]) == EXIT_OK
     assert tree_bytes(workdir / "out" / "plots") == first
     assert set(first) == {"mean_r.svg", "added_links.svg", "b_over_l.svg", "total_links.svg"}
+
+
+def test_plot_needs_an_output_directory(workdir, capsys, monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    assert main(["plot"]) == EXIT_CONFIG
+    assert "plot needs --out" in capsys.readouterr().err
 
 
 def test_plot_without_report(workdir, capsys):

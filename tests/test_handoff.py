@@ -271,6 +271,8 @@ class TestPreconditions:
         topo, oracle, tree = _fixture_tree(handoff_fixture)
         with pytest.raises(HandoffError, match="distinct"):
             simulate_handoff(tree, 3, 3, HandoffConfig(**BASE))
+        with pytest.raises(HandoffError, match="distinct"):
+            simulate_mip_handoff(oracle, 0, 1, 3, 3, HandoffConfig(**BASE))
 
     def test_rejects_cn_target(self, handoff_fixture):
         topo, oracle, tree = _fixture_tree(handoff_fixture)
@@ -478,6 +480,34 @@ def test_sweep_keeps_the_forwarding_order_at_the_meet_node():
                      for i in (1, 2))
     assert first.deliveries != second.deliveries
     assert sorted(first.deliveries) == sorted(second.deliveries)
+
+
+def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
+    """Moves 1 and 3 differ only in which child of node 1 has the lower id.
+
+    cn 0 forwards through 1; move 1 leaves 3 (two hops below 1) for 4 (one
+    hop below 1), and move 3 leaves 6 (two hops below 1, through 5) for 4
+    again. A packet's two copies never reach old and new together, so the
+    forwarding order at node 1 cannot change the report and both moves
+    share one simulation per strategy.
+    """
+    calls = []
+    real = experiment.simulate_handoff
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    topo = Topology.from_edges("fork", 7, [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (5, 6)])
+    oracle = PathOracle(topo)
+    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=3,
+                                seed=5, run_index=0, endpoints=(0, 1))
+    run = dataclasses.replace(run, trace=MovementTrace((3, 4, 6, 4)))
+    block = HandoffBlock(max_moves=3)
+    monkeypatch.setattr(experiment, "simulate_handoff", counted)
+    rows = experiment._sweep_run(oracle, run, block, {})
+    assert len(calls) == 2 * len(block.strategies)
+    assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
 
 
 @pytest.mark.parametrize("loss", [0.05, 0.0])
