@@ -78,6 +78,8 @@ class HandoffBlock:
         bad = [s for s in self.strategies if s not in STRATEGIES]
         if bad or not self.strategies:
             raise ConfigError(f"invalid handoff strategies {bad or self.strategies}")
+        if len(set(self.strategies)) != len(self.strategies):  # each row would repeat
+            raise ConfigError(f"handoff strategies must be unique, not {list(self.strategies)}")
         try:
             self.handoff_config("plain_join", 0)
         except HandoffError as exc:
@@ -123,6 +125,8 @@ class ScenarioConfig:
         bad = [m for m in self.movement_models if m not in MODEL_KINDS]
         if bad:
             raise ConfigError(f"unknown movement models {bad}")
+        if len(set(self.movement_models)) != len(self.movement_models):  # each run would repeat
+            raise ConfigError(f"movement models must be unique, not {list(self.movement_models)}")
         _check_counts(self, "moves_per_run", "seeds_per_scenario", "cluster_radius")
         if self.endpoint_policy not in ("per_run", "per_topology"):
             raise ConfigError(f"unknown endpoint_policy {self.endpoint_policy!r}")

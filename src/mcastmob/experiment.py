@@ -168,19 +168,13 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
 
 
 def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
-    """Re-execute the single run whose child seed matches, or None if unknown.
-
-    A run that the handoff sweep covers is swept again too.
-    """
+    """Re-execute the single run whose child seed matches, or None if unknown."""
     for spec in cfg.topologies:
         for model in cfg.movement_models:
             for i in range(cfg.seeds_per_scenario):
                 if child_seed(cfg.master_seed, spec.name, model, i) == seed:
                     topo = build_topology(spec, cfg.master_seed)
-                    run = _pair_job(_job(cfg, spec, topo, model, [i]))[0]
-                    if cfg.handoff is not None and i < cfg.handoff.runs:
-                        _sweep_run(PathOracle(topo), run, cfg.handoff, {})
-                    return run
+                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0]
     return None
 
 
@@ -199,12 +193,12 @@ class HandoffRow:
 
 
 def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
-    """Replay the first moves of each trace, simulating each configured strategy per move.
+    """Simulate each configured strategy on the first moves of each covered run.
 
-    The tree comes from `routing.run_scenario` over the same visits as the
-    metrics run, so each handoff is simulated against the exact pre-move
-    tree and every step is held to the same invariants. A run that breaks
-    one raises RunFailure with its child seed.
+    Between moves the delivery tree is the branch from the mobile's location
+    to the CN: a join walks `next_hop` toward the CN and the prune drops the
+    rest. So the tree a move starts from is `routing.establish(oracle, cn,
+    old)`, and `execute_scenario` has already checked it at every step.
 
     A report depends on node ids only through the handoff's shape, and on the
     seed only when there is loss. So the sweep simulates each distinct (shape,
@@ -247,40 +241,39 @@ def _mcast_shape(tree, old, new):
 
 
 def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
-    """The handoff sweep's rows of one run; RunFailure if a step breaks an invariant.
+    """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
-    `memo` maps (shape, HandoffConfig) to a report already simulated in this
-    sweep; see `handoff_sweep`.
+    Each multicast simulation gets its own tree, so what it does to that tree
+    reaches no other row. `memo` maps (shape, HandoffConfig) to a report
+    already simulated in this sweep; see `handoff_sweep`.
     """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
+    steps = run.trace.steps
     rows = []
 
-    def simulated(shape, strategy, i, label, simulate, *args):
+    def simulated(shape, strategy, i, label, simulate):
         # without loss the seed is inert (no draw is made), so it leaves the key
         seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
         cfg = block.handoff_config(strategy, seed)
         rep = memo.get((shape, cfg))
         if rep is None:
-            rep = memo[shape, cfg] = simulate(*args, cfg)
+            rep = memo[shape, cfg] = simulate(cfg)
         return rep
 
-    def on_move(i, tree, old, new):
+    for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
+        if old == new:
+            continue
         b_hops = oracle.dist(run.ha, new)
-        shape = _mcast_shape(tree, old, new)
+        shape = _mcast_shape(routing.establish(oracle, run.cn, old), old, new)
         for strategy in block.strategies:
-            rep = simulated(shape, strategy, i, strategy, simulate_handoff, tree, old, new)
+            rep = simulated(shape, strategy, i, strategy, lambda cfg: simulate_handoff(
+                routing.establish(oracle, run.cn, old), old, new, cfg))
             rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
         if block.include_mobile_ip:
             shape = ("mobile_ip", oracle.dist(run.ha, run.cn), oracle.dist(run.ha, old), b_hops)
-            rep = simulated(shape, "plain_join", i, "mobile_ip", simulate_mip_handoff,
-                            oracle, run.cn, run.ha, old, new)
+            rep = simulated(shape, "plain_join", i, "mobile_ip", lambda cfg: simulate_mip_handoff(
+                oracle, run.cn, run.ha, old, new, cfg))
             # the graft length of the multicast rows above, for comparison
             rows.append(HandoffRow(*where, i, "mobile_ip", rows[-1].graft_links, b_hops, rep))
-
-    try:
-        routing.run_scenario(oracle, run.cn, run.ha, run.trace.steps[:block.max_moves + 1],
-                             on_move)
-    except routing.SimulationInvariantError as exc:
-        raise RunFailure(*where, rec.child_seed, exc) from exc
     return rows

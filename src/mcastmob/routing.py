@@ -130,7 +130,7 @@ def establish(oracle, cn, first_location) -> MulticastTree:
     return tree
 
 
-def run_scenario(oracle, cn, ha, steps, on_move=None):
+def run_scenario(oracle, cn, ha, steps):
     """Drive one sequence of visits and record a StepSample per visit.
 
     Sample 0 is the establishment at steps[0]; each later sample is a
@@ -138,8 +138,8 @@ def run_scenario(oracle, cn, ha, steps, on_move=None):
     (tree path equals shortest path; added minus removed links equals the
     live edge count) are checked every step and raise
     SimulationInvariantError so a bad run can never be reported silently.
-    For each move that changes location, `on_move(i, tree, old, new)` is
-    called just before the join, with the tree as it stands before the move.
+    Between moves the parent map is the branch `establish` builds to the
+    mobile's location, so the handoff sweep needs no walk of its own.
     """
     oracle._check(cn)
     oracle._check(ha)
@@ -168,8 +168,6 @@ def run_scenario(oracle, cn, ha, steps, on_move=None):
         if new == old:
             added = removed = 0
         else:
-            if on_move is not None:
-                on_move(i, tree, old, new)
             added = tree.join(new)
             removed = tree.prune(old)
         total_added += added

@@ -40,6 +40,9 @@ class Topology:
     def from_edges(cls, name, n, edges, clusters=()):
         if n < 2:
             raise TopologyError("a topology needs at least 2 nodes")
+        # before the adjacency, whose size follows the largest id, not the links
+        if len(edges) < n - 1:
+            raise TopologyError(f"disconnected graph: {len(edges)} links cannot join {n} nodes")
         seen = set()
         adj_lists = [[] for _ in range(n)]
         for u, v in edges:

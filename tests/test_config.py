@@ -65,6 +65,10 @@ def test_canonical_json_is_stable():
         ('{"topologies": [{"name": "x", "file": "a"}, {"name": "x", "file": "b"}]}', "unique"),
         ('{"handoff": {"strategies": ["warp"]}, "topologies": [{"name": "x", "file": "f"}]}',
          "strategies"),
+        ('{"movement_models": ["random", "random"], "topologies": [{"name": "x", "file": "f"}]}',
+         "movement models must be unique"),
+        ('{"handoff": {"strategies": ["plain_join", "plain_join"]}, '
+         '"topologies": [{"name": "x", "file": "f"}]}', "handoff strategies must be unique"),
         ('{"handoff": {"message_loss_rate": 1.5}, "topologies": [{"name": "x", "file": "f"}]}',
          "message_loss_rate"),
         ('{"handoff": {"per_hop_delay": 0}, "topologies": [{"name": "x", "file": "f"}]}',

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcastmob import config, experiment, handoff, reporting, routing
+from mcastmob import config, experiment, handoff, reporting
 from mcastmob.config import HandoffBlock, ScenarioConfig, TopologySpec, stable_seed
 from mcastmob.handoff import (
     OVERLAP_MODES,
@@ -105,6 +105,30 @@ class TestMakeBeforeBreak:
         # join 3 hops plus a prune that stops at the fork after 2 hops
         assert rep.control_messages == 5
         assert rep.packets_emitted == rep.packets_delivered
+
+    def test_prune_stops_packets_already_below_the_meet_node(self):
+        """Once the prune commits at the meet node, nothing below it forwards.
+
+        cn 0 feeds old 5 down the chain 0-1-2-3-4-5 and new 6 hangs off node
+        1. At 5 ms intervals the trigger is t0=60; the join commits at node 1
+        at 70, packet 12 is the first to reach 6 (at 80), and the prune sent
+        from 5 then commits at node 1 at 120. Packets 16-19 had passed node 1
+        by then but are still above node 5's last link, so they never reach
+        it; packet 15 was on that link and arrives at 125.
+        """
+        topo = Topology.from_edges("chain", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6)])
+        tree = establish(PathOracle(topo), 0, 5)
+        rep = simulate_handoff(tree, 5, 6, HandoffConfig(per_hop_delay=10.0, packet_interval=5.0))
+        old = [(seq, t) for seq, t, via in rep.deliveries if via == "old"]
+        new = [seq for seq, _, via in rep.deliveries if via == "new"]
+        assert [seq for seq, _ in old] == list(range(16))
+        assert old[-1] == (15, 125.0)
+        assert new == list(range(12, 20))
+        assert rep.packets_duplicated == 4
+        assert rep.packets_lost == 0
+        assert rep.packets_emitted == 20
+        # join 1 hop plus a prune of 4 hops from 5 up to node 1
+        assert rep.control_messages == 5
 
     def test_zero_loss_never_drops(self):
         rng = random.Random(99)
@@ -423,10 +447,16 @@ def test_searches_only_from_the_cn_and_the_ha(monkeypatch):
 
 
 def _fresh_reports(oracle, run, block):
-    """The sweep's reports of one run, each from its own simulator call and real seed."""
-    reports = []
+    """The sweep's reports of one run, each from its own simulator call and real seed.
 
-    def on_move(i, tree, old, new):
+    The tree is walked here, join then prune per move, as the run walks it.
+    """
+    reports = []
+    steps = run.trace.steps[:block.max_moves + 1]
+    tree = establish(oracle, run.cn, steps[0])
+    for i, (old, new) in enumerate(zip(steps, steps[1:]), start=1):
+        if old == new:
+            continue
         for strategy in block.strategies:
             seed = stable_seed(run.record.child_seed, "handoff", i, strategy)
             reports.append(simulate_handoff(tree, old, new, block.handoff_config(strategy, seed)))
@@ -434,8 +464,8 @@ def _fresh_reports(oracle, run, block):
             seed = stable_seed(run.record.child_seed, "handoff", i, "mobile_ip")
             reports.append(simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
                                                 block.handoff_config("plain_join", seed)))
-
-    routing.run_scenario(oracle, run.cn, run.ha, run.trace.steps[:block.max_moves + 1], on_move)
+        tree.join(new)
+        tree.prune(old)
     return reports
 
 

@@ -77,6 +77,11 @@ class TestLoadEdgeList:
         with pytest.raises(TopologyError, match="disconnected"):
             load_edge_list("0 2\n2 3\n5 3\n4 5\n6 4")
 
+    def test_too_few_links_fail_before_the_adjacency_is_built(self):
+        # an adjacency list per id up to 10**12 would exhaust memory
+        with pytest.raises(TopologyError, match="disconnected graph: 2 links cannot join"):
+            load_edge_list(f"0 1\n1 {10**12}\n")
+
 
 class TestFromEdges:
     def test_rejects_out_of_range(self):
