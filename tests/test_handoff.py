@@ -576,3 +576,49 @@ def test_lossless_kernel_draws_nothing(monkeypatch, handoff_fixture):
         assert simulate_handoff(tree, 3, 6, cfg) == simulate_handoff(
             tree, 3, 6, dataclasses.replace(cfg, seed=4))
         simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
+
+
+def _tie_chain():
+    """The chain 0-1-2-3-4 plus the link 1-5: old 4 is three hops below node 1, new 5 one."""
+    return PathOracle(Topology.from_edges("tie", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)]))
+
+
+@pytest.mark.parametrize("interval, first, second, out_of_order, duplicates, emitted", [
+    # I > d: the later-emitted packet's chain reaches back to its emission first
+    (20.0, (4, 100.0, "new"), (3, 100.0, "old"), 1, 1, 9),
+    # I <= d: the earlier-emitted packet goes first
+    (10.0, (4, 80.0, "old"), (6, 80.0, "new"), 1, 2, 12),
+    (5.0, (6, 70.0, "old"), (10, 70.0, "new"), 3, 4, 18),
+])
+def test_same_instant_deliveries_come_out_in_closed_form_order(interval, first, second,
+                                                               out_of_order, duplicates, emitted):
+    """An old and a new packet that reach the mobile at one instant, in a fixed order.
+
+    The two copies are traced back hop by hop (one hop is `per_hop_delay`
+    earlier, and past the CN each step is the previous emission); the packet
+    whose ancestor is earlier is delivered first.
+    """
+    oracle = _tie_chain()
+    rep = simulate_handoff(establish(oracle, 0, 4), 4, 5,
+                           HandoffConfig(per_hop_delay=10.0, packet_interval=interval))
+    log = list(rep.deliveries)
+    assert log.index(first) + 1 == log.index(second)
+    if interval == 20.0:
+        assert log.index((5, 120.0, "new")) + 1 == log.index((4, 120.0, "old"))
+    assert rep.out_of_order == out_of_order
+    assert rep.packets_duplicated == duplicates
+    assert rep.packets_emitted == emitted
+    assert rep.control_messages == 4
+
+
+@pytest.mark.parametrize("interval, first, second", [
+    (20.0, (4, 100.0, "new"), (3, 100.0, "old")),
+    (10.0, (4, 80.0, "old"), (6, 80.0, "new")),
+])
+def test_mobile_ip_same_instant_deliveries_come_out_in_closed_form_order(interval, first, second):
+    """The Mobile IP tunnels of the chain above, with cn 0 and the HA at node 1."""
+    rep = simulate_mip_handoff(_tie_chain(), 0, 1, 4, 5,
+                               HandoffConfig(per_hop_delay=10.0, packet_interval=interval))
+    log = list(rep.deliveries)
+    assert log.index(first) + 1 == log.index(second)
+    assert rep.out_of_order == 1
