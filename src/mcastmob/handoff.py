@@ -41,8 +41,9 @@ class HandoffError(Exception):
 class HandoffConfig:
     """Wire-level knobs for one handoff simulation. Times are milliseconds.
 
-    `seed` seeds the per-hop loss draws. At message_loss_rate 0 no draw is
-    made, so the seed cannot change the report.
+    `seed` seeds one loss stream per (kind, link), see `_loss_stream`. At
+    message_loss_rate 0 no stream is made, so the seed cannot change the
+    report.
     """
 
     per_hop_delay: float = 10.0
@@ -93,18 +94,29 @@ class HandoffReport:
     deliveries: tuple[tuple[int, float, str], ...]
 
 
+def _loss_stream(seed, kind, src, dst):
+    """The loss draws of `kind` messages sent over the link src -> dst.
+
+    Each (kind, src, dst) gets its own stream, consumed in the order the link
+    is crossed, so a draw does not depend on what other links do meanwhile.
+    A str seed is hashed with SHA-512, so streams are stable across runs and
+    platforms.
+    """
+    return random.Random(f"{seed}:{kind}:{src}:{dst}")
+
+
 class _Kernel:
     """The event machinery both simulators share.
 
     It owns the heap of (time, priority, insertion order), CN emission up to
-    the tail or give-up deadline, the seeded per-hop loss draw, the control
+    the tail or give-up deadline, the per-link loss streams, the control
     relay with its refresh-period re-sends, and delivery bookkeeping gated by
     attachment. A simulator schedules each control message as a `relay` along
     its path whose `on_done` commits the message's state change where it
     ends, and passes `run` a `launch(t, seq)` that sends packet `seq` out of
     the CN with `hop`. Scheduled callables are called as fn(t, *args).
 
-    Without loss (rate 0 and no `loss_fn`) no hop draws from the RNG, so the
+    Without loss (rate 0 and no `loss_fn`) no hop makes a draw, so the
     seed is inert and the report is a function of the paths and the config.
     """
 
@@ -113,7 +125,7 @@ class _Kernel:
         self.t0 = t0
         self.copies = copies  # copies sent per control hop
         self.loss_fn = loss_fn
-        self.rng = random.Random(cfg.seed)
+        self.streams = {}  # (kind, src, dst) -> that link's loss stream
         self.heap = []
         self.order = 0
         self.emitted = 0
@@ -137,9 +149,10 @@ class _Kernel:
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
-        if copies == 1:
-            return self.rng.random() < rate
-        return all(self.rng.random() < rate for _ in range(copies))
+        rng = self.streams.get((kind, src, dst))
+        if rng is None:
+            rng = self.streams[kind, src, dst] = _loss_stream(self.cfg.seed, kind, src, dst)
+        return all(rng.random() < rate for _ in range(copies))
 
     def hop(self, t, src, dst, fn, *args):
         """A data packet crosses src -> dst unless lost; fn(t', *args) runs on arrival."""

@@ -354,9 +354,10 @@ def test_kernel_properties(strategy, overlap, loss, seed):
 def test_lossy_sweep_csv_is_pinned(tmp_path):
     """handoff.csv of a small lossy sweep, byte for byte.
 
-    Pins the order of the seeded loss draws: one per data hop at the sending
-    node's event, one per registration hop, and up to three per join or
-    prune hop until a copy survives.
+    Pins the seeded loss draws: one stream per (kind, link), seeded from
+    "seed:kind:src:dst" and consumed in the order that link is crossed. Each
+    data or registration hop draws once, and each join or prune hop draws
+    once per copy until a copy survives.
     """
     specs = tuple(
         TopologySpec(
@@ -377,14 +378,14 @@ def test_lossy_sweep_csv_is_pinned(tmp_path):
     path = tmp_path / "handoff.csv"
     reporting.write_handoff(str(path), rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "c6bfa06f140ac9576cc9d834a3587bd247c9aa7ddad2b486dd83eb1d4e942754"
+        "644bd0c98a662a0511103a6172891c5680be8a4d932f7d11b07d97e3f475eb3e"
     )
 
 
 def test_lossy_make_before_break_sweep_csv_is_pinned(tmp_path):
     """The sweep above under make_before_break, so prunes run under loss too.
 
-    314 of its 357 multicast rows send prune hops. Pins handoff.csv and the
+    315 of its 357 multicast rows send prune hops. Pins handoff.csv and the
     delivery log of every row, whose duplicates last until the prune commits.
     """
     specs = tuple(
@@ -404,13 +405,13 @@ def test_lossy_make_before_break_sweep_csv_is_pinned(tmp_path):
     path = tmp_path / "handoff.csv"
     reporting.write_handoff(str(path), rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9c817ab51591e48444aa641ec55de04182e849e27c8c47273ccbc954b6307fae"
+        "f9ba69fa622b30e11636019a1e891d512205168fd69325c0e2240ef6408d533e"
     )
     deliveries = hashlib.sha256()
     for row in rows:
         deliveries.update(repr(row.report.deliveries).encode())
     assert deliveries.hexdigest() == (
-        "b0459460ab8df04662bc1b9f2f5be01b51c31c979a3d7a48f2073cbf6590ec1b"
+        "90a0cbe0d5958969e0593305706d16b479eff1e6edc7f83cf6dbcd7f908bdaf2"
     )
 
 
