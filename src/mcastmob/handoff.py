@@ -1,4 +1,4 @@
-"""Packet-level discrete-event simulation of a single handoff.
+"""Packet-level simulation of a single handoff, one packet at a time.
 
 Simulates the join/prune dynamics on the delivery tree, and the Mobile IP
 registration baseline, with a fixed per-link delay and independent per-hop
@@ -13,21 +13,23 @@ mobile relocates) is placed on an emission boundary after the delivery
 pipeline has filled. State changes (join/prune arrivals, registrations)
 apply before same-instant data forwarding. A control hop that loses all its
 copies is re-sent one refresh period later, which is how soft state recovers
-a lost join.
+a lost join. There is no event queue: each control message is relayed first
+to get its commit time, and each packet's fate then follows from the fixed
+delays, those commit times and its loss draws.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
 
-_CONTROL = 0  # heap priority: state changes beat same-time data
-_DATA = 1
 _MAX_RETRIES = 25  # stop re-sending a control hop after this many losses
 _TAIL_INTERVALS = 3  # emissions kept flowing after the first delivery via new
 _GIVE_UP_REFRESH = 2.0  # abort window (in refresh periods) when the graft never completes
@@ -95,52 +97,34 @@ class HandoffReport:
 
 
 def _loss_stream(seed, kind, src, dst):
-    """The loss draws of `kind` messages sent over the link src -> dst.
+    """The loss draws of `kind` messages over the link src -> dst, in crossing order.
 
-    Each (kind, src, dst) gets its own stream, consumed in the order the link
-    is crossed, so a draw does not depend on what other links do meanwhile.
-    A str seed is hashed with SHA-512, so streams are stable across runs and
-    platforms.
+    A str seed is hashed with SHA-512, so a stream is the same on every run
+    and platform, and no link's draws depend on another link's.
     """
     return random.Random(f"{seed}:{kind}:{src}:{dst}")
 
 
-class _Kernel:
-    """The event machinery both simulators share.
+class _Pass:
+    """What both simulators share: one pass over the packets in emission order.
 
-    It owns the heap of (time, priority, insertion order), CN emission up to
-    the tail or give-up deadline, the per-link loss streams, the control
-    relay with its refresh-period re-sends, and delivery bookkeeping gated by
-    attachment. A simulator schedules each control message as a `relay` along
-    its path whose `on_done` commits the message's state change where it
-    ends, and passes `run` a `launch(t, seq)` that sends packet `seq` out of
-    the CN with `hop`. Scheduled callables are called as fn(t, *args).
-
-    Without loss (rate 0 and no `loss_fn`) no hop makes a draw, so the
-    seed is inert and the report is a function of the paths and the config.
+    It owns the per-link loss streams, the control relay with its re-sends,
+    CN emission up to the tail or give-up deadline, and the delivery log. A
+    simulator relays its control messages first, then passes `emit` a
+    `launch(t, seq)` that sends packet `seq` on with `down` and `arrive`.
+    Without loss (rate 0 and no `loss_fn`) no hop makes a draw, so the seed
+    is inert and the report is a function of the paths and the config.
     """
 
-    def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn):
-        self.cfg = cfg
-        self.t0 = t0
+    def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn, fork=math.inf, old_first=True):
+        self.cfg, self.t0, self.loss_fn = cfg, t0, loss_fn
         self.copies = copies  # copies sent per control hop
-        self.loss_fn = loss_fn
+        self.fork = fork  # hops from the CN to the node where a packet's copies part
+        self.old_first = old_first  # whether that node forwards the old copy first
         self.streams = {}  # (kind, src, dst) -> that link's loss stream
-        self.heap = []
-        self.order = 0
-        self.emitted = 0
         self.control = 0
-        self.delivered: set[int] = set()
-        self.log: list[tuple[int, float, str]] = []
-        self.duplicates = 0
-        self.out_of_order = 0
-        self.max_seq = -1
-        self.first_new: float | None = None
-        self.on_first_new = None
-
-    def push(self, time, prio, fn, *args):
-        heapq.heappush(self.heap, (time, prio, self.order, fn, args))
-        self.order += 1
+        self.times: list[float] = []  # emission time of each packet
+        self.arrivals = {"old": [], "new": []}  # (time, seq, hops, via) in sequence order
 
     def lost(self, kind, src, dst, attempt=0, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
@@ -149,82 +133,98 @@ class _Kernel:
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
-        rng = self.streams.get((kind, src, dst))
-        if rng is None:
-            rng = self.streams[kind, src, dst] = _loss_stream(self.cfg.seed, kind, src, dst)
-        return all(rng.random() < rate for _ in range(copies))
+        key = (kind, src, dst)
+        rng = self.streams.get(key) or self.streams.setdefault(key, _loss_stream(self.cfg.seed, *key))
+        dropped = rng.random() < rate
+        return dropped and (copies == 1 or self.lost(kind, src, dst, attempt, copies - 1))
 
-    def hop(self, t, src, dst, fn, *args):
-        """A data packet crosses src -> dst unless lost; fn(t', *args) runs on arrival."""
-        if not self.lost("data", src, dst):
-            self.push(t + self.cfg.per_hop_delay, _DATA, fn, *args)
+    def relay(self, kind, path, t):
+        """When control message `kind`, sent from path[0] at t, commits at path[-1] (inf: never).
 
-    def relay(self, t, kind, path, on_done, idx=0, attempt=0):
-        """Control message `kind` is at path[idx]; on_done(t) runs once it is at path[-1].
-
-        A hop sends `copies` messages and is re-sent a refresh period later
-        while every copy is lost.
+        A hop sends `copies` messages, re-sent a refresh period later while all are lost.
         """
-        if idx + 1 == len(path):
-            on_done(t)
-            return
-        self.control += self.copies
-        if not self.lost(kind, path[idx], path[idx + 1], attempt, self.copies):
-            self.push(t + self.cfg.per_hop_delay, _CONTROL, self.relay, kind, path, on_done,
-                      idx + 1)
-        elif attempt + 1 < _MAX_RETRIES:
-            self.push(t + self.cfg.refresh_period, _CONTROL, self.relay, kind, path, on_done,
-                      idx, attempt + 1)
+        for src, dst in zip(path, path[1:]):
+            for attempt in range(_MAX_RETRIES):
+                self.control += self.copies
+                if not self.lost(kind, src, dst, attempt, self.copies):
+                    break
+                t += self.cfg.refresh_period
+            else:
+                return math.inf
+            t += self.cfg.per_hop_delay
+        return t
 
-    def deliver(self, t, seq, via):
-        """Hand packet `seq` to the mobile through "old" or "new" if attached there."""
-        if via == "new":
-            if t < self.t0:
-                return
-        elif t >= self.t0 and self.cfg.overlap != "make_before_break":
-            return
-        self.log.append((seq, t, via))
-        if seq in self.delivered:
-            self.duplicates += 1
-        else:
-            if seq < self.max_seq:
-                self.out_of_order += 1
-            self.max_seq = max(self.max_seq, seq)
-            self.delivered.add(seq)
-        if via == "new" and self.first_new is None:
-            self.first_new = t
-            if self.on_first_new is not None:
-                self.on_first_new(t)
+    def down(self, path, t, stop=math.inf):
+        """Arrival time at path[-1] of a data packet at path[0] at t; None if lost or at `stop`."""
+        d, lost = self.cfg.per_hop_delay, self.lost
+        for src, dst in zip(path, path[1:]):
+            if t >= stop or lost("data", src, dst):
+                return None
+            t += d
+        return t
 
-    def _emit(self, t, seq, launch):
-        self.emitted += 1
-        launch(t, seq)
-        interval = self.cfg.packet_interval
-        if self.first_new is not None:
-            deadline = self.first_new + _TAIL_INTERVALS * interval
-        else:
-            deadline = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period + _TAIL_INTERVALS * interval
-        if t + interval <= deadline:
-            self.push(t + interval, _DATA, self._emit, seq + 1, launch)
+    def arrive(self, via, seq, hops, t):
+        """Packet `seq` reached location "old" or "new" at t (None: never), `hops` from the CN."""
+        if t is not None and (t >= self.t0 if via == "new" else
+                              t < self.t0 or self.cfg.overlap == "make_before_break"):
+            self.arrivals[via].append((t, seq, hops, via))
 
-    def run(self, launch, control_path_hops) -> HandoffReport:
-        self.push(0.0, _DATA, self._emit, 0, launch)
-        heap = self.heap
-        while heap:
-            t, _, _, fn, args = heapq.heappop(heap)
-            fn(t, *args)
-        first_new = self.first_new
+    def before(self, a, b):
+        """Whether event a comes first in an event queue of per-hop events.
+
+        An event (time, seq, hops, via) is packet `seq` `hops` hops from the CN
+        (0: its emission), on branch `via` past the fork. Such a queue pops
+        same-instant data in the order their parents popped: one hop earlier,
+        or the previous emission. So walk both chains back in lockstep until
+        their times differ. Where they join, an emission sends its packet on
+        before the next emission, and the fork forwards to its lower id first.
+        """
+        (ta, sa, ha, va), (tb, sb, hb, vb) = a, b
+        while ta == tb:
+            pa = (sa, ha - 1) if ha else (sa - 1, 0)
+            pb = (sb, hb - 1) if hb else (sb - 1, 0)
+            if pa == pb and (pa[1] <= self.fork or va == vb):
+                return sa < sb if sa != sb else (va == "old") == self.old_first
+            (sa, ha), (sb, hb) = pa, pb
+            # a packet's time after h hops adds the delay hop by hop, as it accumulates
+            ta, tb = (reduce(operator.add, [self.cfg.per_hop_delay] * h, self.times[s])
+                      for s, h in (pa, pb))
+        return ta < tb
+
+    def emit(self, launch):
+        """Emit and launch packets every interval until the deadline; the first new arrival."""
+        interval, new = self.cfg.packet_interval, self.arrivals["new"]
+        t = 0.0
+        while True:
+            seq = len(self.times)
+            self.times.append(t)
+            launch(t, seq)
+            # the tail starts once the first delivery through new has happened
+            known = new and self.before(new[0], (t, seq, 0, None))
+            end = new[0][0] if known else self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period
+            if not t + interval <= end + _TAIL_INTERVALS * interval:
+                return new[0][0] if new else None
+            t += interval
+
+    def report(self, control_path_hops) -> HandoffReport:
+        old, new = self.arrivals["old"], self.arrivals["new"]
+        log = sorted(old + new, key=operator.itemgetter(0))
+        for i in range(1, len(log)):  # at most one old and one new share an instant
+            if log[i][0] == log[i - 1][0] and self.before(log[i], log[i - 1]):
+                log[i - 1], log[i] = log[i], log[i - 1]
+        firsts = list(dict.fromkeys(seq for _, seq, _, _ in log))  # first deliveries, in order
+        emitted = len(self.times)
         return HandoffReport(
             trigger_ms=self.t0,
-            handoff_latency=first_new - self.t0 if first_new is not None else math.inf,
-            packets_lost=self.emitted - len(self.delivered),
-            packets_duplicated=self.duplicates,
-            out_of_order=self.out_of_order,
+            handoff_latency=new[0][0] - self.t0 if new else math.inf,
+            packets_lost=emitted - len(firsts),
+            packets_duplicated=len(log) - len(firsts),
+            out_of_order=sum(map(operator.lt, firsts[1:], accumulate(firsts, max))),
             control_messages=self.control,
             control_path_hops=control_path_hops,
-            packets_emitted=self.emitted,
-            packets_delivered=len(self.delivered),
-            deliveries=tuple(self.log),
+            packets_emitted=emitted,
+            packets_delivered=len(firsts),
+            deliveries=tuple((seq, t, via) for t, seq, _, via in log),
         )
 
 
@@ -239,13 +239,13 @@ def _trigger_time(cfg, warm_hops):
 def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     """Simulate one handoff old -> new on the current delivery tree.
 
-    Packets follow the tree's forwarding map. The join grafts the walk
-    [new, ..., meet] whole when it reaches the meet node (no packet enters the
-    walk before its top link exists). Under make_before_break the first
-    delivery through new starts the prune, which drops the old branch below
-    the meet node when it gets there. The tree is read, never mutated.
-    `loss_fn(kind, src, dst, attempt) -> bool` optionally overrides the
-    seeded per-hop loss draw (test hook).
+    Packets follow the tree's branch to old. The join grafts the walk
+    [new, ..., meet] whole when it reaches the meet node; a packet there at
+    or after that instant also goes down the walk. Under make_before_break
+    the first delivery through new starts the prune; once it commits at the
+    meet node, no node from there down to old forwards. The tree is read,
+    never mutated. `loss_fn(kind, src, dst, attempt) -> bool` optionally
+    overrides the loss draws (test hook).
 
     Node ids matter only as labels: without loss the report depends on the
     old branch's length, the meet node's index on it, the walk's length and,
@@ -265,43 +265,37 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     path_old = tree.branch_to_root(old)  # [old, ..., cn]
     walk = tree.graft_walk(new)  # [new, ..., meet]
     meet = path_old.index(walk[-1])
-    fwd = {up: {child} for child, up in zip(path_old, path_old[1:])}
-    k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),
-                3 if cfg.strategy == "triple_join" else 1, loss_fn)
-
-    def arrive(t, node, seq):
-        # the old side is gated by attachment alone: with make_before_break the
-        # mobile keeps accepting in-flight packets while the prune tears the
-        # branch down, which is what makes the handoff lossless
-        if node == old:
-            k.deliver(t, seq, "old")
-        elif node == new:
-            k.deliver(t, seq, "new")
-        for child in sorted(fwd.get(node, ())):
-            k.hop(t, node, child, arrive, child, seq)
-
-    def grafted(t):
-        for child, up in zip(walk, walk[1:]):
-            fwd.setdefault(up, set()).add(child)
-
-    def pruned(t):
-        for child, up in zip(path_old, path_old[1:meet + 1]):
-            fwd[up].discard(child)
-
-    if cfg.overlap == "make_before_break":
-        k.on_first_new = lambda t: k.push(t, _CONTROL, k.relay, "prune", path_old[:meet + 1],
-                                          pruned)
+    above, old_leg, new_leg = path_old[meet:][::-1], path_old[meet::-1], walk[::-1]
+    p = _Pass(cfg, _trigger_time(cfg, len(path_old) - 1), 3 if cfg.strategy == "triple_join" else 1,
+              loss_fn, len(above) - 1, meet == 0 or len(walk) == 1 or path_old[meet - 1] < walk[-2])
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
-    k.push(k.t0 - lead, _CONTROL, k.relay, "join", walk, grafted)
-    return k.run(lambda t, seq: arrive(t, cn, seq), len(walk) - 1)
+    grafted = p.relay("join", walk, p.t0 - lead)
+    at_meet = []
+
+    def launch(t, seq):
+        t = p.down(above, t)
+        if t is not None:
+            at_meet.append((seq, t))
+            if t >= grafted:
+                p.arrive("new", seq, p.fork + len(walk) - 1, p.down(new_leg, t))
+
+    first_new = p.emit(launch)
+    prune = first_new is not None and cfg.overlap == "make_before_break"
+    pruned = p.relay("prune", path_old[:meet + 1], first_new) if prune else math.inf
+    # no link below the meet node on the old branch is on the walk or above
+    # the meet node, so these fates can wait for the prune's commit time
+    for seq, t in at_meet:
+        p.arrive("old", seq, len(path_old) - 1, p.down(old_leg, t, pruned))
+    return p.report(len(walk) - 1)
 
 
 def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> HandoffReport:
     """Mobile IP baseline: registration new -> HA, then packets redirect at the HA.
 
     Packets always travel CN -> HA, then down the tunnel to whichever
-    location is registered when they reach the HA. Each tunnel is a path
-    toward the HA reversed, so every path is read from the HA's vector. The
+    location is registered when they reach the HA: the new one iff they get
+    there at or after the registration commits. Each tunnel is a path toward
+    the HA reversed, so every path is read from the HA's vector. The
     advance_join strategy has no Mobile IP analogue (registration cannot
     precede arrival) and is treated as a plain registration; copies are
     always 1.
@@ -316,21 +310,14 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
     path_a = oracle.shortest_path(cn, ha)
     reg_path = oracle.shortest_path(new, ha)
     tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}
-    k = _Kernel(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1, loss_fn)
-    registered = False
+    p = _Pass(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1, loss_fn)
+    registered = p.relay("registration", reg_path, p.t0)
 
-    def along(t, path, idx, seq, via):
-        if idx + 1 < len(path):
-            k.hop(t, path[idx], path[idx + 1], along, path, idx + 1, seq, via)
-        elif via is None:  # at the HA: tunnel toward the registered location
-            via = "new" if registered else "old"
-            along(t, tunnels[via], 0, seq, via)
-        else:
-            k.deliver(t, seq, via)
+    def launch(t, seq):
+        t = p.down(path_a, t)
+        if t is not None:
+            via = "new" if t >= registered else "old"
+            p.arrive(via, seq, len(path_a) + len(tunnels[via]) - 2, p.down(tunnels[via], t))
 
-    def registered_at(t):
-        nonlocal registered
-        registered = True
-
-    k.push(k.t0, _CONTROL, k.relay, "registration", reg_path, registered_at)
-    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), len(reg_path) - 1)
+    p.emit(launch)
+    return p.report(len(reg_path) - 1)

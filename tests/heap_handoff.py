@@ -1,0 +1,252 @@
+"""The event-queue handoff simulator, kept as a reference for `mcastmob.handoff`.
+
+This is the heap kernel the package used before its per-packet pass: one
+event per packet per hop, popped by (time, control before data, insertion
+order). It shares only the loss-stream seeding, `HandoffConfig` and
+`HandoffReport` with the package, so a test that finds both giving equal
+reports checks the pass against an independent event loop.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+from mcastmob.handoff import HandoffConfig, HandoffError, HandoffReport, _loss_stream
+
+_CONTROL = 0  # heap priority: state changes beat same-time data
+_DATA = 1
+_MAX_RETRIES = 25  # stop re-sending a control hop after this many losses
+_TAIL_INTERVALS = 3  # emissions kept flowing after the first delivery via new
+_GIVE_UP_REFRESH = 2.0  # abort window (in refresh periods) when the graft never completes
+
+
+class _Kernel:
+    """The event machinery both simulators share.
+
+    It owns the heap of (time, priority, insertion order), CN emission up to
+    the tail or give-up deadline, the per-link loss streams, the control
+    relay with its refresh-period re-sends, and delivery bookkeeping gated by
+    attachment. A simulator schedules each control message as a `relay` along
+    its path whose `on_done` commits the message's state change where it
+    ends, and passes `run` a `launch(t, seq)` that sends packet `seq` out of
+    the CN with `hop`. Scheduled callables are called as fn(t, *args).
+
+    Without loss (rate 0 and no `loss_fn`) no hop makes a draw, so the
+    seed is inert and the report is a function of the paths and the config.
+    """
+
+    def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn):
+        self.cfg = cfg
+        self.t0 = t0
+        self.copies = copies  # copies sent per control hop
+        self.loss_fn = loss_fn
+        self.streams = {}  # (kind, src, dst) -> that link's loss stream
+        self.heap = []
+        self.order = 0
+        self.emitted = 0
+        self.control = 0
+        self.delivered: set[int] = set()
+        self.log: list[tuple[int, float, str]] = []
+        self.duplicates = 0
+        self.out_of_order = 0
+        self.max_seq = -1
+        self.first_new: float | None = None
+        self.on_first_new = None
+
+    def push(self, time, prio, fn, *args):
+        heapq.heappush(self.heap, (time, prio, self.order, fn, args))
+        self.order += 1
+
+    def lost(self, kind, src, dst, attempt=0, copies=1):
+        """True when every copy of a hop is lost; one draw per copy until one survives."""
+        if self.loss_fn is not None:
+            return self.loss_fn(kind, src, dst, attempt)
+        rate = self.cfg.message_loss_rate
+        if not rate:
+            return False
+        rng = self.streams.get((kind, src, dst))
+        if rng is None:
+            rng = self.streams[kind, src, dst] = _loss_stream(self.cfg.seed, kind, src, dst)
+        return all(rng.random() < rate for _ in range(copies))
+
+    def hop(self, t, src, dst, fn, *args):
+        """A data packet crosses src -> dst unless lost; fn(t', *args) runs on arrival."""
+        if not self.lost("data", src, dst):
+            self.push(t + self.cfg.per_hop_delay, _DATA, fn, *args)
+
+    def relay(self, t, kind, path, on_done, idx=0, attempt=0):
+        """Control message `kind` is at path[idx]; on_done(t) runs once it is at path[-1].
+
+        A hop sends `copies` messages and is re-sent a refresh period later
+        while every copy is lost.
+        """
+        if idx + 1 == len(path):
+            on_done(t)
+            return
+        self.control += self.copies
+        if not self.lost(kind, path[idx], path[idx + 1], attempt, self.copies):
+            self.push(t + self.cfg.per_hop_delay, _CONTROL, self.relay, kind, path, on_done,
+                      idx + 1)
+        elif attempt + 1 < _MAX_RETRIES:
+            self.push(t + self.cfg.refresh_period, _CONTROL, self.relay, kind, path, on_done,
+                      idx, attempt + 1)
+
+    def deliver(self, t, seq, via):
+        """Hand packet `seq` to the mobile through "old" or "new" if attached there."""
+        if via == "new":
+            if t < self.t0:
+                return
+        elif t >= self.t0 and self.cfg.overlap != "make_before_break":
+            return
+        self.log.append((seq, t, via))
+        if seq in self.delivered:
+            self.duplicates += 1
+        else:
+            if seq < self.max_seq:
+                self.out_of_order += 1
+            self.max_seq = max(self.max_seq, seq)
+            self.delivered.add(seq)
+        if via == "new" and self.first_new is None:
+            self.first_new = t
+            if self.on_first_new is not None:
+                self.on_first_new(t)
+
+    def _emit(self, t, seq, launch):
+        self.emitted += 1
+        launch(t, seq)
+        interval = self.cfg.packet_interval
+        if self.first_new is not None:
+            deadline = self.first_new + _TAIL_INTERVALS * interval
+        else:
+            deadline = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period + _TAIL_INTERVALS * interval
+        if t + interval <= deadline:
+            self.push(t + interval, _DATA, self._emit, seq + 1, launch)
+
+    def run(self, launch, control_path_hops) -> HandoffReport:
+        self.push(0.0, _DATA, self._emit, 0, launch)
+        heap = self.heap
+        while heap:
+            t, _, _, fn, args = heapq.heappop(heap)
+            fn(t, *args)
+        first_new = self.first_new
+        return HandoffReport(
+            trigger_ms=self.t0,
+            handoff_latency=first_new - self.t0 if first_new is not None else math.inf,
+            packets_lost=self.emitted - len(self.delivered),
+            packets_duplicated=self.duplicates,
+            out_of_order=self.out_of_order,
+            control_messages=self.control,
+            control_path_hops=control_path_hops,
+            packets_emitted=self.emitted,
+            packets_delivered=len(self.delivered),
+            deliveries=tuple(self.log),
+        )
+
+
+def _trigger_time(cfg, warm_hops):
+    # relocate on an emission boundary once the pipeline to the old location is full
+    t0 = (math.floor(warm_hops * cfg.per_hop_delay / cfg.packet_interval) + 2) * cfg.packet_interval
+    if cfg.strategy == "advance_join" and cfg.advance_lead > 0:
+        t0 = max(t0, math.ceil(cfg.advance_lead / cfg.packet_interval) * cfg.packet_interval)
+    return t0
+
+
+def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
+    """Simulate one handoff old -> new on the current delivery tree.
+
+    Packets follow the tree's forwarding map. The join grafts the walk
+    [new, ..., meet] whole when it reaches the meet node (no packet enters the
+    walk before its top link exists). Under make_before_break the first
+    delivery through new starts the prune, which drops the old branch below
+    the meet node when it gets there. The tree is read, never mutated.
+    `loss_fn(kind, src, dst, attempt) -> bool` optionally overrides the
+    seeded per-hop loss draw (test hook).
+
+    Node ids matter only as labels: without loss the report depends on the
+    old branch's length, the meet node's index on it, the walk's length and,
+    only when a packet's two copies reach old and new at the same instant,
+    which child the meet node forwards to first (the lower id).
+    `experiment.handoff_sweep` simulates each such shape once.
+    """
+    cn = tree.cn
+    if tree.leaves != {old}:
+        raise HandoffError("old must be the tree's only joined leaf")
+    if new == cn:
+        raise HandoffError("cannot hand off to the correspondent node")
+    if new == old:
+        raise HandoffError("handoff requires distinct old and new locations")
+    tree.oracle._check(new)
+
+    path_old = tree.branch_to_root(old)  # [old, ..., cn]
+    walk = tree.graft_walk(new)  # [new, ..., meet]
+    meet = path_old.index(walk[-1])
+    fwd = {up: {child} for child, up in zip(path_old, path_old[1:])}
+    k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),
+                3 if cfg.strategy == "triple_join" else 1, loss_fn)
+
+    def arrive(t, node, seq):
+        # the old side is gated by attachment alone: with make_before_break the
+        # mobile keeps accepting in-flight packets while the prune tears the
+        # branch down, which is what makes the handoff lossless
+        if node == old:
+            k.deliver(t, seq, "old")
+        elif node == new:
+            k.deliver(t, seq, "new")
+        for child in sorted(fwd.get(node, ())):
+            k.hop(t, node, child, arrive, child, seq)
+
+    def grafted(t):
+        for child, up in zip(walk, walk[1:]):
+            fwd.setdefault(up, set()).add(child)
+
+    def pruned(t):
+        for child, up in zip(path_old, path_old[1:meet + 1]):
+            fwd[up].discard(child)
+
+    if cfg.overlap == "make_before_break":
+        k.on_first_new = lambda t: k.push(t, _CONTROL, k.relay, "prune", path_old[:meet + 1],
+                                          pruned)
+    lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
+    k.push(k.t0 - lead, _CONTROL, k.relay, "join", walk, grafted)
+    return k.run(lambda t, seq: arrive(t, cn, seq), len(walk) - 1)
+
+
+def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> HandoffReport:
+    """Mobile IP baseline: registration new -> HA, then packets redirect at the HA.
+
+    Packets always travel CN -> HA, then down the tunnel to whichever
+    location is registered when they reach the HA. Each tunnel is a path
+    toward the HA reversed, so every path is read from the HA's vector. The
+    advance_join strategy has no Mobile IP analogue (registration cannot
+    precede arrival) and is treated as a plain registration; copies are
+    always 1.
+    """
+    for node in (cn, ha, old, new):
+        oracle._check(node)
+    if new == old:
+        raise HandoffError("handoff requires distinct old and new locations")
+    if new == cn:
+        raise HandoffError("cannot hand off to the correspondent node")
+
+    path_a = oracle.shortest_path(cn, ha)
+    reg_path = oracle.shortest_path(new, ha)
+    tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}
+    k = _Kernel(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1, loss_fn)
+    registered = False
+
+    def along(t, path, idx, seq, via):
+        if idx + 1 < len(path):
+            k.hop(t, path[idx], path[idx + 1], along, path, idx + 1, seq, via)
+        elif via is None:  # at the HA: tunnel toward the registered location
+            via = "new" if registered else "old"
+            along(t, tunnels[via], 0, seq, via)
+        else:
+            k.deliver(t, seq, via)
+
+    def registered_at(t):
+        nonlocal registered
+        registered = True
+
+    k.push(k.t0, _CONTROL, k.relay, "registration", reg_path, registered_at)
+    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), len(reg_path) - 1)

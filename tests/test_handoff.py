@@ -32,6 +32,8 @@ from mcastmob.routing import establish
 from mcastmob.topology import GeneratorParams, PathOracle, Topology
 
 from conftest import bfs_dist, random_connected_edges, tree_state
+from heap_handoff import simulate_handoff as heap_simulate_handoff
+from heap_handoff import simulate_mip_handoff as heap_simulate_mip_handoff
 
 BASE = dict(per_hop_delay=10.0, packet_interval=20.0)
 
@@ -623,3 +625,39 @@ def test_mobile_ip_same_instant_deliveries_come_out_in_closed_form_order(interva
     log = list(rep.deliveries)
     assert log.index(first) + 1 == log.index(second)
     assert rep.out_of_order == 1
+
+
+def _keyed_loss(kind, src, dst, attempt):
+    """A stateless loss_fn: each (kind, link, attempt) is lost or not for good."""
+    return random.Random(f"{kind}:{src}:{dst}:{attempt}").random() < 0.3
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       loss=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+       strategy=st.sampled_from(STRATEGIES),
+       overlap=st.sampled_from(OVERLAP_MODES),
+       lead=st.sampled_from([0.0, 40.0, 100.0]),
+       refresh=st.sampled_from([7.0, 120.0, 500.0]),
+       delay=st.sampled_from([0.1, 0.3, 3.3, 7.5, 10.0, 20.0]),
+       interval=st.sampled_from([0.3, 3.3, 5.0, 7.5, 10.0, 20.0]),
+       keyed=st.booleans())
+def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refresh, delay, interval,
+                                     keyed):
+    """Every report of both simulators equals the event-queue reference's, log included."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 16)
+    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    oracle = PathOracle(topo)
+    cn, ha = rng.randrange(n), rng.randrange(n)
+    nodes = [v for v in range(n) if v != cn]
+    old = rng.choice(nodes)
+    new = rng.choice([v for v in nodes if v != old])
+    cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval, message_loss_rate=loss,
+                        strategy=strategy, advance_lead=lead, overlap=overlap,
+                        refresh_period=refresh, seed=seed)
+    loss_fn = _keyed_loss if keyed else None
+    assert (simulate_handoff(establish(oracle, cn, old), old, new, cfg, loss_fn)
+            == heap_simulate_handoff(establish(oracle, cn, old), old, new, cfg, loss_fn))
+    assert (simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn)
+            == heap_simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn))
