@@ -202,18 +202,18 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
 
     A report depends on node ids only through the handoff's shape, and on the
     seed only when there is loss. So the sweep simulates each distinct (shape,
-    HandoffConfig) once and rows of one shape share the report. A multicast
-    shape is the old branch's length, the meet node's index on it, the graft
-    walk's length, and the meet node's forwarding order when a packet's two
-    copies tie. A Mobile IP shape is the HA's distances to the CN, the old
-    and the new location. At loss > 0 each row's own seed is in the key, so
-    every row is simulated.
+    strategy, seed) once, the rest of its HandoffConfig being the block's, and
+    rows of one shape share the report. A multicast shape is the old branch's
+    length, the meet node's index on it, the graft walk's length, and the meet
+    node's forwarding order when a packet's two copies tie. A Mobile IP shape
+    is the HA's distances to the CN, the old and the new location. At loss > 0
+    each row's own seed is in the key, so every row is simulated.
     """
     block = result.config.handoff
     if block is None:
         raise ValueError("config has no handoff block")
     oracles = {}  # one per topology, shared by its runs
-    memo = {}  # (shape, HandoffConfig) -> report, shared by the whole sweep
+    memo = {}  # (shape, strategy, seed) -> report, shared by the whole sweep
     rows = []
     for run in result.runs:
         name = run.record.topology
@@ -244,8 +244,8 @@ def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
     Each multicast simulation gets its own tree, so what it does to that tree
-    reaches no other row. `memo` maps (shape, HandoffConfig) to a report
-    already simulated in this sweep; see `handoff_sweep`.
+    reaches no other row. `memo` maps (shape, strategy, seed) to a report
+    already simulated in this sweep under `block`; see `handoff_sweep`.
     """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
@@ -255,10 +255,9 @@ def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
     def simulated(shape, strategy, i, label, simulate):
         # without loss the seed is inert (no draw is made), so it leaves the key
         seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
-        cfg = block.handoff_config(strategy, seed)
-        rep = memo.get((shape, cfg))
+        rep = memo.get((shape, strategy, seed))
         if rep is None:
-            rep = memo[shape, cfg] = simulate(cfg)
+            rep = memo[shape, strategy, seed] = simulate(block.handoff_config(strategy, seed))
         return rep
 
     for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
