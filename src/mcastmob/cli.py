@@ -86,7 +86,9 @@ def cmd_run(args):
     agg = result.aggregate
     print(f"wrote {len(result.runs)} runs to {out_dir}")
     for name in ("mean_r", "mean_L", "b_over_l"):
-        print(f"overall {name} = {agg.overall(name):.3f} (reference {REFERENCE[name]})")
+        value = agg.overall(name)
+        shown = "n/a" if value is None else f"{value:.3f}"
+        print(f"overall {name} = {shown} (reference {REFERENCE[name]})")
     print(f"overall bandwidth ratio sum(A+B)/sum(C) = {agg.overall_bw_ratio():.3f}")
     return EXIT_OK
 

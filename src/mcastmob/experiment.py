@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import metrics, movement, routing
 from .config import ScenarioConfig, stable_seed
-from .handoff import HandoffReport, simulate_handoff, simulate_mip_handoff
+from .handoff import HandoffReport, branch_and_walk, simulate_handoff, simulate_mip_handoff
 from .metrics import RunRecord
 from .movement import MovementModel, MovementTrace
 from .routing import StepSample
@@ -54,6 +54,7 @@ class ExperimentResult:
     topologies: dict[str, Topology]
     runs: tuple[RunResult, ...]
     aggregate: metrics.AggregateStats
+    oracles: dict[tuple[str, str], PathOracle]  # (topology, model) -> its job's; handoff only
 
 
 def build_topology(spec, master_seed) -> Topology:
@@ -122,7 +123,10 @@ def _job(cfg, spec, topo, model, run_indices):
 
 
 def _pair_job(args):
-    """All runs for one (topology, model): executed inline or in a pool worker."""
+    """All runs for one (topology, model), executed inline or in a pool worker.
+
+    Returns them with, under a handoff block, the job's warm oracle (else None).
+    """
     cfg, topo, topo_type, model_kind, seeds = args
     oracle = PathOracle(topo)
     endpoints = None
@@ -139,7 +143,7 @@ def _pair_job(args):
             ))
         except (routing.SimulationInvariantError, movement.MovementError) as exc:
             raise RunFailure(topo.name, model_kind, run_index, seed, exc) from exc
-    return out
+    return out, (oracle if cfg.handoff else None)
 
 
 def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
@@ -158,12 +162,14 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
             batches = list(pool.map(_pair_job, jobs))
     else:
         batches = [_pair_job(job) for job in jobs]
-    runs = tuple(result for batch in batches for result in batch)
+    runs = tuple(result for batch, _ in batches for result in batch)
     return ExperimentResult(
         config=cfg,
         topologies=topologies,
         runs=runs,
         aggregate=metrics.aggregate([r.record for r in runs]),
+        oracles={(job[1].name, job[3]): oracle for job, (_, oracle) in zip(jobs, batches)
+                 if oracle is not None},
     )
 
 
@@ -174,7 +180,7 @@ def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
             for i in range(cfg.seeds_per_scenario):
                 if child_seed(cfg.master_seed, spec.name, model, i) == seed:
                     topo = build_topology(spec, cfg.master_seed)
-                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0]
+                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0][0]
     return None
 
 
@@ -195,10 +201,10 @@ class HandoffRow:
 def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     """Simulate each configured strategy on the first moves of each covered run.
 
-    Between moves the delivery tree is the branch from the mobile's location
-    to the CN: a join walks `next_hop` toward the CN and the prune drops the
-    rest. So the tree a move starts from is `routing.establish(oracle, cn,
-    old)`, and `execute_scenario` has already checked it at every step.
+    Each run is swept on its (topology, model) job's oracle, whose CN and HA
+    vectors are warm, so the sweep searches nothing. Between moves the tree
+    is the branch from the mobile to the CN, as `execute_scenario` checked at
+    every step, so each move's paths come from `handoff.branch_and_walk`.
 
     A report depends on node ids only through the handoff's shape, and on the
     seed only when there is loss. So the sweep simulates each distinct (shape,
@@ -212,29 +218,23 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     block = result.config.handoff
     if block is None:
         raise ValueError("config has no handoff block")
-    oracles = {}  # one per topology, shared by its runs
     memo = {}  # (shape, strategy, seed) -> report, shared by the whole sweep
     rows = []
     for run in result.runs:
-        name = run.record.topology
-        if run.record.run_index >= block.runs:
-            continue
-        if name not in oracles:
-            oracles[name] = PathOracle(result.topologies[name])
-        rows.extend(_sweep_run(oracles[name], run, block, memo))
+        rec = run.record
+        if rec.run_index < block.runs:
+            rows.extend(_sweep_run(result.oracles[rec.topology, rec.model], run, block, memo))
     return rows
 
 
-def _mcast_shape(tree, old, new):
+def _mcast_shape(path_old, walk):
     """What a multicast handoff's report depends on besides its HandoffConfig.
 
-    The pre-move tree is exactly the old branch (old is its only leaf), so only
-    the walk's last node, the meet node, is on it. When old and new are
-    equally far from the meet node, a packet's two copies reach them at the
-    same instant in the order the meet node forwards them: by child id.
+    `path_old` and `walk` are `branch_and_walk`'s. Only the walk's last node,
+    the meet node, is on the old branch. When old and new are equally far
+    from the meet node, a packet's two copies reach them at the same instant
+    in the order the meet node forwards them: by child id.
     """
-    path_old = tree.branch_to_root(old)
-    walk = tree.graft_walk(new)
     meet = path_old.index(walk[-1])
     order = walk[-2] < path_old[meet - 1] if meet == len(walk) - 1 else None
     return len(path_old), meet, len(walk), order
@@ -243,9 +243,9 @@ def _mcast_shape(tree, old, new):
 def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
-    Each multicast simulation gets its own tree, so what it does to that tree
-    reaches no other row. `memo` maps (shape, strategy, seed) to a report
-    already simulated in this sweep under `block`; see `handoff_sweep`.
+    `oracle` is one of the run's topology; `handoff_sweep` passes its job's.
+    `memo` maps (shape, strategy, seed) to a report already simulated in this
+    sweep under `block`; see `handoff_sweep`.
     """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
@@ -264,10 +264,10 @@ def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
         if old == new:
             continue
         b_hops = oracle.dist(run.ha, new)
-        shape = _mcast_shape(routing.establish(oracle, run.cn, old), old, new)
+        shape = _mcast_shape(*branch_and_walk(oracle, run.cn, old, new))
         for strategy in block.strategies:
             rep = simulated(shape, strategy, i, strategy, lambda cfg: simulate_handoff(
-                routing.establish(oracle, run.cn, old), old, new, cfg))
+                oracle, run.cn, old, new, cfg))
             rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
         if block.include_mobile_ip:
             shape = ("mobile_ip", oracle.dist(run.ha, run.cn), oracle.dist(run.ha, old), b_hops)

@@ -112,12 +112,13 @@ class _Pass:
     CN emission up to the tail or give-up deadline, and the delivery log. A
     simulator relays its control messages first, then passes `emit` a
     `launch(t, seq)` that sends packet `seq` on with `down` and `arrive`.
-    Without loss (rate 0 and no `loss_fn`) no hop makes a draw, so the seed
-    is inert and the report is a function of the paths and the config.
+    Without loss (rate 0 and no `loss_fn`) no hop makes a draw (`down` skips
+    `lost`), so the seed is inert and the report is a function of the paths.
     """
 
     def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn, fork=math.inf, old_first=True):
         self.cfg, self.t0, self.loss_fn = cfg, t0, loss_fn
+        self.draws = loss_fn is not None or cfg.message_loss_rate > 0
         self.copies = copies  # copies sent per control hop
         self.fork = fork  # hops from the CN to the node where a packet's copies part
         self.old_first = old_first  # whether that node forwards the old copy first
@@ -156,9 +157,9 @@ class _Pass:
 
     def down(self, path, t, stop=math.inf):
         """Arrival time at path[-1] of a data packet at path[0] at t; None if lost or at `stop`."""
-        d, lost = self.cfg.per_hop_delay, self.lost
+        d, lost = self.cfg.per_hop_delay, self.draws and self.lost
         for src, dst in zip(path, path[1:]):
-            if t >= stop or lost("data", src, dst):
+            if t >= stop or lost and lost("data", src, dst):
                 return None
             t += d
         return t
@@ -236,16 +237,30 @@ def _trigger_time(cfg, warm_hops):
     return t0
 
 
-def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
-    """Simulate one handoff old -> new on the current delivery tree.
+def branch_and_walk(oracle, cn, old, new):
+    """The old branch [old, ..., cn] and the graft walk [new, ..., meet] of a handoff.
 
-    Packets follow the tree's branch to old. The join grafts the walk
-    [new, ..., meet] whole when it reaches the meet node; a packet there at
-    or after that instant also goes down the walk. Under make_before_break
-    the first delivery through new starts the prune; once it commits at the
-    meet node, no node from there down to old forwards. The tree is read,
-    never mutated. `loss_fn(kind, src, dst, attempt) -> bool` optionally
-    overrides the loss draws (test hook).
+    Between moves the delivery tree is the shortest path from old to the CN
+    (`routing.establish`); a join from new walks toward the CN until it meets it.
+    """
+    if cn in (old, new):
+        raise HandoffError("the mobile cannot be at the correspondent node")
+    if new == old:
+        raise HandoffError("handoff requires distinct old and new locations")
+    path_old = oracle.shortest_path(old, cn)
+    return path_old, oracle.shortest_path(new, cn, stop=path_old)
+
+
+def simulate_handoff(oracle, cn, old, new, cfg, loss_fn=None) -> HandoffReport:
+    """Simulate one handoff old -> new on the delivery tree of the CN `cn`.
+
+    Packets follow the old branch. The join grafts the walk [new, ..., meet]
+    whole when it reaches the meet node; a packet there at or after that
+    instant also goes down the walk. Both come from `branch_and_walk`: no
+    tree is built. Under make_before_break the first delivery through new
+    starts the prune; once it commits at the meet node, no node from there
+    down to old forwards. `loss_fn(kind, src, dst, attempt) -> bool`
+    optionally overrides the loss draws (test hook).
 
     Node ids matter only as labels: without loss the report depends on the
     old branch's length, the meet node's index on it, the walk's length and,
@@ -253,17 +268,7 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     which child the meet node forwards to first (the lower id).
     `experiment.handoff_sweep` simulates each such shape once.
     """
-    cn = tree.cn
-    if tree.leaves != {old}:
-        raise HandoffError("old must be the tree's only joined leaf")
-    if new == cn:
-        raise HandoffError("cannot hand off to the correspondent node")
-    if new == old:
-        raise HandoffError("handoff requires distinct old and new locations")
-    tree.oracle._check(new)
-
-    path_old = tree.branch_to_root(old)  # [old, ..., cn]
-    walk = tree.graft_walk(new)  # [new, ..., meet]
+    path_old, walk = branch_and_walk(oracle, cn, old, new)
     meet = path_old.index(walk[-1])
     above, old_leg, new_leg = path_old[meet:][::-1], path_old[meet::-1], walk[::-1]
     p = _Pass(cfg, _trigger_time(cfg, len(path_old) - 1), 3 if cfg.strategy == "triple_join" else 1,
@@ -300,13 +305,10 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
     precede arrival) and is treated as a plain registration; copies are
     always 1.
     """
-    for node in (cn, ha, old, new):
-        oracle._check(node)
     if new == old:
         raise HandoffError("handoff requires distinct old and new locations")
     if new == cn:
         raise HandoffError("cannot hand off to the correspondent node")
-
     path_a = oracle.shortest_path(cn, ha)
     reg_path = oracle.shortest_path(new, ha)
     tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}

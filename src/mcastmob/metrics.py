@@ -135,8 +135,9 @@ class AggregateStats:
         raise KeyError((topo_type, model))
 
     def overall(self, field):
+        """Mean of `field` over the groups that have it; None when none has."""
         values = [getattr(r, field) for r in self.rows if getattr(r, field) is not None]
-        return fmean(values)
+        return fmean(values) if values else None
 
     def overall_bw_ratio(self):
         total_ab = sum(r.total_ab * r.topologies for r in self.rows)

@@ -66,7 +66,6 @@ class MulticastTree:
         holding (S,G) state. A location already on the tree just becomes a
         leaf (L = 0).
         """
-        self.oracle._check(new_location)
         if new_location == self.cn:
             raise SimulationInvariantError("mobile cannot join at the correspondent node")
         walk = self.graft_walk(new_location)
@@ -81,10 +80,7 @@ class MulticastTree:
 
         Read-only; [node] when `node` already holds (S,G) state.
         """
-        walk = [node]
-        while walk[-1] not in self.parent and walk[-1] != self.cn:
-            walk.append(self.oracle.next_hop(walk[-1], self.cn))
-        return walk
+        return self.oracle.shortest_path(node, self.cn, stop=self.parent)
 
     def prune(self, old_location) -> int:
         """Tear down the branch below old_location; returns removed links.
@@ -123,8 +119,6 @@ class MulticastTree:
 
 def establish(oracle, cn, first_location) -> MulticastTree:
     """Initial (CN, G) join: the tree becomes the branch CN -> first_location."""
-    if cn == first_location:
-        raise SimulationInvariantError("mobile cannot start at the correspondent node")
     tree = MulticastTree(cn, oracle)
     tree.join(first_location)
     return tree
@@ -139,7 +133,7 @@ def run_scenario(oracle, cn, ha, steps):
     live edge count) are checked every step and raise
     SimulationInvariantError so a bad run can never be reported silently.
     Between moves the parent map is the branch `establish` builds to the
-    mobile's location, so the handoff sweep needs no walk of its own.
+    mobile's location, so the handoff sweep reads it off the oracle.
     """
     oracle._check(cn)
     oracle._check(ha)

@@ -397,23 +397,24 @@ class PathOracle:
         vector, so pass the endpoint that stays fixed across queries as `v`.
         """
         self._check(u)
-        dist = self.dist_from(v)
-        if u == v:
-            return None
-        want = dist[u] - 1
-        for w in self.topo.adj[u]:  # adjacency is sorted, first hit is lowest id
-            if dist[w] == want:
-                return w
-        raise TopologyError(f"no next hop from {u} toward {v}")  # unreachable when connected
+        path = self.shortest_path(u, v, stop=self.topo.adj[u])  # ends one hop on
+        return path[1] if u != v else None
 
-    def shortest_path(self, u, v):
-        """Deterministic shortest path from u to v, inclusive of both ends.
+    def shortest_path(self, u, v, stop=()):
+        """Deterministic shortest path [u, ..., v], cut at its first node in `stop`.
 
-        Reads `v`'s vector, like `next_hop`: pass the fixed endpoint as `v`.
+        Each step goes to the lowest-id neighbor one hop closer to v. Checks u
+        and v once, then steps through `v`'s vector: pass the fixed end as v.
         """
         self._check(u)
-        self._check(v)
+        dist, adj = self.dist_from(v), self.topo.adj
         path = [u]
-        while path[-1] != v:
-            path.append(self.next_hop(path[-1], v))
+        while u != v and u not in stop:
+            want = dist[u] - 1
+            for w in adj[u]:  # adjacency is sorted, first hit is lowest id
+                if dist[w] == want:
+                    break
+            else:
+                raise TopologyError(f"no next hop from {u} toward {v}")  # never when connected
+            path.append(u := w)
         return path

@@ -178,16 +178,15 @@ def test_criterion_09_handoff_simulator_properties():
         nodes = [v for v in range(n) if v != cn]
         old = rng.choice(nodes)
         new = rng.choice([v for v in nodes if v != old])
-        tree = establish(oracle, cn, old)
         rep = simulate_handoff(
-            tree, old, new,
+            oracle, cn, old, new,
             HandoffConfig(overlap="make_before_break", seed=trial, **base),
         )
         assert rep.packets_lost == 0, (trial, rep)
         # (b) an advance join with lead >= the graft round trip hides the handoff
         lead = 2 * rep.control_path_hops * base["per_hop_delay"]
         adv = simulate_handoff(
-            tree, old, new,
+            oracle, cn, old, new,
             HandoffConfig(strategy="advance_join", advance_lead=lead, seed=trial, **base),
         )
         assert adv.packets_lost == 0
@@ -200,8 +199,7 @@ def test_criterion_09_handoff_simulator_properties():
     cfg = HandoffConfig(overlap="break_before_make", **base)
     lat_l = []
     for new in range(3, 9):
-        tree = establish(oracle, 0, 2)
-        lat_l.append(simulate_handoff(tree, 2, new, cfg).handoff_latency)
+        lat_l.append(simulate_handoff(oracle, 0, 2, new, cfg).handoff_latency)
     assert lat_l == sorted(lat_l)
     edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(2, 8)]
     line = Topology.from_edges("line", 9, edges)

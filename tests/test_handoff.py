@@ -31,16 +31,11 @@ from mcastmob.movement import MovementTrace
 from mcastmob.routing import establish
 from mcastmob.topology import GeneratorParams, PathOracle, Topology
 
-from conftest import bfs_dist, random_connected_edges, tree_state
+from conftest import bfs_dist, random_connected_edges
 from heap_handoff import simulate_handoff as heap_simulate_handoff
 from heap_handoff import simulate_mip_handoff as heap_simulate_mip_handoff
 
 BASE = dict(per_hop_delay=10.0, packet_interval=20.0)
-
-
-def _fixture_tree(handoff_fixture):
-    topo, oracle = handoff_fixture
-    return topo, oracle, establish(oracle, 0, 3)
 
 
 class TestConfigValidation:
@@ -63,9 +58,9 @@ class TestConfigValidation:
 
 class TestBreakBeforeMake:
     def test_closed_form(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
-        rep = simulate_handoff(tree, 3, 6, cfg)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
         assert rep.trigger_ms == 60.0
         # join sent at 60 completes the graft at node 1 at t=90; the first
         # packet passing afterwards is k=4 (emitted 80), reaching node 6 at 120
@@ -79,12 +74,12 @@ class TestBreakBeforeMake:
         assert rep.control_path_hops == 3
 
     def test_triple_join_triples_control_traffic(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         plain = simulate_handoff(
-            tree, 3, 6, HandoffConfig(overlap="break_before_make", **BASE)
+            oracle, 0, 3, 6, HandoffConfig(overlap="break_before_make", **BASE)
         )
         triple = simulate_handoff(
-            tree, 3, 6,
+            oracle, 0, 3, 6,
             HandoffConfig(overlap="break_before_make", strategy="triple_join", **BASE),
         )
         assert triple.control_messages == 3 * plain.control_messages
@@ -93,9 +88,9 @@ class TestBreakBeforeMake:
 
 class TestMakeBeforeBreak:
     def test_closed_form(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         cfg = HandoffConfig(overlap="make_before_break", **BASE)
-        rep = simulate_handoff(tree, 3, 6, cfg)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
         assert rep.handoff_latency == 60.0
         assert rep.packets_lost == 0
         # k=4 and k=5 drain down the old branch while the prune (issued at
@@ -119,8 +114,8 @@ class TestMakeBeforeBreak:
         it; packet 15 was on that link and arrives at 125.
         """
         topo = Topology.from_edges("chain", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6)])
-        tree = establish(PathOracle(topo), 0, 5)
-        rep = simulate_handoff(tree, 5, 6, HandoffConfig(per_hop_delay=10.0, packet_interval=5.0))
+        rep = simulate_handoff(PathOracle(topo), 0, 5, 6,
+                               HandoffConfig(per_hop_delay=10.0, packet_interval=5.0))
         old = [(seq, t) for seq, t, via in rep.deliveries if via == "old"]
         new = [seq for seq, _, via in rep.deliveries if via == "new"]
         assert [seq for seq, _ in old] == list(range(16))
@@ -142,9 +137,8 @@ class TestMakeBeforeBreak:
             nodes = [v for v in range(n) if v != cn]
             old = rng.choice(nodes)
             new = rng.choice([v for v in nodes if v != old])
-            tree = establish(oracle, cn, old)
             rep = simulate_handoff(
-                tree, old, new,
+                oracle, cn, old, new,
                 HandoffConfig(overlap="make_before_break", seed=trial, **BASE),
             )
             assert rep.packets_lost == 0
@@ -153,28 +147,28 @@ class TestMakeBeforeBreak:
 
 class TestAdvanceJoin:
     def test_sufficient_lead_zero_loss(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         # graft round trip is 2L*d = 60; lead 80 also clears L+depth = 7 hops
         cfg = HandoffConfig(strategy="advance_join", advance_lead=80.0, **BASE)
-        rep = simulate_handoff(tree, 3, 6, cfg)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
         assert rep.trigger_ms == 80.0
         assert rep.packets_lost == 0
         assert rep.handoff_latency <= cfg.packet_interval
         assert rep.handoff_latency == 0.0  # packets were waiting at the new BS
 
     def test_insufficient_lead_still_delivers(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         cfg = HandoffConfig(strategy="advance_join", advance_lead=10.0, **BASE)
-        rep = simulate_handoff(tree, 3, 6, cfg)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
         assert rep.packets_lost == 0  # make_before_break still covers the gap
         assert rep.handoff_latency > 0.0
 
 
 class TestNoGraftNeeded:
     def test_new_location_already_on_tree(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         cfg = HandoffConfig(**BASE)
-        rep = simulate_handoff(tree, 3, 2, cfg)
+        rep = simulate_handoff(oracle, 0, 3, 2, cfg)
         assert rep.control_path_hops == 0
         assert rep.handoff_latency <= cfg.packet_interval
         assert rep.packets_lost == 0
@@ -182,13 +176,13 @@ class TestNoGraftNeeded:
 
 class TestLossRecovery:
     def test_lost_join_recovers_after_refresh(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         cfg = HandoffConfig(
             overlap="break_before_make", message_loss_rate=0.5, refresh_period=500.0, **BASE
         )
         lost_first = lambda kind, src, dst, attempt: kind == "join" and attempt == 0 and src == 6
 
-        rep = simulate_handoff(tree, 3, 6, cfg, loss_fn=lost_first)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg, loss_fn=lost_first)
         # first hop dies at t=60, retries at 560; graft completes at 590 and
         # the next packet through the meet (emitted 580) lands at 620
         assert rep.trigger_ms + rep.handoff_latency == 620.0
@@ -196,11 +190,11 @@ class TestLossRecovery:
         assert rep.control_messages == 4  # one lost copy, three good hops
 
     def test_lost_prune_leaves_duplicates_until_expiry(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=400.0, **BASE)
         lose_prunes = lambda kind, src, dst, attempt: kind == "prune" and attempt == 0
 
-        rep = simulate_handoff(tree, 3, 6, cfg, loss_fn=lose_prunes)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg, loss_fn=lose_prunes)
         assert rep.packets_lost == 0
         assert rep.control_messages >= 5  # retried prune hops add traffic
 
@@ -213,8 +207,7 @@ class TestMonotonicity:
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
         for new in range(3, 9):  # L = 1..6, meet always node 1
-            tree = establish(oracle, 0, 2)
-            rep = simulate_handoff(tree, 2, new, cfg)
+            rep = simulate_handoff(oracle, 0, 2, new, cfg)
             assert rep.control_path_hops == new - 2
             latencies.append(rep.handoff_latency)
         assert latencies == sorted(latencies)
@@ -273,37 +266,36 @@ class TestMobileIp:
 
 class TestDeterminism:
     def test_same_seed_same_report(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         cfg = HandoffConfig(message_loss_rate=0.3, seed=123, **BASE)
-        a = simulate_handoff(tree, 3, 6, cfg)
-        b = simulate_handoff(tree, 3, 6, cfg)
+        a = simulate_handoff(oracle, 0, 3, 6, cfg)
+        b = simulate_handoff(oracle, 0, 3, 6, cfg)
         assert a == b
 
-    def test_tree_not_mutated(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
-        before = tree_state(tree)
-        simulate_handoff(tree, 3, 6, HandoffConfig(**BASE))
-        assert tree_state(tree) == before
+    def test_reads_only_the_cn_vector(self, handoff_fixture):
+        """The sweep's warm oracle holds the CN's vector, so a simulation searches nothing."""
+        topo, oracle = handoff_fixture
+        simulate_handoff(oracle, 0, 3, 6, HandoffConfig(**BASE))
+        assert set(oracle._dist) == {0}
 
 
 class TestPreconditions:
-    def test_old_must_be_sole_leaf(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
-        tree.join(2)
-        with pytest.raises(HandoffError, match="only joined leaf"):
-            simulate_handoff(tree, 3, 6, HandoffConfig(**BASE))
+    def test_old_must_not_be_the_cn(self, handoff_fixture):
+        topo, oracle = handoff_fixture
+        with pytest.raises(HandoffError, match="correspondent"):
+            simulate_handoff(oracle, 0, 0, 6, HandoffConfig(**BASE))
 
     def test_rejects_same_location(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         with pytest.raises(HandoffError, match="distinct"):
-            simulate_handoff(tree, 3, 3, HandoffConfig(**BASE))
+            simulate_handoff(oracle, 0, 3, 3, HandoffConfig(**BASE))
         with pytest.raises(HandoffError, match="distinct"):
             simulate_mip_handoff(oracle, 0, 1, 3, 3, HandoffConfig(**BASE))
 
     def test_rejects_cn_target(self, handoff_fixture):
-        topo, oracle, tree = _fixture_tree(handoff_fixture)
+        topo, oracle = handoff_fixture
         with pytest.raises(HandoffError, match="correspondent"):
-            simulate_handoff(tree, 3, 0, HandoffConfig(**BASE))
+            simulate_handoff(oracle, 0, 3, 0, HandoffConfig(**BASE))
         with pytest.raises(HandoffError, match="correspondent"):
             simulate_mip_handoff(oracle, 0, 1, 3, 0, HandoffConfig(**BASE))
 
@@ -324,14 +316,12 @@ def test_kernel_properties(strategy, overlap, loss, seed):
     nodes = [v for v in range(n) if v != cn]
     old = rng.choice(nodes)
     new = rng.choice([v for v in nodes if v != old])
-    tree = establish(oracle, cn, old)
-    before = tree_state(tree)
     cfg = HandoffConfig(
         strategy=strategy, overlap=overlap, message_loss_rate=loss,
         advance_lead=rng.choice([0.0, 40.0, 100.0]), refresh_period=500.0, seed=seed, **BASE,
     )
     from_cn, from_ha = bfs_dist(adj, cn), bfs_dist(adj, ha)
-    mcast = simulate_handoff(tree, old, new, cfg)
+    mcast = simulate_handoff(oracle, cn, old, new, cfg)
     mip = simulate_mip_handoff(oracle, cn, ha, old, new, cfg)
     for rep, hops in (
         (mcast, {"old": from_cn[old], "new": from_cn[new]}),
@@ -348,8 +338,7 @@ def test_kernel_properties(strategy, overlap, loss, seed):
             assert rep.handoff_latency < math.inf
             if overlap == "make_before_break":
                 assert rep.packets_lost == 0
-    assert tree_state(tree) == before
-    assert simulate_handoff(tree, old, new, cfg) == mcast
+    assert simulate_handoff(oracle, cn, old, new, cfg) == mcast
     assert simulate_mip_handoff(oracle, cn, ha, old, new, cfg) == mip
 
 
@@ -450,9 +439,11 @@ def test_searches_only_from_the_cn_and_the_ha(monkeypatch):
 
 
 def _fresh_reports(oracle, run, block):
-    """The sweep's reports of one run, each from its own simulator call and real seed.
+    """The sweep's reports of one run, each from its own reference call and real seed.
 
-    The tree is walked here, join then prune per move, as the run walks it.
+    The tree is walked here, join then prune per move, as the run walks it,
+    and each move is simulated on it by `heap_handoff`, the event-queue
+    reference, which reads the tree and not the oracle's paths.
     """
     reports = []
     steps = run.trace.steps[:block.max_moves + 1]
@@ -462,14 +453,52 @@ def _fresh_reports(oracle, run, block):
             continue
         for strategy in block.strategies:
             seed = stable_seed(run.record.child_seed, "handoff", i, strategy)
-            reports.append(simulate_handoff(tree, old, new, block.handoff_config(strategy, seed)))
+            reports.append(heap_simulate_handoff(tree, old, new,
+                                                 block.handoff_config(strategy, seed)))
         if block.include_mobile_ip:
             seed = stable_seed(run.record.child_seed, "handoff", i, "mobile_ip")
-            reports.append(simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
-                                                block.handoff_config("plain_join", seed)))
+            reports.append(heap_simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
+                                                     block.handoff_config("plain_join", seed)))
         tree.join(new)
         tree.prune(old)
     return reports
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       strategies=st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=3, unique=True),
+       overlap=st.sampled_from(OVERLAP_MODES),
+       lead=st.sampled_from([0.0, 40.0, 100.0]))
+def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategies, overlap, lead):
+    """No tree is handed to the simulator, yet every row is the walked tree's report.
+
+    On a random graph and trace, each sweep row equals the event-queue
+    reference run on a tree walked join then prune, and each move's old
+    branch and graft walk, hence its shape, are those `establish` gives.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(3, 20)
+    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    oracle = PathOracle(topo)
+    cn, ha = rng.sample(range(n), 2)
+    steps = [rng.choice([v for v in range(n) if v != cn])]
+    for _ in range(rng.randrange(1, 12)):  # a repeat is a move that stays put
+        steps.append(rng.choice([steps[-1]] + [v for v in range(n) if v != cn]))
+    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=2, moves=1,
+                                seed=seed, run_index=0, endpoints=(cn, ha))
+    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)))
+    block = HandoffBlock(message_loss_rate=loss, refresh_period=500.0, strategies=tuple(strategies),
+                         overlap=overlap, advance_lead=lead, max_moves=len(steps))
+    rows = experiment._sweep_run(oracle, run, block, {})
+    assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
+    for old, new in zip(steps, steps[1:]):
+        if old != new:
+            tree = establish(oracle, cn, old)
+            expected = tree.branch_to_root(old), tree.graft_walk(new)
+            paths = handoff.branch_and_walk(oracle, cn, old, new)
+            assert paths == expected
+            assert experiment._mcast_shape(*paths) == experiment._mcast_shape(*expected)
 
 
 @pytest.mark.parametrize("advance_lead", [0.0, 60.0])
@@ -573,11 +602,11 @@ def test_lossless_kernel_draws_nothing(monkeypatch, handoff_fixture):
             raise AssertionError("a loss draw at rate 0")
 
     monkeypatch.setattr(handoff, "random", SimpleNamespace(Random=NoDraws))
-    topo, oracle, tree = _fixture_tree(handoff_fixture)
+    topo, oracle = handoff_fixture
     for strategy in STRATEGIES:
         cfg = HandoffConfig(strategy=strategy, advance_lead=40.0, seed=3, **BASE)
-        assert simulate_handoff(tree, 3, 6, cfg) == simulate_handoff(
-            tree, 3, 6, dataclasses.replace(cfg, seed=4))
+        assert simulate_handoff(oracle, 0, 3, 6, cfg) == simulate_handoff(
+            oracle, 0, 3, 6, dataclasses.replace(cfg, seed=4))
         simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
 
 
@@ -602,7 +631,7 @@ def test_same_instant_deliveries_come_out_in_closed_form_order(interval, first, 
     whose ancestor is earlier is delivered first.
     """
     oracle = _tie_chain()
-    rep = simulate_handoff(establish(oracle, 0, 4), 4, 5,
+    rep = simulate_handoff(oracle, 0, 4, 5,
                            HandoffConfig(per_hop_delay=10.0, packet_interval=interval))
     log = list(rep.deliveries)
     assert log.index(first) + 1 == log.index(second)
@@ -657,7 +686,7 @@ def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refres
                         strategy=strategy, advance_lead=lead, overlap=overlap,
                         refresh_period=refresh, seed=seed)
     loss_fn = _keyed_loss if keyed else None
-    assert (simulate_handoff(establish(oracle, cn, old), old, new, cfg, loss_fn)
+    assert (simulate_handoff(oracle, cn, old, new, cfg, loss_fn)
             == heap_simulate_handoff(establish(oracle, cn, old), old, new, cfg, loss_fn))
     assert (simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn)
             == heap_simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn))
