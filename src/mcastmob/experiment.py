@@ -54,7 +54,7 @@ class ExperimentResult:
     topologies: dict[str, Topology]
     runs: tuple[RunResult, ...]
     aggregate: metrics.AggregateStats
-    oracles: dict[tuple[str, str], PathOracle]  # (topology, model) -> its job's; handoff only
+    oracles: dict[tuple[str, str], PathOracle]  # (topology, model) -> job oracle; handoff only
 
 
 def build_topology(spec, master_seed) -> Topology:
@@ -125,7 +125,7 @@ def _job(cfg, spec, topo, model, run_indices):
 def _pair_job(args):
     """All runs for one (topology, model), executed inline or in a pool worker.
 
-    Returns them with, under a handoff block, the job's warm oracle (else None).
+    Returns (runs, oracle): the job's warm oracle under a handoff block, else None.
     """
     cfg, topo, topo_type, model_kind, seeds = args
     oracle = PathOracle(topo)
@@ -168,8 +168,8 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
         topologies=topologies,
         runs=runs,
         aggregate=metrics.aggregate([r.record for r in runs]),
-        oracles={(job[1].name, job[3]): oracle for job, (_, oracle) in zip(jobs, batches)
-                 if oracle is not None},
+        oracles={(topo.name, model): oracle for (_, topo, _, model, _), (_, oracle)
+                 in zip(jobs, batches) if oracle is not None},
     )
 
 
@@ -243,7 +243,7 @@ def _mcast_shape(path_old, walk):
 def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
-    `oracle` is one of the run's topology; `handoff_sweep` passes its job's.
+    `oracle` is a path oracle of the run's topology; `handoff_sweep` passes the job's.
     `memo` maps (shape, strategy, seed) to a report already simulated in this
     sweep under `block`; see `handoff_sweep`.
     """
