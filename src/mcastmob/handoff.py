@@ -112,8 +112,8 @@ class _Pass:
     CN emission up to the tail or give-up deadline, and the delivery log. A
     simulator relays its control messages first, then passes `emit` a
     `launch(t, seq)` that sends packet `seq` on with `down` and `arrive`.
-    Without loss (rate 0 and no `loss_fn`) no hop makes a draw (`down` skips
-    `lost`), so the seed is inert and the report is a function of the paths.
+    Without loss (rate 0, no `loss_fn`) no hop draws and `down` skips `lost`:
+    the seed is inert, and the report depends only on the paths and config.
     """
 
     def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn, fork=math.inf, old_first=True):
