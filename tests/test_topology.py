@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcastmob.config import stable_seed
 from mcastmob.topology import (
     GenerationError,
     GeneratorParams,
@@ -108,6 +109,9 @@ PINNED_EDGES = [
     ("tiers_like", 200, 2.81, 2, "ecaa53d2cafbd1fa0519fbeb2f19b0b05ac8d049596d3d38bb928af0e823ff57"),
     ("tiers_like", 1000, 2.81, 1, "5661eaa353ef6bb9b59d4de5a51eec33332b460d20983b82bb5ed3574a97ad48"),
     ("tiers_like", 1000, 2.81, 2, "8bd766ef6e7d14231b1474fd29f6ec784c06a7e31561b0f96996026bc0fa110b"),
+    # the large_topology benchmark's ts10000 at seed 7
+    ("transit_stub", 10_000, 3.7, stable_seed(7, "topology", "ts10000"),
+     "3b9f6fbc4790f273c21076c46dd914659f31047fa68cd4c636981d5c27af67a9"),
 ]
 
 
