@@ -160,6 +160,9 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_pair_job, jobs))
+        for (_, topo, *_), (_, oracle) in zip(jobs, batches):
+            if oracle is not None:  # unpickled with its own copy of the topology
+                oracle.topo = topo
     else:
         batches = [_pair_job(job) for job in jobs]
     runs = tuple(result for batch, _ in batches for result in batch)

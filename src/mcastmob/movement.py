@@ -84,7 +84,9 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
         if not (0 <= node < topo.n):
             raise MovementError(f"forbidden id {node} not in topology")
     rng = random.Random(seed)
-    eligible = [v for v in range(topo.n) if v not in forbidden]
+    eligible = list(range(topo.n))
+    for v in sorted(set(forbidden), reverse=True):  # from the top, so lower ids keep their index
+        del eligible[v]
     if not eligible:
         raise MovementError("forbidden set excludes every node")
     if start is None:

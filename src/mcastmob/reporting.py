@@ -131,12 +131,11 @@ HANDOFF_COLUMNS = (
 
 
 def write_handoff(path, rows):
+    # only the latency is a float; the csv module prints the str and int cells as fmt does
     _write_table(path, HANDOFF_COLUMNS, (
-        map(fmt, (
-            row.topology, row.model, row.run_index, row.step, row.strategy, row.graft_links,
-            row.b_hops, row.report.handoff_latency, row.report.packets_lost,
-            row.report.packets_duplicated, row.report.out_of_order, row.report.control_messages,
-        ))
+        (row.topology, row.model, row.run_index, row.step, row.strategy, row.graft_links,
+         row.b_hops, fmt(row.report.handoff_latency), row.report.packets_lost,
+         row.report.packets_duplicated, row.report.out_of_order, row.report.control_messages)
         for row in rows
     ))
 

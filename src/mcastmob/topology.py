@@ -40,37 +40,40 @@ class Topology:
     def from_edges(cls, name, n, edges, clusters=()):
         if n < 2:
             raise TopologyError("a topology needs at least 2 nodes")
-        # before the adjacency, whose size follows the largest id, not the links
-        if len(edges) < n - 1:
-            raise TopologyError(f"disconnected graph: {len(edges)} links cannot join {n} nodes")
-        seen = set()
-        adj_lists = [[] for _ in range(n)]
+        keys = set()
         for u, v in edges:
             if u == v:
                 raise TopologyError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise TopologyError(f"node id out of range: {u} {v} (n={n})")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise TopologyError(f"duplicate edge {key[0]} {key[1]}")
-            seen.add(key)
-            adj_lists[u].append(v)
-            adj_lists[v].append(u)
-        dist = _levels(adj_lists, 0)
+            if u > v:
+                u, v = v, u
+            key = u * n + v
+            if key in keys:
+                raise TopologyError(f"duplicate edge {u} {v}")
+            keys.add(key)
+        return cls._from_keys(name, n, keys, clusters)
+
+    @classmethod
+    def _from_keys(cls, name, n, keys, clusters=()):
+        """The topology whose links are the edge keys `u * n + v`, each with u < v."""
+        # before the adjacency, whose size follows the largest id, not the links
+        if len(keys) < n - 1:
+            raise TopologyError(f"disconnected graph: {len(keys)} links cannot join {n} nodes")
+        adj = [[] for _ in range(n)]
+        ids = list(range(n))  # one int object per node, not one per link end
+        # in key order each list receives its neighbors in ascending order
+        for key in sorted(keys):
+            u, v = divmod(key, n)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        dist = _levels(adj, 0)
         if -1 in dist:
             raise TopologyError(
                 f"disconnected graph: only {n - dist.count(-1)} of {n} nodes reachable "
                 f"(node {dist.index(-1)} unreached)"
             )
-        for nbrs in adj_lists:
-            nbrs.sort()
-        return cls(
-            name=name,
-            n=n,
-            edge_count=len(seen),
-            adj=tuple(map(tuple, adj_lists)),
-            clusters=tuple(clusters),
-        )
+        return cls(name, n, len(keys), tuple(map(tuple, adj)), tuple(clusters))
 
     @property
     def edges(self):
@@ -191,7 +194,7 @@ def generate(params, name=None):
         rng = random.Random(params.seed + attempt * 0x9E3779B97F4A7C15)
         try:
             edges, clusters = build(params, rng)
-            topo = Topology.from_edges(label, params.node_count, edges, clusters)
+            topo = Topology._from_keys(label, params.node_count, edges, clusters)
         except GenerationError as exc:
             last = exc
             continue
@@ -239,9 +242,10 @@ def _random_tree(nodes, rng):
     return [(order[i], order[draw(0, i)]) for i in range(1, len(order))]
 
 
-def _add_edge(edges, u, v):
+def _add_edge(edges, n, u, v):
+    """Add the link u-v, unless it is a self-loop, as the key `u * n + v` with u < v."""
     if u != v:
-        edges.add((u, v) if u < v else (v, u))
+        edges.add(u * n + v if u < v else v * n + u)
 
 
 def _fill_uniform(edges, n, budget, rng):
@@ -252,7 +256,7 @@ def _fill_uniform(edges, n, budget, rng):
         attempts += 1
         if attempts > cap:
             raise GenerationError("edge sampling stalled before reaching the budget")
-        _add_edge(edges, draw(0, n), draw(0, n))
+        _add_edge(edges, n, draw(0, n), draw(0, n))
 
 
 def _flat_random(params, rng):
@@ -260,7 +264,7 @@ def _flat_random(params, rng):
     budget = _edge_budget(params)
     edges = set()
     for u, v in _random_tree(range(n), rng):
-        _add_edge(edges, u, v)
+        _add_edge(edges, n, u, v)
     _fill_uniform(edges, n, budget, rng)
     return edges, ()
 
@@ -277,14 +281,14 @@ def _blocks(first, total, size):
     return [b for b in out if b[1] > b[0]]
 
 
-def _core_edges(edges, count, draw):
+def _core_edges(edges, n, count, draw):
     if count == 2:
-        _add_edge(edges, 0, 1)
+        _add_edge(edges, n, 0, 1)
     elif count >= 3:
         for i in range(count):
-            _add_edge(edges, i, (i + 1) % count)
+            _add_edge(edges, n, i, (i + 1) % count)
         for _ in range(count // 4):
-            _add_edge(edges, draw(0, count), draw(0, count))
+            _add_edge(edges, n, draw(0, count), draw(0, count))
 
 
 def _transit_stub(params, rng):
@@ -295,12 +299,12 @@ def _transit_stub(params, rng):
     core = max(1, min(round(n / per_transit), n // 2))
     edges = set()
     draw = _drawer(rng)
-    _core_edges(edges, core, draw)
+    _core_edges(edges, n, core, draw)
     blocks = _blocks(core, n - core, params.stub_size)
     for i, (lo, hi) in enumerate(blocks):
         for u, v in _random_tree(range(lo, hi), rng):
-            _add_edge(edges, u, v)
-        _add_edge(edges, draw(lo, hi), i % core)
+            _add_edge(edges, n, u, v)
+        _add_edge(edges, n, draw(lo, hi), i % core)
     _fill_clustered(edges, n, budget, rng, blocks, core)
     return edges, tuple(blocks)
 
@@ -312,17 +316,17 @@ def _tiers_like(params, rng):
     core = max(1, min(round(math.sqrt(n) / 3), n // 4))
     edges = set()
     draw = _drawer(rng)
-    _core_edges(edges, core, draw)
+    _core_edges(edges, n, core, draw)
     blocks = _blocks(core, n - core, params.stub_size)
     mid = max(1, len(blocks) // 4)
     for i, (lo, hi) in enumerate(blocks):
         for j in range(lo + 1, hi):
-            _add_edge(edges, lo, j)  # LAN-style star around the first id
+            _add_edge(edges, n, lo, j)  # LAN-style star around the first id
         if i < mid:
-            _add_edge(edges, draw(lo, hi), i % core)
+            _add_edge(edges, n, draw(lo, hi), i % core)
         else:
             plo, phi = blocks[draw(0, mid)]
-            _add_edge(edges, draw(lo, hi), draw(plo, phi))
+            _add_edge(edges, n, draw(lo, hi), draw(plo, phi))
     _fill_clustered(edges, n, budget, rng, blocks, core)
     return edges, tuple(blocks)
 
@@ -337,17 +341,17 @@ def _fill_clustered(edges, n, budget, rng, blocks, core):
             raise GenerationError("edge sampling stalled before reaching the budget")
         if attempts > cap // 2:
             # nearly saturated clusters: fall back to uniform placement
-            _add_edge(edges, draw(0, n), draw(0, n))
+            _add_edge(edges, n, draw(0, n), draw(0, n))
             continue
         r = rng.random()
         if r < 0.85 and blocks:
             lo, hi = blocks[draw(0, len(blocks))]
-            _add_edge(edges, draw(lo, hi), draw(lo, hi))
+            _add_edge(edges, n, draw(lo, hi), draw(lo, hi))
         elif r < 0.95 and blocks and core:
             lo, hi = blocks[draw(0, len(blocks))]
-            _add_edge(edges, draw(lo, hi), draw(0, core))
+            _add_edge(edges, n, draw(lo, hi), draw(0, core))
         elif core >= 2:
-            _add_edge(edges, draw(0, core), draw(0, core))
+            _add_edge(edges, n, draw(0, core), draw(0, core))
 
 
 class PathOracle:

@@ -8,7 +8,7 @@ from xml.dom import minidom
 
 import pytest
 
-from mcastmob import experiment
+from mcastmob import config, experiment
 from mcastmob.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
 
 RING = "\n".join(["0 1", "1 2", "2 3", "3 4", "4 5", "5 0", "0 3"]) + "\n"
@@ -177,6 +177,14 @@ def test_handoff_workers_match_serial(workdir):
     serial = (workdir / "serial" / "handoff.csv").read_bytes()
     assert serial.count(b"\n") > 100
     assert (workdir / "par" / "handoff.csv").read_bytes() == serial
+
+
+def test_pooled_oracles_read_the_parent_topologies(workdir):
+    """A worker's oracle is unpickled with its own topology, which must not outlive the pool."""
+    result = experiment.execute_scenario(config.load("cfg.json"), workers=2)
+    assert len(result.oracles) == 4
+    for (name, _), oracle in result.oracles.items():
+        assert oracle.topo is result.topologies[name]
 
 
 def test_run_without_any_b_over_l_prints_n_a(workdir, capsys):

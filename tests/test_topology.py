@@ -94,6 +94,21 @@ class TestFromEdges:
         assert topo.adj[0] == (1, 2, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=2, max_value=40))
+def test_keyed_build_matches_from_edges(seed, n):
+    """The generators' keyed build and the edge-list build give the same topology."""
+    rng = random.Random(seed)
+    edges = random_connected_edges(rng, n, rng.randrange(0, 2 * n))
+    flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(flipped)
+    keyed = Topology._from_keys("k", n, {u * n + v for u, v in edges})
+    listed = Topology.from_edges("k", n, flipped)
+    assert (keyed.adj, keyed.edge_count, keyed.edges) == (listed.adj, listed.edge_count, listed.edges)
+    assert keyed.edges == tuple(edges)
+    assert all(list(nbrs) == sorted(nbrs) for nbrs in keyed.adj)
+
+
 # sha256 of "u v\n" per edge of generate(params).edges, recorded before the
 # generators drew through getrandbits directly and Topology derived its edges
 PINNED_EDGES = [
