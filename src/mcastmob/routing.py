@@ -39,9 +39,11 @@ class StepSample:
 
 
 class MulticastTree:
-    """Mutable (S,G) state: parent map rooted at the CN plus the joined leaves.
+    """Mutable (S,G) state: the branch [leaf, ..., CN] and the nodes holding state.
 
-    The CN and every node with a parent hold (S,G) state.
+    Every join walks the shortest path toward the CN, so between moves the
+    tree is one branch. From a join to its prune, `pending` holds the old
+    leaf and the cut (the old branch below the meet node), still in `nodes`.
 
     Single-run object: one simulation thread mutates it at a time. The
     oracle, and through it the topology, is read-only shared.
@@ -51,70 +53,55 @@ class MulticastTree:
         oracle._check(cn)
         self.cn = cn
         self.oracle = oracle
-        self.parent: dict[int, int] = {}
-        self.children: dict[int, set[int]] = {}
-        self.leaves: set[int] = set()
+        self.branch = [cn]
+        self.nodes = {cn}
+        self.pending = None  # (old leaf, cut) until the prune
 
     @property
     def edge_count(self):
-        return len(self.parent)
+        return len(self.nodes) - 1
 
     def join(self, new_location) -> int:
         """Graft a branch from new_location toward the CN; returns added links L.
 
         Walks the deterministic shortest path until the first node already
-        holding (S,G) state. A location already on the tree just becomes a
-        leaf (L = 0).
+        holding (S,G) state, the meet node. A location already on the branch
+        just becomes its leaf (L = 0).
         """
         if new_location == self.cn:
             raise SimulationInvariantError("mobile cannot join at the correspondent node")
+        if self.pending is not None:
+            raise SimulationInvariantError(f"join before the prune of {self.pending[0]}")
         walk = self.graft_walk(new_location)
-        for child, up in zip(walk, walk[1:]):
-            self.parent[child] = up
-            self.children.setdefault(up, set()).add(child)
-        self.leaves.add(new_location)
+        old = self.branch
+        try:
+            meet = old.index(walk[-1])
+        except ValueError:
+            raise SimulationInvariantError(f"graft walk stops off the branch at {walk[-1]}") from None
+        self.branch = walk[:-1] + old[meet:]
+        if old[0] != self.cn:  # the first join has no old leaf
+            self.pending = old[0], old[:meet]
+        self.nodes.update(walk)
         return len(walk) - 1
 
     def graft_walk(self, node):
-        """The branch a join from `node` would graft: [node, ..., first on-tree node].
-
-        Read-only; [node] when `node` already holds (S,G) state.
-        """
-        return self.oracle.shortest_path(node, self.cn, stop=self.parent)
+        """Read-only: the walk a join from `node` would graft, [node, ..., meet node]."""
+        return self.oracle.shortest_path(node, self.cn, stop=self.nodes)
 
     def prune(self, old_location) -> int:
-        """Tear down the branch below old_location; returns removed links.
-
-        Walks upstream removing nodes that are neither leaves nor ancestors
-        of a leaf, stopping at the first fork, leaf, or the CN.
-        """
-        if old_location not in self.leaves:
+        """Tear down the cut the last join left below old_location; returns removed links."""
+        leaf, cut = self.pending or (None, ())
+        if leaf != old_location:
             raise SimulationInvariantError(f"prune of non-leaf node {old_location}")
-        self.leaves.discard(old_location)
-        removed = 0
-        node = old_location
-        while node != self.cn and node not in self.leaves and not self.children.get(node):
-            up = self.parent.pop(node)
-            self.children[up].discard(node)
-            removed += 1
-            node = up
-        return removed
+        self.nodes.difference_update(cut)
+        self.pending = None
+        return len(cut)
 
     def path_hops(self, leaf) -> int:
         """Tree hop count from the CN to `leaf`; equals dist(CN, leaf)."""
-        if leaf not in self.leaves:
+        if leaf != self.branch[0]:
             raise SimulationInvariantError(f"{leaf} is not a joined leaf")
-        return len(self.branch_to_root(leaf)) - 1
-
-    def branch_to_root(self, node):
-        """Parent chain [node, ..., CN]; raises if the chain is broken or cyclic."""
-        path = [node]
-        while path[-1] != self.cn:
-            up = self.parent.get(path[-1])
-            if up is None or len(path) > self.oracle.topo.n:
-                raise SimulationInvariantError(f"broken parent chain from node {node}")
-            path.append(up)
-        return path
+        return len(self.branch) - 1
 
 
 def establish(oracle, cn, first_location) -> MulticastTree:
@@ -132,8 +119,9 @@ def run_scenario(oracle, cn, ha, steps):
     (tree path equals shortest path; added minus removed links equals the
     live edge count) are checked every step and raise
     SimulationInvariantError so a bad run can never be reported silently.
-    Between moves the parent map is the branch `establish` builds to the
-    mobile's location, so the handoff sweep reads it off the oracle.
+    Between moves the tree is the branch `establish` builds to the mobile's
+    location, so the handoff sweep reads it off the oracle. Both invariant
+    errors end with that branch.
     """
     oracle._check(cn)
     oracle._check(ha)
@@ -168,13 +156,13 @@ def run_scenario(oracle, cn, ha, steps):
         total_removed += removed
         if total_removed > total_added or total_added - total_removed != tree.edge_count:
             raise SimulationInvariantError(
-                f"link accounting broken at step {i}: "
-                f"added {total_added}, removed {total_removed}, tree {tree.edge_count}"
+                f"link accounting broken at step {i}: added {total_added}, "
+                f"removed {total_removed}, tree {tree.edge_count}, branch {tree.branch}"
             )
-        c_hops = tree.path_hops(new)
-        if c_hops != oracle.dist(cn, new):
+        c_hops, shortest = tree.path_hops(new), oracle.dist(cn, new)
+        if c_hops != shortest:
             raise SimulationInvariantError(
-                f"tree path {c_hops} != shortest path {oracle.dist(cn, new)} at step {i}"
+                f"tree path {c_hops} != shortest path {shortest} at step {i}, branch {tree.branch}"
             )
         samples.append(
             StepSample(

@@ -116,7 +116,6 @@ def load_edge_list(text, name="edges"):
     up as a disconnected-graph error).  Malformed lines, self-loops and
     duplicate edges are rejected with their line number.
     """
-    edges = []
     seen = set()
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,11 +137,11 @@ def load_edge_list(text, name="edges"):
         if key in seen:
             raise TopologyError(f"line {lineno}: duplicate edge {u} {v}")
         seen.add(key)
-        edges.append(key)
         max_id = max(max_id, u, v)
-    if not edges:
+    if not seen:
         raise TopologyError("empty edge list")
-    return Topology.from_edges(name, max_id + 1, edges)
+    n = max_id + 1  # at least 2, as every edge joins two distinct ids
+    return Topology._from_keys(name, n, {u * n + v for u, v in seen})
 
 
 @dataclass(frozen=True)
@@ -392,17 +391,6 @@ class PathOracle:
         """
         self._check(v)
         return self.dist_from(u)[v]
-
-    def next_hop(self, u, v):
-        """Lowest-id neighbor of u one hop closer to v; None when u == v.
-
-        The lowest-id rule makes every shortest path, and hence every tree
-        shape and added-link count, reproducible. Reads `v`'s distance
-        vector, so pass the endpoint that stays fixed across queries as `v`.
-        """
-        self._check(u)
-        path = self.shortest_path(u, v, stop=self.topo.adj[u])  # ends one hop on
-        return path[1] if u != v else None
 
     def shortest_path(self, u, v, stop=()):
         """Deterministic shortest path [u, ..., v], cut at its first node in `stop`.

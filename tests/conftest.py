@@ -31,28 +31,29 @@ def bfs_dist(adj, source):
 def validate_tree(tree):
     """Full structural audit of a MulticastTree; path lengths come from bfs_dist.
 
-    Every parent link is a topology edge mirrored in the children map, every
-    on-tree node (the CN and each node with a parent) supports some leaf,
-    and each leaf's tree path is shortest.
+    The branch [leaf, ..., CN] and the cut a pending prune will remove are
+    walks over topology edges with no node repeated, the cut hangs off a
+    branch node, exactly their nodes hold (S,G) state, and the branch is a
+    shortest path.
     """
-    cn, topo = tree.cn, tree.oracle.topo
-    on_tree = set(tree.parent) | {cn}
-    assert tree.leaves <= on_tree, "leaf not on tree"
-    for child, up in tree.parent.items():
-        assert up in topo.adj[child], f"parent link {child}->{up} is not a topology edge"
-        assert child in tree.children.get(up, set()), f"children map missing {up}->{child}"
-    supported = {cn}
-    for leaf in tree.leaves:
-        supported.update(tree.branch_to_root(leaf))  # raises on a broken or cyclic chain
-    assert supported == on_tree, f"stale on-tree nodes: {on_tree - supported}"
-    from_cn = bfs_dist(topo.adj, cn)
-    for leaf in tree.leaves:
-        assert tree.path_hops(leaf) == from_cn[leaf], f"tree path to leaf {leaf} is not shortest"
+    cn, adj = tree.cn, tree.oracle.topo.adj
+    branch = tree.branch
+    cut = tree.pending[1] if tree.pending is not None else []
+    assert branch[-1] == cn, f"branch {branch} does not end at the CN"
+    for walk in (branch, cut):
+        for a, b in zip(walk, walk[1:]):
+            assert b in adj[a], f"link {a}-{b} is not a topology edge"
+    assert len(set(branch + cut)) == len(branch) + len(cut), f"a node repeats in {branch}, {cut}"
+    if cut:
+        assert tree.pending[0] == cut[0], "the pending leaf does not head the cut"
+        assert any(b in adj[cut[-1]] for b in branch), f"cut {cut} hangs off no branch node"
+    assert tree.nodes == set(branch + cut), f"stale (S,G) state: {tree.nodes ^ set(branch + cut)}"
+    assert len(branch) - 1 == bfs_dist(adj, cn)[branch[0]], f"branch {branch} is not shortest"
 
 
 def tree_state(tree):
-    """A copy of the tree's (parent, children, leaves), for before/after comparisons."""
-    return dict(tree.parent), {u: set(c) for u, c in tree.children.items()}, set(tree.leaves)
+    """A copy of the tree's (branch, nodes, pending), for before/after comparisons."""
+    return list(tree.branch), set(tree.nodes), tree.pending
 
 
 def random_connected_edges(rng, n, extra):

@@ -170,15 +170,15 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     `experiment.handoff_sweep` simulates each such shape once.
     """
     cn = tree.cn
-    if tree.leaves != {old}:
-        raise HandoffError("old must be the tree's only joined leaf")
+    if tree.branch[0] != old or tree.pending is not None:
+        raise HandoffError("old must be the branch's leaf, with no prune pending")
     if new == cn:
         raise HandoffError("cannot hand off to the correspondent node")
     if new == old:
         raise HandoffError("handoff requires distinct old and new locations")
     tree.oracle._check(new)
 
-    path_old = tree.branch_to_root(old)  # [old, ..., cn]
+    path_old = tree.branch  # [old, ..., cn]
     walk = tree.graft_walk(new)  # [new, ..., meet]
     meet = path_old.index(walk[-1])
     fwd = {up: {child} for child, up in zip(path_old, path_old[1:])}

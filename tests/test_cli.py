@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from xml.dom import minidom
 
@@ -10,6 +11,7 @@ import pytest
 
 from mcastmob import config, experiment
 from mcastmob.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
+from mcastmob.topology import PathOracle
 
 RING = "\n".join(["0 1", "1 2", "2 3", "3 4", "4 5", "5 0", "0 3"]) + "\n"
 
@@ -444,6 +446,20 @@ def test_trapped_trace_exits_with_replay_line(workdir, capsys):
     assert "no eligible node has a move" in err
     seed = err.split("--replay ")[1].split()[0]
     assert main(["replay", "--config", "trap.json", "--replay", seed]) == EXIT_INVARIANT
+
+
+def test_invariant_failure_prints_the_tree_with_the_replay_line(workdir, capsys, monkeypatch):
+    # an oracle whose distances are one hop too long breaks the tree-path check
+    dist = PathOracle.dist
+    monkeypatch.setattr(PathOracle, "dist", lambda oracle, u, v: dist(oracle, u, v) + 1)
+    assert main(["run", "--config", "cfg.json"]) == EXIT_INVARIANT
+    failure, replay = capsys.readouterr().err.splitlines()[-2:]
+    match = re.search(r"tree path (\d+) != shortest path (\d+) at step 1, branch (\[[\d, ]+\])$",
+                      failure)
+    assert match, failure
+    c_hops, shortest, branch = int(match[1]), int(match[2]), json.loads(match[3])
+    assert (len(branch) - 1, shortest) == (c_hops, c_hops + 1)
+    assert replay.startswith("replay with: mcastmob replay")
 
 
 @pytest.mark.parametrize(

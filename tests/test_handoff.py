@@ -495,7 +495,7 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
     for old, new in zip(steps, steps[1:]):
         if old != new:
             tree = establish(oracle, cn, old)
-            expected = tree.branch_to_root(old), tree.graft_walk(new)
+            expected = tree.branch, tree.graft_walk(new)
             paths = handoff.branch_and_walk(oracle, cn, old, new)
             assert paths == expected
             assert experiment._mcast_shape(*paths) == experiment._mcast_shape(*expected)

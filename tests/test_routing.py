@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mcastmob import reporting
 from mcastmob.movement import MovementModel, generate_trace
-from mcastmob.routing import SimulationInvariantError, establish, run_scenario
+from mcastmob.routing import MulticastTree, SimulationInvariantError, establish, run_scenario
 from mcastmob.topology import PathOracle, Topology
 
 from conftest import bfs_dist, random_connected_edges, tree_state, validate_tree
@@ -21,17 +21,16 @@ def _tree_on(topo, cn, loc):
 class TestEstablish:
     def test_path_graph(self, path5):
         tree = _tree_on(path5, 0, 2)
-        assert tree.parent == {2: 1, 1: 0}
-        assert tree.leaves == {2}
+        assert tree.branch == [2, 1, 0]
 
     def test_adjacent(self, path5):
         tree = _tree_on(path5, 1, 2)
         assert tree.edge_count == 1
-        assert tree.parent == {2: 1}
+        assert tree.branch == [2, 1]
 
     def test_diamond_tie_break(self, diamond):
         tree = _tree_on(diamond, 0, 3)
-        assert tree.parent == {3: 1, 1: 0}
+        assert tree.branch == [3, 1, 0]
 
     def test_at_cn_rejected(self, path5):
         with pytest.raises(SimulationInvariantError):
@@ -52,13 +51,14 @@ class TestJoin:
     def test_join_at_on_tree_node(self, path5):
         tree = _tree_on(path5, 0, 4)
         assert tree.join(2) == 0
-        assert tree.leaves == {4, 2}
+        assert tree.branch == [2, 1, 0]
+        assert tree.pending == (4, [4, 3])
 
     def test_star_graft_single_link(self, star):
         # cn is spoke 1, current branch reaches spoke 2 through the hub
         tree = _tree_on(star, 1, 2)
         assert tree.join(3) == 1
-        assert tree.parent[3] == 0
+        assert tree.branch == [3, 0, 1]
 
     def test_graft_walk_is_read_only(self):
         topo = Topology.from_edges("fig", 4, [(0, 1), (1, 3), (3, 2)])
@@ -74,20 +74,27 @@ class TestJoin:
         with pytest.raises(SimulationInvariantError):
             tree.join(0)
 
+    def test_second_join_before_prune_rejected(self, path5):
+        tree = _tree_on(path5, 0, 4)
+        tree.join(2)
+        with pytest.raises(SimulationInvariantError, match="join before the prune of 4"):
+            tree.join(3)
+
+    def test_walk_stopping_off_the_branch_rejected(self, path5):
+        # state at node 3 that the branch 2-1-0 does not hold stops the walk from 4 there
+        tree = _tree_on(path5, 0, 2)
+        tree.nodes.add(3)
+        with pytest.raises(SimulationInvariantError, match="off the branch at 3"):
+            tree.join(4)
+
 
 class TestPrune:
-    def test_full_teardown(self, path5):
-        tree = _tree_on(path5, 0, 4)
-        tree.leaves.add(4)
-        assert tree.prune(4) == 4
-        assert tree.parent == {}
-        assert tree.edge_count == 0
-
     def test_fork_keeps_shared_prefix(self, star):
         tree = _tree_on(star, 1, 2)
         tree.join(3)
         assert tree.prune(2) == 1  # only the 2-hub link goes; hub feeds leaf 3
-        assert tree.parent == {0: 1, 3: 0}
+        assert tree.branch == [3, 0, 1]
+        assert tree.nodes == {3, 0, 1}
 
     def test_prune_non_leaf_rejected(self, path5):
         tree = _tree_on(path5, 0, 4)
@@ -211,6 +218,19 @@ class TestRunScenario:
         assert len(set(trace.steps)) > 20
         assert sources == {5, 11}
 
+    def test_invariant_failures_end_with_the_branch(self, path5, monkeypatch):
+        dist = PathOracle.dist
+        monkeypatch.setattr(PathOracle, "dist", lambda oracle, u, v: dist(oracle, u, v) + 1)
+        with pytest.raises(SimulationInvariantError,
+                           match=r"tree path 3 != shortest path 4 at step 1, branch \[3, 2, 1, 0\]$"):
+            run_scenario(PathOracle(path5), 0, 1, (4, 3))
+        monkeypatch.undo()
+        prune = MulticastTree.prune
+        monkeypatch.setattr(MulticastTree, "prune", lambda tree, old: prune(tree, old) + 1)
+        with pytest.raises(SimulationInvariantError,
+                           match=r"link accounting broken at step 1: .*, branch \[3, 2, 1, 0\]$"):
+            run_scenario(PathOracle(path5), 0, 1, (4, 3))
+
     def test_rejects_cn_in_trace(self, path5):
         with pytest.raises(SimulationInvariantError, match="correspondent"):
             run_scenario(PathOracle(path5), 0, 3, (0, 1))
@@ -241,9 +261,9 @@ def test_tree_invariants_hold_under_random_scenarios(seed):
         tree.prune(loc)
         validate_tree(tree)
         loc = new
-        # the parent map between moves is the branch a fresh establish builds
+        # between moves the tree is the branch a fresh establish builds
         fresh = establish(oracle, cn, loc)
-        assert (tree.parent, tree.leaves) == (fresh.parent, fresh.leaves)
+        assert (tree.branch, tree.nodes, tree.pending) == (fresh.branch, fresh.nodes, None)
 
 
 def test_samples_csv(path5, tmp_path):
