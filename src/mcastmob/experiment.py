@@ -10,7 +10,6 @@ so each worker reuses one shortest-path cache.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import metrics, movement, routing
@@ -158,10 +157,11 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
     ]
     workers = min(workers, len(jobs))  # the pool forks all its workers up front
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing: only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_pair_job, jobs))
         for (_, topo, *_), (_, oracle) in zip(jobs, batches):
-            if oracle is not None:  # unpickled with its own copy of the topology
+            if oracle is not None:  # unpickled with its distance vectors only
                 oracle.topo = topo
     else:
         batches = [_pair_job(job) for job in jobs]
@@ -187,7 +187,7 @@ def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ takes 4x as long, once per row
 class HandoffRow:
     """One CSV row of the handoff sweep."""
 
@@ -205,9 +205,9 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     """Simulate each configured strategy on the first moves of each covered run.
 
     Each run is swept on its (topology, model) job's oracle, whose CN and HA
-    vectors are warm, so the sweep searches nothing. Between moves the tree
-    is the branch from the mobile to the CN, as `execute_scenario` checked at
-    every step, so each move's paths come from `handoff.branch_and_walk`.
+    vectors are warm. `execute_scenario` walked every move and checked the
+    tree at every step, so each move's shape is read off the run's samples;
+    only a tie needs the paths from `handoff.branch_and_walk` (`_mcast_shape`).
 
     A report depends on node ids only through the handoff's shape, and on the
     seed only when there is loss. So the sweep simulates each distinct (shape,
@@ -236,7 +236,8 @@ def _mcast_shape(path_old, walk):
     `path_old` and `walk` are `branch_and_walk`'s. Only the walk's last node,
     the meet node, is on the old branch. When old and new are equally far
     from the meet node, a packet's two copies reach them at the same instant
-    in the order the meet node forwards them: by child id.
+    in the order the meet node forwards them: by child id. The sweep walks
+    the paths only for such a tie, and reads any other shape off the samples.
     """
     meet = path_old.index(walk[-1])
     order = walk[-2] < path_old[meet - 1] if meet == len(walk) - 1 else None
@@ -247,12 +248,15 @@ def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
     `oracle` is a path oracle of the run's topology; `handoff_sweep` passes the job's.
+    Shapes and B hops come from `run.samples`, which must be its trace's.
     `memo` maps (shape, strategy, seed) to a report already simulated in this
     sweep under `block`; see `handoff_sweep`.
     """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
-    steps = run.trace.steps
+    steps, samples = run.trace.steps, run.samples
+    if len(samples) != len(steps):
+        raise ValueError(f"run {where} has {len(samples)} samples for {len(steps)} steps")
     rows = []
 
     def simulated(shape, strategy, i, label, simulate):
@@ -266,14 +270,19 @@ def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
     for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
         if old == new:
             continue
-        b_hops = oracle.dist(run.ha, new)
-        shape = _mcast_shape(*branch_and_walk(oracle, run.cn, old, new))
+        before, after = samples[i - 1], samples[i]
+        # the old branch has c_hops + 1 nodes, and the prune cut the meet node's index of them
+        meet, graft, b_hops = after.removed_links, after.added_links, after.b_hops
+        if meet == graft:  # a tie: only the paths tell the meet node's forwarding order
+            shape = _mcast_shape(*branch_and_walk(oracle, run.cn, old, new))
+        else:
+            shape = before.c_hops + 1, meet, graft + 1, None
         for strategy in block.strategies:
             rep = simulated(shape, strategy, i, strategy, lambda cfg: simulate_handoff(
                 oracle, run.cn, old, new, cfg))
             rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
         if block.include_mobile_ip:
-            shape = ("mobile_ip", oracle.dist(run.ha, run.cn), oracle.dist(run.ha, old), b_hops)
+            shape = ("mobile_ip", after.a_hops, before.b_hops, b_hops)
             rep = simulated(shape, "plain_join", i, "mobile_ip", lambda cfg: simulate_mip_handoff(
                 oracle, run.cn, run.ha, old, new, cfg))
             # the graft length of the multicast rows above, for comparison

@@ -24,8 +24,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
@@ -158,8 +157,8 @@ class _Pass:
     def down(self, path, t, stop=math.inf):
         """Arrival time at path[-1] of a data packet at path[0] at t; None if lost or at `stop`."""
         d, lost = self.cfg.per_hop_delay, self.draws and self.lost
-        for src, dst in zip(path, path[1:]):
-            if t >= stop or lost and lost("data", src, dst):
+        for hop in range(1, len(path)):
+            if t >= stop or lost and lost("data", path[hop - 1], path[hop]):
                 return None
             t += d
         return t
@@ -181,30 +180,34 @@ class _Pass:
         before the next emission, and the fork forwards to its lower id first.
         """
         (ta, sa, ha, va), (tb, sb, hb, vb) = a, b
+        # a packet's time after h hops adds the delay hop by hop, as it accumulates
+        d, times = self.cfg.per_hop_delay, self.times
+        chain_a = list(accumulate(repeat(d, ha), initial=times[sa]))
+        chain_b = list(accumulate(repeat(d, hb), initial=times[sb]))
         while ta == tb:
             pa = (sa, ha - 1) if ha else (sa - 1, 0)
             pb = (sb, hb - 1) if hb else (sb - 1, 0)
             if pa == pb and (pa[1] <= self.fork or va == vb):
                 return sa < sb if sa != sb else (va == "old") == self.old_first
             (sa, ha), (sb, hb) = pa, pb
-            # a packet's time after h hops adds the delay hop by hop, as it accumulates
-            ta, tb = (reduce(operator.add, [self.cfg.per_hop_delay] * h, self.times[s])
-                      for s, h in (pa, pb))
+            # a hop count above 0 is still on the event's own packet
+            ta, tb = chain_a[ha] if ha else times[sa], chain_b[hb] if hb else times[sb]
         return ta < tb
 
     def emit(self, launch):
         """Emit and launch packets every interval until the deadline; the first new arrival."""
-        interval, new = self.cfg.packet_interval, self.arrivals["new"]
+        interval, new, times = self.cfg.packet_interval, self.arrivals["new"], self.times
+        give_up = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period
         t = 0.0
         while True:
-            seq = len(self.times)
-            self.times.append(t)
+            seq = len(times)
+            times.append(t)
             launch(t, seq)
             # the tail starts once the first delivery through new has happened
-            known = new and self.before(new[0], (t, seq, 0, None))
-            end = new[0][0] if known else self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period
-            if not t + interval <= end + _TAIL_INTERVALS * interval:
-                return new[0][0] if new else None
+            first = new[0][0] if new else math.inf
+            known = first < t or first == t and self.before(new[0], (t, seq, 0, None))
+            if not t + interval <= (first if known else give_up) + _TAIL_INTERVALS * interval:
+                return first if new else None
             t += interval
 
     def report(self, control_path_hops) -> HandoffReport:
@@ -213,7 +216,7 @@ class _Pass:
         for i in range(1, len(log)):  # at most one old and one new share an instant
             if log[i][0] == log[i - 1][0] and self.before(log[i], log[i - 1]):
                 log[i - 1], log[i] = log[i], log[i - 1]
-        firsts = list(dict.fromkeys(seq for _, seq, _, _ in log))  # first deliveries, in order
+        firsts = list(dict.fromkeys([seq for _, seq, _, _ in log]))  # first deliveries, in order
         emitted = len(self.times)
         return HandoffReport(
             trigger_ms=self.t0,
@@ -225,7 +228,7 @@ class _Pass:
             control_path_hops=control_path_hops,
             packets_emitted=emitted,
             packets_delivered=len(firsts),
-            deliveries=tuple((seq, t, via) for t, seq, _, via in log),
+            deliveries=tuple([(seq, t, via) for t, seq, _, via in log]),
         )
 
 

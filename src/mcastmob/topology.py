@@ -365,6 +365,10 @@ class PathOracle:
         self.topo = topo
         self._dist: dict[int, tuple[int, ...]] = {}
 
+    def __getstate__(self):
+        # a pool job sends back only the vectors; the receiver sets `topo` to its topology
+        return {"_dist": self._dist}
+
     def _check(self, node):
         if not isinstance(node, int) or not (0 <= node < self.topo.n):
             raise TopologyError(f"unknown node id {node!r}")

@@ -172,6 +172,8 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     cn = tree.cn
     if tree.branch[0] != old or tree.pending is not None:
         raise HandoffError("old must be the branch's leaf, with no prune pending")
+    if len(set(tree.branch)) != len(tree.branch):  # a loop in it would forward forever
+        raise HandoffError(f"the branch {tree.branch} repeats a node")
     if new == cn:
         raise HandoffError("cannot hand off to the correspondent node")
     if new == old:

@@ -1,9 +1,14 @@
 """CLI behavior: end-to-end runs, determinism, replay, exit codes."""
 
+import concurrent.futures
 import hashlib
+import io
 import json
 import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
@@ -189,6 +194,27 @@ def test_pooled_oracles_read_the_parent_topologies(workdir):
         assert oracle.topo is result.topologies[name]
 
 
+def test_a_pool_job_sends_back_its_vectors_without_the_topology(workdir):
+    """What `_pair_job` returns is pickled back from a worker: no Topology goes with it."""
+    cfg = config.load("cfg.json")
+    spec = cfg.topologies[0]
+    job = experiment._job(cfg, spec, experiment.build_topology(spec, cfg.master_seed),
+                          cfg.movement_models[0], range(cfg.seeds_per_scenario))
+    runs, oracle = experiment._pair_job(job)
+    loaded = []
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            loaded.append(name)
+            return super().find_class(module, name)
+
+    back_runs, back = Recorder(io.BytesIO(pickle.dumps((runs, oracle)))).load()
+    assert "PathOracle" in loaded and "Topology" not in loaded
+    assert back_runs == runs
+    assert back._dist == oracle._dist
+    assert set(back._dist) == {run.cn for run in runs} | {run.ha for run in runs}
+
+
 def test_run_without_any_b_over_l_prints_n_a(workdir, capsys):
     """One move per run leaves no group a B/L ratio; the summary says so and exits 0."""
     doc = json.loads((workdir / "cfg.json").read_text())
@@ -216,11 +242,25 @@ def test_workers_are_bounded_by_the_jobs(workdir, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     assert main(["run", "--config", "cfg.json", "--out", "wide", "--workers", "100000"]) == EXIT_OK
     assert main(["run", "--config", "cfg.json", "--out", "serial"]) == EXIT_OK
     assert sizes == [4]  # 2 topologies x 2 models
     assert tree_bytes(workdir / "wide") == tree_bytes(workdir / "serial")
+
+
+def test_a_serial_handoff_run_imports_no_process_pool(workdir):
+    """The pool's import pulls in multiprocessing, which one worker never needs."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from mcastmob.cli import main; "
+            "assert main(['handoff', '--config', 'cfg.json']) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -12,12 +12,13 @@ import hashlib
 import math
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcastmob import config, experiment, handoff, reporting
+from mcastmob import config, experiment, handoff, reporting, routing
 from mcastmob.config import HandoffBlock, ScenarioConfig, TopologySpec, stable_seed
 from mcastmob.handoff import (
     OVERLAP_MODES,
@@ -292,6 +293,14 @@ class TestPreconditions:
         with pytest.raises(HandoffError, match="distinct"):
             simulate_mip_handoff(oracle, 0, 1, 3, 3, HandoffConfig(**BASE))
 
+    def test_reference_rejects_a_branch_that_repeats_a_node(self, handoff_fixture):
+        """The event-queue reference refuses a looped branch before its queue can grow."""
+        topo, oracle = handoff_fixture
+        tree = establish(oracle, 0, 3)
+        tree.branch = [3, 2, 1, 2, 1, 0]
+        with pytest.raises(HandoffError, match="repeats a node"):
+            heap_simulate_handoff(tree, 3, 6, HandoffConfig(**BASE))
+
     def test_rejects_cn_target(self, handoff_fixture):
         topo, oracle = handoff_fixture
         with pytest.raises(HandoffError, match="correspondent"):
@@ -487,7 +496,8 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
         steps.append(rng.choice([steps[-1]] + [v for v in range(n) if v != cn]))
     run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=2, moves=1,
                                 seed=seed, run_index=0, endpoints=(cn, ha))
-    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)))
+    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)),
+                              samples=tuple(routing.run_scenario(oracle, cn, ha, steps)))
     block = HandoffBlock(message_loss_rate=loss, refresh_period=500.0, strategies=tuple(strategies),
                          overlap=overlap, advance_lead=lead, max_moves=len(steps))
     rows = experiment._sweep_run(oracle, run, block, {})
@@ -499,6 +509,55 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
             paths = handoff.branch_and_walk(oracle, cn, old, new)
             assert paths == expected
             assert experiment._mcast_shape(*paths) == experiment._mcast_shape(*expected)
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.1])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
+    """Every memo key and B hop count of a sweep equals the one of the walked paths.
+
+    On a random graph and trace (with repeats, ties at the meet node and
+    moves along the old branch), the reference walks each move with
+    `branch_and_walk` and reads each distance from the oracle. The sweep
+    reads them off the run's samples and walks only a tie's paths.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(3, 20)
+    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    oracle = PathOracle(topo)
+    cn, ha = rng.sample(range(n), 2)
+    steps = [rng.choice([v for v in range(n) if v != cn])]
+    for _ in range(rng.randrange(1, 12)):
+        steps.append(rng.choice([steps[-1]] + [v for v in range(n) if v != cn]))
+    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=2, moves=1,
+                                seed=seed, run_index=0, endpoints=(cn, ha))
+    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)),
+                              samples=tuple(routing.run_scenario(oracle, cn, ha, steps)))
+    block = HandoffBlock(message_loss_rate=loss, max_moves=len(steps))
+    memo = {}
+    with mock.patch.object(experiment, "branch_and_walk", wraps=handoff.branch_and_walk) as walks:
+        rows = experiment._sweep_run(oracle, run, block, memo)
+    keys, b_hops, ties = [], [], 0
+    for i, (old, new) in enumerate(zip(steps, steps[1:]), start=1):
+        if old == new:
+            continue
+        path_old, walk = handoff.branch_and_walk(oracle, cn, old, new)
+        meet = path_old.index(walk[-1])
+        tie = meet == len(walk) - 1
+        ties += tie
+        shape = len(path_old), meet, len(walk), walk[-2] < path_old[meet - 1] if tie else None
+        mip = "mobile_ip", oracle.dist(ha, cn), oracle.dist(ha, old), oracle.dist(ha, new)
+        for key, strategy, label in [(shape, s, s) for s in block.strategies] + [
+                (mip, "plain_join", "mobile_ip")]:
+            row_seed = stable_seed(run.record.child_seed, "handoff", i, label) if loss else 0
+            keys.append((key, strategy, row_seed))
+            b_hops.append(oracle.dist(ha, new))
+    assert list(memo) == list(dict.fromkeys(keys))
+    assert [row.b_hops for row in rows] == b_hops
+    assert walks.call_count == ties
+    with pytest.raises(ValueError, match="samples for"):
+        experiment._sweep_run(oracle, dataclasses.replace(run, samples=run.samples[:-1]), block, {})
 
 
 @pytest.mark.parametrize("advance_lead", [0.0, 60.0])
@@ -533,7 +592,8 @@ def test_sweep_keeps_the_forwarding_order_at_the_meet_node():
     oracle = PathOracle(topo)
     run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=2,
                                 seed=5, run_index=0, endpoints=(0, 1))
-    run = dataclasses.replace(run, trace=MovementTrace((2, 3, 2)))
+    run = dataclasses.replace(run, trace=MovementTrace((2, 3, 2)),
+                              samples=tuple(routing.run_scenario(oracle, 0, 1, (2, 3, 2))))
     block = HandoffBlock(max_moves=2)
     rows = experiment._sweep_run(oracle, run, block, {})
     assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
@@ -564,7 +624,8 @@ def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
     oracle = PathOracle(topo)
     run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=3,
                                 seed=5, run_index=0, endpoints=(0, 1))
-    run = dataclasses.replace(run, trace=MovementTrace((3, 4, 6, 4)))
+    run = dataclasses.replace(run, trace=MovementTrace((3, 4, 6, 4)),
+                              samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4, 6, 4))))
     block = HandoffBlock(max_moves=3)
     monkeypatch.setattr(experiment, "simulate_handoff", counted)
     rows = experiment._sweep_run(oracle, run, block, {})
