@@ -9,8 +9,10 @@ child seed is printed for replay).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from statistics import fmean
 
 from . import __version__, config as config_mod, experiment, reporting
 from .config import ConfigError
@@ -103,6 +105,16 @@ def cmd_handoff(args):
     rows = experiment.handoff_sweep(result)
     reporting.write_handoff(os.path.join(out_dir, "handoff.csv"), rows)
     print(f"wrote {len(rows)} handoff simulations to {os.path.join(out_dir, 'handoff.csv')}")
+    by_strategy = {}  # in row order, so mobile_ip comes last
+    for row in rows:
+        by_strategy.setdefault(row.strategy, []).append(row.report)
+    for strategy, reps in by_strategy.items():
+        finite = [r.handoff_latency for r in reps if r.handoff_latency < math.inf]
+        latency = f"{fmean(finite):.3f}" if finite else "n/a"
+        print(f"{strategy} mean of {len(reps)} rows: latency_ms = {latency} "
+              f"({len(reps) - len(finite)} inf), lost = {fmean(r.packets_lost for r in reps):.3f}, "
+              f"dup = {fmean(r.packets_duplicated for r in reps):.3f}, "
+              f"control_msgs = {fmean(r.control_messages for r in reps):.3f}")
     return EXIT_OK
 
 

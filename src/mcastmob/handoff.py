@@ -111,13 +111,13 @@ class _Pass:
     CN emission up to the tail or give-up deadline, and the delivery log. A
     simulator relays its control messages first, then passes `emit` a
     `launch(t, seq)` that sends packet `seq` on with `down` and `arrive`.
-    Without loss (rate 0, no `loss_fn`) no hop draws and `down` skips `lost`:
-    the seed is inert, and the report depends only on the paths and config.
+    Without loss (rate 0) no hop draws and `down` skips `lost`: the seed is
+    inert, and the report depends only on the paths and config.
     """
 
-    def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn, fork=math.inf, old_first=True):
-        self.cfg, self.t0, self.loss_fn = cfg, t0, loss_fn
-        self.draws = loss_fn is not None or cfg.message_loss_rate > 0
+    def __init__(self, cfg: HandoffConfig, t0, copies, fork=math.inf, old_first=True):
+        self.cfg, self.t0 = cfg, t0
+        self.draws = cfg.message_loss_rate > 0
         self.copies = copies  # copies sent per control hop
         self.fork = fork  # hops from the CN to the node where a packet's copies part
         self.old_first = old_first  # whether that node forwards the old copy first
@@ -126,17 +126,15 @@ class _Pass:
         self.times: list[float] = []  # emission time of each packet
         self.arrivals = {"old": [], "new": []}  # (time, seq, hops, via) in sequence order
 
-    def lost(self, kind, src, dst, attempt=0, copies=1):
+    def lost(self, kind, src, dst, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
-        if self.loss_fn is not None:
-            return self.loss_fn(kind, src, dst, attempt)
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
         key = (kind, src, dst)
         rng = self.streams.get(key) or self.streams.setdefault(key, _loss_stream(self.cfg.seed, *key))
         dropped = rng.random() < rate
-        return dropped and (copies == 1 or self.lost(kind, src, dst, attempt, copies - 1))
+        return dropped and (copies == 1 or self.lost(kind, src, dst, copies - 1))
 
     def relay(self, kind, path, t):
         """When control message `kind`, sent from path[0] at t, commits at path[-1] (inf: never).
@@ -144,9 +142,9 @@ class _Pass:
         A hop sends `copies` messages, re-sent a refresh period later while all are lost.
         """
         for src, dst in zip(path, path[1:]):
-            for attempt in range(_MAX_RETRIES):
+            for _ in range(_MAX_RETRIES):
                 self.control += self.copies
-                if not self.lost(kind, src, dst, attempt, self.copies):
+                if not self.lost(kind, src, dst, self.copies):
                     break
                 t += self.cfg.refresh_period
             else:
@@ -254,7 +252,7 @@ def branch_and_walk(oracle, cn, old, new):
     return path_old, oracle.shortest_path(new, cn, stop=path_old)
 
 
-def simulate_handoff(oracle, cn, old, new, cfg, loss_fn=None) -> HandoffReport:
+def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
     """Simulate one handoff old -> new on the delivery tree of the CN `cn`.
 
     Packets follow the old branch. The join grafts the walk [new, ..., meet]
@@ -262,8 +260,7 @@ def simulate_handoff(oracle, cn, old, new, cfg, loss_fn=None) -> HandoffReport:
     instant also goes down the walk. Both come from `branch_and_walk`: no
     tree is built. Under make_before_break the first delivery through new
     starts the prune; once it commits at the meet node, no node from there
-    down to old forwards. `loss_fn(kind, src, dst, attempt) -> bool`
-    optionally overrides the loss draws (test hook).
+    down to old forwards.
 
     Node ids matter only as labels: without loss the report depends on the
     old branch's length, the meet node's index on it, the walk's length and,
@@ -275,7 +272,7 @@ def simulate_handoff(oracle, cn, old, new, cfg, loss_fn=None) -> HandoffReport:
     meet = path_old.index(walk[-1])
     above, old_leg, new_leg = path_old[meet:][::-1], path_old[meet::-1], walk[::-1]
     p = _Pass(cfg, _trigger_time(cfg, len(path_old) - 1), 3 if cfg.strategy == "triple_join" else 1,
-              loss_fn, len(above) - 1, meet == 0 or len(walk) == 1 or path_old[meet - 1] < walk[-2])
+              len(above) - 1, meet == 0 or len(walk) == 1 or path_old[meet - 1] < walk[-2])
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
     grafted = p.relay("join", walk, p.t0 - lead)
     at_meet = []
@@ -297,7 +294,7 @@ def simulate_handoff(oracle, cn, old, new, cfg, loss_fn=None) -> HandoffReport:
     return p.report(len(walk) - 1)
 
 
-def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> HandoffReport:
+def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
     """Mobile IP baseline: registration new -> HA, then packets redirect at the HA.
 
     Packets always travel CN -> HA, then down the tunnel to whichever
@@ -315,7 +312,7 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
     path_a = oracle.shortest_path(cn, ha)
     reg_path = oracle.shortest_path(new, ha)
     tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}
-    p = _Pass(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1, loss_fn)
+    p = _Pass(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1)
     registered = p.relay("registration", reg_path, p.t0)
 
     def launch(t, seq):

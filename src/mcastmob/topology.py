@@ -168,8 +168,8 @@ class GeneratorParams:
             raise GenerationError("node_count, stub_size and stubs_per_transit must be integers")
         if self.node_count < 2:
             raise GenerationError("node_count must be >= 2")
-        if self.target_avg_degree < 2:
-            raise GenerationError("target_avg_degree must be >= 2 for connectivity")
+        if not 2 <= self.target_avg_degree < math.inf:  # NaN fails both
+            raise GenerationError("target_avg_degree must be finite and >= 2 for connectivity")
         if self.stub_size < 1 or self.stubs_per_transit < 1:
             raise GenerationError("clustering knobs must be >= 1")
 
@@ -208,7 +208,8 @@ def generate(params, name=None):
 
 def _edge_budget(params):
     n = params.node_count
-    target = round(params.target_avg_degree * n / 2)
+    half = params.target_avg_degree * n / 2  # inf when a finite degree overflows
+    target = round(half) if half < math.inf else half
     if target > n * (n - 1) // 2:
         raise GenerationError(
             f"target degree {params.target_avg_degree} needs {target} edges, "

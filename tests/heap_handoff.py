@@ -32,15 +32,14 @@ class _Kernel:
     ends, and passes `run` a `launch(t, seq)` that sends packet `seq` out of
     the CN with `hop`. Scheduled callables are called as fn(t, *args).
 
-    Without loss (rate 0 and no `loss_fn`) no hop makes a draw, so the
-    seed is inert and the report is a function of the paths and the config.
+    Without loss (rate 0) no hop makes a draw, so the seed is inert and the
+    report is a function of the paths and the config.
     """
 
-    def __init__(self, cfg: HandoffConfig, t0, copies, loss_fn):
+    def __init__(self, cfg: HandoffConfig, t0, copies):
         self.cfg = cfg
         self.t0 = t0
         self.copies = copies  # copies sent per control hop
-        self.loss_fn = loss_fn
         self.streams = {}  # (kind, src, dst) -> that link's loss stream
         self.heap = []
         self.order = 0
@@ -58,10 +57,8 @@ class _Kernel:
         heapq.heappush(self.heap, (time, prio, self.order, fn, args))
         self.order += 1
 
-    def lost(self, kind, src, dst, attempt=0, copies=1):
+    def lost(self, kind, src, dst, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
-        if self.loss_fn is not None:
-            return self.loss_fn(kind, src, dst, attempt)
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
@@ -85,7 +82,7 @@ class _Kernel:
             on_done(t)
             return
         self.control += self.copies
-        if not self.lost(kind, path[idx], path[idx + 1], attempt, self.copies):
+        if not self.lost(kind, path[idx], path[idx + 1], self.copies):
             self.push(t + self.cfg.per_hop_delay, _CONTROL, self.relay, kind, path, on_done,
                       idx + 1)
         elif attempt + 1 < _MAX_RETRIES:
@@ -152,7 +149,7 @@ def _trigger_time(cfg, warm_hops):
     return t0
 
 
-def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
+def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
     """Simulate one handoff old -> new on the current delivery tree.
 
     Packets follow the tree's forwarding map. The join grafts the walk
@@ -160,8 +157,6 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     walk before its top link exists). Under make_before_break the first
     delivery through new starts the prune, which drops the old branch below
     the meet node when it gets there. The tree is read, never mutated.
-    `loss_fn(kind, src, dst, attempt) -> bool` optionally overrides the
-    seeded per-hop loss draw (test hook).
 
     Node ids matter only as labels: without loss the report depends on the
     old branch's length, the meet node's index on it, the walk's length and,
@@ -185,7 +180,7 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     meet = path_old.index(walk[-1])
     fwd = {up: {child} for child, up in zip(path_old, path_old[1:])}
     k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),
-                3 if cfg.strategy == "triple_join" else 1, loss_fn)
+                3 if cfg.strategy == "triple_join" else 1)
 
     def arrive(t, node, seq):
         # the old side is gated by attachment alone: with make_before_break the
@@ -214,7 +209,7 @@ def simulate_handoff(tree, old, new, cfg, loss_fn=None) -> HandoffReport:
     return k.run(lambda t, seq: arrive(t, cn, seq), len(walk) - 1)
 
 
-def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> HandoffReport:
+def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
     """Mobile IP baseline: registration new -> HA, then packets redirect at the HA.
 
     Packets always travel CN -> HA, then down the tunnel to whichever
@@ -234,7 +229,7 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn=None) -> Handoff
     path_a = oracle.shortest_path(cn, ha)
     reg_path = oracle.shortest_path(new, ha)
     tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}
-    k = _Kernel(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1, loss_fn)
+    k = _Kernel(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1)
     registered = False
 
     def along(t, path, idx, seq, via):

@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -352,6 +353,31 @@ def test_handoff_command(workdir):
         )
 
 
+def test_handoff_prints_the_means_of_each_strategy(workdir, capsys):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    # loss makes rows differ, so a mean over the wrong rows shows
+    doc["handoff"].update(message_loss_rate=0.3, refresh_period=200.0)
+    (workdir / "lossy.json").write_text(json.dumps(doc))
+    assert main(["handoff", "--config", "lossy.json"]) == EXIT_OK
+    wrote, *means = capsys.readouterr().out.splitlines()
+    lines = (workdir / "out" / "handoff.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    assert wrote == f"wrote {len(rows)} handoff simulations to {os.path.join('out', 'handoff.csv')}"
+    expected = []
+    for strategy in ("plain_join", "triple_join", "advance_join", "mobile_ip"):
+        mine = [r for r in rows if r["strategy"] == strategy]
+        finite = [float(r["latency_ms"]) for r in mine if r["latency_ms"] != "inf"]
+        latency = f"{sum(finite) / len(finite):.3f}" if finite else "n/a"
+
+        def mean(column):
+            return f"{sum(int(r[column]) for r in mine) / len(mine):.3f}"
+
+        expected.append(f"{strategy} mean of {len(mine)} rows: latency_ms = {latency} "
+                        f"({len(mine) - len(finite)} inf), lost = {mean('lost')}, "
+                        f"dup = {mean('dup')}, control_msgs = {mean('control_msgs')}")
+    assert means == expected
+
+
 def test_handoff_requires_block(workdir):
     doc = json.loads((workdir / "cfg.json").read_text())
     del doc["handoff"]
@@ -466,6 +492,14 @@ def test_undecodable_files_exit_codes(workdir, capsys):
     assert not (workdir / "out").exists()
 
 
+def test_overflowing_edge_budget_exits_3(workdir, capsys):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc["topologies"][1]["generator"]["target_avg_degree"] = 1e308  # 16 * 1e308 / 2 is inf
+    (workdir / "huge.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", "huge.json"]) == EXIT_TOPOLOGY
+    assert "more than a 16-node simple graph holds" in capsys.readouterr().err
+
+
 def test_malformed_topology_file_exit_code(workdir):
     (workdir / "edges.txt").write_text("0 1\n1 1\n")
     assert main(["run", "--config", "cfg.json"]) == EXIT_TOPOLOGY
@@ -518,6 +552,10 @@ def test_invariant_failure_prints_the_tree_with_the_replay_line(workdir, capsys,
                      id="handoff_max_moves"),
         pytest.param("run", lambda doc: doc.update(output_dir=5), id="output_dir"),
         pytest.param("run", lambda doc: doc["topologies"][0].update(file=7), id="file"),
+        pytest.param("run", lambda doc: doc["topologies"][1]["generator"].update(
+            target_avg_degree=math.nan), id="nan_degree"),
+        pytest.param("run", lambda doc: doc["topologies"][1]["generator"].update(
+            target_avg_degree=math.inf), id="infinite_degree"),
     ],
 )
 def test_bad_values_fail_at_load(workdir, capsys, monkeypatch, command, mutate):

@@ -129,6 +129,10 @@ def test_canonical_json_is_stable():
         ('{"topologies": [{"name": "x", "generator": {"kind": "flat_random", '
          '"node_count": 20, "target_avg_degree": null}}]}',
          "target_avg_degree must be a number, not None"),
+        ('{"topologies": [{"name": "x", "generator": {"kind": "flat_random", '
+         '"node_count": 20, "target_avg_degree": NaN}}]}', "target_avg_degree must be finite"),
+        ('{"topologies": [{"name": "x", "generator": {"kind": "flat_random", '
+         '"node_count": 20, "target_avg_degree": Infinity}}]}', "target_avg_degree must be finite"),
         ('{"topologies": [{"name": "x", "file": 7}]}', "file must be a string or null, not 7"),
         ('{"topologies": [{"name": "x", "file": "f", "size": 3}]}',
          r"unknown topology 'x' keys \['size'\]"),

@@ -175,27 +175,40 @@ class TestNoGraftNeeded:
         assert rep.packets_lost == 0
 
 
+def _script_losses(monkeypatch, lose_first):
+    """Make every loss draw 0.99 (kept at rate 0.5), but a link's first 0.0 (lost) if chosen.
+
+    The links chosen are those where `lose_first(kind, src, dst)` is true.
+    """
+
+    def stream(seed, kind, src, dst):
+        draws = iter([0.0] if lose_first(kind, src, dst) else [])
+        return SimpleNamespace(random=lambda: next(draws, 0.99))
+
+    monkeypatch.setattr(handoff, "_loss_stream", stream)
+
+
 class TestLossRecovery:
-    def test_lost_join_recovers_after_refresh(self, handoff_fixture):
+    def test_lost_join_recovers_after_refresh(self, handoff_fixture, monkeypatch):
         topo, oracle = handoff_fixture
         cfg = HandoffConfig(
             overlap="break_before_make", message_loss_rate=0.5, refresh_period=500.0, **BASE
         )
-        lost_first = lambda kind, src, dst, attempt: kind == "join" and attempt == 0 and src == 6
+        _script_losses(monkeypatch, lambda kind, src, dst: kind == "join" and src == 6)
 
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg, loss_fn=lost_first)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
         # first hop dies at t=60, retries at 560; graft completes at 590 and
         # the next packet through the meet (emitted 580) lands at 620
         assert rep.trigger_ms + rep.handoff_latency == 620.0
         assert rep.handoff_latency == 560.0
         assert rep.control_messages == 4  # one lost copy, three good hops
 
-    def test_lost_prune_leaves_duplicates_until_expiry(self, handoff_fixture):
+    def test_lost_prune_leaves_duplicates_until_expiry(self, handoff_fixture, monkeypatch):
         topo, oracle = handoff_fixture
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=400.0, **BASE)
-        lose_prunes = lambda kind, src, dst, attempt: kind == "prune" and attempt == 0
+        _script_losses(monkeypatch, lambda kind, src, dst: kind == "prune")
 
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg, loss_fn=lose_prunes)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
         assert rep.packets_lost == 0
         assert rep.control_messages >= 5  # retried prune hops add traffic
 
@@ -717,11 +730,6 @@ def test_mobile_ip_same_instant_deliveries_come_out_in_closed_form_order(interva
     assert rep.out_of_order == 1
 
 
-def _keyed_loss(kind, src, dst, attempt):
-    """A stateless loss_fn: each (kind, link, attempt) is lost or not for good."""
-    return random.Random(f"{kind}:{src}:{dst}:{attempt}").random() < 0.3
-
-
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9),
        loss=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
@@ -730,10 +738,8 @@ def _keyed_loss(kind, src, dst, attempt):
        lead=st.sampled_from([0.0, 40.0, 100.0]),
        refresh=st.sampled_from([7.0, 120.0, 500.0]),
        delay=st.sampled_from([0.1, 0.3, 3.3, 7.5, 10.0, 20.0]),
-       interval=st.sampled_from([0.3, 3.3, 5.0, 7.5, 10.0, 20.0]),
-       keyed=st.booleans())
-def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refresh, delay, interval,
-                                     keyed):
+       interval=st.sampled_from([0.3, 3.3, 5.0, 7.5, 10.0, 20.0]))
+def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refresh, delay, interval):
     """Every report of both simulators equals the event-queue reference's, log included."""
     rng = random.Random(seed)
     n = rng.randrange(3, 16)
@@ -746,8 +752,7 @@ def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refres
     cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval, message_loss_rate=loss,
                         strategy=strategy, advance_lead=lead, overlap=overlap,
                         refresh_period=refresh, seed=seed)
-    loss_fn = _keyed_loss if keyed else None
-    assert (simulate_handoff(oracle, cn, old, new, cfg, loss_fn)
-            == heap_simulate_handoff(establish(oracle, cn, old), old, new, cfg, loss_fn))
-    assert (simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn)
-            == heap_simulate_mip_handoff(oracle, cn, ha, old, new, cfg, loss_fn))
+    assert (simulate_handoff(oracle, cn, old, new, cfg)
+            == heap_simulate_handoff(establish(oracle, cn, old), old, new, cfg))
+    assert (simulate_mip_handoff(oracle, cn, ha, old, new, cfg)
+            == heap_simulate_mip_handoff(oracle, cn, ha, old, new, cfg))
