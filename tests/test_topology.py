@@ -74,6 +74,12 @@ class TestLoadEdgeList:
         assert topo.edges == tuple(sorted(edges))
         assert topo.edge_count == len(edges)
 
+    def test_unreached_node_is_named(self):
+        # enough links to pass the link-count guard, so the search finds the gap
+        with pytest.raises(TopologyError) as exc:
+            load_edge_list("0 1\n1 2\n0 2\n3 4")
+        assert str(exc.value) == "disconnected graph: only 3 of 5 nodes reachable (node 3 unreached)"
+
     def test_gap_in_ids_is_disconnected(self):
         with pytest.raises(TopologyError, match="disconnected"):
             load_edge_list("0 2\n2 3\n5 3\n4 5\n6 4")
@@ -111,29 +117,43 @@ def test_keyed_build_matches_from_edges(seed, n):
 
 # sha256 of "u v\n" per edge of generate(params).edges, recorded before the
 # generators drew through getrandbits directly and Topology derived its edges
+def _pin(kind, n, deg, seed, digest, **knobs):
+    label = "-".join(map(str, (kind, n, deg, seed, *(f"{k}={v}" for k, v in knobs.items()), digest)))
+    return pytest.param(GeneratorParams(kind, n, deg, seed=seed, **knobs), digest, id=label)
+
+
 PINNED_EDGES = [
-    ("flat_random", 50, 8.68, 1, "56d5f573290b700626a29c50db7f76160247fd6064126f01e9f49055753dfe08"),
-    ("flat_random", 50, 8.68, 2, "dec1bb128047877e2436f053292d710a4552f7913072b28b1456366dc808b662"),
-    ("flat_random", 400, 4.0, 1, "957e18774b4baa8196c0cbfe19e75f0e136f66f9e57fcacbeb9544e560321b6e"),
-    ("flat_random", 400, 4.0, 2, "9c6a0cd0782cd4e7b3c11cd4f93b1ba372b45ad178dde6e4237b2051c98d8666"),
-    ("transit_stub", 100, 3.7, 1, "f0c831c8638500e10060da71aa6bdeeeb6ea016b3a5e6087c80d91694bcddd9a"),
-    ("transit_stub", 100, 3.7, 2, "01dd636490184c03fd7351dbb28f6cb29f964d56369e08bd892273b80f052f1c"),
-    ("transit_stub", 2000, 3.7, 1, "e881b9f492ff965aecfeb44cb20c898435a3946cbb61d6ec96d595fb10a2e1c4"),
-    ("transit_stub", 2000, 3.7, 2, "6ce4a17a9217255cde86b193ce02a989338a84b82e1ff38e6ca162bde92d3b78"),
-    ("tiers_like", 200, 2.81, 1, "5142c18bbbd06a92de0bf98d5080e30b2c74446b9a5e4d95fe94a60ed3379a0c"),
-    ("tiers_like", 200, 2.81, 2, "ecaa53d2cafbd1fa0519fbeb2f19b0b05ac8d049596d3d38bb928af0e823ff57"),
-    ("tiers_like", 1000, 2.81, 1, "5661eaa353ef6bb9b59d4de5a51eec33332b460d20983b82bb5ed3574a97ad48"),
-    ("tiers_like", 1000, 2.81, 2, "8bd766ef6e7d14231b1474fd29f6ec784c06a7e31561b0f96996026bc0fa110b"),
+    _pin("flat_random", 50, 8.68, 1, "56d5f573290b700626a29c50db7f76160247fd6064126f01e9f49055753dfe08"),
+    _pin("flat_random", 50, 8.68, 2, "dec1bb128047877e2436f053292d710a4552f7913072b28b1456366dc808b662"),
+    _pin("flat_random", 400, 4.0, 1, "957e18774b4baa8196c0cbfe19e75f0e136f66f9e57fcacbeb9544e560321b6e"),
+    _pin("flat_random", 400, 4.0, 2, "9c6a0cd0782cd4e7b3c11cd4f93b1ba372b45ad178dde6e4237b2051c98d8666"),
+    _pin("transit_stub", 100, 3.7, 1, "f0c831c8638500e10060da71aa6bdeeeb6ea016b3a5e6087c80d91694bcddd9a"),
+    _pin("transit_stub", 100, 3.7, 2, "01dd636490184c03fd7351dbb28f6cb29f964d56369e08bd892273b80f052f1c"),
+    _pin("transit_stub", 2000, 3.7, 1, "e881b9f492ff965aecfeb44cb20c898435a3946cbb61d6ec96d595fb10a2e1c4"),
+    _pin("transit_stub", 2000, 3.7, 2, "6ce4a17a9217255cde86b193ce02a989338a84b82e1ff38e6ca162bde92d3b78"),
+    _pin("tiers_like", 200, 2.81, 1, "5142c18bbbd06a92de0bf98d5080e30b2c74446b9a5e4d95fe94a60ed3379a0c"),
+    _pin("tiers_like", 200, 2.81, 2, "ecaa53d2cafbd1fa0519fbeb2f19b0b05ac8d049596d3d38bb928af0e823ff57"),
+    _pin("tiers_like", 1000, 2.81, 1, "5661eaa353ef6bb9b59d4de5a51eec33332b460d20983b82bb5ed3574a97ad48"),
+    _pin("tiers_like", 1000, 2.81, 2, "8bd766ef6e7d14231b1474fd29f6ec784c06a7e31561b0f96996026bc0fa110b"),
     # the large_topology benchmark's ts10000 at seed 7
-    ("transit_stub", 10_000, 3.7, stable_seed(7, "topology", "ts10000"),
-     "3b9f6fbc4790f273c21076c46dd914659f31047fa68cd4c636981d5c27af67a9"),
+    _pin("transit_stub", 10_000, 3.7, stable_seed(7, "topology", "ts10000"),
+         "3b9f6fbc4790f273c21076c46dd914659f31047fa68cd4c636981d5c27af67a9"),
+    # dense one-node and small blocks: _fill_clustered falls back to uniform placement
+    _pin("transit_stub", 30, 20.0, 1, "a90dd77766d736586da6559d719d3c92e017fe306a3bece4abbeffc811d4ae74",
+         stub_size=1),
+    _pin("tiers_like", 30, 6.0, 1, "1f0087c90610eb4d19fe6d7c1943272712ebf98e5f9c5a9a2bb458ad0a32791f",
+         stub_size=1, stubs_per_transit=1),
+    _pin("transit_stub", 60, 20.0, 1, "a98719b5c593340f7ccba1ac89ae543665a64b6489f39d8aebfc1ed97e942603",
+         stub_size=3),
+    # r250's shape: a dense flat graph
+    _pin("flat_random", 250, 49.68, 1, "fe9fa83fd75c9976cd473a47f5c2c0a2889abff549304e442d14a1b29d0270b3"),
 ]
 
 
 class TestGenerate:
-    @pytest.mark.parametrize("kind,n,deg,seed,digest", PINNED_EDGES)
-    def test_edge_sets_are_pinned(self, kind, n, deg, seed, digest):
-        edges = generate(GeneratorParams(kind, n, deg, seed=seed)).edges
+    @pytest.mark.parametrize("params,digest", PINNED_EDGES)
+    def test_edge_sets_are_pinned(self, params, digest):
+        edges = generate(params).edges
         text = "".join(f"{u} {v}\n" for u, v in edges)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -226,6 +246,14 @@ class TestPathOracle:
             oracle.dist(0, 9)
         with pytest.raises(TopologyError, match="unknown"):
             oracle.shortest_path(-1, 2)
+
+    def test_cached_source_still_checks_its_type(self, path5):
+        oracle = PathOracle(path5)
+        oracle.dist_from(1)
+        with pytest.raises(TopologyError, match="unknown node id 1.0"):
+            oracle.dist_from(1.0)
+        with pytest.raises(TopologyError, match="unknown node id 1.0"):
+            oracle.dist(1.0, 2)
 
     def test_matches_bfs_all_pairs(self):
         rng = random.Random(77)
