@@ -41,21 +41,15 @@ class MovementTrace:
 def cluster_window(node, n, radius=6):
     """Candidate ids at circular offsets +/-1, +/-2, ... around `node`.
 
-    Takes the `radius` nearest offsets (interleaved -1, +1, -2, +2, ...),
-    wraps modulo n, and never includes `node` itself. Returned sorted. The
-    first n - 1 offsets already reach every other id, so no more are built.
+    Takes the `radius` nearest offsets (interleaved -1, +1, -2, +2, ..., so
+    the range -ceil(radius / 2) .. floor(radius / 2) without 0), wraps
+    modulo n, and never includes `node` itself. Returned sorted. The first
+    n - 1 offsets already reach every other id, so no more are taken.
     """
     radius = min(radius, n - 1)
-    offsets = []
-    k = 1
-    while len(offsets) < radius:
-        offsets.append(-k)
-        if len(offsets) < radius:
-            offsets.append(k)
-        k += 1
-    window = {(node + off) % n for off in offsets}
-    window.discard(node)
-    return sorted(window)
+    half = radius // 2
+    # radius + 1 <= n consecutive ids: distinct residues, and only `node` itself is node
+    return sorted(v % n for v in range(node - radius + half, node + half + 1) if v != node)
 
 
 def _moves(topo, model, eligible, forbidden, node):

@@ -19,7 +19,7 @@ class SimulationInvariantError(Exception):
     """A structural or accounting invariant of the delivery tree was violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepSample:
     """Per-visit measurement.
 
@@ -27,6 +27,10 @@ class StepSample:
     mobile through the tree. added/removed count the links grafted and
     pruned by this step; the establishment sample carries the initial
     branch length in added_links and is excluded from handoff statistics.
+
+    Not frozen: a frozen dataclass sets every field through
+    `object.__setattr__`, about three times the cost of this slotted one,
+    once per simulated step. Nothing mutates a sample after `run_scenario`.
     """
 
     step: int
@@ -119,6 +123,9 @@ def run_scenario(oracle, cn, ha, steps):
     (tree path equals shortest path; added minus removed links equals the
     live edge count) are checked every step and raise
     SimulationInvariantError so a bad run can never be reported silently.
+    The CN's and the HA's distance vectors are read once per run, through
+    the checked `dist_from`, and indexed per step: each step's location was
+    checked by its join's `shortest_path`, or equals the previous one.
     Between moves the tree is the branch `establish` builds to the mobile's
     location, so the handoff sweep reads it off the oracle. Both invariant
     errors end with that branch.
@@ -131,20 +138,10 @@ def run_scenario(oracle, cn, ha, steps):
         raise SimulationInvariantError("trace visits the correspondent node")
 
     tree = establish(oracle, cn, steps[0])
-    a_hops = oracle.dist(cn, ha)
-    samples = [
-        StepSample(
-            step=0,
-            a_hops=a_hops,
-            b_hops=oracle.dist(ha, steps[0]),
-            c_hops=tree.path_hops(steps[0]),
-            added_links=tree.edge_count,
-            removed_links=0,
-            establishment=True,
-        )
-    ]
-    total_added = tree.edge_count
-    total_removed = 0
+    from_cn, from_ha = oracle.dist_from(cn), oracle.dist_from(ha)
+    a_hops, first = from_cn[ha], steps[0]
+    total_added, total_removed = tree.edge_count, 0
+    samples = [StepSample(0, a_hops, from_ha[first], tree.path_hops(first), total_added, 0, True)]
     for i in range(1, len(steps)):
         old, new = steps[i - 1], steps[i]
         if new == old:
@@ -159,20 +156,10 @@ def run_scenario(oracle, cn, ha, steps):
                 f"link accounting broken at step {i}: added {total_added}, "
                 f"removed {total_removed}, tree {tree.edge_count}, branch {tree.branch}"
             )
-        c_hops, shortest = tree.path_hops(new), oracle.dist(cn, new)
+        c_hops, shortest = tree.path_hops(new), from_cn[new]
         if c_hops != shortest:
             raise SimulationInvariantError(
                 f"tree path {c_hops} != shortest path {shortest} at step {i}, branch {tree.branch}"
             )
-        samples.append(
-            StepSample(
-                step=i,
-                a_hops=a_hops,
-                b_hops=oracle.dist(ha, new),
-                c_hops=c_hops,
-                added_links=added,
-                removed_links=removed,
-            )
-        )
+        samples.append(StepSample(i, a_hops, from_ha[new], c_hops, added, removed))
     return samples
-

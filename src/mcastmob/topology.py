@@ -68,10 +68,10 @@ class Topology:
             adj[u].append(ids[v])
             adj[v].append(ids[u])
         dist = _levels(adj, 0)
-        if -1 in dist:
+        if None in dist:
             raise TopologyError(
-                f"disconnected graph: only {n - dist.count(-1)} of {n} nodes reachable "
-                f"(node {dist.index(-1)} unreached)"
+                f"disconnected graph: only {n - dist.count(None)} of {n} nodes reachable "
+                f"(node {dist.index(None)} unreached)"
             )
         return cls(name, n, len(keys), tuple(map(tuple, adj)), tuple(clusters))
 
@@ -90,8 +90,11 @@ class Topology:
 
 
 def _levels(adj, source):
-    """Breadth-first hop distance from `source` to every node, -1 where unreached."""
-    dist = [-1] * len(adj)
+    """Breadth-first hop distance from `source` to every node, None where unreached.
+
+    The `is None` test is the cheapest per-link check of an unvisited node.
+    """
+    dist = [None] * len(adj)
     dist[source] = 0
     frontier = [source]
     d = 0
@@ -101,7 +104,7 @@ def _levels(adj, source):
         push = level.append
         for u in frontier:
             for v in adj[u]:
-                if dist[v] < 0:
+                if dist[v] is None:
                     dist[v] = d
                     push(v)
         frontier = level
@@ -234,12 +237,23 @@ def _drawer(rng):
     return draw
 
 
-def _random_tree(nodes, rng):
-    # random recursive tree: guarantees connectivity of the node block
+# The per-link loops below (`_random_tree`, `_fill_uniform`, `_fill_clustered`)
+# inline `draw` and `_add_edge`: the same getrandbits calls on the same Random,
+# so every edge set is unchanged.
+
+
+def _random_tree(edges, n, nodes, rng):
+    """Link `nodes` by a random recursive tree, which guarantees their connectivity."""
     order = list(nodes)
     rng.shuffle(order)
-    draw = _drawer(rng)
-    return [(order[i], order[draw(0, i)]) for i in range(1, len(order))]
+    getrandbits, add = rng.getrandbits, edges.add
+    for i in range(1, len(order)):
+        k = i.bit_length()
+        r = getrandbits(k)
+        while r >= i:
+            r = getrandbits(k)
+        u, v = order[i], order[r]
+        add(u * n + v if u < v else v * n + u)
 
 
 def _add_edge(edges, n, u, v):
@@ -248,24 +262,33 @@ def _add_edge(edges, n, u, v):
         edges.add(u * n + v if u < v else v * n + u)
 
 
-def _fill_uniform(edges, n, budget, rng):
-    draw = _drawer(rng)
-    attempts = 0
-    cap = 60 * budget + 10_000
-    while len(edges) < budget:
-        attempts += 1
-        if attempts > cap:
-            raise GenerationError("edge sampling stalled before reaching the budget")
-        _add_edge(edges, n, draw(0, n), draw(0, n))
+def _fill_uniform(edges, n, budget, rng, attempts):
+    """Add uniform links until `budget` is reached, in at most `attempts` draws of a link."""
+    getrandbits, add = rng.getrandbits, edges.add
+    k = n.bit_length()
+    for _ in range(attempts):
+        if len(edges) >= budget:
+            return
+        u = getrandbits(k)
+        while u >= n:
+            u = getrandbits(k)
+        v = getrandbits(k)
+        while v >= n:
+            v = getrandbits(k)
+        if u < v:
+            add(u * n + v)
+        elif v < u:
+            add(v * n + u)
+    if len(edges) < budget:
+        raise GenerationError("edge sampling stalled before reaching the budget")
 
 
 def _flat_random(params, rng):
     n = params.node_count
     budget = _edge_budget(params)
     edges = set()
-    for u, v in _random_tree(range(n), rng):
-        _add_edge(edges, n, u, v)
-    _fill_uniform(edges, n, budget, rng)
+    _random_tree(edges, n, range(n), rng)
+    _fill_uniform(edges, n, budget, rng, 60 * budget + 10_000)
     return edges, ()
 
 
@@ -302,8 +325,7 @@ def _transit_stub(params, rng):
     _core_edges(edges, n, core, draw)
     blocks = _blocks(core, n - core, params.stub_size)
     for i, (lo, hi) in enumerate(blocks):
-        for u, v in _random_tree(range(lo, hi), rng):
-            _add_edge(edges, n, u, v)
+        _random_tree(edges, n, range(lo, hi), rng)
         _add_edge(edges, n, draw(lo, hi), i % core)
     _fill_clustered(edges, n, budget, rng, blocks, core)
     return edges, tuple(blocks)
@@ -332,26 +354,47 @@ def _tiers_like(params, rng):
 
 
 def _fill_clustered(edges, n, budget, rng, blocks, core):
-    draw = _drawer(rng)
-    attempts = 0
+    getrandbits, random, add = rng.getrandbits, rng.random, edges.add
+    count, kb, kc = len(blocks), len(blocks).bit_length(), core.bit_length()
+    spans = [(lo, hi - lo, (hi - lo).bit_length()) for lo, hi in blocks]
     cap = 80 * max(budget, 1) + 10_000
-    while len(edges) < budget:
-        attempts += 1
-        if attempts > cap:
-            raise GenerationError("edge sampling stalled before reaching the budget")
-        if attempts > cap // 2:
-            # nearly saturated clusters: fall back to uniform placement
-            _add_edge(edges, n, draw(0, n), draw(0, n))
-            continue
-        r = rng.random()
-        if r < 0.85 and blocks:
-            lo, hi = blocks[draw(0, len(blocks))]
-            _add_edge(edges, n, draw(lo, hi), draw(lo, hi))
-        elif r < 0.95 and blocks and core:
-            lo, hi = blocks[draw(0, len(blocks))]
-            _add_edge(edges, n, draw(lo, hi), draw(0, core))
+    for _ in range(cap // 2):
+        if len(edges) >= budget:
+            return
+        r = random()
+        if blocks and (r < 0.85 or r < 0.95 and core):
+            b = getrandbits(kb)
+            while b >= count:
+                b = getrandbits(kb)
+            lo, m, k = spans[b]
+            u = getrandbits(k)
+            while u >= m:
+                u = getrandbits(k)
+            u += lo
+            if r < 0.85:  # a link inside the block
+                v = getrandbits(k)
+                while v >= m:
+                    v = getrandbits(k)
+                v += lo
+            else:  # an uplink to the core
+                v = getrandbits(kc)
+                while v >= core:
+                    v = getrandbits(kc)
         elif core >= 2:
-            _add_edge(edges, n, draw(0, core), draw(0, core))
+            u = getrandbits(kc)
+            while u >= core:
+                u = getrandbits(kc)
+            v = getrandbits(kc)
+            while v >= core:
+                v = getrandbits(kc)
+        else:
+            continue
+        if u < v:
+            add(u * n + v)
+        elif v < u:
+            add(v * n + u)
+    # nearly saturated clusters: fall back to uniform placement
+    _fill_uniform(edges, n, budget, rng, cap - cap // 2)
 
 
 class PathOracle:

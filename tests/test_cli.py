@@ -524,8 +524,9 @@ def test_trapped_trace_exits_with_replay_line(workdir, capsys):
 
 def test_invariant_failure_prints_the_tree_with_the_replay_line(workdir, capsys, monkeypatch):
     # an oracle whose distances are one hop too long breaks the tree-path check
-    dist = PathOracle.dist
-    monkeypatch.setattr(PathOracle, "dist", lambda oracle, u, v: dist(oracle, u, v) + 1)
+    dist_from = PathOracle.dist_from
+    monkeypatch.setattr(PathOracle, "dist_from",
+                        lambda oracle, source: [d + 1 for d in dist_from(oracle, source)])
     assert main(["run", "--config", "cfg.json"]) == EXIT_INVARIANT
     failure, replay = capsys.readouterr().err.splitlines()[-2:]
     match = re.search(r"tree path (\d+) != shortest path (\d+) at step 1, branch (\[[\d, ]+\])$",

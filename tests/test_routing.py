@@ -219,8 +219,9 @@ class TestRunScenario:
         assert sources == {5, 11}
 
     def test_invariant_failures_end_with_the_branch(self, path5, monkeypatch):
-        dist = PathOracle.dist
-        monkeypatch.setattr(PathOracle, "dist", lambda oracle, u, v: dist(oracle, u, v) + 1)
+        dist_from = PathOracle.dist_from
+        monkeypatch.setattr(PathOracle, "dist_from",
+                            lambda oracle, source: [d + 1 for d in dist_from(oracle, source)])
         with pytest.raises(SimulationInvariantError,
                            match=r"tree path 3 != shortest path 4 at step 1, branch \[3, 2, 1, 0\]$"):
             run_scenario(PathOracle(path5), 0, 1, (4, 3))
