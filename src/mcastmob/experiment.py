@@ -32,9 +32,6 @@ class RunFailure(Exception):
             f"run {topology}/{model}/run{run_index} failed "
             f"(child seed {child_seed}): {cause}"
         )
-        self.topology = topology
-        self.model = model
-        self.run_index = run_index
         self.child_seed = child_seed
 
 
@@ -280,11 +277,11 @@ def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
         for strategy in block.strategies:
             rep = simulated(shape, strategy, i, strategy, lambda cfg: simulate_handoff(
                 oracle, run.cn, old, new, cfg))
-            rows.append(HandoffRow(*where, i, strategy, rep.control_path_hops, b_hops, rep))
+            rows.append(HandoffRow(*where, i, strategy, graft, b_hops, rep))
         if block.include_mobile_ip:
             shape = ("mobile_ip", after.a_hops, before.b_hops, b_hops)
             rep = simulated(shape, "plain_join", i, "mobile_ip", lambda cfg: simulate_mip_handoff(
                 oracle, run.cn, run.ha, old, new, cfg))
-            # the graft length of the multicast rows above, for comparison
-            rows.append(HandoffRow(*where, i, "mobile_ip", rows[-1].graft_links, b_hops, rep))
+            # the multicast graft length, for comparison
+            rows.append(HandoffRow(*where, i, "mobile_ip", graft, b_hops, rep))
     return rows

@@ -34,11 +34,11 @@ def nearest_rank_p90(values):
 
 @dataclass(frozen=True)
 class RunStats:
-    """Aggregates of one run's StepSamples.
+    """Aggregates of one run's StepSamples, where sample i is step i.
 
     r statistics and link totals cover every sample; L statistics and
-    mean_b cover the `handoffs` non-establishment samples. b_over_l is None
-    when there are no handoffs or mean_L is zero.
+    mean_b cover the `handoffs` samples after sample 0, the establishment.
+    b_over_l is None when there are no handoffs or mean_L is zero.
     """
 
     samples: int
@@ -56,13 +56,14 @@ class RunStats:
 
 
 def run_stats(samples) -> RunStats:
+    """The RunStats of one run's samples: sample i is step i, sample 0 the establishment."""
     if not samples:
         raise ValueError("run_stats needs at least one sample")
-    for s in samples:
+    for i, s in enumerate(samples):
         if s.c_hops < 1:
-            raise ValueError(f"sample {s.step} has c_hops < 1; r is undefined")
+            raise ValueError(f"sample {i} has c_hops < 1; r is undefined")
     ratios = [(s.a_hops + s.b_hops) / s.c_hops for s in samples]
-    moves = [s for s in samples if not s.establishment]
+    moves = samples[1:]
     added = [s.added_links for s in moves]
     mean_l = fmean(added) if added else 0.0
     mean_b = fmean(s.b_hops for s in moves) if moves else 0.0
@@ -127,12 +128,6 @@ class GroupStats:
 @dataclass(frozen=True)
 class AggregateStats:
     rows: tuple[GroupStats, ...]
-
-    def row(self, topo_type, model):
-        for r in self.rows:
-            if r.topo_type == topo_type and r.model == model:
-                return r
-        raise KeyError((topo_type, model))
 
     def overall(self, field):
         """Mean of `field` over the groups that have it; None when none has."""

@@ -13,7 +13,6 @@ import json
 import math
 import os
 from html import escape
-from operator import attrgetter
 
 from .metrics import REFERENCE, group_stats
 
@@ -50,11 +49,11 @@ def _write_table(path, header, rows):
 
 # Samples and traces hold ints only, which the csv module prints as fmt does
 # (str(int)); they skip fmt because they are most of a report's rows.
-_SAMPLE_CELLS = attrgetter("step", "a_hops", "b_hops", "c_hops", "added_links", "removed_links")
-
-
 def write_run_samples(path, samples):
-    _write_table(path, ("step", "a", "b", "c", "added", "removed"), map(_SAMPLE_CELLS, samples))
+    """One row per sample, numbered by its position: sample i is step i."""
+    rows = [(i, s.a_hops, s.b_hops, s.c_hops, s.added_links, s.removed_links)
+            for i, s in enumerate(samples)]
+    _write_table(path, ("step", "a", "b", "c", "added", "removed"), rows)
 
 
 def write_trace(path, trace):

@@ -21,25 +21,24 @@ class SimulationInvariantError(Exception):
 
 @dataclass(slots=True)
 class StepSample:
-    """Per-visit measurement.
+    """Per-visit measurement; a run's sample i is its step i.
 
     a_hops: CN -> home agent, b_hops: home agent -> mobile, c_hops: CN ->
     mobile through the tree. added/removed count the links grafted and
-    pruned by this step; the establishment sample carries the initial
-    branch length in added_links and is excluded from handoff statistics.
+    pruned by this step. Sample 0 is the establishment: it carries the
+    initial branch length in added_links and is excluded from handoff
+    statistics.
 
     Not frozen: a frozen dataclass sets every field through
     `object.__setattr__`, about three times the cost of this slotted one,
     once per simulated step. Nothing mutates a sample after `run_scenario`.
     """
 
-    step: int
     a_hops: int
     b_hops: int
     c_hops: int
     added_links: int
     removed_links: int
-    establishment: bool = False
 
 
 class MulticastTree:
@@ -76,7 +75,7 @@ class MulticastTree:
             raise SimulationInvariantError("mobile cannot join at the correspondent node")
         if self.pending is not None:
             raise SimulationInvariantError(f"join before the prune of {self.pending[0]}")
-        walk = self.graft_walk(new_location)
+        walk = self.oracle.shortest_path(new_location, self.cn, stop=self.nodes)
         old = self.branch
         try:
             meet = old.index(walk[-1])
@@ -88,10 +87,6 @@ class MulticastTree:
         self.nodes.update(walk)
         return len(walk) - 1
 
-    def graft_walk(self, node):
-        """Read-only: the walk a join from `node` would graft, [node, ..., meet node]."""
-        return self.oracle.shortest_path(node, self.cn, stop=self.nodes)
-
     def prune(self, old_location) -> int:
         """Tear down the cut the last join left below old_location; returns removed links."""
         leaf, cut = self.pending or (None, ())
@@ -102,7 +97,7 @@ class MulticastTree:
         return len(cut)
 
     def path_hops(self, leaf) -> int:
-        """Tree hop count from the CN to `leaf`; equals dist(CN, leaf)."""
+        """Tree hop count from the CN to `leaf`; equals their shortest-path distance."""
         if leaf != self.branch[0]:
             raise SimulationInvariantError(f"{leaf} is not a joined leaf")
         return len(self.branch) - 1
@@ -141,7 +136,7 @@ def run_scenario(oracle, cn, ha, steps):
     from_cn, from_ha = oracle.dist_from(cn), oracle.dist_from(ha)
     a_hops, first = from_cn[ha], steps[0]
     total_added, total_removed = tree.edge_count, 0
-    samples = [StepSample(0, a_hops, from_ha[first], tree.path_hops(first), total_added, 0, True)]
+    samples = [StepSample(a_hops, from_ha[first], tree.path_hops(first), total_added, 0)]
     for i in range(1, len(steps)):
         old, new = steps[i - 1], steps[i]
         if new == old:
@@ -161,5 +156,5 @@ def run_scenario(oracle, cn, ha, steps):
             raise SimulationInvariantError(
                 f"tree path {c_hops} != shortest path {shortest} at step {i}, branch {tree.branch}"
             )
-        samples.append(StepSample(i, a_hops, from_ha[new], c_hops, added, removed))
+        samples.append(StepSample(a_hops, from_ha[new], c_hops, added, removed))
     return samples

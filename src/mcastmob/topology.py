@@ -37,24 +37,6 @@ class Topology:
     clusters: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def from_edges(cls, name, n, edges, clusters=()):
-        if n < 2:
-            raise TopologyError("a topology needs at least 2 nodes")
-        keys = set()
-        for u, v in edges:
-            if u == v:
-                raise TopologyError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise TopologyError(f"node id out of range: {u} {v} (n={n})")
-            if u > v:
-                u, v = v, u
-            key = u * n + v
-            if key in keys:
-                raise TopologyError(f"duplicate edge {u} {v}")
-            keys.add(key)
-        return cls._from_keys(name, n, keys, clusters)
-
-    @classmethod
     def _from_keys(cls, name, n, keys, clusters=()):
         """The topology whose links are the edge keys `u * n + v`, each with u < v."""
         # before the adjacency, whose size follows the largest id, not the links
@@ -74,11 +56,6 @@ class Topology:
                 f"(node {dist.index(None)} unreached)"
             )
         return cls(name, n, len(keys), tuple(map(tuple, adj)), tuple(clusters))
-
-    @property
-    def edges(self):
-        """Every edge once as (u, v) with u < v, in sorted order."""
-        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
 
     @property
     def avg_degree(self):
@@ -430,15 +407,6 @@ class PathOracle:
         vec = tuple(_levels(self.topo.adj, source))
         self._dist[source] = vec
         return vec
-
-    def dist(self, u, v):
-        """Shortest hop count between u and v (symmetric).
-
-        `u` is the source whose distance vector is computed and cached, so
-        pass the endpoint that stays fixed across queries first.
-        """
-        self._check(v)
-        return self.dist_from(u)[v]
 
     def shortest_path(self, u, v, stop=()):
         """Deterministic shortest path [u, ..., v], cut at its first node in `stop`.

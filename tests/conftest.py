@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The helpers here deliberately avoid the package's own graph code: BFS and
-graph construction are re-implemented so oracle-equivalence tests mean
+random graph generation are re-implemented so oracle-equivalence tests mean
 something, and `validate_tree` checks tree path lengths against that BFS.
+Test topologies are built from their edge lists by `load_edge_list`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import deque
 
 import pytest
 
-from mcastmob.topology import PathOracle, Topology
+from mcastmob.topology import PathOracle, load_edge_list
 
 
 def bfs_dist(adj, source):
@@ -51,11 +52,6 @@ def validate_tree(tree):
     assert len(branch) - 1 == bfs_dist(adj, cn)[branch[0]], f"branch {branch} is not shortest"
 
 
-def tree_state(tree):
-    """A copy of the tree's (branch, nodes, pending), for before/after comparisons."""
-    return list(tree.branch), set(tree.nodes), tree.pending
-
-
 def random_connected_edges(rng, n, extra):
     """Independent random connected graph builder: chain backbone + extras."""
     order = list(range(n))
@@ -71,7 +67,20 @@ def random_connected_edges(rng, n, extra):
 
 
 def make_topology(name, n, edges):
-    return Topology.from_edges(name, n, edges)
+    """The topology of `edges` on nodes 0..n-1, built as the program loads edge lists."""
+    topo = load_edge_list("".join(f"{u} {v}\n" for u, v in edges), name=name)
+    assert topo.n == n, f"{n} nodes named, {topo.n} loaded"
+    return topo
+
+
+def edges_of(topo):
+    """Every link once as (u, v) with u < v, in sorted order."""
+    return tuple((u, v) for u, nbrs in enumerate(topo.adj) for v in nbrs if u < v)
+
+
+def group_rows(agg):
+    """An AggregateStats' rows by (topology type, movement model)."""
+    return {(row.topo_type, row.model): row for row in agg.rows}
 
 
 @pytest.fixture

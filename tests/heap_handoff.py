@@ -176,7 +176,7 @@ def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
     tree.oracle._check(new)
 
     path_old = tree.branch  # [old, ..., cn]
-    walk = tree.graft_walk(new)  # [new, ..., meet]
+    walk = tree.oracle.shortest_path(new, tree.cn, stop=tree.nodes)  # [new, ..., meet]
     meet = path_old.index(walk[-1])
     fwd = {up: {child} for child, up in zip(path_old, path_old[1:])}
     k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),

@@ -19,9 +19,9 @@ from mcastmob.cli import EXIT_OK, main
 from mcastmob.handoff import HandoffConfig, simulate_handoff, simulate_mip_handoff
 from mcastmob.movement import MovementModel, generate_trace
 from mcastmob.routing import establish, run_scenario
-from mcastmob.topology import PathOracle, Topology
+from mcastmob.topology import PathOracle
 
-from conftest import bfs_dist, random_connected_edges, validate_tree
+from conftest import bfs_dist, group_rows, make_topology, random_connected_edges, validate_tree
 
 
 @pytest.fixture(scope="session")
@@ -40,18 +40,18 @@ def test_criterion_01_shortest_path_oracle_equivalence():
     checked = 0
     for _ in range(50):
         n = rng.randrange(8, 61)
-        topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(0, 2 * n)))
+        topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(0, 2 * n)))
         oracle = PathOracle(topo)
         adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
         for s in range(n):
             expect = bfs_dist(adj, s)
             for t in range(n):
-                assert oracle.dist(s, t) == expect[t]
+                assert oracle.dist_from(s)[t] == expect[t]
                 checked += 1
         for _ in range(15):
             u, v = rng.randrange(n), rng.randrange(n)
             path = oracle.shortest_path(u, v)
-            assert len(path) == oracle.dist(u, v) + 1
+            assert len(path) == oracle.dist_from(u)[v] + 1
             assert all(b in topo.adj[a] for a, b in zip(path, path[1:]))
     _ok(1, f"dist/shortest_path match the BFS oracle on {checked} pairs over 50 graphs")
 
@@ -61,7 +61,7 @@ def test_criterion_02_tree_path_equality_and_03_live_conservation():
     checks = 0
     for scenario in range(1000):
         n = rng.randrange(8, 101)
-        topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(0, n)))
+        topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(0, n)))
         oracle = PathOracle(topo)
         cn = rng.randrange(n)
         spots = [v for v in range(n) if v != cn]
@@ -74,10 +74,10 @@ def test_criterion_02_tree_path_equality_and_03_live_conservation():
             if new == loc:
                 continue
             added += tree.join(new)
-            assert tree.path_hops(new) == oracle.dist(cn, new)
+            assert tree.path_hops(new) == oracle.dist_from(cn)[new]
             removed += tree.prune(loc)
             loc = new
-            assert tree.path_hops(loc) == oracle.dist(cn, loc)
+            assert tree.path_hops(loc) == oracle.dist_from(cn)[loc]
             assert added >= removed
             assert added - removed == tree.edge_count
             checks += 2
@@ -111,8 +111,8 @@ def test_criterion_04_route_efficiency_bound(suite):
 def test_criterion_05_movement_model_ordering(suite):
     chosen = ("ts100", "ts150", "ts200", "ts250", "ts1000")  # 100..1000 nodes
     records = [r.record for r in suite.runs if r.record.topology in chosen]
-    agg = metrics.aggregate(records)
-    mean_l = {m: agg.row("transit_stub", m).mean_L for m in ("neighbor", "cluster", "random")}
+    rows = group_rows(metrics.aggregate(records))
+    mean_l = {m: rows["transit_stub", m].mean_L for m in ("neighbor", "cluster", "random")}
     assert mean_l["neighbor"] < mean_l["cluster"] < mean_l["random"]
     assert mean_l["neighbor"] <= 2.0
     _ok(
@@ -172,7 +172,7 @@ def test_criterion_09_handoff_simulator_properties():
     # (a) lossless channel + make_before_break never drops a packet
     for trial in range(200):
         n = rng.randrange(6, 40)
-        topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+        topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
         oracle = PathOracle(topo)
         cn = rng.randrange(n)
         nodes = [v for v in range(n) if v != cn]
@@ -194,7 +194,7 @@ def test_criterion_09_handoff_simulator_properties():
 
     # (c) latency monotone in L (multicast) and in B (Mobile IP)
     edges = [(0, 1), (1, 2), (1, 3)] + [(i, i + 1) for i in range(3, 8)]
-    chain = Topology.from_edges("chain", 9, edges)
+    chain = make_topology("chain", 9, edges)
     oracle = PathOracle(chain)
     cfg = HandoffConfig(overlap="break_before_make", **base)
     lat_l = []
@@ -202,7 +202,7 @@ def test_criterion_09_handoff_simulator_properties():
         lat_l.append(simulate_handoff(oracle, 0, 2, new, cfg).handoff_latency)
     assert lat_l == sorted(lat_l)
     edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(2, 8)]
-    line = Topology.from_edges("line", 9, edges)
+    line = make_topology("line", 9, edges)
     oracle = PathOracle(line)
     lat_b = [
         simulate_mip_handoff(oracle, 0, 1, 2, new, cfg).handoff_latency for new in range(3, 9)

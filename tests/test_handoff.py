@@ -30,9 +30,9 @@ from mcastmob.handoff import (
 )
 from mcastmob.movement import MovementTrace
 from mcastmob.routing import establish
-from mcastmob.topology import GeneratorParams, PathOracle, Topology
+from mcastmob.topology import GeneratorParams, PathOracle
 
-from conftest import bfs_dist, random_connected_edges
+from conftest import bfs_dist, make_topology, random_connected_edges
 from heap_handoff import simulate_handoff as heap_simulate_handoff
 from heap_handoff import simulate_mip_handoff as heap_simulate_mip_handoff
 
@@ -114,7 +114,7 @@ class TestMakeBeforeBreak:
         by then but are still above node 5's last link, so they never reach
         it; packet 15 was on that link and arrives at 125.
         """
-        topo = Topology.from_edges("chain", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6)])
+        topo = make_topology("chain", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6)])
         rep = simulate_handoff(PathOracle(topo), 0, 5, 6,
                                HandoffConfig(per_hop_delay=10.0, packet_interval=5.0))
         old = [(seq, t) for seq, t, via in rep.deliveries if via == "old"]
@@ -132,7 +132,7 @@ class TestMakeBeforeBreak:
         rng = random.Random(99)
         for trial in range(40):
             n = rng.randrange(6, 30)
-            topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+            topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
             oracle = PathOracle(topo)
             cn = rng.randrange(n)
             nodes = [v for v in range(n) if v != cn]
@@ -218,7 +218,7 @@ class TestLossRecovery:
 class TestMonotonicity:
     def test_latency_monotone_in_graft_length(self):
         edges = [(0, 1), (1, 2), (1, 3)] + [(i, i + 1) for i in range(3, 8)]
-        topo = Topology.from_edges("chain", 9, edges)
+        topo = make_topology("chain", 9, edges)
         oracle = PathOracle(topo)
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
@@ -230,7 +230,7 @@ class TestMonotonicity:
 
     def test_mip_latency_monotone_in_b(self):
         edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(2, 8)]
-        topo = Topology.from_edges("chain", 9, edges)
+        topo = make_topology("chain", 9, edges)
         oracle = PathOracle(topo)
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
@@ -247,7 +247,7 @@ class TestMobileIp:
         edges = [(i, i + 1) for i in range(5)]
         edges += [(5, 6)] + [(i, i + 1) for i in range(6, 10)]
         edges += [(5, 11)] + [(i, i + 1) for i in range(11, 15)]
-        return Topology.from_edges("mip", 16, edges)
+        return make_topology("mip", 16, edges)
 
     def test_closed_form_b5(self):
         topo = self._topo()
@@ -333,7 +333,7 @@ def test_kernel_properties(strategy, overlap, loss, seed):
     """Delivery times, loss and duplicate accounting of both simulators on random graphs."""
     rng = random.Random(seed)
     n = rng.randrange(4, 30)
-    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
     oracle = PathOracle(topo)
     adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
     cn, ha = rng.randrange(n), rng.randrange(n)
@@ -440,7 +440,7 @@ def test_searches_only_from_the_cn_and_the_ha(monkeypatch):
         return dist_from(oracle, source)
 
     rng = random.Random(23)
-    topo = Topology.from_edges("g", 40, random_connected_edges(rng, 40, 30))
+    topo = make_topology("g", 40, random_connected_edges(rng, 40, 30))
     monkeypatch.setattr(PathOracle, "dist_from", counted)
     oracle = PathOracle(topo)
     for old, new in ((3, 17), (17, 29), (29, 3), (3, 11)):
@@ -503,7 +503,7 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
     """
     rng = random.Random(seed)
     n = rng.randrange(3, 20)
-    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
     oracle = PathOracle(topo)
     cn, ha = rng.sample(range(n), 2)
     steps = [rng.choice([v for v in range(n) if v != cn])]
@@ -520,7 +520,7 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
     for old, new in zip(steps, steps[1:]):
         if old != new:
             tree = establish(oracle, cn, old)
-            expected = tree.branch, tree.graft_walk(new)
+            expected = tree.branch, oracle.shortest_path(new, cn, stop=tree.nodes)
             paths = handoff.branch_and_walk(oracle, cn, old, new)
             assert paths == expected
             assert experiment._mcast_shape(*paths) == experiment._mcast_shape(*expected)
@@ -530,7 +530,7 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9))
 def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
-    """Every memo key and B hop count of a sweep equals the one of the walked paths.
+    """Every memo key, L and B hop count of a sweep equals the one of the walked paths.
 
     On a random graph and trace (with repeats, ties at the meet node and
     moves along the old branch), the reference walks each move with
@@ -539,7 +539,7 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     """
     rng = random.Random(seed)
     n = rng.randrange(3, 20)
-    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
     oracle = PathOracle(topo)
     cn, ha = rng.sample(range(n), 2)
     steps = [rng.choice([v for v in range(n) if v != cn])]
@@ -553,7 +553,8 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     memo = {}
     with mock.patch.object(experiment, "branch_and_walk", wraps=handoff.branch_and_walk) as walks:
         rows = experiment._sweep_run(oracle, run, block, memo)
-    keys, b_hops, ties = [], [], 0
+    from_ha = oracle.dist_from(ha)
+    keys, graft_links, b_hops, ties = [], [], [], 0
     for i, (old, new) in enumerate(zip(steps, steps[1:]), start=1):
         if old == new:
             continue
@@ -562,13 +563,15 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
         tie = meet == len(walk) - 1
         ties += tie
         shape = len(path_old), meet, len(walk), walk[-2] < path_old[meet - 1] if tie else None
-        mip = "mobile_ip", oracle.dist(ha, cn), oracle.dist(ha, old), oracle.dist(ha, new)
+        mip = "mobile_ip", from_ha[cn], from_ha[old], from_ha[new]
         for key, strategy, label in [(shape, s, s) for s in block.strategies] + [
                 (mip, "plain_join", "mobile_ip")]:
             row_seed = stable_seed(run.record.child_seed, "handoff", i, label) if loss else 0
             keys.append((key, strategy, row_seed))
-            b_hops.append(oracle.dist(ha, new))
+            graft_links.append(len(walk) - 1)  # Mobile IP rows repeat the multicast L
+            b_hops.append(from_ha[new])
     assert list(memo) == list(dict.fromkeys(keys))
+    assert [row.graft_links for row in rows] == graft_links
     assert [row.b_hops for row in rows] == b_hops
     assert walks.call_count == ties
     with pytest.raises(ValueError, match="samples for"):
@@ -603,7 +606,7 @@ def test_sweep_keeps_the_forwarding_order_at_the_meet_node():
     packet reaches the old and the new location at the same instant and the
     delivery log lists first the one node 1 forwards to first: the lower id.
     """
-    topo = Topology.from_edges("fork", 4, [(0, 1), (1, 2), (1, 3)])
+    topo = make_topology("fork", 4, [(0, 1), (1, 2), (1, 3)])
     oracle = PathOracle(topo)
     run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=2,
                                 seed=5, run_index=0, endpoints=(0, 1))
@@ -635,7 +638,7 @@ def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    topo = Topology.from_edges("fork", 7, [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (5, 6)])
+    topo = make_topology("fork", 7, [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (5, 6)])
     oracle = PathOracle(topo)
     run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=3,
                                 seed=5, run_index=0, endpoints=(0, 1))
@@ -688,7 +691,7 @@ def test_lossless_kernel_draws_nothing(monkeypatch, handoff_fixture):
 
 def _tie_chain():
     """The chain 0-1-2-3-4 plus the link 1-5: old 4 is three hops below node 1, new 5 one."""
-    return PathOracle(Topology.from_edges("tie", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)]))
+    return PathOracle(make_topology("tie", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)]))
 
 
 @pytest.mark.parametrize("interval, first, second, out_of_order, duplicates, emitted", [
@@ -745,7 +748,7 @@ def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refres
     """Every report of both simulators equals the event-queue reference's, log included."""
     rng = random.Random(seed)
     n = rng.randrange(3, 16)
-    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
     oracle = PathOracle(topo)
     cn, ha = rng.randrange(n), rng.randrange(n)
     nodes = [v for v in range(n) if v != cn]

