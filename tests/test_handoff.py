@@ -33,6 +33,7 @@ from mcastmob.routing import establish
 from mcastmob.topology import GeneratorParams, PathOracle
 
 from conftest import bfs_dist, make_topology, random_connected_edges
+import heap_handoff
 from heap_handoff import simulate_handoff as heap_simulate_handoff
 from heap_handoff import simulate_mip_handoff as heap_simulate_mip_handoff
 
@@ -175,17 +176,19 @@ class TestNoGraftNeeded:
         assert rep.packets_lost == 0
 
 
-def _script_losses(monkeypatch, lose_first):
-    """Make every loss draw 0.99 (kept at rate 0.5), but a link's first 0.0 (lost) if chosen.
+def _script_losses(monkeypatch, lose_first, times=1):
+    """Make every loss draw 0.99 (kept at rate 0.5), but a link's first `times` 0.0 (lost) if chosen.
 
     The links chosen are those where `lose_first(kind, src, dst)` is true.
+    The heap reference draws from the same scripted streams.
     """
 
     def stream(seed, kind, src, dst):
-        draws = iter([0.0] if lose_first(kind, src, dst) else [])
+        draws = iter([0.0] * times if lose_first(kind, src, dst) else [])
         return SimpleNamespace(random=lambda: next(draws, 0.99))
 
     monkeypatch.setattr(handoff, "_loss_stream", stream)
+    monkeypatch.setattr(heap_handoff, "_loss_stream", stream)
 
 
 class TestLossRecovery:
@@ -213,6 +216,38 @@ class TestLossRecovery:
         # 3 join hops, plus 2 prune hops each sent twice; without loss it is 5 and 2 duplicates
         assert rep.control_messages == 7
         assert rep.packets_duplicated == 6
+
+    @pytest.mark.parametrize("overlap", OVERLAP_MODES)
+    def test_a_join_that_never_commits_emits_until_the_give_up(self, handoff_fixture, monkeypatch,
+                                                              overlap):
+        """Every copy of the join's first hop is lost: no packet ever reaches new.
+
+        Emission runs to the give-up deadline t0 + 2 refresh periods = 1060,
+        plus the tail's three intervals: packets 0 .. 56 (emitted 0 .. 1120).
+        """
+        topo, oracle = handoff_fixture
+        cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=500.0, overlap=overlap, **BASE)
+        _script_losses(monkeypatch, lambda kind, src, dst: kind == "join" and src == 6,
+                       handoff._MAX_RETRIES)
+        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
+        assert rep == heap_simulate_handoff(establish(oracle, 0, 3), 3, 6, cfg)
+        assert rep.handoff_latency == math.inf
+        assert rep.packets_emitted == 57
+        assert rep.control_messages == handoff._MAX_RETRIES
+
+    @pytest.mark.parametrize("overlap", OVERLAP_MODES)
+    def test_a_registration_that_never_commits_emits_until_the_give_up(self, handoff_fixture,
+                                                                      monkeypatch, overlap):
+        """Mobile IP with the HA at node 1: the registration's first hop 6 -> 5 never survives."""
+        topo, oracle = handoff_fixture
+        cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=500.0, overlap=overlap, **BASE)
+        _script_losses(monkeypatch, lambda kind, src, dst: kind == "registration" and src == 6,
+                       handoff._MAX_RETRIES)
+        rep = simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
+        assert rep == heap_simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
+        assert rep.handoff_latency == math.inf
+        assert rep.packets_emitted == 57
+        assert rep.control_messages == handoff._MAX_RETRIES
 
 
 class TestMonotonicity:
@@ -366,14 +401,8 @@ def test_kernel_properties(strategy, overlap, loss, seed):
     assert simulate_mip_handoff(oracle, cn, ha, old, new, cfg) == mip
 
 
-def test_lossy_sweep_csv_is_pinned(tmp_path):
-    """handoff.csv of a small lossy sweep, byte for byte.
-
-    Pins the seeded loss draws: one stream per (kind, link), seeded from
-    "seed:kind:src:dst" and consumed in the order that link is crossed. Each
-    data or registration hop draws once, and each join or prune hop draws
-    once per copy until a copy survives.
-    """
+def _ts50_r50_sweep(block):
+    """The handoff sweep of ts50 and r50 at master seed 7, one run of 21 moves each."""
     specs = tuple(
         TopologySpec(
             name=name, topo_type=ttype,
@@ -383,12 +412,29 @@ def test_lossy_sweep_csv_is_pinned(tmp_path):
         if name in ("ts50", "r50")
     )
     cfg = ScenarioConfig(
-        topologies=specs, master_seed=7, seeds_per_scenario=1, moves_per_run=21,
-        handoff=HandoffBlock(
-            message_loss_rate=0.1, refresh_period=500.0, overlap="break_before_make"
-        ),
+        topologies=specs, master_seed=7, seeds_per_scenario=1, moves_per_run=21, handoff=block
     )
-    rows = experiment.handoff_sweep(experiment.execute_scenario(cfg))
+    return experiment.handoff_sweep(experiment.execute_scenario(cfg))
+
+
+def _deliveries_sha256(rows):
+    deliveries = hashlib.sha256()
+    for row in rows:
+        deliveries.update(repr(row.report.deliveries).encode())
+    return deliveries.hexdigest()
+
+
+def test_lossy_sweep_csv_is_pinned(tmp_path):
+    """handoff.csv of a small lossy sweep, byte for byte.
+
+    Pins the seeded loss draws: one stream per (kind, link), seeded from
+    "seed:kind:src:dst" and consumed in the order that link is crossed. Each
+    data or registration hop draws once, and each join or prune hop draws
+    once per copy until a copy survives.
+    """
+    rows = _ts50_r50_sweep(HandoffBlock(
+        message_loss_rate=0.1, refresh_period=500.0, overlap="break_before_make"
+    ))
     assert len(rows) == 476
     path = tmp_path / "handoff.csv"
     reporting.write_handoff(str(path), rows)
@@ -403,30 +449,36 @@ def test_lossy_make_before_break_sweep_csv_is_pinned(tmp_path):
     315 of its 357 multicast rows send prune hops. Pins handoff.csv and the
     delivery log of every row, whose duplicates last until the prune commits.
     """
-    specs = tuple(
-        TopologySpec(
-            name=name, topo_type=ttype,
-            generator=GeneratorParams(kind, nodes, deg, seed=stable_seed(7, "topology", name)),
-        )
-        for name, ttype, kind, nodes, deg in config.REFERENCE_SUITE
-        if name in ("ts50", "r50")
-    )
-    cfg = ScenarioConfig(
-        topologies=specs, master_seed=7, seeds_per_scenario=1, moves_per_run=21,
-        handoff=HandoffBlock(message_loss_rate=0.1, refresh_period=500.0),
-    )
-    rows = experiment.handoff_sweep(experiment.execute_scenario(cfg))
+    rows = _ts50_r50_sweep(HandoffBlock(message_loss_rate=0.1, refresh_period=500.0))
     assert len(rows) == 476
     path = tmp_path / "handoff.csv"
     reporting.write_handoff(str(path), rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "f9ba69fa622b30e11636019a1e891d512205168fd69325c0e2240ef6408d533e"
     )
-    deliveries = hashlib.sha256()
-    for row in rows:
-        deliveries.update(repr(row.report.deliveries).encode())
-    assert deliveries.hexdigest() == (
+    assert _deliveries_sha256(rows) == (
         "90a0cbe0d5958969e0593305706d16b479eff1e6edc7f83cf6dbcd7f908bdaf2"
+    )
+
+
+def test_lossy_sweep_at_the_default_refresh_period_is_pinned(tmp_path):
+    """The sweep at 5% loss and the default 60 s refresh period, log included.
+
+    A lost join or registration waits out a whole refresh period, so 37 rows
+    emit more than 100 packets (133,658 in all) and one gives up at 6,010.
+    Most of those packets go out while no new arrival can start the tail.
+    """
+    rows = _ts50_r50_sweep(HandoffBlock(message_loss_rate=0.05))
+    assert len(rows) == 476
+    emitted = [row.report.packets_emitted for row in rows]
+    assert (sum(emitted), sum(e > 100 for e in emitted), max(emitted)) == (133_658, 37, 6_010)
+    path = tmp_path / "handoff.csv"
+    reporting.write_handoff(str(path), rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "256bfe47f68d98fb603767ed90e2b52bf04b910d819e050bf3bbbda5fdf89982"
+    )
+    assert _deliveries_sha256(rows) == (
+        "331df280d3b2a2c3d7615b0f52817754c724c260536271b8a0e8536a254e52aa"
     )
 
 
