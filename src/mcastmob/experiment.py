@@ -219,11 +219,13 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     if block is None:
         raise ValueError("config has no handoff block")
     memo = {}  # (shape, strategy, seed) -> report, shared by the whole sweep
+    configs = {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
     rows = []
     for run in result.runs:
         rec = run.record
         if rec.run_index < block.runs:
-            rows.extend(_sweep_run(result.oracles[rec.topology, rec.model], run, block, memo))
+            oracle = result.oracles[rec.topology, rec.model]
+            rows.extend(_sweep_run(oracle, run, block, memo, configs))
     return rows
 
 
@@ -241,19 +243,20 @@ def _mcast_shape(path_old, walk):
     return len(path_old), meet, len(walk), order
 
 
-def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
+def _sweep_run(oracle, run: RunResult, block, memo, configs=None) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
     `oracle` is a path oracle of the run's topology; `handoff_sweep` passes the job's.
     Shapes and B hops come from `run.samples`, which must be its trace's.
-    `memo` maps (shape, strategy, seed) to a report already simulated in this
-    sweep under `block`; see `handoff_sweep`.
+    `memo` maps (shape, strategy, seed) to a report of this sweep under `block`,
+    and `configs` a strategy to its HandoffConfig at seed 0; see `handoff_sweep`.
     """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
     steps, samples = run.trace.steps, run.samples
     if len(samples) != len(steps):
         raise ValueError(f"run {where} has {len(samples)} samples for {len(steps)} steps")
+    configs = configs or {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
     rows = []
 
     def simulated(shape, strategy, i, label, simulate):
@@ -261,7 +264,8 @@ def _sweep_run(oracle, run: RunResult, block, memo) -> list[HandoffRow]:
         seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
         rep = memo.get((shape, strategy, seed))
         if rep is None:
-            rep = memo[shape, strategy, seed] = simulate(block.handoff_config(strategy, seed))
+            cfg = block.handoff_config(strategy, seed) if seed else configs[strategy]
+            rep = memo[shape, strategy, seed] = simulate(cfg)
         return rep
 
     for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):

@@ -1,4 +1,4 @@
-"""Packet-level simulation of a single handoff, one packet at a time.
+"""Packet-level simulation of a single handoff, in batches of packets taken link by link.
 
 Simulates the join/prune dynamics on the delivery tree, and the Mobile IP
 registration baseline, with a fixed per-link delay and independent per-hop
@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 import operator
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from functools import reduce
+from itertools import accumulate, compress, repeat
 
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
@@ -110,14 +112,13 @@ class _Pass:
     It owns the per-link loss streams, the control relay with its re-sends,
     CN emission up to the tail or give-up deadline, and the delivery log. A
     simulator relays its control messages first, then passes `emit` a
-    `launch(t, seq)` that sends packet `seq` on with `down` and `arrive`.
-    Without loss (rate 0) no hop draws and `down` skips `lost`: the seed is
-    inert, and the report depends only on the paths and config.
+    `launch(seqs, times)` that sends a batch on with `down` and `arrive`.
+    A packet's crossings of a link follow its sequence number, so batches
+    draw what single packets would. At loss 0 nothing draws: the seed is inert.
     """
 
     def __init__(self, cfg: HandoffConfig, t0, copies, fork=math.inf, old_first=True):
         self.cfg, self.t0 = cfg, t0
-        self.draws = cfg.message_loss_rate > 0
         self.copies = copies  # copies sent per control hop
         self.fork = fork  # hops from the CN to the node where a packet's copies part
         self.old_first = old_first  # whether that node forwards the old copy first
@@ -126,14 +127,16 @@ class _Pass:
         self.times: list[float] = []  # emission time of each packet
         self.arrivals = {"old": [], "new": []}  # (time, seq, hops, via) in sequence order
 
+    def stream(self, *key):
+        streams = self.streams
+        return streams.get(key) or streams.setdefault(key, _loss_stream(self.cfg.seed, *key))
+
     def lost(self, kind, src, dst, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
-        key = (kind, src, dst)
-        rng = self.streams.get(key) or self.streams.setdefault(key, _loss_stream(self.cfg.seed, *key))
-        dropped = rng.random() < rate
+        dropped = self.stream(kind, src, dst).random() < rate
         return dropped and (copies == 1 or self.lost(kind, src, dst, copies - 1))
 
     def relay(self, kind, path, t):
@@ -152,20 +155,30 @@ class _Pass:
             t += self.cfg.per_hop_delay
         return t
 
-    def down(self, path, t, stop=math.inf):
-        """Arrival time at path[-1] of a data packet at path[0] at t; None if lost or at `stop`."""
-        d, lost = self.cfg.per_hop_delay, self.draws and self.lost
-        for hop in range(1, len(path)):
-            if t >= stop or lost and lost("data", path[hop - 1], path[hop]):
-                return None
-            t += d
-        return t
+    def down(self, path, seqs, times, stop=math.inf):
+        """The survivors of the batch (seqs, times) at path[0], and their times at path[-1].
 
-    def arrive(self, via, seq, hops, t):
-        """Packet `seq` reached location "old" or "new" at t (None: never), `hops` from the CN."""
-        if t is not None and (t >= self.t0 if via == "new" else
-                              t < self.t0 or self.cfg.overlap == "make_before_break"):
-            self.arrivals[via].append((t, seq, hops, via))
+        It crosses one link at a time, each link's stream drawing once per packet.
+        A packet at a node at or after `stop` goes no further (times rise with seq).
+        """
+        d, rate = self.cfg.per_hop_delay, self.cfg.message_loss_rate
+        for src, dst in zip(path, path[1:]):
+            if times and times[-1] >= stop:
+                cut = bisect_left(times, stop)
+                seqs, times = seqs[:cut], times[:cut]
+            if rate and seqs:
+                draw = self.stream("data", src, dst).random
+                kept = [draw() >= rate for _ in seqs]
+                seqs, times = list(compress(seqs, kept)), compress(times, kept)
+            times = [t + d for t in times]
+        return seqs, times
+
+    def arrive(self, via, hops, seqs, times):
+        """The batch (seqs, times) reached location "old" or "new", `hops` hops from the CN."""
+        if via == "new" or self.cfg.overlap != "make_before_break":
+            cut = bisect_left(times, self.t0)  # the mobile is at old before t0, at new from it
+            seqs, times = (seqs[cut:], times[cut:]) if via == "new" else (seqs[:cut], times[:cut])
+        self.arrivals[via] += zip(times, seqs, repeat(hops), repeat(via))
 
     def before(self, a, b):
         """Whether event a comes first in an event queue of per-hop events.
@@ -192,21 +205,36 @@ class _Pass:
             ta, tb = chain_a[ha] if ha else times[sa], chain_b[hb] if hb else times[sb]
         return ta < tb
 
-    def emit(self, launch):
-        """Emit and launch packets every interval until the deadline; the first new arrival."""
-        interval, new, times = self.cfg.packet_interval, self.arrivals["new"], self.times
+    def emit(self, launch, commit, hops):
+        """Emit packets every interval until the deadline; the first new arrival time, or None.
+
+        No packet arrives through new before t0 or `commit` carried `hops` hops
+        down the new leg, so each emission up to the earlier of that and the
+        give-up deadline, plus the tail, happens: one batch. Each later one waits
+        for those before it until a first new arrival fixes the rest: one batch.
+        """
+        interval, times, new = self.cfg.packet_interval, self.times, self.arrivals["new"]
         give_up = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period
-        t = 0.0
+        earliest = max(self.t0, reduce(operator.add, repeat(self.cfg.per_hop_delay, hops), commit))
+        sure = min(earliest, give_up) + _TAIL_INTERVALS * interval  # the earliest deadline
+        sent, t = 0, 0.0  # packets launched, last emission
         while True:
-            seq = len(times)
             times.append(t)
-            launch(t, seq)
+            while t + interval <= sure:
+                t += interval
+                times.append(t)
+            if not new:  # this emission's deadline waits on the packets so far
+                launch(range(sent, len(times)), times[sent:])
+                sent = len(times)
             # the tail starts once the first delivery through new has happened
             first = new[0][0] if new else math.inf
-            known = first < t or first == t and self.before(new[0], (t, seq, 0, None))
+            known = first < t or first == t and self.before(new[0], (t, len(times) - 1, 0, None))
             if not t + interval <= (first if known else give_up) + _TAIL_INTERVALS * interval:
-                return first if new else None
+                break
             t += interval
+        if sent < len(times):
+            launch(range(sent, len(times)), times[sent:])
+        return new[0][0] if new else None
 
     def report(self, control_path_hops) -> HandoffReport:
         old, new = self.arrivals["old"], self.arrivals["new"]
@@ -214,18 +242,25 @@ class _Pass:
         for i in range(1, len(log)):  # at most one old and one new share an instant
             if log[i][0] == log[i - 1][0] and self.before(log[i], log[i - 1]):
                 log[i - 1], log[i] = log[i], log[i - 1]
-        firsts = list(dict.fromkeys([seq for _, seq, _, _ in log]))  # first deliveries, in order
+        delivered, top, late = set(), -1, 0  # first deliveries, their highest seq, those below it
+        for _, seq, _, _ in log:
+            if seq not in delivered:
+                delivered.add(seq)
+                if seq < top:
+                    late += 1
+                else:
+                    top = seq
         emitted = len(self.times)
         return HandoffReport(
             trigger_ms=self.t0,
             handoff_latency=new[0][0] - self.t0 if new else math.inf,
-            packets_lost=emitted - len(firsts),
-            packets_duplicated=len(log) - len(firsts),
-            out_of_order=sum(map(operator.lt, firsts[1:], accumulate(firsts, max))),
+            packets_lost=emitted - len(delivered),
+            packets_duplicated=len(log) - len(delivered),
+            out_of_order=late,
             control_messages=self.control,
             control_path_hops=control_path_hops,
             packets_emitted=emitted,
-            packets_delivered=len(firsts),
+            packets_delivered=len(delivered),
             deliveries=tuple([(seq, t, via) for t, seq, _, via in log]),
         )
 
@@ -275,22 +310,21 @@ def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
               len(above) - 1, meet == 0 or len(walk) == 1 or path_old[meet - 1] < walk[-2])
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
     grafted = p.relay("join", walk, p.t0 - lead)
-    at_meet = []
+    at_meet = [], []  # (seqs, times) of the packets that reached the meet node
 
-    def launch(t, seq):
-        t = p.down(above, t)
-        if t is not None:
-            at_meet.append((seq, t))
-            if t >= grafted:
-                p.arrive("new", seq, p.fork + len(walk) - 1, p.down(new_leg, t))
+    def launch(seqs, times):
+        seqs, times = p.down(above, seqs, times)
+        at_meet[0].extend(seqs)
+        at_meet[1].extend(times)
+        cut = bisect_left(times, grafted)  # from here on, packets also go down the walk
+        p.arrive("new", p.fork + len(walk) - 1, *p.down(new_leg, seqs[cut:], times[cut:]))
 
-    first_new = p.emit(launch)
+    first_new = p.emit(launch, grafted, len(walk) - 1)
     prune = first_new is not None and cfg.overlap == "make_before_break"
     pruned = p.relay("prune", path_old[:meet + 1], first_new) if prune else math.inf
     # no link below the meet node on the old branch is on the walk or above
     # the meet node, so these fates can wait for the prune's commit time
-    for seq, t in at_meet:
-        p.arrive("old", seq, len(path_old) - 1, p.down(old_leg, t, pruned))
+    p.arrive("old", len(path_old) - 1, *p.down(old_leg, *at_meet, pruned))
     return p.report(len(walk) - 1)
 
 
@@ -315,11 +349,13 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
     p = _Pass(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1)
     registered = p.relay("registration", reg_path, p.t0)
 
-    def launch(t, seq):
-        t = p.down(path_a, t)
-        if t is not None:
-            via = "new" if t >= registered else "old"
-            p.arrive(via, seq, len(path_a) + len(tunnels[via]) - 2, p.down(tunnels[via], t))
+    def launch(seqs, times):
+        seqs, times = p.down(path_a, seqs, times)
+        cut = bisect_left(times, registered)  # from here on, packets tunnel to new
+        # the old batch goes first: the tunnels may share links, crossed in sequence order
+        for via, part in (("old", slice(cut)), ("new", slice(cut, None))):
+            p.arrive(via, len(path_a) + len(tunnels[via]) - 2,
+                     *p.down(tunnels[via], seqs[part], times[part]))
 
-    p.emit(launch)
+    p.emit(launch, registered, len(reg_path) - 1)
     return p.report(len(reg_path) - 1)
