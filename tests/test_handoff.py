@@ -177,7 +177,7 @@ class TestNoGraftNeeded:
 
 
 def _script_losses(monkeypatch, lose_first, times=1):
-    """Make every loss draw 0.99 (kept at rate 0.5), but a link's first `times` 0.0 (lost) if chosen.
+    """Make every loss draw 0.99 (kept at rate 0.5), but a chosen link's first `times` 0.0 (lost).
 
     The links chosen are those where `lose_first(kind, src, dst)` is true.
     The heap reference draws from the same scripted streams.
