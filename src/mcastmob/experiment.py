@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import metrics, movement, routing
 from .config import ScenarioConfig, stable_seed
-from .handoff import HandoffReport, branch_and_walk, simulate_handoff, simulate_mip_handoff
+from .handoff import HandoffReport, simulate_handoff, simulate_mip_handoff
 from .metrics import RunRecord
 from .movement import MovementModel, MovementTrace
 from .routing import StepSample
@@ -203,17 +203,16 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
 
     Each run is swept on its (topology, model) job's oracle, whose CN and HA
     vectors are warm. `execute_scenario` walked every move and checked the
-    tree at every step, so each move's shape is read off the run's samples;
-    only a tie needs the paths from `handoff.branch_and_walk` (`_mcast_shape`).
+    tree at every step, so each move's shape is read off the run's samples,
+    and no path is walked outside a simulation.
 
     A report depends on node ids only through the handoff's shape, and on the
     seed only when there is loss. So the sweep simulates each distinct (shape,
     strategy, seed) once, the rest of its HandoffConfig being the block's, and
     rows of one shape share the report. A multicast shape is the old branch's
-    length, the meet node's index on it, the graft walk's length, and the meet
-    node's forwarding order when a packet's two copies tie. A Mobile IP shape
-    is the HA's distances to the CN, the old and the new location. At loss > 0
-    each row's own seed is in the key, so every row is simulated.
+    length, the meet node's index on it and the graft walk's length. A Mobile
+    IP shape is the HA's distances to the CN, the old and the new location.
+    At loss > 0 each row's own seed is in the key, so every row is simulated.
     """
     block = result.config.handoff
     if block is None:
@@ -227,20 +226,6 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
             oracle = result.oracles[rec.topology, rec.model]
             rows.extend(_sweep_run(oracle, run, block, memo, configs))
     return rows
-
-
-def _mcast_shape(path_old, walk):
-    """What a multicast handoff's report depends on besides its HandoffConfig.
-
-    `path_old` and `walk` are `branch_and_walk`'s. Only the walk's last node,
-    the meet node, is on the old branch. When old and new are equally far
-    from the meet node, a packet's two copies reach them at the same instant
-    in the order the meet node forwards them: by child id. The sweep walks
-    the paths only for such a tie, and reads any other shape off the samples.
-    """
-    meet = path_old.index(walk[-1])
-    order = walk[-2] < path_old[meet - 1] if meet == len(walk) - 1 else None
-    return len(path_old), meet, len(walk), order
 
 
 def _sweep_run(oracle, run: RunResult, block, memo, configs=None) -> list[HandoffRow]:
@@ -273,11 +258,8 @@ def _sweep_run(oracle, run: RunResult, block, memo, configs=None) -> list[Handof
             continue
         before, after = samples[i - 1], samples[i]
         # the old branch has c_hops + 1 nodes, and the prune cut the meet node's index of them
-        meet, graft, b_hops = after.removed_links, after.added_links, after.b_hops
-        if meet == graft:  # a tie: only the paths tell the meet node's forwarding order
-            shape = _mcast_shape(*branch_and_walk(oracle, run.cn, old, new))
-        else:
-            shape = before.c_hops + 1, meet, graft + 1, None
+        graft, b_hops = after.added_links, after.b_hops
+        shape = before.c_hops + 1, after.removed_links, graft + 1
         for strategy in block.strategies:
             rep = simulated(shape, strategy, i, strategy, lambda cfg: simulate_handoff(
                 oracle, run.cn, old, new, cfg))

@@ -26,7 +26,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
@@ -115,17 +115,20 @@ class _Pass:
     `launch(seqs, times)` that sends a batch on with `down` and `arrive`.
     A packet's crossings of a link follow its sequence number, so batches
     draw what single packets would. At loss 0 nothing draws: the seed is inert.
+
+    Two packets that meet at one instant (two deliveries, or a delivery and
+    an emission) go earlier-emitted first iff per_hop_delay >= packet_interval;
+    a packet's two copies at one instant go old first.
     """
 
-    def __init__(self, cfg: HandoffConfig, t0, copies, fork=math.inf, old_first=True):
+    def __init__(self, cfg: HandoffConfig, t0, copies):
         self.cfg, self.t0 = cfg, t0
         self.copies = copies  # copies sent per control hop
-        self.fork = fork  # hops from the CN to the node where a packet's copies part
-        self.old_first = old_first  # whether that node forwards the old copy first
+        self.earlier_first = cfg.per_hop_delay >= cfg.packet_interval
         self.streams = {}  # (kind, src, dst) -> that link's loss stream
         self.control = 0
         self.times: list[float] = []  # emission time of each packet
-        self.arrivals = {"old": [], "new": []}  # (time, seq, hops, via) in sequence order
+        self.arrivals = {"old": [], "new": []}  # (seq, time, via) in sequence order
 
     def stream(self, *key):
         streams = self.streams
@@ -173,37 +176,12 @@ class _Pass:
             times = [t + d for t in times]
         return seqs, times
 
-    def arrive(self, via, hops, seqs, times):
-        """The batch (seqs, times) reached location "old" or "new", `hops` hops from the CN."""
+    def arrive(self, via, seqs, times):
+        """The batch (seqs, times) reached location "old" or "new"."""
         if via == "new" or self.cfg.overlap != "make_before_break":
             cut = bisect_left(times, self.t0)  # the mobile is at old before t0, at new from it
             seqs, times = (seqs[cut:], times[cut:]) if via == "new" else (seqs[:cut], times[:cut])
-        self.arrivals[via] += zip(times, seqs, repeat(hops), repeat(via))
-
-    def before(self, a, b):
-        """Whether event a comes first in an event queue of per-hop events.
-
-        An event (time, seq, hops, via) is packet `seq` `hops` hops from the CN
-        (0: its emission), on branch `via` past the fork. Such a queue pops
-        same-instant data in the order their parents popped: one hop earlier,
-        or the previous emission. So walk both chains back in lockstep until
-        their times differ. Where they join, an emission sends its packet on
-        before the next emission, and the fork forwards to its lower id first.
-        """
-        (ta, sa, ha, va), (tb, sb, hb, vb) = a, b
-        # a packet's time after h hops adds the delay hop by hop, as it accumulates
-        d, times = self.cfg.per_hop_delay, self.times
-        chain_a = list(accumulate(repeat(d, ha), initial=times[sa]))
-        chain_b = list(accumulate(repeat(d, hb), initial=times[sb]))
-        while ta == tb:
-            pa = (sa, ha - 1) if ha else (sa - 1, 0)
-            pb = (sb, hb - 1) if hb else (sb - 1, 0)
-            if pa == pb and (pa[1] <= self.fork or va == vb):
-                return sa < sb if sa != sb else (va == "old") == self.old_first
-            (sa, ha), (sb, hb) = pa, pb
-            # a hop count above 0 is still on the event's own packet
-            ta, tb = chain_a[ha] if ha else times[sa], chain_b[hb] if hb else times[sb]
-        return ta < tb
+        self.arrivals[via] += zip(seqs, times, repeat(via))
 
     def emit(self, launch, commit, hops):
         """Emit packets every interval until the deadline; the first new arrival time, or None.
@@ -227,23 +205,25 @@ class _Pass:
                 launch(range(sent, len(times)), times[sent:])
                 sent = len(times)
             # the tail starts once the first delivery through new has happened
-            first = new[0][0] if new else math.inf
-            known = first < t or first == t and self.before(new[0], (t, len(times) - 1, 0, None))
+            first = new[0][1] if new else math.inf
+            known = first < t or first == t and self.earlier_first
             if not t + interval <= (first if known else give_up) + _TAIL_INTERVALS * interval:
                 break
             t += interval
         if sent < len(times):
             launch(range(sent, len(times)), times[sent:])
-        return new[0][0] if new else None
+        return new[0][1] if new else None
 
     def report(self, control_path_hops) -> HandoffReport:
         old, new = self.arrivals["old"], self.arrivals["new"]
-        log = sorted(old + new, key=operator.itemgetter(0))
+        log = sorted(old + new, key=operator.itemgetter(1))  # stable: old first at one instant
+        earlier_first = self.earlier_first
         for i in range(1, len(log)):  # at most one old and one new share an instant
-            if log[i][0] == log[i - 1][0] and self.before(log[i], log[i - 1]):
+            (seq, t, _), (prev, t_prev, _) = log[i], log[i - 1]
+            if t == t_prev and seq != prev and (seq < prev) == earlier_first:
                 log[i - 1], log[i] = log[i], log[i - 1]
         delivered, top, late = set(), -1, 0  # first deliveries, their highest seq, those below it
-        for _, seq, _, _ in log:
+        for seq, _, _ in log:
             if seq not in delivered:
                 delivered.add(seq)
                 if seq < top:
@@ -253,7 +233,7 @@ class _Pass:
         emitted = len(self.times)
         return HandoffReport(
             trigger_ms=self.t0,
-            handoff_latency=new[0][0] - self.t0 if new else math.inf,
+            handoff_latency=new[0][1] - self.t0 if new else math.inf,
             packets_lost=emitted - len(delivered),
             packets_duplicated=len(log) - len(delivered),
             out_of_order=late,
@@ -261,7 +241,7 @@ class _Pass:
             control_path_hops=control_path_hops,
             packets_emitted=emitted,
             packets_delivered=len(delivered),
-            deliveries=tuple([(seq, t, via) for t, seq, _, via in log]),
+            deliveries=tuple(log),
         )
 
 
@@ -273,41 +253,30 @@ def _trigger_time(cfg, warm_hops):
     return t0
 
 
-def branch_and_walk(oracle, cn, old, new):
-    """The old branch [old, ..., cn] and the graft walk [new, ..., meet] of a handoff.
+def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
+    """Simulate one handoff old -> new on the delivery tree of the CN `cn`.
 
     Between moves the delivery tree is the shortest path from old to the CN
-    (`routing.establish`); a join from new walks toward the CN until it meets it.
+    (`routing.establish`), and packets follow it. The join walks from new
+    toward the CN until it meets that old branch, and grafts the walk
+    [new, ..., meet] whole when it reaches the meet node; a packet there at
+    or after that instant also goes down the walk. No tree is built. Under
+    make_before_break the first delivery through new starts the prune; once
+    it commits at the meet node, no node from there down to old forwards.
+
+    Node ids matter only as labels: without loss the report depends on the
+    old branch's length, the meet node's index on it and the walk's length.
+    `experiment.handoff_sweep` simulates each such shape once.
     """
     if cn in (old, new):
         raise HandoffError("the mobile cannot be at the correspondent node")
     if new == old:
         raise HandoffError("handoff requires distinct old and new locations")
     path_old = oracle.shortest_path(old, cn)
-    return path_old, oracle.shortest_path(new, cn, stop=path_old)
-
-
-def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
-    """Simulate one handoff old -> new on the delivery tree of the CN `cn`.
-
-    Packets follow the old branch. The join grafts the walk [new, ..., meet]
-    whole when it reaches the meet node; a packet there at or after that
-    instant also goes down the walk. Both come from `branch_and_walk`: no
-    tree is built. Under make_before_break the first delivery through new
-    starts the prune; once it commits at the meet node, no node from there
-    down to old forwards.
-
-    Node ids matter only as labels: without loss the report depends on the
-    old branch's length, the meet node's index on it, the walk's length and,
-    only when a packet's two copies reach old and new at the same instant,
-    which child the meet node forwards to first (the lower id).
-    `experiment.handoff_sweep` simulates each such shape once.
-    """
-    path_old, walk = branch_and_walk(oracle, cn, old, new)
+    walk = oracle.shortest_path(new, cn, stop=path_old)
     meet = path_old.index(walk[-1])
     above, old_leg, new_leg = path_old[meet:][::-1], path_old[meet::-1], walk[::-1]
-    p = _Pass(cfg, _trigger_time(cfg, len(path_old) - 1), 3 if cfg.strategy == "triple_join" else 1,
-              len(above) - 1, meet == 0 or len(walk) == 1 or path_old[meet - 1] < walk[-2])
+    p = _Pass(cfg, _trigger_time(cfg, len(path_old) - 1), 3 if cfg.strategy == "triple_join" else 1)
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
     grafted = p.relay("join", walk, p.t0 - lead)
     at_meet = [], []  # (seqs, times) of the packets that reached the meet node
@@ -317,14 +286,14 @@ def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
         at_meet[0].extend(seqs)
         at_meet[1].extend(times)
         cut = bisect_left(times, grafted)  # from here on, packets also go down the walk
-        p.arrive("new", p.fork + len(walk) - 1, *p.down(new_leg, seqs[cut:], times[cut:]))
+        p.arrive("new", *p.down(new_leg, seqs[cut:], times[cut:]))
 
     first_new = p.emit(launch, grafted, len(walk) - 1)
     prune = first_new is not None and cfg.overlap == "make_before_break"
     pruned = p.relay("prune", path_old[:meet + 1], first_new) if prune else math.inf
     # no link below the meet node on the old branch is on the walk or above
     # the meet node, so these fates can wait for the prune's commit time
-    p.arrive("old", len(path_old) - 1, *p.down(old_leg, *at_meet, pruned))
+    p.arrive("old", *p.down(old_leg, *at_meet, pruned))
     return p.report(len(walk) - 1)
 
 
@@ -354,8 +323,7 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
         cut = bisect_left(times, registered)  # from here on, packets tunnel to new
         # the old batch goes first: the tunnels may share links, crossed in sequence order
         for via, part in (("old", slice(cut)), ("new", slice(cut, None))):
-            p.arrive(via, len(path_a) + len(tunnels[via]) - 2,
-                     *p.down(tunnels[via], seqs[part], times[part]))
+            p.arrive(via, *p.down(tunnels[via], seqs[part], times[part]))
 
     p.emit(launch, registered, len(reg_path) - 1)
     return p.report(len(reg_path) - 1)

@@ -198,25 +198,9 @@ def _edge_budget(params):
     return max(target, n - 1)
 
 
-def _drawer(rng):
-    """`draw(lo, hi)` for hi > lo: `rng.randrange(lo, hi)`'s own getrandbits
-    rejection loop, without its argument handling, so edge sets are unchanged."""
-    getrandbits = rng.getrandbits
-
-    def draw(lo, hi):
-        n = hi - lo
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return lo + r
-
-    return draw
-
-
 # The per-link loops below (`_random_tree`, `_fill_uniform`, `_fill_clustered`)
-# inline `draw` and `_add_edge`: the same getrandbits calls on the same Random,
-# so every edge set is unchanged.
+# inline `rng.randrange` and `_add_edge`: the same getrandbits calls on the same
+# Random, so every edge set is unchanged.
 
 
 def _random_tree(edges, n, nodes, rng):
@@ -281,14 +265,14 @@ def _blocks(first, total, size):
     return [b for b in out if b[1] > b[0]]
 
 
-def _core_edges(edges, n, count, draw):
+def _core_edges(edges, n, count, rng):
     if count == 2:
         _add_edge(edges, n, 0, 1)
     elif count >= 3:
         for i in range(count):
             _add_edge(edges, n, i, (i + 1) % count)
         for _ in range(count // 4):
-            _add_edge(edges, n, draw(0, count), draw(0, count))
+            _add_edge(edges, n, rng.randrange(count), rng.randrange(count))
 
 
 def _transit_stub(params, rng):
@@ -298,12 +282,11 @@ def _transit_stub(params, rng):
     per_transit = 1 + params.stubs_per_transit * params.stub_size
     core = max(1, min(round(n / per_transit), n // 2))
     edges = set()
-    draw = _drawer(rng)
-    _core_edges(edges, n, core, draw)
+    _core_edges(edges, n, core, rng)
     blocks = _blocks(core, n - core, params.stub_size)
     for i, (lo, hi) in enumerate(blocks):
         _random_tree(edges, n, range(lo, hi), rng)
-        _add_edge(edges, n, draw(lo, hi), i % core)
+        _add_edge(edges, n, rng.randrange(lo, hi), i % core)
     _fill_clustered(edges, n, budget, rng, blocks, core)
     return edges, tuple(blocks)
 
@@ -314,18 +297,17 @@ def _tiers_like(params, rng):
     budget = _edge_budget(params)
     core = max(1, min(round(math.sqrt(n) / 3), n // 4))
     edges = set()
-    draw = _drawer(rng)
-    _core_edges(edges, n, core, draw)
+    _core_edges(edges, n, core, rng)
     blocks = _blocks(core, n - core, params.stub_size)
     mid = max(1, len(blocks) // 4)
     for i, (lo, hi) in enumerate(blocks):
         for j in range(lo + 1, hi):
             _add_edge(edges, n, lo, j)  # LAN-style star around the first id
         if i < mid:
-            _add_edge(edges, n, draw(lo, hi), i % core)
+            _add_edge(edges, n, rng.randrange(lo, hi), i % core)
         else:
-            plo, phi = blocks[draw(0, mid)]
-            _add_edge(edges, n, draw(lo, hi), draw(plo, phi))
+            plo, phi = blocks[rng.randrange(mid)]
+            _add_edge(edges, n, rng.randrange(lo, hi), rng.randrange(plo, phi))
     _fill_clustered(edges, n, budget, rng, blocks, core)
     return edges, tuple(blocks)
 

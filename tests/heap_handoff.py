@@ -1,10 +1,14 @@
 """The event-queue handoff simulator, kept as a reference for `mcastmob.handoff`.
 
 This is the heap kernel the package used before its per-packet pass: one
-event per packet per hop, popped by (time, control before data, insertion
-order). It shares only the loss-stream seeding, `HandoffConfig` and
-`HandoffReport` with the package, so a test that finds both giving equal
-reports checks the pass against an independent event loop.
+event per packet per hop, popped by (time, control before data, rank,
+insertion order). A data event's rank is its packet's seq when
+per_hop_delay >= packet_interval and -seq otherwise, so of two packets at
+one instant the earlier-emitted goes first exactly then; a packet's copies
+share a rank, and the meet node forwards to its old-branch child first. It
+shares only the loss-stream seeding, `HandoffConfig` and `HandoffReport`
+with the package, so a test that finds both giving equal reports checks the
+pass against an independent event loop.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ _GIVE_UP_REFRESH = 2.0  # abort window (in refresh periods) when the graft never
 class _Kernel:
     """The event machinery both simulators share.
 
-    It owns the heap of (time, priority, insertion order), CN emission up to
-    the tail or give-up deadline, the per-link loss streams, the control
-    relay with its refresh-period re-sends, and delivery bookkeeping gated by
-    attachment. A simulator schedules each control message as a `relay` along
-    its path whose `on_done` commits the message's state change where it
-    ends, and passes `run` a `launch(t, seq)` that sends packet `seq` out of
-    the CN with `hop`. Scheduled callables are called as fn(t, *args).
+    It owns the heap of (time, priority, rank, insertion order), CN emission
+    up to the tail or give-up deadline, the per-link loss streams, the
+    control relay with its refresh-period re-sends, and delivery bookkeeping
+    gated by attachment. A simulator schedules each control message as a
+    `relay` along its path whose `on_done` commits the message's state change
+    where it ends, and passes `run` a `launch(t, seq)` that sends packet
+    `seq` out of the CN with `hop`. Scheduled callables are called as
+    fn(t, *args).
 
     Without loss (rate 0) no hop makes a draw, so the seed is inert and the
     report is a function of the paths and the config.
@@ -53,9 +58,13 @@ class _Kernel:
         self.first_new: float | None = None
         self.on_first_new = None
 
-    def push(self, time, prio, fn, *args):
-        heapq.heappush(self.heap, (time, prio, self.order, fn, args))
+    def push(self, time, prio, rank, fn, *args):
+        heapq.heappush(self.heap, (time, prio, rank, self.order, fn, args))
         self.order += 1
+
+    def rank(self, seq):
+        """The heap rank of packet `seq`'s data events: see the module docstring."""
+        return seq if self.cfg.per_hop_delay >= self.cfg.packet_interval else -seq
 
     def lost(self, kind, src, dst, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
@@ -67,10 +76,10 @@ class _Kernel:
             rng = self.streams[kind, src, dst] = _loss_stream(self.cfg.seed, kind, src, dst)
         return all(rng.random() < rate for _ in range(copies))
 
-    def hop(self, t, src, dst, fn, *args):
-        """A data packet crosses src -> dst unless lost; fn(t', *args) runs on arrival."""
+    def hop(self, t, seq, src, dst, fn, *args):
+        """Packet `seq` crosses src -> dst unless lost; fn(t', *args) runs on arrival."""
         if not self.lost("data", src, dst):
-            self.push(t + self.cfg.per_hop_delay, _DATA, fn, *args)
+            self.push(t + self.cfg.per_hop_delay, _DATA, self.rank(seq), fn, *args)
 
     def relay(self, t, kind, path, on_done, idx=0, attempt=0):
         """Control message `kind` is at path[idx]; on_done(t) runs once it is at path[-1].
@@ -83,10 +92,10 @@ class _Kernel:
             return
         self.control += self.copies
         if not self.lost(kind, path[idx], path[idx + 1], self.copies):
-            self.push(t + self.cfg.per_hop_delay, _CONTROL, self.relay, kind, path, on_done,
+            self.push(t + self.cfg.per_hop_delay, _CONTROL, 0, self.relay, kind, path, on_done,
                       idx + 1)
         elif attempt + 1 < _MAX_RETRIES:
-            self.push(t + self.cfg.refresh_period, _CONTROL, self.relay, kind, path, on_done,
+            self.push(t + self.cfg.refresh_period, _CONTROL, 0, self.relay, kind, path, on_done,
                       idx, attempt + 1)
 
     def deliver(self, t, seq, via):
@@ -118,13 +127,13 @@ class _Kernel:
         else:
             deadline = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period + _TAIL_INTERVALS * interval
         if t + interval <= deadline:
-            self.push(t + interval, _DATA, self._emit, seq + 1, launch)
+            self.push(t + interval, _DATA, self.rank(seq + 1), self._emit, seq + 1, launch)
 
     def run(self, launch, control_path_hops) -> HandoffReport:
-        self.push(0.0, _DATA, self._emit, 0, launch)
+        self.push(0.0, _DATA, self.rank(0), self._emit, 0, launch)
         heap = self.heap
         while heap:
-            t, _, _, fn, args = heapq.heappop(heap)
+            t, _, _, _, fn, args = heapq.heappop(heap)
             fn(t, *args)
         first_new = self.first_new
         return HandoffReport(
@@ -159,10 +168,7 @@ def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
     the meet node when it gets there. The tree is read, never mutated.
 
     Node ids matter only as labels: without loss the report depends on the
-    old branch's length, the meet node's index on it, the walk's length and,
-    only when a packet's two copies reach old and new at the same instant,
-    which child the meet node forwards to first (the lower id).
-    `experiment.handoff_sweep` simulates each such shape once.
+    old branch's length, the meet node's index on it and the walk's length.
     """
     cn = tree.cn
     if tree.branch[0] != old or tree.pending is not None:
@@ -178,7 +184,8 @@ def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
     path_old = tree.branch  # [old, ..., cn]
     walk = tree.oracle.shortest_path(new, tree.cn, stop=tree.nodes)  # [new, ..., meet]
     meet = path_old.index(walk[-1])
-    fwd = {up: {child} for child, up in zip(path_old, path_old[1:])}
+    # children in forwarding order: a grafted child goes after the old-branch one
+    fwd = {up: [child] for child, up in zip(path_old, path_old[1:])}
     k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),
                 3 if cfg.strategy == "triple_join" else 1)
 
@@ -190,22 +197,22 @@ def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
             k.deliver(t, seq, "old")
         elif node == new:
             k.deliver(t, seq, "new")
-        for child in sorted(fwd.get(node, ())):
-            k.hop(t, node, child, arrive, child, seq)
+        for child in fwd.get(node, ()):
+            k.hop(t, seq, node, child, arrive, child, seq)
 
     def grafted(t):
         for child, up in zip(walk, walk[1:]):
-            fwd.setdefault(up, set()).add(child)
+            fwd.setdefault(up, []).append(child)
 
     def pruned(t):
         for child, up in zip(path_old, path_old[1:meet + 1]):
-            fwd[up].discard(child)
+            fwd[up].remove(child)
 
     if cfg.overlap == "make_before_break":
-        k.on_first_new = lambda t: k.push(t, _CONTROL, k.relay, "prune", path_old[:meet + 1],
+        k.on_first_new = lambda t: k.push(t, _CONTROL, 0, k.relay, "prune", path_old[:meet + 1],
                                           pruned)
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
-    k.push(k.t0 - lead, _CONTROL, k.relay, "join", walk, grafted)
+    k.push(k.t0 - lead, _CONTROL, 0, k.relay, "join", walk, grafted)
     return k.run(lambda t, seq: arrive(t, cn, seq), len(walk) - 1)
 
 
@@ -234,7 +241,7 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
 
     def along(t, path, idx, seq, via):
         if idx + 1 < len(path):
-            k.hop(t, path[idx], path[idx + 1], along, path, idx + 1, seq, via)
+            k.hop(t, seq, path[idx], path[idx + 1], along, path, idx + 1, seq, via)
         elif via is None:  # at the HA: tunnel toward the registered location
             via = "new" if registered else "old"
             along(t, tunnels[via], 0, seq, via)
@@ -245,5 +252,5 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
         nonlocal registered
         registered = True
 
-    k.push(k.t0, _CONTROL, k.relay, "registration", reg_path, registered_at)
+    k.push(k.t0, _CONTROL, 0, k.relay, "registration", reg_path, registered_at)
     return k.run(lambda t, seq: along(t, path_a, 0, seq, None), len(reg_path) - 1)

@@ -457,7 +457,7 @@ def test_lossy_make_before_break_sweep_csv_is_pinned(tmp_path):
         "f9ba69fa622b30e11636019a1e891d512205168fd69325c0e2240ef6408d533e"
     )
     assert _deliveries_sha256(rows) == (
-        "90a0cbe0d5958969e0593305706d16b479eff1e6edc7f83cf6dbcd7f908bdaf2"
+        "de2fe1d94817e3d42b733b1fd037e0f0afe28b6449fd66c1b33f9a63c4c8eb9e"
     )
 
 
@@ -478,7 +478,7 @@ def test_lossy_sweep_at_the_default_refresh_period_is_pinned(tmp_path):
         "256bfe47f68d98fb603767ed90e2b52bf04b910d819e050bf3bbbda5fdf89982"
     )
     assert _deliveries_sha256(rows) == (
-        "331df280d3b2a2c3d7615b0f52817754c724c260536271b8a0e8536a254e52aa"
+        "d98f774fa908d38910b994f73d1c4a113103b96c3b3a9dfaa639eded94eb5a75"
     )
 
 
@@ -550,8 +550,9 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
     """No tree is handed to the simulator, yet every row is the walked tree's report.
 
     On a random graph and trace, each sweep row equals the event-queue
-    reference run on a tree walked join then prune, and each move's old
-    branch and graft walk, hence its shape, are those `establish` gives.
+    reference run on a tree walked join then prune, and the old branch and
+    graft walk that `simulate_handoff` reads off the oracle for each move are
+    those `establish` gives.
     """
     rng = random.Random(seed)
     n = rng.randrange(3, 20)
@@ -569,13 +570,20 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
                          overlap=overlap, advance_lead=lead, max_moves=len(steps))
     rows = experiment._sweep_run(oracle, run, block, {})
     assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
+    shortest_path = oracle.shortest_path
     for old, new in zip(steps, steps[1:]):
         if old != new:
             tree = establish(oracle, cn, old)
-            expected = tree.branch, oracle.shortest_path(new, cn, stop=tree.nodes)
-            paths = handoff.branch_and_walk(oracle, cn, old, new)
-            assert paths == expected
-            assert experiment._mcast_shape(*paths) == experiment._mcast_shape(*expected)
+            expected = [tree.branch, shortest_path(new, cn, stop=tree.nodes)]
+            walked = []
+
+            def recorded(*args, **kwargs):
+                walked.append(shortest_path(*args, **kwargs))
+                return walked[-1]
+
+            with mock.patch.object(oracle, "shortest_path", recorded):
+                simulate_handoff(oracle, cn, old, new, HandoffConfig())
+            assert walked == expected
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.1])
@@ -585,9 +593,10 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     """Every memo key, L and B hop count of a sweep equals the one of the walked paths.
 
     On a random graph and trace (with repeats, ties at the meet node and
-    moves along the old branch), the reference walks each move with
-    `branch_and_walk` and reads each distance from the oracle. The sweep
-    reads them off the run's samples and walks only a tie's paths.
+    moves along the old branch), the reference walks each move's old branch
+    and graft walk and reads each distance from the oracle. The sweep reads
+    them off the run's samples and asks the oracle for no path outside its
+    simulations.
     """
     rng = random.Random(seed)
     n = rng.randrange(3, 20)
@@ -602,19 +611,36 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)),
                               samples=tuple(routing.run_scenario(oracle, cn, ha, steps)))
     block = HandoffBlock(message_loss_rate=loss, max_moves=len(steps))
-    memo = {}
-    with mock.patch.object(experiment, "branch_and_walk", wraps=handoff.branch_and_walk) as walks:
+    memo, simulating, outside = {}, [], []
+    shortest_path = oracle.shortest_path
+
+    def query(*args, **kwargs):
+        if not simulating:
+            outside.append(args)
+        return shortest_path(*args, **kwargs)
+
+    def inside(simulate):
+        def simulated(*args):
+            simulating.append(simulate)
+            try:
+                return simulate(*args)
+            finally:
+                simulating.pop()
+        return simulated
+
+    with mock.patch.object(oracle, "shortest_path", query), \
+            mock.patch.object(experiment, "simulate_handoff", inside(simulate_handoff)), \
+            mock.patch.object(experiment, "simulate_mip_handoff", inside(simulate_mip_handoff)):
         rows = experiment._sweep_run(oracle, run, block, memo)
+    assert outside == []
     from_ha = oracle.dist_from(ha)
-    keys, graft_links, b_hops, ties = [], [], [], 0
+    keys, graft_links, b_hops = [], [], []
     for i, (old, new) in enumerate(zip(steps, steps[1:]), start=1):
         if old == new:
             continue
-        path_old, walk = handoff.branch_and_walk(oracle, cn, old, new)
-        meet = path_old.index(walk[-1])
-        tie = meet == len(walk) - 1
-        ties += tie
-        shape = len(path_old), meet, len(walk), walk[-2] < path_old[meet - 1] if tie else None
+        path_old = oracle.shortest_path(old, cn)
+        walk = oracle.shortest_path(new, cn, stop=path_old)
+        shape = len(path_old), path_old.index(walk[-1]), len(walk)
         mip = "mobile_ip", from_ha[cn], from_ha[old], from_ha[new]
         for key, strategy, label in [(shape, s, s) for s in block.strategies] + [
                 (mip, "plain_join", "mobile_ip")]:
@@ -625,7 +651,6 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     assert list(memo) == list(dict.fromkeys(keys))
     assert [row.graft_links for row in rows] == graft_links
     assert [row.b_hops for row in rows] == b_hops
-    assert walks.call_count == ties
     with pytest.raises(ValueError, match="samples for"):
         experiment._sweep_run(oracle, dataclasses.replace(run, samples=run.samples[:-1]), block, {})
 
@@ -651,13 +676,21 @@ def test_lossless_sweep_shares_reports_only_between_equal_shapes(overlap, advanc
     assert [row.report for row in rows] == expected
 
 
-def test_sweep_keeps_the_forwarding_order_at_the_meet_node():
-    """Handoffs that differ only in which child of the meet node has the lower id.
+def test_sweep_shares_one_simulation_between_mirror_image_ties(monkeypatch):
+    """Moves 2 -> 3 and 3 -> 2 are one shape, whichever child of the meet node has the lower id.
 
     cn 0 forwards through 1 to the leaves 2 and 3, both two hops away, so a
-    packet reaches the old and the new location at the same instant and the
-    delivery log lists first the one node 1 forwards to first: the lower id.
+    packet reaches the old and the new location at the same instant. The
+    delivery log lists the old copy first, so both moves share one
+    simulation per strategy.
     """
+    calls = []
+    real = experiment.simulate_handoff
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
     topo = make_topology("fork", 4, [(0, 1), (1, 2), (1, 3)])
     oracle = PathOracle(topo)
     run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=2,
@@ -665,13 +698,14 @@ def test_sweep_keeps_the_forwarding_order_at_the_meet_node():
     run = dataclasses.replace(run, trace=MovementTrace((2, 3, 2)),
                               samples=tuple(routing.run_scenario(oracle, 0, 1, (2, 3, 2))))
     block = HandoffBlock(max_moves=2)
+    monkeypatch.setattr(experiment, "simulate_handoff", counted)
     rows = experiment._sweep_run(oracle, run, block, {})
+    assert len(calls) == len(block.strategies)
     assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
-    # move 1 grafts 3 (higher id than the old child 2), move 2 grafts 2
-    first, second = (next(r.report for r in rows if r.step == i and r.strategy == "plain_join")
-                     for i in (1, 2))
-    assert first.deliveries != second.deliveries
-    assert sorted(first.deliveries) == sorted(second.deliveries)
+    for step in (1, 2):
+        log = next(r.report for r in rows if r.step == step and r.strategy == "plain_join").deliveries
+        ties = [(a, b) for a, b in zip(log, log[1:]) if a[:2] == b[:2]]
+        assert ties and all((a[2], b[2]) == ("old", "new") for a, b in ties)
 
 
 def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
@@ -785,6 +819,28 @@ def test_mobile_ip_same_instant_deliveries_come_out_in_closed_form_order(interva
     log = list(rep.deliveries)
     assert log.index(first) + 1 == log.index(second)
     assert rep.out_of_order == 1
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda oracle, cfg: simulate_handoff(oracle, 0, 4, 5, cfg),
+    lambda oracle, cfg: simulate_mip_handoff(oracle, 0, 1, 4, 5, cfg),
+], ids=["multicast", "mobile_ip"])
+def test_same_instant_order_does_not_follow_float_rounding(simulate):
+    """The chain's d = 10, I = 5 timeline scaled to d = 2.2, I = 1.1 keeps its order.
+
+    The scaled times carry rounding noise (packet 7 leaves the CN at
+    7.699999999999999 while packet 5 is one hop out at 7.7), yet ties are
+    decided by the closed rule alone, so the log lists the same packets
+    through the same locations and every counter is the same.
+    """
+    oracle = _tie_chain()
+    exact, scaled = (simulate(oracle, HandoffConfig(per_hop_delay=d, packet_interval=i))
+                     for d, i in ((10.0, 5.0), (2.2, 1.1)))
+    assert [(seq, via) for seq, _, via in scaled.deliveries] == [
+        (seq, via) for seq, _, via in exact.deliveries]
+    assert scaled.out_of_order == exact.out_of_order == 3
+    assert scaled.packets_duplicated == exact.packets_duplicated
+    assert scaled.packets_emitted == exact.packets_emitted
 
 
 @settings(max_examples=120, deadline=None)
