@@ -203,21 +203,21 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
 
     Each run is swept on its (topology, model) job's oracle, whose CN and HA
     vectors are warm. `execute_scenario` walked every move and checked the
-    tree at every step, so each move's shape is read off the run's samples,
+    tree at every step, so each move's hops are read off the run's samples,
     and no path is walked outside a simulation.
 
-    A report depends on node ids only through the handoff's shape, and on the
-    seed only when there is loss. So the sweep simulates each distinct (shape,
-    strategy, seed) once, the rest of its HandoffConfig being the block's, and
-    rows of one shape share the report. A multicast shape is the old branch's
-    length, the meet node's index on it and the graft walk's length. A Mobile
-    IP shape is the HA's distances to the CN, the old and the new location.
+    A report depends on node ids only through the hop triple (CN to fork
+    node, fork to old, fork to new), and on the seed only when there is loss.
+    So the sweep simulates each (triple, label, seed) once, the label being
+    the row's strategy or "mobile_ip", and rows of one key share the report.
+    The triple is (C - meet, meet, L) for multicast, meet being the meet
+    node's index on the old branch, and (A, B old, B new) for Mobile IP.
     At loss > 0 each row's own seed is in the key, so every row is simulated.
     """
     block = result.config.handoff
     if block is None:
         raise ValueError("config has no handoff block")
-    memo = {}  # (shape, strategy, seed) -> report, shared by the whole sweep
+    memo = {}  # (triple, label, seed) -> report, shared by the whole sweep
     configs = {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
     rows = []
     for run in result.runs:
@@ -232,8 +232,8 @@ def _sweep_run(oracle, run: RunResult, block, memo, configs=None) -> list[Handof
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
     `oracle` is a path oracle of the run's topology; `handoff_sweep` passes the job's.
-    Shapes and B hops come from `run.samples`, which must be its trace's.
-    `memo` maps (shape, strategy, seed) to a report of this sweep under `block`,
+    Hop triples and B hops come from `run.samples`, which must be its trace's.
+    `memo` maps (triple, label, seed) to a report of this sweep under `block`,
     and `configs` a strategy to its HandoffConfig at seed 0; see `handoff_sweep`.
     """
     rec = run.record
@@ -244,29 +244,29 @@ def _sweep_run(oracle, run: RunResult, block, memo, configs=None) -> list[Handof
     configs = configs or {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
     rows = []
 
-    def simulated(shape, strategy, i, label, simulate):
+    def simulated(triple, strategy, i, label, simulate):
         # without loss the seed is inert (no draw is made), so it leaves the key
         seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
-        rep = memo.get((shape, strategy, seed))
+        rep = memo.get((triple, label, seed))
         if rep is None:
             cfg = block.handoff_config(strategy, seed) if seed else configs[strategy]
-            rep = memo[shape, strategy, seed] = simulate(cfg)
+            rep = memo[triple, label, seed] = simulate(cfg)
         return rep
 
     for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
         if old == new:
             continue
         before, after = samples[i - 1], samples[i]
-        # the old branch has c_hops + 1 nodes, and the prune cut the meet node's index of them
-        graft, b_hops = after.added_links, after.b_hops
-        shape = before.c_hops + 1, after.removed_links, graft + 1
+        # the prune cut the meet node's index on the old branch of C links
+        graft, b_hops, meet = after.added_links, after.b_hops, after.removed_links
+        triple = before.c_hops - meet, meet, graft
         for strategy in block.strategies:
-            rep = simulated(shape, strategy, i, strategy, lambda cfg: simulate_handoff(
+            rep = simulated(triple, strategy, i, strategy, lambda cfg: simulate_handoff(
                 oracle, run.cn, old, new, cfg))
             rows.append(HandoffRow(*where, i, strategy, graft, b_hops, rep))
         if block.include_mobile_ip:
-            shape = ("mobile_ip", after.a_hops, before.b_hops, b_hops)
-            rep = simulated(shape, "plain_join", i, "mobile_ip", lambda cfg: simulate_mip_handoff(
+            triple = after.a_hops, before.b_hops, b_hops
+            rep = simulated(triple, "plain_join", i, "mobile_ip", lambda cfg: simulate_mip_handoff(
                 oracle, run.cn, run.ha, old, new, cfg))
             # the multicast graft length, for comparison
             rows.append(HandoffRow(*where, i, "mobile_ip", graft, b_hops, rep))

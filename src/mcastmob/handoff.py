@@ -24,7 +24,7 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress, repeat
 
@@ -79,8 +79,8 @@ class HandoffReport:
     trigger_ms is the relocation trigger. handoff_latency is the time from it
     to the first packet delivered through the new attachment point, which
     arrives at trigger_ms + handoff_latency (inf when none arrives within the
-    simulated window). control_path_hops is the graft length L for the
-    multicast architecture and the registration distance B for Mobile IP.
+    simulated window). control_path_hops is the new leg's length: the graft
+    length L for multicast, the registration distance B for Mobile IP.
     deliveries logs every packet handed to the mobile as (seq, time_ms,
     "old"/"new"), duplicates included.
     """
@@ -107,27 +107,37 @@ def _loss_stream(seed, kind, src, dst):
 
 
 class _Pass:
-    """What both simulators share: one pass over the packets in emission order.
+    """One handoff of either architecture, as a pass over the packets in emission order.
 
-    It owns the per-link loss streams, the control relay with its re-sends,
-    CN emission up to the tail or give-up deadline, and the delivery log. A
-    simulator relays its control messages first, then passes `emit` a
-    `launch(seqs, times)` that sends a batch on with `down` and `arrive`.
-    A packet's crossings of a link follow its sequence number, so batches
-    draw what single packets would. At loss 0 nothing draws: the seed is inert.
+    Packets go from the CN down `above` to the fork node F (the meet node, or
+    the HA), then down `old_leg`. The control message walks `new_leg` in
+    reverse and commits at F at `committed`; from then on a packet at F goes
+    down the new leg too, or instead under `redirect` (Mobile IP). `emit`
+    sends batches whose crossings of a link follow their sequence numbers, so
+    they draw what single packets would. The pass owns the per-link loss
+    streams, the control relay and the delivery log. At loss 0 nothing draws.
 
     Two packets that meet at one instant (two deliveries, or a delivery and
     an emission) go earlier-emitted first iff per_hop_delay >= packet_interval;
     a packet's two copies at one instant go old first.
     """
 
-    def __init__(self, cfg: HandoffConfig, t0, copies):
-        self.cfg, self.t0 = cfg, t0
-        self.copies = copies  # copies sent per control hop
-        self.earlier_first = cfg.per_hop_delay >= cfg.packet_interval
+    def __init__(self, cfg: HandoffConfig, above, old_leg, new_leg, redirect):
+        self.cfg, self.redirect = cfg, redirect
+        self.above, self.old_leg, self.new_leg = above, old_leg, new_leg
+        self.lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
+        # relocate on an emission boundary once the pipeline to the old location is full,
+        # and no earlier than `lead`: the control message leaves `lead` before it
+        interval, warm_hops = cfg.packet_interval, len(above) + len(old_leg) - 2
+        self.t0 = max((math.floor(warm_hops * cfg.per_hop_delay / interval) + 2) * interval,
+                      math.ceil(self.lead / interval) * interval)
+        self.copies = 3 if cfg.strategy == "triple_join" else 1  # copies sent per control hop
+        self.committed = math.inf  # when the control message commits at F
+        self.earlier_first = cfg.per_hop_delay >= interval
         self.streams = {}  # (kind, src, dst) -> that link's loss stream
         self.control = 0
         self.times: list[float] = []  # emission time of each packet
+        self.at_fork = [], []  # (seqs, times) of the packets at F, kept unless redirecting
         self.arrivals = {"old": [], "new": []}  # (seq, time, via) in sequence order
 
     def stream(self, *key):
@@ -183,17 +193,29 @@ class _Pass:
             seqs, times = (seqs[cut:], times[cut:]) if via == "new" else (seqs[:cut], times[:cut])
         self.arrivals[via] += zip(seqs, times, repeat(via))
 
-    def emit(self, launch, commit, hops):
+    def launch(self, seqs, times):
+        """The batch (seqs, times) leaves the CN."""
+        seqs, times = self.down(self.above, seqs, times)
+        cut = bisect_left(times, self.committed)  # from here on, packets take the new leg
+        if self.redirect:  # the old part goes first: the legs may share links
+            self.arrive("old", *self.down(self.old_leg, seqs[:cut], times[:cut]))
+        else:
+            self.at_fork[0].extend(seqs)
+            self.at_fork[1].extend(times)
+        self.arrive("new", *self.down(self.new_leg, seqs[cut:], times[cut:]))
+
+    def emit(self):
         """Emit packets every interval until the deadline; the first new arrival time, or None.
 
-        No packet arrives through new before t0 or `commit` carried `hops` hops
-        down the new leg, so each emission up to the earlier of that and the
-        give-up deadline, plus the tail, happens: one batch. Each later one waits
-        for those before it until a first new arrival fixes the rest: one batch.
+        No packet arrives through new before t0 or the commit carried down the
+        new leg, so each emission up to the earlier of that and the give-up
+        deadline, plus the tail, happens: one batch. Each later one waits for
+        those before it until a first new arrival fixes the rest: one batch.
         """
         interval, times, new = self.cfg.packet_interval, self.times, self.arrivals["new"]
         give_up = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period
-        earliest = max(self.t0, reduce(operator.add, repeat(self.cfg.per_hop_delay, hops), commit))
+        hops = repeat(self.cfg.per_hop_delay, len(self.new_leg) - 1)
+        earliest = max(self.t0, reduce(operator.add, hops, self.committed))
         sure = min(earliest, give_up) + _TAIL_INTERVALS * interval  # the earliest deadline
         sent, t = 0, 0.0  # packets launched, last emission
         while True:
@@ -202,7 +224,7 @@ class _Pass:
                 t += interval
                 times.append(t)
             if not new:  # this emission's deadline waits on the packets so far
-                launch(range(sent, len(times)), times[sent:])
+                self.launch(range(sent, len(times)), times[sent:])
                 sent = len(times)
             # the tail starts once the first delivery through new has happened
             first = new[0][1] if new else math.inf
@@ -211,10 +233,10 @@ class _Pass:
                 break
             t += interval
         if sent < len(times):
-            launch(range(sent, len(times)), times[sent:])
+            self.launch(range(sent, len(times)), times[sent:])
         return new[0][1] if new else None
 
-    def report(self, control_path_hops) -> HandoffReport:
+    def report(self) -> HandoffReport:
         old, new = self.arrivals["old"], self.arrivals["new"]
         log = sorted(old + new, key=operator.itemgetter(1))  # stable: old first at one instant
         earlier_first = self.earlier_first
@@ -238,19 +260,28 @@ class _Pass:
             packets_duplicated=len(log) - len(delivered),
             out_of_order=late,
             control_messages=self.control,
-            control_path_hops=control_path_hops,
+            control_path_hops=len(self.new_leg) - 1,
             packets_emitted=emitted,
             packets_delivered=len(delivered),
             deliveries=tuple(log),
         )
 
 
-def _trigger_time(cfg, warm_hops):
-    # relocate on an emission boundary once the pipeline to the old location is full
-    t0 = (math.floor(warm_hops * cfg.per_hop_delay / cfg.packet_interval) + 2) * cfg.packet_interval
-    if cfg.strategy == "advance_join" and cfg.advance_lead > 0:
-        t0 = max(t0, math.ceil(cfg.advance_lead / cfg.packet_interval) * cfg.packet_interval)
-    return t0
+def _handoff(cfg, above, old_leg, new_leg, kind, redirect) -> HandoffReport:
+    """One handoff over its three legs (see `_Pass`), started by a `kind` control message.
+
+    Without `redirect`, under make_before_break, the first delivery through new
+    starts the prune; once it commits at F, no node below F on the old leg forwards.
+    """
+    p = _Pass(cfg, above, old_leg, new_leg, redirect)
+    p.committed = p.relay(kind, new_leg[::-1], p.t0 - p.lead)
+    first_new = p.emit()
+    if not redirect:
+        prune = first_new is not None and cfg.overlap == "make_before_break"
+        pruned = p.relay("prune", old_leg[::-1], first_new) if prune else math.inf
+        # the old leg shares no link with the others, so its fates can wait for the prune
+        p.arrive("old", *p.down(old_leg, *p.at_fork, pruned))
+    return p.report()
 
 
 def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
@@ -264,9 +295,9 @@ def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
     make_before_break the first delivery through new starts the prune; once
     it commits at the meet node, no node from there down to old forwards.
 
-    Node ids matter only as labels: without loss the report depends on the
-    old branch's length, the meet node's index on it and the walk's length.
-    `experiment.handoff_sweep` simulates each such shape once.
+    Node ids matter only as labels: without loss the report depends only on
+    the hop triple (CN to meet node, meet node to old, walk).
+    `experiment.handoff_sweep` simulates each such triple once.
     """
     if cn in (old, new):
         raise HandoffError("the mobile cannot be at the correspondent node")
@@ -275,26 +306,7 @@ def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
     path_old = oracle.shortest_path(old, cn)
     walk = oracle.shortest_path(new, cn, stop=path_old)
     meet = path_old.index(walk[-1])
-    above, old_leg, new_leg = path_old[meet:][::-1], path_old[meet::-1], walk[::-1]
-    p = _Pass(cfg, _trigger_time(cfg, len(path_old) - 1), 3 if cfg.strategy == "triple_join" else 1)
-    lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
-    grafted = p.relay("join", walk, p.t0 - lead)
-    at_meet = [], []  # (seqs, times) of the packets that reached the meet node
-
-    def launch(seqs, times):
-        seqs, times = p.down(above, seqs, times)
-        at_meet[0].extend(seqs)
-        at_meet[1].extend(times)
-        cut = bisect_left(times, grafted)  # from here on, packets also go down the walk
-        p.arrive("new", *p.down(new_leg, seqs[cut:], times[cut:]))
-
-    first_new = p.emit(launch, grafted, len(walk) - 1)
-    prune = first_new is not None and cfg.overlap == "make_before_break"
-    pruned = p.relay("prune", path_old[:meet + 1], first_new) if prune else math.inf
-    # no link below the meet node on the old branch is on the walk or above
-    # the meet node, so these fates can wait for the prune's commit time
-    p.arrive("old", *p.down(old_leg, *at_meet, pruned))
-    return p.report(len(walk) - 1)
+    return _handoff(cfg, path_old[meet:][::-1], path_old[meet::-1], walk[::-1], "join", False)
 
 
 def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
@@ -302,28 +314,15 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
 
     Packets always travel CN -> HA, then down the tunnel to whichever
     location is registered when they reach the HA: the new one iff they get
-    there at or after the registration commits. Each tunnel is a path toward
-    the HA reversed, so every path is read from the HA's vector. The
-    advance_join strategy has no Mobile IP analogue (registration cannot
-    precede arrival) and is treated as a plain registration; copies are
-    always 1.
+    there at or after the registration commits. Every path is read from the
+    HA's vector. Registration has no copies and cannot precede arrival, so
+    every strategy runs as plain_join.
     """
+    if cn in (old, new):
+        raise HandoffError("the mobile cannot be at the correspondent node")
     if new == old:
         raise HandoffError("handoff requires distinct old and new locations")
-    if new == cn:
-        raise HandoffError("cannot hand off to the correspondent node")
-    path_a = oracle.shortest_path(cn, ha)
-    reg_path = oracle.shortest_path(new, ha)
-    tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}
-    p = _Pass(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1)
-    registered = p.relay("registration", reg_path, p.t0)
-
-    def launch(seqs, times):
-        seqs, times = p.down(path_a, seqs, times)
-        cut = bisect_left(times, registered)  # from here on, packets tunnel to new
-        # the old batch goes first: the tunnels may share links, crossed in sequence order
-        for via, part in (("old", slice(cut)), ("new", slice(cut, None))):
-            p.arrive(via, *p.down(tunnels[via], seqs[part], times[part]))
-
-    p.emit(launch, registered, len(reg_path) - 1)
-    return p.report(len(reg_path) - 1)
+    if cfg.strategy != "plain_join":
+        cfg = replace(cfg, strategy="plain_join")
+    return _handoff(cfg, oracle.shortest_path(cn, ha), oracle.shortest_path(old, ha)[::-1],
+                    oracle.shortest_path(new, ha)[::-1], "registration", True)

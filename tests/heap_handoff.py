@@ -13,6 +13,7 @@ pass against an independent event loop.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 
@@ -175,8 +176,8 @@ def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
         raise HandoffError("old must be the branch's leaf, with no prune pending")
     if len(set(tree.branch)) != len(tree.branch):  # a loop in it would forward forever
         raise HandoffError(f"the branch {tree.branch} repeats a node")
-    if new == cn:
-        raise HandoffError("cannot hand off to the correspondent node")
+    if cn in (old, new):
+        raise HandoffError("the mobile cannot be at the correspondent node")
     if new == old:
         raise HandoffError("handoff requires distinct old and new locations")
     tree.oracle._check(new)
@@ -221,17 +222,17 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
 
     Packets always travel CN -> HA, then down the tunnel to whichever
     location is registered when they reach the HA. Each tunnel is a path
-    toward the HA reversed, so every path is read from the HA's vector. The
-    advance_join strategy has no Mobile IP analogue (registration cannot
-    precede arrival) and is treated as a plain registration; copies are
-    always 1.
+    toward the HA reversed, so every path is read from the HA's vector.
+    Every strategy runs as plain_join: registration has no copies and cannot
+    precede arrival.
     """
     for node in (cn, ha, old, new):
         oracle._check(node)
     if new == old:
         raise HandoffError("handoff requires distinct old and new locations")
-    if new == cn:
-        raise HandoffError("cannot hand off to the correspondent node")
+    if cn in (old, new):
+        raise HandoffError("the mobile cannot be at the correspondent node")
+    cfg = dataclasses.replace(cfg, strategy="plain_join")
 
     path_a = oracle.shortest_path(cn, ha)
     reg_path = oracle.shortest_path(new, ha)

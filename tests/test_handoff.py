@@ -306,6 +306,18 @@ class TestMobileIp:
         assert rep.packets_lost == 5
         assert rep.packets_duplicated == 0
 
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_runs_as_a_plain_registration(self, strategy, loss):
+        """No strategy moves the trigger, copies the registration or sends it early."""
+        oracle = PathOracle(make_topology("y", 5, [(0, 1), (1, 2), (2, 3), (1, 4)]))
+        cfg = HandoffConfig(advance_lead=200.0, message_loss_rate=loss, refresh_period=500.0,
+                            seed=9, **BASE)
+        plain = simulate_mip_handoff(oracle, 0, 1, 3, 4, cfg)
+        assert plain.trigger_ms == 60.0
+        assert simulate_mip_handoff(oracle, 0, 1, 3, 4,
+                                    dataclasses.replace(cfg, strategy=strategy)) == plain
+
     def test_new_location_is_home_agent(self):
         topo = self._topo()
         oracle = PathOracle(topo)
@@ -335,6 +347,8 @@ class TestPreconditions:
         topo, oracle = handoff_fixture
         with pytest.raises(HandoffError, match="correspondent"):
             simulate_handoff(oracle, 0, 0, 6, HandoffConfig(**BASE))
+        with pytest.raises(HandoffError, match="correspondent"):
+            simulate_mip_handoff(oracle, 0, 1, 0, 6, HandoffConfig(**BASE))
 
     def test_rejects_same_location(self, handoff_fixture):
         topo, oracle = handoff_fixture
@@ -596,7 +610,9 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     moves along the old branch), the reference walks each move's old branch
     and graft walk and reads each distance from the oracle. The sweep reads
     them off the run's samples and asks the oracle for no path outside its
-    simulations.
+    simulations. Both architectures key a report by the hop triple (CN to
+    fork node, fork to old, fork to new) and the row's label, so a Mobile IP
+    row and a plain_join row of one triple stay apart.
     """
     rng = random.Random(seed)
     n = rng.randrange(3, 20)
@@ -640,12 +656,12 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
             continue
         path_old = oracle.shortest_path(old, cn)
         walk = oracle.shortest_path(new, cn, stop=path_old)
-        shape = len(path_old), path_old.index(walk[-1]), len(walk)
-        mip = "mobile_ip", from_ha[cn], from_ha[old], from_ha[new]
-        for key, strategy, label in [(shape, s, s) for s in block.strategies] + [
-                (mip, "plain_join", "mobile_ip")]:
+        meet = path_old.index(walk[-1])
+        mcast = len(path_old) - 1 - meet, meet, len(walk) - 1
+        mip = from_ha[cn], from_ha[old], from_ha[new]
+        for triple, label in [(mcast, s) for s in block.strategies] + [(mip, "mobile_ip")]:
             row_seed = stable_seed(run.record.child_seed, "handoff", i, label) if loss else 0
-            keys.append((key, strategy, row_seed))
+            keys.append((triple, label, row_seed))
             graft_links.append(len(walk) - 1)  # Mobile IP rows repeat the multicast L
             b_hops.append(from_ha[new])
     assert list(memo) == list(dict.fromkeys(keys))
@@ -653,6 +669,55 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     assert [row.b_hops for row in rows] == b_hops
     with pytest.raises(ValueError, match="samples for"):
         experiment._sweep_run(oracle, dataclasses.replace(run, samples=run.samples[:-1]), block, {})
+
+
+def test_sweep_keeps_a_mobile_ip_row_apart_from_a_multicast_row_of_its_triple():
+    """With the HA at the meet node, both rows of move 3 -> 4 have the hop triple (1, 2, 1).
+
+    Under make_before_break only the multicast handoff prunes, and its
+    packets go down both legs, so the two reports differ and the memo keeps
+    both under their labels.
+    """
+    topo = make_topology("y", 5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    oracle = PathOracle(topo)
+    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=1,
+                                seed=5, run_index=0, endpoints=(0, 1))
+    run = dataclasses.replace(run, trace=MovementTrace((3, 4)),
+                              samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4))))
+    memo = {}
+    block = HandoffBlock(strategies=("plain_join",), max_moves=1)
+    mcast, mip = (row.report for row in experiment._sweep_run(oracle, run, block, memo))
+    assert list(memo) == [((1, 2, 1), "plain_join", 0), ((1, 2, 1), "mobile_ip", 0)]
+    assert mcast != mip
+    assert mcast == simulate_handoff(oracle, 0, 3, 4, block.handoff_config("plain_join", 0))
+    assert mip == simulate_mip_handoff(oracle, 0, 1, 3, 4, block.handoff_config("plain_join", 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       delay=st.sampled_from([0.3, 3.3, 7.5, 10.0, 20.0]),
+       interval=st.sampled_from([0.3, 3.3, 5.0, 10.0, 20.0]),
+       refresh=st.sampled_from([7.0, 500.0]))
+def test_multicast_equals_mobile_ip_with_the_home_agent_at_the_meet_node(seed, delay, interval,
+                                                                        refresh):
+    """Without loss, under break_before_make and plain_join, only the legs make a handoff.
+
+    A multicast handoff's legs fork at the meet node, and so do those of the
+    Mobile IP handoff whose HA is that node: CN to fork, fork to old, fork
+    to new have the same hops. Without a prune, a packet that goes down both
+    legs after the commit is no longer at old when it arrives there, so
+    every report field, the delivery log included, is the same.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(3, 30)
+    oracle = PathOracle(make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n))))
+    cn = rng.randrange(n)
+    old, new = rng.sample([v for v in range(n) if v != cn], 2)
+    meet = oracle.shortest_path(new, cn, stop=oracle.shortest_path(old, cn))[-1]
+    cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval,
+                        overlap="break_before_make", refresh_period=refresh)
+    assert (simulate_handoff(oracle, cn, old, new, cfg)
+            == simulate_mip_handoff(oracle, cn, meet, old, new, cfg))
 
 
 @pytest.mark.parametrize("advance_lead", [0.0, 60.0])
