@@ -50,7 +50,6 @@ class ExperimentResult:
     topologies: dict[str, Topology]
     runs: tuple[RunResult, ...]
     aggregate: metrics.AggregateStats
-    oracles: dict[tuple[str, str], PathOracle]  # (topology, model) -> job oracle; handoff only
 
 
 def build_topology(spec, master_seed) -> Topology:
@@ -119,10 +118,7 @@ def _job(cfg, spec, topo, model, run_indices):
 
 
 def _pair_job(args):
-    """All runs for one (topology, model), executed inline or in a pool worker.
-
-    Returns (runs, oracle): the job's warm oracle under a handoff block, else None.
-    """
+    """All runs for one (topology, model), executed inline or in a pool worker."""
     cfg, topo, topo_type, model_kind, seeds = args
     oracle = PathOracle(topo)
     endpoints = None
@@ -139,7 +135,7 @@ def _pair_job(args):
             ))
         except (routing.SimulationInvariantError, movement.MovementError) as exc:
             raise RunFailure(topo.name, model_kind, run_index, seed, exc) from exc
-    return out, (oracle if cfg.handoff else None)
+    return out
 
 
 def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
@@ -157,19 +153,14 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing: only here
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_pair_job, jobs))
-        for (_, topo, *_), (_, oracle) in zip(jobs, batches):
-            if oracle is not None:  # unpickled with its distance vectors only
-                oracle.topo = topo
     else:
         batches = [_pair_job(job) for job in jobs]
-    runs = tuple(result for batch, _ in batches for result in batch)
+    runs = tuple(result for batch in batches for result in batch)
     return ExperimentResult(
         config=cfg,
         topologies=topologies,
         runs=runs,
         aggregate=metrics.aggregate([r.record for r in runs]),
-        oracles={(topo.name, model): oracle for (_, topo, _, model, _), (_, oracle)
-                 in zip(jobs, batches) if oracle is not None},
     )
 
 
@@ -180,7 +171,7 @@ def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
             for i in range(cfg.seeds_per_scenario):
                 if child_seed(cfg.master_seed, spec.name, model, i) == seed:
                     topo = build_topology(spec, cfg.master_seed)
-                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0][0]
+                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0]
     return None
 
 
@@ -201,56 +192,52 @@ class HandoffRow:
 def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     """Simulate each configured strategy on the first moves of each covered run.
 
-    Each run is swept on its (topology, model) job's oracle, whose CN and HA
-    vectors are warm. `execute_scenario` walked every move and checked the
-    tree at every step, so each move's hops are read off the run's samples,
-    and no path is walked outside a simulation.
+    `execute_scenario` walked every move and checked the tree at every step,
+    so each move's hop triple is read off the run's samples. The sweep walks
+    no path and asks no path oracle anything.
 
-    A report depends on node ids only through the hop triple (CN to fork
-    node, fork to old, fork to new), and on the seed only when there is loss.
-    So the sweep simulates each (triple, label, seed) once, the label being
-    the row's strategy or "mobile_ip", and rows of one key share the report.
-    The triple is (C - meet, meet, L) for multicast, meet being the meet
-    node's index on the old branch, and (A, B old, B new) for Mobile IP.
-    At loss > 0 each row's own seed is in the key, so every row is simulated.
+    A report is a function of its hop triple (CN to fork node, fork to old,
+    fork to new), its config and its seed, and depends on the seed only when
+    there is loss. So the sweep simulates each (triple, label, seed) once,
+    the label being the row's strategy or "mobile_ip", and rows of one key
+    share the report. The triple is (C - meet, meet, L) for multicast, meet
+    being the meet node's index on the old branch, and (A, B old, B new)
+    for Mobile IP. At loss > 0 each row's own seed is in the key, so every
+    row is simulated.
     """
     block = result.config.handoff
     if block is None:
         raise ValueError("config has no handoff block")
     memo = {}  # (triple, label, seed) -> report, shared by the whole sweep
-    configs = {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
     rows = []
     for run in result.runs:
-        rec = run.record
-        if rec.run_index < block.runs:
-            oracle = result.oracles[rec.topology, rec.model]
-            rows.extend(_sweep_run(oracle, run, block, memo, configs))
+        if run.record.run_index < block.runs:
+            rows.extend(_sweep_run(run, block, memo))
     return rows
 
 
-def _sweep_run(oracle, run: RunResult, block, memo, configs=None) -> list[HandoffRow]:
+def _sweep_run(run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
-    `oracle` is a path oracle of the run's topology; `handoff_sweep` passes the job's.
     Hop triples and B hops come from `run.samples`, which must be its trace's.
-    `memo` maps (triple, label, seed) to a report of this sweep under `block`,
-    and `configs` a strategy to its HandoffConfig at seed 0; see `handoff_sweep`.
+    `memo` maps (triple, label, seed) to a report of this sweep under `block`;
+    see `handoff_sweep`.
     """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
     steps, samples = run.trace.steps, run.samples
     if len(samples) != len(steps):
         raise ValueError(f"run {where} has {len(samples)} samples for {len(steps)} steps")
-    configs = configs or {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
+    configs = {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
     rows = []
 
-    def simulated(triple, strategy, i, label, simulate):
+    def simulated(simulate, triple, strategy, i, label):
         # without loss the seed is inert (no draw is made), so it leaves the key
         seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
         rep = memo.get((triple, label, seed))
         if rep is None:
             cfg = block.handoff_config(strategy, seed) if seed else configs[strategy]
-            rep = memo[triple, label, seed] = simulate(cfg)
+            rep = memo[triple, label, seed] = simulate(triple, cfg)
         return rep
 
     for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
@@ -261,13 +248,11 @@ def _sweep_run(oracle, run: RunResult, block, memo, configs=None) -> list[Handof
         graft, b_hops, meet = after.added_links, after.b_hops, after.removed_links
         triple = before.c_hops - meet, meet, graft
         for strategy in block.strategies:
-            rep = simulated(triple, strategy, i, strategy, lambda cfg: simulate_handoff(
-                oracle, run.cn, old, new, cfg))
+            rep = simulated(simulate_handoff, triple, strategy, i, strategy)
             rows.append(HandoffRow(*where, i, strategy, graft, b_hops, rep))
         if block.include_mobile_ip:
             triple = after.a_hops, before.b_hops, b_hops
-            rep = simulated(triple, "plain_join", i, "mobile_ip", lambda cfg: simulate_mip_handoff(
-                oracle, run.cn, run.ha, old, new, cfg))
+            rep = simulated(simulate_mip_handoff, triple, "plain_join", i, "mobile_ip")
             # the multicast graft length, for comparison
             rows.append(HandoffRow(*where, i, "mobile_ip", graft, b_hops, rep))
     return rows

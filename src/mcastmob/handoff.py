@@ -5,7 +5,8 @@ registration baseline, with a fixed per-link delay and independent per-hop
 loss on both data and control transmissions. Wireless attachment is
 instantaneous and lossless: the mobile and its base station are co-located
 (each base station is a router), so latency is a pure function of wired hop
-counts, mirroring the hop-count route analysis.
+counts, mirroring the hop-count route analysis. Each simulator takes a
+handoff's hop triple and reads no node id or path.
 
 Timeline conventions: the correspondent node emits a data packet every
 `packet_interval` ms starting at t=0; the handoff trigger (the moment the
@@ -44,8 +45,9 @@ class HandoffError(Exception):
 class HandoffConfig:
     """Wire-level knobs for one handoff simulation. Times are milliseconds.
 
-    `seed` seeds one loss stream per (kind, link), see `_loss_stream`. At
-    message_loss_rate 0 no stream is made, so the seed cannot change the
+    `seed` seeds one loss stream per (kind, leg, hop), see `_loss_stream`,
+    so a report is a function of its hop triple, this config and the seed.
+    At message_loss_rate 0 no stream is made, so the seed cannot change the
     report.
     """
 
@@ -97,44 +99,47 @@ class HandoffReport:
     deliveries: tuple[tuple[int, float, str], ...]
 
 
-def _loss_stream(seed, kind, src, dst):
-    """The loss draws of `kind` messages over the link src -> dst, in crossing order.
+def _loss_stream(seed, kind, leg, hop):
+    """The loss draws of `kind` messages over link `hop` of `leg`, in crossing order.
 
-    A str seed is hashed with SHA-512, so a stream is the same on every run
-    and platform, and no link's draws depend on another link's.
+    A leg's links are numbered from its upper end: the CN for "above", the
+    fork node for "old" and "new". A str seed is hashed with SHA-512, so a
+    stream is the same on every run and platform, and no link's draws
+    depend on another link's.
     """
-    return random.Random(f"{seed}:{kind}:{src}:{dst}")
+    return random.Random(f"{seed}:{kind}:{leg}:{hop}")
 
 
 class _Pass:
     """One handoff of either architecture, as a pass over the packets in emission order.
 
-    Packets go from the CN down `above` to the fork node F (the meet node, or
-    the HA), then down `old_leg`. The control message walks `new_leg` in
-    reverse and commits at F at `committed`; from then on a packet at F goes
-    down the new leg too, or instead under `redirect` (Mobile IP). `emit`
-    sends batches whose crossings of a link follow their sequence numbers, so
-    they draw what single packets would. The pass owns the per-link loss
-    streams, the control relay and the delivery log. At loss 0 nothing draws.
+    The handoff is three legs of `legs` hops: packets go from the CN down
+    "above" to the fork node F (the meet node, or the HA), then down "old".
+    The control message walks "new" up and commits at F at `committed`; from
+    then on a packet at F goes down the new leg too, or instead under
+    `redirect` (Mobile IP). `emit` sends batches whose crossings of a link
+    follow their sequence numbers, so they draw what single packets would.
+    The pass owns the per-link loss streams, the control relay and the
+    delivery log. At loss 0 nothing draws.
 
     Two packets that meet at one instant (two deliveries, or a delivery and
     an emission) go earlier-emitted first iff per_hop_delay >= packet_interval;
     a packet's two copies at one instant go old first.
     """
 
-    def __init__(self, cfg: HandoffConfig, above, old_leg, new_leg, redirect):
+    def __init__(self, cfg: HandoffConfig, shape, redirect):
         self.cfg, self.redirect = cfg, redirect
-        self.above, self.old_leg, self.new_leg = above, old_leg, new_leg
+        self.legs = dict(zip(("above", "old", "new"), shape))
         self.lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
         # relocate on an emission boundary once the pipeline to the old location is full,
         # and no earlier than `lead`: the control message leaves `lead` before it
-        interval, warm_hops = cfg.packet_interval, len(above) + len(old_leg) - 2
+        interval, warm_hops = cfg.packet_interval, shape[0] + shape[1]
         self.t0 = max((math.floor(warm_hops * cfg.per_hop_delay / interval) + 2) * interval,
                       math.ceil(self.lead / interval) * interval)
         self.copies = 3 if cfg.strategy == "triple_join" else 1  # copies sent per control hop
         self.committed = math.inf  # when the control message commits at F
         self.earlier_first = cfg.per_hop_delay >= interval
-        self.streams = {}  # (kind, src, dst) -> that link's loss stream
+        self.streams = {}  # (kind, leg, hop) -> that link's loss stream
         self.control = 0
         self.times: list[float] = []  # emission time of each packet
         self.at_fork = [], []  # (seqs, times) of the packets at F, kept unless redirecting
@@ -144,23 +149,23 @@ class _Pass:
         streams = self.streams
         return streams.get(key) or streams.setdefault(key, _loss_stream(self.cfg.seed, *key))
 
-    def lost(self, kind, src, dst, copies=1):
+    def lost(self, kind, leg, hop, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
-        dropped = self.stream(kind, src, dst).random() < rate
-        return dropped and (copies == 1 or self.lost(kind, src, dst, copies - 1))
+        dropped = self.stream(kind, leg, hop).random() < rate
+        return dropped and (copies == 1 or self.lost(kind, leg, hop, copies - 1))
 
-    def relay(self, kind, path, t):
-        """When control message `kind`, sent from path[0] at t, commits at path[-1] (inf: never).
+    def relay(self, kind, leg, t):
+        """When control message `kind`, sent up `leg` from its end at t, commits at F (inf: never).
 
         A hop sends `copies` messages, re-sent a refresh period later while all are lost.
         """
-        for src, dst in zip(path, path[1:]):
+        for hop in reversed(range(self.legs[leg])):
             for _ in range(_MAX_RETRIES):
                 self.control += self.copies
-                if not self.lost(kind, src, dst, self.copies):
+                if not self.lost(kind, leg, hop, self.copies):
                     break
                 t += self.cfg.refresh_period
             else:
@@ -168,19 +173,19 @@ class _Pass:
             t += self.cfg.per_hop_delay
         return t
 
-    def down(self, path, seqs, times, stop=math.inf):
-        """The survivors of the batch (seqs, times) at path[0], and their times at path[-1].
+    def down(self, leg, seqs, times, stop=math.inf):
+        """The survivors of the batch (seqs, times) at the top of `leg`, and their times at its end.
 
         It crosses one link at a time, each link's stream drawing once per packet.
         A packet at a node at or after `stop` goes no further (times rise with seq).
         """
         d, rate = self.cfg.per_hop_delay, self.cfg.message_loss_rate
-        for src, dst in zip(path, path[1:]):
+        for hop in range(self.legs[leg]):
             if times and times[-1] >= stop:
                 cut = bisect_left(times, stop)
                 seqs, times = seqs[:cut], times[:cut]
             if rate and seqs:
-                draw = self.stream("data", src, dst).random
+                draw = self.stream("data", leg, hop).random
                 kept = [draw() >= rate for _ in seqs]
                 seqs, times = list(compress(seqs, kept)), compress(times, kept)
             times = [t + d for t in times]
@@ -195,14 +200,14 @@ class _Pass:
 
     def launch(self, seqs, times):
         """The batch (seqs, times) leaves the CN."""
-        seqs, times = self.down(self.above, seqs, times)
+        seqs, times = self.down("above", seqs, times)
         cut = bisect_left(times, self.committed)  # from here on, packets take the new leg
-        if self.redirect:  # the old part goes first: the legs may share links
-            self.arrive("old", *self.down(self.old_leg, seqs[:cut], times[:cut]))
+        if self.redirect:
+            self.arrive("old", *self.down("old", seqs[:cut], times[:cut]))
         else:
             self.at_fork[0].extend(seqs)
             self.at_fork[1].extend(times)
-        self.arrive("new", *self.down(self.new_leg, seqs[cut:], times[cut:]))
+        self.arrive("new", *self.down("new", seqs[cut:], times[cut:]))
 
     def emit(self):
         """Emit packets every interval until the deadline; the first new arrival time, or None.
@@ -214,7 +219,7 @@ class _Pass:
         """
         interval, times, new = self.cfg.packet_interval, self.times, self.arrivals["new"]
         give_up = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period
-        hops = repeat(self.cfg.per_hop_delay, len(self.new_leg) - 1)
+        hops = repeat(self.cfg.per_hop_delay, self.legs["new"])
         earliest = max(self.t0, reduce(operator.add, hops, self.committed))
         sure = min(earliest, give_up) + _TAIL_INTERVALS * interval  # the earliest deadline
         sent, t = 0, 0.0  # packets launched, last emission
@@ -260,69 +265,68 @@ class _Pass:
             packets_duplicated=len(log) - len(delivered),
             out_of_order=late,
             control_messages=self.control,
-            control_path_hops=len(self.new_leg) - 1,
+            control_path_hops=self.legs["new"],
             packets_emitted=emitted,
             packets_delivered=len(delivered),
             deliveries=tuple(log),
         )
 
 
-def _handoff(cfg, above, old_leg, new_leg, kind, redirect) -> HandoffReport:
+def _handoff(cfg, shape, kind, redirect) -> HandoffReport:
     """One handoff over its three legs (see `_Pass`), started by a `kind` control message.
 
-    Without `redirect`, under make_before_break, the first delivery through new
-    starts the prune; once it commits at F, no node below F on the old leg forwards.
+    `shape` is the legs' hop counts (above, old, new): three ints >= 0, with
+    the mobile never at the CN and its two locations distinct. Without
+    `redirect`, under make_before_break, the first delivery through new
+    starts the prune; once it commits at F, no node below F on the old leg
+    forwards.
     """
-    p = _Pass(cfg, above, old_leg, new_leg, redirect)
-    p.committed = p.relay(kind, new_leg[::-1], p.t0 - p.lead)
+    if not (type(shape) is tuple and len(shape) == 3
+            and all(type(h) is int and h >= 0 for h in shape)):
+        raise HandoffError(f"a shape is three hop counts >= 0, not {shape!r}")
+    above, old, new = shape
+    if not (above + old and above + new):
+        raise HandoffError("the mobile cannot be at the correspondent node")
+    if not old + new:
+        raise HandoffError("handoff requires distinct old and new locations")
+    p = _Pass(cfg, shape, redirect)
+    p.committed = p.relay(kind, "new", p.t0 - p.lead)
     first_new = p.emit()
     if not redirect:
         prune = first_new is not None and cfg.overlap == "make_before_break"
-        pruned = p.relay("prune", old_leg[::-1], first_new) if prune else math.inf
-        # the old leg shares no link with the others, so its fates can wait for the prune
-        p.arrive("old", *p.down(old_leg, *p.at_fork, pruned))
+        pruned = p.relay("prune", "old", first_new) if prune else math.inf
+        # nothing else draws from the old leg's streams, so its fates can wait for the prune
+        p.arrive("old", *p.down("old", *p.at_fork, pruned))
     return p.report()
 
 
-def simulate_handoff(oracle, cn, old, new, cfg) -> HandoffReport:
-    """Simulate one handoff old -> new on the delivery tree of the CN `cn`.
+def simulate_handoff(shape, cfg) -> HandoffReport:
+    """Simulate one multicast handoff of hop triple `shape`: (CN to meet node, meet node to old, L).
 
     Between moves the delivery tree is the shortest path from old to the CN
-    (`routing.establish`), and packets follow it. The join walks from new
-    toward the CN until it meets that old branch, and grafts the walk
-    [new, ..., meet] whole when it reaches the meet node; a packet there at
-    or after that instant also goes down the walk. No tree is built. Under
-    make_before_break the first delivery through new starts the prune; once
-    it commits at the meet node, no node from there down to old forwards.
+    (`routing.establish`), and packets follow it. The join walks the L links
+    from new toward the CN until it meets that branch at the meet node, and
+    grafts the walk whole when it gets there; a packet there at or after
+    that instant also goes down the walk. Under make_before_break the first
+    delivery through new starts the prune; once it commits at the meet
+    node, no node from there down to old forwards.
 
-    Node ids matter only as labels: without loss the report depends only on
-    the hop triple (CN to meet node, meet node to old, walk).
-    `experiment.handoff_sweep` simulates each such triple once.
+    The report is a function of the shape, `cfg` and its seed: no node id
+    or path is read. `experiment.handoff_sweep` reads each move's shape off
+    the run's samples.
     """
-    if cn in (old, new):
-        raise HandoffError("the mobile cannot be at the correspondent node")
-    if new == old:
-        raise HandoffError("handoff requires distinct old and new locations")
-    path_old = oracle.shortest_path(old, cn)
-    walk = oracle.shortest_path(new, cn, stop=path_old)
-    meet = path_old.index(walk[-1])
-    return _handoff(cfg, path_old[meet:][::-1], path_old[meet::-1], walk[::-1], "join", False)
+    return _handoff(cfg, shape, "join", False)
 
 
-def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
-    """Mobile IP baseline: registration new -> HA, then packets redirect at the HA.
+def simulate_mip_handoff(shape, cfg) -> HandoffReport:
+    """Mobile IP baseline of hop triple `shape`: (A, B old, B new), registration new -> HA.
 
-    Packets always travel CN -> HA, then down the tunnel to whichever
-    location is registered when they reach the HA: the new one iff they get
-    there at or after the registration commits. Every path is read from the
-    HA's vector. Registration has no copies and cannot precede arrival, so
-    every strategy runs as plain_join.
+    Packets always travel the A links CN -> HA, then down the tunnel to
+    whichever location is registered when they reach the HA: the new one
+    iff they get there at or after the registration commits. Registration
+    has no copies and cannot precede arrival, so every strategy runs as
+    plain_join.
     """
-    if cn in (old, new):
-        raise HandoffError("the mobile cannot be at the correspondent node")
-    if new == old:
-        raise HandoffError("handoff requires distinct old and new locations")
     if cfg.strategy != "plain_join":
         cfg = replace(cfg, strategy="plain_join")
-    return _handoff(cfg, oracle.shortest_path(cn, ha), oracle.shortest_path(old, ha)[::-1],
-                    oracle.shortest_path(new, ha)[::-1], "registration", True)
+    return _handoff(cfg, shape, "registration", True)

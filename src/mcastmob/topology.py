@@ -25,19 +25,17 @@ class GenerationError(TopologyError):
 class Topology:
     """Connected simple graph, node ids 0..n-1, implicit unit edge weights.
 
-    `clusters` is populated by the clustered generators: one (start, stop)
-    id block per stub/leaf cluster, in id order.  Immutable once built, so
-    instances are safe to share across concurrent runs.
+    Immutable once built, so instances are safe to share across concurrent
+    runs.
     """
 
     name: str
     n: int
     edge_count: int
     adj: tuple[tuple[int, ...], ...]
-    clusters: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def _from_keys(cls, name, n, keys, clusters=()):
+    def _from_keys(cls, name, n, keys):
         """The topology whose links are the edge keys `u * n + v`, each with u < v."""
         # before the adjacency, whose size follows the largest id, not the links
         if len(keys) < n - 1:
@@ -55,7 +53,7 @@ class Topology:
                 f"disconnected graph: only {n - dist.count(None)} of {n} nodes reachable "
                 f"(node {dist.index(None)} unreached)"
             )
-        return cls(name, n, len(keys), tuple(map(tuple, adj)), tuple(clusters))
+        return cls(name, n, len(keys), tuple(map(tuple, adj)))
 
     @property
     def avg_degree(self):
@@ -172,8 +170,7 @@ def generate(params, name=None):
     for attempt in range(3):
         rng = random.Random(params.seed + attempt * 0x9E3779B97F4A7C15)
         try:
-            edges, clusters = build(params, rng)
-            topo = Topology._from_keys(label, params.node_count, edges, clusters)
+            topo = Topology._from_keys(label, params.node_count, build(params, rng))
         except GenerationError as exc:
             last = exc
             continue
@@ -250,7 +247,7 @@ def _flat_random(params, rng):
     edges = set()
     _random_tree(edges, n, range(n), rng)
     _fill_uniform(edges, n, budget, rng, 60 * budget + 10_000)
-    return edges, ()
+    return edges
 
 
 def _blocks(first, total, size):
@@ -288,7 +285,7 @@ def _transit_stub(params, rng):
         _random_tree(edges, n, range(lo, hi), rng)
         _add_edge(edges, n, rng.randrange(lo, hi), i % core)
     _fill_clustered(edges, n, budget, rng, blocks, core)
-    return edges, tuple(blocks)
+    return edges
 
 
 def _tiers_like(params, rng):
@@ -309,7 +306,7 @@ def _tiers_like(params, rng):
             plo, phi = blocks[rng.randrange(mid)]
             _add_edge(edges, n, rng.randrange(lo, hi), rng.randrange(plo, phi))
     _fill_clustered(edges, n, budget, rng, blocks, core)
-    return edges, tuple(blocks)
+    return edges
 
 
 def _fill_clustered(edges, n, budget, rng, blocks, core):
@@ -367,10 +364,6 @@ class PathOracle:
     def __init__(self, topo: Topology):
         self.topo = topo
         self._dist: dict[int, tuple[int, ...]] = {}
-
-    def __getstate__(self):
-        # a pool job sends back only the vectors; the receiver sets `topo` to its topology
-        return {"_dist": self._dist}
 
     def _check(self, node):
         if not isinstance(node, int) or not (0 <= node < self.topo.n):

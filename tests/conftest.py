@@ -8,12 +8,14 @@ Test topologies are built from their edge lists by `load_edge_list`.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
+from itertools import accumulate
 
 import pytest
 
-from mcastmob.topology import PathOracle, load_edge_list
+from mcastmob.topology import load_edge_list
 
 
 def bfs_dist(adj, source):
@@ -78,6 +80,26 @@ def edges_of(topo):
     return tuple((u, v) for u, nbrs in enumerate(topo.adj) for v in nbrs if u < v)
 
 
+def cluster_blocks(params):
+    """The (start, stop) id blocks of a clustered generator's stub or leaf clusters, in id order.
+
+    Written from the layout the generators promise, not from their code:
+    the core takes ids 0 .. core-1, and the n - core ids past it are cut
+    into max(1, round((n - core) / stub_size)) contiguous blocks whose sizes
+    differ by at most one, the larger first.
+    """
+    n = params.node_count
+    if params.kind == "transit_stub":
+        core = max(1, min(round(n / (1 + params.stubs_per_transit * params.stub_size)), n // 2))
+    else:
+        core = max(1, min(round(math.sqrt(n) / 3), n // 4))
+    rest = n - core
+    count = max(1, round(rest / params.stub_size))
+    stops = list(accumulate((rest // count + (i < rest % count) for i in range(count)),
+                            initial=core))
+    return [(lo, hi) for lo, hi in zip(stops, stops[1:]) if hi > lo]
+
+
 def group_rows(agg):
     """An AggregateStats' rows by (topology type, movement model)."""
     return {(row.topo_type, row.model): row for row in agg.rows}
@@ -99,14 +121,3 @@ def diamond():
 def star():
     """Hub 0 with spokes 1..4."""
     return make_topology("star", 5, [(0, i) for i in range(1, 5)])
-
-
-@pytest.fixture
-def handoff_fixture():
-    """cn=0 with branch 0-1-2-3 (old=3) and chain 1-4-5-6 (new=6, graft L=3)."""
-    topo = make_topology("hand", 7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6)])
-    return topo, PathOracle(topo)
-
-
-def oracle_of(topo):
-    return PathOracle(topo)

@@ -5,10 +5,15 @@ event per packet per hop, popped by (time, control before data, rank,
 insertion order). A data event's rank is its packet's seq when
 per_hop_delay >= packet_interval and -seq otherwise, so of two packets at
 one instant the earlier-emitted goes first exactly then; a packet's copies
-share a rank, and the meet node forwards to its old-branch child first. It
-shares only the loss-stream seeding, `HandoffConfig` and `HandoffReport`
-with the package, so a test that finds both giving equal reports checks the
-pass against an independent event loop.
+share a rank, and the meet node forwards to its old-branch child first.
+
+A handoff is given by its hop triple (`_layout`): the reference lays the
+three legs out as nodes named (leg, index), the fork node being the last
+node of "above", and forwards packets over that small tree. A link is
+(leg, hop), hop counted from the leg's upper end. It shares only the
+loss-stream seeding, `HandoffConfig` and `HandoffReport` with the package,
+so a test that finds both giving equal reports checks the pass against an
+independent event loop.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import dataclasses
 import heapq
 import math
 
-from mcastmob.handoff import HandoffConfig, HandoffError, HandoffReport, _loss_stream
+from mcastmob.handoff import HandoffConfig, HandoffReport, _loss_stream
 
 _CONTROL = 0  # heap priority: state changes beat same-time data
 _DATA = 1
@@ -33,20 +38,20 @@ class _Kernel:
     up to the tail or give-up deadline, the per-link loss streams, the
     control relay with its refresh-period re-sends, and delivery bookkeeping
     gated by attachment. A simulator schedules each control message as a
-    `relay` along its path whose `on_done` commits the message's state change
-    where it ends, and passes `run` a `launch(t, seq)` that sends packet
-    `seq` out of the CN with `hop`. Scheduled callables are called as
-    fn(t, *args).
+    `relay` over its links, in crossing order, whose `on_done` commits the
+    message's state change where it ends, and passes `run` a
+    `launch(t, seq)` that sends packet `seq` out of the CN with `hop`.
+    Scheduled callables are called as fn(t, *args).
 
     Without loss (rate 0) no hop makes a draw, so the seed is inert and the
-    report is a function of the paths and the config.
+    report is a function of the legs and the config.
     """
 
     def __init__(self, cfg: HandoffConfig, t0, copies):
         self.cfg = cfg
         self.t0 = t0
         self.copies = copies  # copies sent per control hop
-        self.streams = {}  # (kind, src, dst) -> that link's loss stream
+        self.streams = {}  # (kind, leg, hop) -> that link's loss stream
         self.heap = []
         self.order = 0
         self.emitted = 0
@@ -67,36 +72,36 @@ class _Kernel:
         """The heap rank of packet `seq`'s data events: see the module docstring."""
         return seq if self.cfg.per_hop_delay >= self.cfg.packet_interval else -seq
 
-    def lost(self, kind, src, dst, copies=1):
+    def lost(self, kind, link, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
-        rng = self.streams.get((kind, src, dst))
+        rng = self.streams.get((kind, *link))
         if rng is None:
-            rng = self.streams[kind, src, dst] = _loss_stream(self.cfg.seed, kind, src, dst)
+            rng = self.streams[kind, *link] = _loss_stream(self.cfg.seed, kind, *link)
         return all(rng.random() < rate for _ in range(copies))
 
-    def hop(self, t, seq, src, dst, fn, *args):
-        """Packet `seq` crosses src -> dst unless lost; fn(t', *args) runs on arrival."""
-        if not self.lost("data", src, dst):
+    def hop(self, t, seq, link, fn, *args):
+        """Packet `seq` crosses `link` unless lost; fn(t', *args) runs on arrival."""
+        if not self.lost("data", link):
             self.push(t + self.cfg.per_hop_delay, _DATA, self.rank(seq), fn, *args)
 
-    def relay(self, t, kind, path, on_done, idx=0, attempt=0):
-        """Control message `kind` is at path[idx]; on_done(t) runs once it is at path[-1].
+    def relay(self, t, kind, links, on_done, idx=0, attempt=0):
+        """Control message `kind` is before links[idx]; on_done(t) runs once it crossed them all.
 
         A hop sends `copies` messages and is re-sent a refresh period later
         while every copy is lost.
         """
-        if idx + 1 == len(path):
+        if idx == len(links):
             on_done(t)
             return
         self.control += self.copies
-        if not self.lost(kind, path[idx], path[idx + 1], self.copies):
-            self.push(t + self.cfg.per_hop_delay, _CONTROL, 0, self.relay, kind, path, on_done,
+        if not self.lost(kind, links[idx], self.copies):
+            self.push(t + self.cfg.per_hop_delay, _CONTROL, 0, self.relay, kind, links, on_done,
                       idx + 1)
         elif attempt + 1 < _MAX_RETRIES:
-            self.push(t + self.cfg.refresh_period, _CONTROL, 0, self.relay, kind, path, on_done,
+            self.push(t + self.cfg.refresh_period, _CONTROL, 0, self.relay, kind, links, on_done,
                       idx, attempt + 1)
 
     def deliver(self, t, seq, via):
@@ -159,35 +164,38 @@ def _trigger_time(cfg, warm_hops):
     return t0
 
 
-def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
-    """Simulate one handoff old -> new on the current delivery tree.
+def _layout(shape):
+    """The legs of hop triple `shape` as node lists, each from its upper end down.
 
-    Packets follow the tree's forwarding map. The join grafts the walk
-    [new, ..., meet] whole when it reaches the meet node (no packet enters the
-    walk before its top link exists). Under make_before_break the first
-    delivery through new starts the prune, which drops the old branch below
-    the meet node when it gets there. The tree is read, never mutated.
-
-    Node ids matter only as labels: without loss the report depends on the
-    old branch's length, the meet node's index on it and the walk's length.
+    "above" runs from the CN to the fork node F; "old" and "new" start at F.
     """
-    cn = tree.cn
-    if tree.branch[0] != old or tree.pending is not None:
-        raise HandoffError("old must be the branch's leaf, with no prune pending")
-    if len(set(tree.branch)) != len(tree.branch):  # a loop in it would forward forever
-        raise HandoffError(f"the branch {tree.branch} repeats a node")
-    if cn in (old, new):
-        raise HandoffError("the mobile cannot be at the correspondent node")
-    if new == old:
-        raise HandoffError("handoff requires distinct old and new locations")
-    tree.oracle._check(new)
+    above = [("above", i) for i in range(shape[0] + 1)]
+    fork = above[-1]
+    return {"above": above,
+            "old": [fork] + [("old", i) for i in range(1, shape[1] + 1)],
+            "new": [fork] + [("new", i) for i in range(1, shape[2] + 1)]}
 
-    path_old = tree.branch  # [old, ..., cn]
-    walk = tree.oracle.shortest_path(new, tree.cn, stop=tree.nodes)  # [new, ..., meet]
-    meet = path_old.index(walk[-1])
-    # children in forwarding order: a grafted child goes after the old-branch one
-    fwd = {up: [child] for child, up in zip(path_old, path_old[1:])}
-    k = _Kernel(cfg, _trigger_time(cfg, len(path_old) - 1),
+
+def _links(nodes, leg):
+    """(upper node, lower node, link) for each link of `leg`, from the top down."""
+    return [(up, down, (leg, hop)) for hop, (up, down) in enumerate(zip(nodes, nodes[1:]))]
+
+
+def simulate_handoff(shape, cfg) -> HandoffReport:
+    """Simulate the multicast handoff of hop triple (CN to meet node, meet node to old, L).
+
+    Packets follow a forwarding map that starts as the old branch, CN to
+    old. The join grafts the walk, the new leg, whole when it reaches the
+    meet node (no packet enters the walk before its top link exists). Under
+    make_before_break the first delivery through new starts the prune,
+    which drops the old branch below the meet node when it gets there.
+    """
+    legs = _layout(shape)
+    cn, old, new = legs["above"][0], legs["old"][-1], legs["new"][-1]
+    fwd = {}  # node -> [(child, link)], in forwarding order
+    for up, child, link in _links(legs["above"], "above") + _links(legs["old"], "old"):
+        fwd.setdefault(up, []).append((child, link))
+    k = _Kernel(cfg, _trigger_time(cfg, shape[0] + shape[1]),
                 3 if cfg.strategy == "triple_join" else 1)
 
     def arrive(t, node, seq):
@@ -198,51 +206,46 @@ def simulate_handoff(tree, old, new, cfg) -> HandoffReport:
             k.deliver(t, seq, "old")
         elif node == new:
             k.deliver(t, seq, "new")
-        for child in fwd.get(node, ()):
-            k.hop(t, seq, node, child, arrive, child, seq)
+        for child, link in fwd.get(node, ()):
+            k.hop(t, seq, link, arrive, child, seq)
 
     def grafted(t):
-        for child, up in zip(walk, walk[1:]):
-            fwd.setdefault(up, []).append(child)
+        # a grafted child goes after the old-branch one
+        for up, child, link in _links(legs["new"], "new"):
+            fwd.setdefault(up, []).append((child, link))
 
     def pruned(t):
-        for child, up in zip(path_old, path_old[1:meet + 1]):
-            fwd[up].remove(child)
+        for up, child, link in _links(legs["old"], "old"):
+            fwd[up].remove((child, link))
 
+    up_old = [link for _, _, link in reversed(_links(legs["old"], "old"))]
+    up_new = [link for _, _, link in reversed(_links(legs["new"], "new"))]
     if cfg.overlap == "make_before_break":
-        k.on_first_new = lambda t: k.push(t, _CONTROL, 0, k.relay, "prune", path_old[:meet + 1],
-                                          pruned)
+        k.on_first_new = lambda t: k.push(t, _CONTROL, 0, k.relay, "prune", up_old, pruned)
     lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
-    k.push(k.t0 - lead, _CONTROL, 0, k.relay, "join", walk, grafted)
-    return k.run(lambda t, seq: arrive(t, cn, seq), len(walk) - 1)
+    k.push(k.t0 - lead, _CONTROL, 0, k.relay, "join", up_new, grafted)
+    return k.run(lambda t, seq: arrive(t, cn, seq), shape[2])
 
 
-def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
-    """Mobile IP baseline: registration new -> HA, then packets redirect at the HA.
+def simulate_mip_handoff(shape, cfg) -> HandoffReport:
+    """Mobile IP baseline of hop triple (A, B old, B new): registration new -> HA.
 
-    Packets always travel CN -> HA, then down the tunnel to whichever
-    location is registered when they reach the HA. Each tunnel is a path
-    toward the HA reversed, so every path is read from the HA's vector.
-    Every strategy runs as plain_join: registration has no copies and cannot
-    precede arrival.
+    Packets always travel the A links CN -> HA, then down the tunnel to
+    whichever location is registered when they reach the HA. Every strategy
+    runs as plain_join: registration has no copies and cannot precede
+    arrival.
     """
-    for node in (cn, ha, old, new):
-        oracle._check(node)
-    if new == old:
-        raise HandoffError("handoff requires distinct old and new locations")
-    if cn in (old, new):
-        raise HandoffError("the mobile cannot be at the correspondent node")
     cfg = dataclasses.replace(cfg, strategy="plain_join")
-
-    path_a = oracle.shortest_path(cn, ha)
-    reg_path = oracle.shortest_path(new, ha)
-    tunnels = {"old": oracle.shortest_path(old, ha)[::-1], "new": reg_path[::-1]}
-    k = _Kernel(cfg, _trigger_time(cfg, len(path_a) - 1 + len(tunnels["old"]) - 1), 1)
+    a, b_old, b_new = shape
+    path_a = [("above", hop) for hop in range(a)]
+    tunnels = {"old": [("old", hop) for hop in range(b_old)],
+               "new": [("new", hop) for hop in range(b_new)]}
+    k = _Kernel(cfg, _trigger_time(cfg, a + b_old), 1)
     registered = False
 
-    def along(t, path, idx, seq, via):
-        if idx + 1 < len(path):
-            k.hop(t, seq, path[idx], path[idx + 1], along, path, idx + 1, seq, via)
+    def along(t, links, idx, seq, via):
+        if idx < len(links):
+            k.hop(t, seq, links[idx], along, links, idx + 1, seq, via)
         elif via is None:  # at the HA: tunnel toward the registered location
             via = "new" if registered else "old"
             along(t, tunnels[via], 0, seq, via)
@@ -253,5 +256,5 @@ def simulate_mip_handoff(oracle, cn, ha, old, new, cfg) -> HandoffReport:
         nonlocal registered
         registered = True
 
-    k.push(k.t0, _CONTROL, 0, k.relay, "registration", reg_path, registered_at)
-    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), len(reg_path) - 1)
+    k.push(k.t0, _CONTROL, 0, k.relay, "registration", tunnels["new"][::-1], registered_at)
+    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), b_new)

@@ -178,35 +178,28 @@ def test_criterion_09_handoff_simulator_properties():
         nodes = [v for v in range(n) if v != cn]
         old = rng.choice(nodes)
         new = rng.choice([v for v in nodes if v != old])
+        # the move's hop triple: CN to meet node, meet node to old, graft length L
+        branch = establish(oracle, cn, old).branch
+        walk = oracle.shortest_path(new, cn, stop=branch)
+        meet = branch.index(walk[-1])
+        shape = (len(branch) - 1 - meet, meet, len(walk) - 1)
         rep = simulate_handoff(
-            oracle, cn, old, new,
-            HandoffConfig(overlap="make_before_break", seed=trial, **base),
+            shape, HandoffConfig(overlap="make_before_break", seed=trial, **base)
         )
         assert rep.packets_lost == 0, (trial, rep)
         # (b) an advance join with lead >= the graft round trip hides the handoff
         lead = 2 * rep.control_path_hops * base["per_hop_delay"]
         adv = simulate_handoff(
-            oracle, cn, old, new,
-            HandoffConfig(strategy="advance_join", advance_lead=lead, seed=trial, **base),
+            shape, HandoffConfig(strategy="advance_join", advance_lead=lead, seed=trial, **base)
         )
         assert adv.packets_lost == 0
         assert adv.handoff_latency <= adv.trigger_ms and adv.handoff_latency <= 20.0
 
-    # (c) latency monotone in L (multicast) and in B (Mobile IP)
-    edges = [(0, 1), (1, 2), (1, 3)] + [(i, i + 1) for i in range(3, 8)]
-    chain = make_topology("chain", 9, edges)
-    oracle = PathOracle(chain)
+    # (c) latency monotone in L (multicast) and in B (Mobile IP), the other legs one hop each
     cfg = HandoffConfig(overlap="break_before_make", **base)
-    lat_l = []
-    for new in range(3, 9):
-        lat_l.append(simulate_handoff(oracle, 0, 2, new, cfg).handoff_latency)
+    lat_l = [simulate_handoff((1, 1, graft), cfg).handoff_latency for graft in range(1, 7)]
     assert lat_l == sorted(lat_l)
-    edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(2, 8)]
-    line = make_topology("line", 9, edges)
-    oracle = PathOracle(line)
-    lat_b = [
-        simulate_mip_handoff(oracle, 0, 1, 2, new, cfg).handoff_latency for new in range(3, 9)
-    ]
+    lat_b = [simulate_mip_handoff((1, 1, b_new), cfg).handoff_latency for b_new in range(2, 8)]
     assert lat_b == sorted(lat_b)
     _ok(9, "zero-loss losslessness, advance-join latency bound, and L/B monotonicity hold")
 

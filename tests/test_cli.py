@@ -176,7 +176,7 @@ def test_workers_match_serial(workdir):
 
 
 def test_handoff_workers_match_serial(workdir):
-    """The sweep runs on the oracles the pool workers send back, with the same rows."""
+    """The sweep reads only the run samples the pool workers send back, with the same rows."""
     doc = json.loads((workdir / "cfg.json").read_text())
     doc["handoff"].update(runs=2, max_moves=8)
     (workdir / "sweep.json").write_text(json.dumps(doc))
@@ -187,21 +187,13 @@ def test_handoff_workers_match_serial(workdir):
     assert (workdir / "par" / "handoff.csv").read_bytes() == serial
 
 
-def test_pooled_oracles_read_the_parent_topologies(workdir):
-    """A worker's oracle is unpickled with its own topology, which must not outlive the pool."""
-    result = experiment.execute_scenario(config.load("cfg.json"), workers=2)
-    assert len(result.oracles) == 4
-    for (name, _), oracle in result.oracles.items():
-        assert oracle.topo is result.topologies[name]
-
-
-def test_a_pool_job_sends_back_its_vectors_without_the_topology(workdir):
-    """What `_pair_job` returns is pickled back from a worker: no Topology goes with it."""
+def test_a_pool_job_sends_back_its_runs_without_the_topology(workdir):
+    """What `_pair_job` returns is pickled back from a worker: runs only, no oracle or Topology."""
     cfg = config.load("cfg.json")
     spec = cfg.topologies[0]
     job = experiment._job(cfg, spec, experiment.build_topology(spec, cfg.master_seed),
                           cfg.movement_models[0], range(cfg.seeds_per_scenario))
-    runs, oracle = experiment._pair_job(job)
+    runs = experiment._pair_job(job)
     loaded = []
 
     class Recorder(pickle.Unpickler):
@@ -209,11 +201,9 @@ def test_a_pool_job_sends_back_its_vectors_without_the_topology(workdir):
             loaded.append(name)
             return super().find_class(module, name)
 
-    back_runs, back = Recorder(io.BytesIO(pickle.dumps((runs, oracle)))).load()
-    assert "PathOracle" in loaded and "Topology" not in loaded
-    assert back_runs == runs
-    assert back._dist == oracle._dist
-    assert set(back._dist) == {run.cn for run in runs} | {run.ha for run in runs}
+    assert Recorder(io.BytesIO(pickle.dumps(runs))).load() == runs
+    assert "RunResult" in loaded
+    assert "PathOracle" not in loaded and "Topology" not in loaded
 
 
 def test_run_without_any_b_over_l_prints_n_a(workdir, capsys):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcastmob import experiment
 from mcastmob.config import (
@@ -240,3 +242,42 @@ def test_endpoint_policy(policy):
         assert pairs["a"] != pairs["b"]
     else:  # drawn again for each run
         assert all(len(p) > 1 for p in pairs.values())
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every key in a parsed JSON document, a list index standing for its item."""
+    for key, value in doc.items():
+        path = prefix + (key,)
+        yield path
+        if type(value) is dict:
+            yield from _key_paths(value, path)
+        elif type(value) is list:
+            for i, item in enumerate(value):
+                if type(item) is dict:
+                    yield from _key_paths(item, path + (i,))
+
+
+_REFERENCE = reference_suite_config(handoff=HandoffBlock()).to_dict()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(sorted(_key_paths(_REFERENCE), key=repr)), value=_JSON_VALUES)
+def test_a_reference_config_with_any_value_at_one_key_loads_or_raises_config_error(path, value):
+    """Whatever JSON value one key holds, `from_json` returns a config or raises ConfigError."""
+    doc = json.loads(json.dumps(_REFERENCE))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        cfg = from_json(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
+

@@ -1,10 +1,14 @@
 """Handoff simulator tests pinned to closed-form event enumerations.
 
-The main fixture is cn=0 with the delivery branch 0-1-2-3 (old leaf 3) and
-a side chain 1-4-5-6 (new location 6): graft length L=3 meeting at node 1.
-With per_hop_delay=10 and packet_interval=20 the pipeline fills by t=30, so
-the trigger lands on t0=60; packet k passes node 1 at 20k+10 and reaches the
-old leaf at 20k+30 and the new one (once grafted) at 20k+50.
+A simulator takes a handoff's hop triple. The main one, `SHAPE`, is cn=0
+with the delivery branch 0-1-2-3 (old leaf 3) and a side chain 1-4-5-6 (new
+location 6): one hop from the CN to the meet node 1, two from there to old,
+and a graft of length L=3. The join's first hop, 6 -> 5, is the new leg's
+link 2, as a leg's links are counted from the fork node down. With
+per_hop_delay=10 and packet_interval=20 the pipeline fills by t=30, so the
+trigger lands on t0=60; packet k passes node 1 at 20k+10 and reaches the
+old leaf at 20k+30 and the new one (once grafted) at 20k+50. With the HA at
+node 1, Mobile IP has the same triple.
 """
 
 import dataclasses
@@ -12,7 +16,6 @@ import hashlib
 import math
 import random
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,31 @@ from heap_handoff import simulate_handoff as heap_simulate_handoff
 from heap_handoff import simulate_mip_handoff as heap_simulate_mip_handoff
 
 BASE = dict(per_hop_delay=10.0, packet_interval=20.0)
+SHAPE = (1, 2, 3)
+
+
+def _shapes(oracle, cn, ha, old, new):
+    """The multicast and the Mobile IP hop triples of the move old -> new, walked here.
+
+    The multicast triple reads the branch `establish` builds to old and the
+    graft walk from new; the Mobile IP one, (A, B old, B new), reads `bfs_dist`.
+    """
+    branch = establish(oracle, cn, old).branch
+    walk = oracle.shortest_path(new, cn, stop=branch)
+    meet = branch.index(walk[-1])
+    from_ha = bfs_dist(oracle.topo.adj, ha)
+    return (len(branch) - 1 - meet, meet, len(walk) - 1), (from_ha[cn], from_ha[old], from_ha[new])
+
+
+def _random_move(rng, n_min, n_max):
+    """A random graph's oracle and a move old -> new on it, with cn and ha."""
+    n = rng.randrange(n_min, n_max)
+    oracle = PathOracle(make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n))))
+    cn, ha = rng.randrange(n), rng.randrange(n)
+    nodes = [v for v in range(n) if v != cn]
+    old = rng.choice(nodes)
+    new = rng.choice([v for v in nodes if v != old])
+    return oracle, cn, ha, old, new
 
 
 class TestConfigValidation:
@@ -59,10 +87,9 @@ class TestConfigValidation:
 
 
 class TestBreakBeforeMake:
-    def test_closed_form(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_closed_form(self):
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
+        rep = simulate_handoff(SHAPE, cfg)
         assert rep.trigger_ms == 60.0
         # join sent at 60 completes the graft at node 1 at t=90; the first
         # packet passing afterwards is k=4 (emitted 80), reaching node 6 at 120
@@ -75,24 +102,19 @@ class TestBreakBeforeMake:
         assert rep.control_messages == 3
         assert rep.control_path_hops == 3
 
-    def test_triple_join_triples_control_traffic(self, handoff_fixture):
-        topo, oracle = handoff_fixture
-        plain = simulate_handoff(
-            oracle, 0, 3, 6, HandoffConfig(overlap="break_before_make", **BASE)
-        )
+    def test_triple_join_triples_control_traffic(self):
+        plain = simulate_handoff(SHAPE, HandoffConfig(overlap="break_before_make", **BASE))
         triple = simulate_handoff(
-            oracle, 0, 3, 6,
-            HandoffConfig(overlap="break_before_make", strategy="triple_join", **BASE),
+            SHAPE, HandoffConfig(overlap="break_before_make", strategy="triple_join", **BASE)
         )
         assert triple.control_messages == 3 * plain.control_messages
         assert triple.handoff_latency == plain.handoff_latency
 
 
 class TestMakeBeforeBreak:
-    def test_closed_form(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_closed_form(self):
         cfg = HandoffConfig(overlap="make_before_break", **BASE)
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
+        rep = simulate_handoff(SHAPE, cfg)
         assert rep.handoff_latency == 60.0
         assert rep.packets_lost == 0
         # k=4 and k=5 drain down the old branch while the prune (issued at
@@ -109,15 +131,14 @@ class TestMakeBeforeBreak:
         """Once the prune commits at the meet node, nothing below it forwards.
 
         cn 0 feeds old 5 down the chain 0-1-2-3-4-5 and new 6 hangs off node
-        1. At 5 ms intervals the trigger is t0=60; the join commits at node 1
-        at 70, packet 12 is the first to reach 6 (at 80), and the prune sent
-        from 5 then commits at node 1 at 120. Packets 16-19 had passed node 1
-        by then but are still above node 5's last link, so they never reach
-        it; packet 15 was on that link and arrives at 125.
+        1: the triple (1, 4, 1). At 5 ms intervals the trigger is t0=60; the
+        join commits at node 1 at 70, packet 12 is the first to reach 6 (at
+        80), and the prune sent from 5 then commits at node 1 at 120. Packets
+        16-19 had passed node 1 by then but are still above node 5's last
+        link, so they never reach it; packet 15 was on that link and arrives
+        at 125.
         """
-        topo = make_topology("chain", 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6)])
-        rep = simulate_handoff(PathOracle(topo), 0, 5, 6,
-                               HandoffConfig(per_hop_delay=10.0, packet_interval=5.0))
+        rep = simulate_handoff((1, 4, 1), HandoffConfig(per_hop_delay=10.0, packet_interval=5.0))
         old = [(seq, t) for seq, t, via in rep.deliveries if via == "old"]
         new = [seq for seq, _, via in rep.deliveries if via == "new"]
         assert [seq for seq, _ in old] == list(range(16))
@@ -132,45 +153,37 @@ class TestMakeBeforeBreak:
     def test_zero_loss_never_drops(self):
         rng = random.Random(99)
         for trial in range(40):
-            n = rng.randrange(6, 30)
-            topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
-            oracle = PathOracle(topo)
-            cn = rng.randrange(n)
-            nodes = [v for v in range(n) if v != cn]
-            old = rng.choice(nodes)
-            new = rng.choice([v for v in nodes if v != old])
+            oracle, cn, ha, old, new = _random_move(rng, 6, 30)
+            mcast, _ = _shapes(oracle, cn, ha, old, new)
             rep = simulate_handoff(
-                oracle, cn, old, new,
-                HandoffConfig(overlap="make_before_break", seed=trial, **BASE),
+                mcast, HandoffConfig(overlap="make_before_break", seed=trial, **BASE)
             )
             assert rep.packets_lost == 0
             assert rep.handoff_latency < math.inf
 
 
 class TestAdvanceJoin:
-    def test_sufficient_lead_zero_loss(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_sufficient_lead_zero_loss(self):
         # graft round trip is 2L*d = 60; lead 80 also clears L+depth = 7 hops
         cfg = HandoffConfig(strategy="advance_join", advance_lead=80.0, **BASE)
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
+        rep = simulate_handoff(SHAPE, cfg)
         assert rep.trigger_ms == 80.0
         assert rep.packets_lost == 0
         assert rep.handoff_latency <= cfg.packet_interval
         assert rep.handoff_latency == 0.0  # packets were waiting at the new BS
 
-    def test_insufficient_lead_still_delivers(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_insufficient_lead_still_delivers(self):
         cfg = HandoffConfig(strategy="advance_join", advance_lead=10.0, **BASE)
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
+        rep = simulate_handoff(SHAPE, cfg)
         assert rep.packets_lost == 0  # make_before_break still covers the gap
         assert rep.handoff_latency > 0.0
 
 
 class TestNoGraftNeeded:
-    def test_new_location_already_on_tree(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_new_location_already_on_tree(self):
+        """Old 3 to new 2 on the branch 0-1-2-3: new is the meet node, L = 0."""
         cfg = HandoffConfig(**BASE)
-        rep = simulate_handoff(oracle, 0, 3, 2, cfg)
+        rep = simulate_handoff((2, 1, 0), cfg)
         assert rep.control_path_hops == 0
         assert rep.handoff_latency <= cfg.packet_interval
         assert rep.packets_lost == 0
@@ -179,72 +192,70 @@ class TestNoGraftNeeded:
 def _script_losses(monkeypatch, lose_first, times=1):
     """Make every loss draw 0.99 (kept at rate 0.5), but a chosen link's first `times` 0.0 (lost).
 
-    The links chosen are those where `lose_first(kind, src, dst)` is true.
+    The links chosen are those where `lose_first(kind, leg, hop)` is true.
     The heap reference draws from the same scripted streams.
     """
 
-    def stream(seed, kind, src, dst):
-        draws = iter([0.0] * times if lose_first(kind, src, dst) else [])
+    def stream(seed, kind, leg, hop):
+        draws = iter([0.0] * times if lose_first(kind, leg, hop) else [])
         return SimpleNamespace(random=lambda: next(draws, 0.99))
 
     monkeypatch.setattr(handoff, "_loss_stream", stream)
     monkeypatch.setattr(heap_handoff, "_loss_stream", stream)
 
 
+def _first_hop_up_new(control):
+    """The first hop of a `control` message up `SHAPE`'s new leg: 6 -> 5, the leg's link 2."""
+    return lambda kind, leg, hop: (kind, leg, hop) == (control, "new", 2)
+
+
 class TestLossRecovery:
-    def test_lost_join_recovers_after_refresh(self, handoff_fixture, monkeypatch):
-        topo, oracle = handoff_fixture
+    def test_lost_join_recovers_after_refresh(self, monkeypatch):
         cfg = HandoffConfig(
             overlap="break_before_make", message_loss_rate=0.5, refresh_period=500.0, **BASE
         )
-        _script_losses(monkeypatch, lambda kind, src, dst: kind == "join" and src == 6)
+        _script_losses(monkeypatch, _first_hop_up_new("join"))
 
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
+        rep = simulate_handoff(SHAPE, cfg)
         # first hop dies at t=60, retries at 560; graft completes at 590 and
         # the next packet through the meet (emitted 580) lands at 620
         assert rep.trigger_ms + rep.handoff_latency == 620.0
         assert rep.handoff_latency == 560.0
         assert rep.control_messages == 4  # one lost copy, three good hops
 
-    def test_lost_prune_leaves_duplicates_until_expiry(self, handoff_fixture, monkeypatch):
-        topo, oracle = handoff_fixture
+    def test_lost_prune_leaves_duplicates_until_expiry(self, monkeypatch):
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=400.0, **BASE)
-        _script_losses(monkeypatch, lambda kind, src, dst: kind == "prune")
+        _script_losses(monkeypatch, lambda kind, leg, hop: kind == "prune")
 
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
+        rep = simulate_handoff(SHAPE, cfg)
         assert rep.packets_lost == 0
         # 3 join hops, plus 2 prune hops each sent twice; without loss it is 5 and 2 duplicates
         assert rep.control_messages == 7
         assert rep.packets_duplicated == 6
 
     @pytest.mark.parametrize("overlap", OVERLAP_MODES)
-    def test_a_join_that_never_commits_emits_until_the_give_up(self, handoff_fixture, monkeypatch,
-                                                              overlap):
+    def test_a_join_that_never_commits_emits_until_the_give_up(self, monkeypatch, overlap):
         """Every copy of the join's first hop is lost: no packet ever reaches new.
 
         Emission runs to the give-up deadline t0 + 2 refresh periods = 1060,
         plus the tail's three intervals: packets 0 .. 56 (emitted 0 .. 1120).
         """
-        topo, oracle = handoff_fixture
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=500.0, overlap=overlap, **BASE)
-        _script_losses(monkeypatch, lambda kind, src, dst: kind == "join" and src == 6,
-                       handoff._MAX_RETRIES)
-        rep = simulate_handoff(oracle, 0, 3, 6, cfg)
-        assert rep == heap_simulate_handoff(establish(oracle, 0, 3), 3, 6, cfg)
+        _script_losses(monkeypatch, _first_hop_up_new("join"), handoff._MAX_RETRIES)
+        rep = simulate_handoff(SHAPE, cfg)
+        assert rep == heap_simulate_handoff(SHAPE, cfg)
         assert rep.handoff_latency == math.inf
         assert rep.packets_emitted == 57
         assert rep.control_messages == handoff._MAX_RETRIES
 
     @pytest.mark.parametrize("overlap", OVERLAP_MODES)
-    def test_a_registration_that_never_commits_emits_until_the_give_up(self, handoff_fixture,
-                                                                      monkeypatch, overlap):
+    def test_a_registration_that_never_commits_emits_until_the_give_up(self, monkeypatch,
+                                                                      overlap):
         """Mobile IP with the HA at node 1: the registration's first hop 6 -> 5 never survives."""
-        topo, oracle = handoff_fixture
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=500.0, overlap=overlap, **BASE)
-        _script_losses(monkeypatch, lambda kind, src, dst: kind == "registration" and src == 6,
-                       handoff._MAX_RETRIES)
-        rep = simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
-        assert rep == heap_simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
+        _script_losses(monkeypatch, _first_hop_up_new("registration"), handoff._MAX_RETRIES)
+        rep = simulate_mip_handoff(SHAPE, cfg)
+        assert rep == heap_simulate_mip_handoff(SHAPE, cfg)
         assert rep.handoff_latency == math.inf
         assert rep.packets_emitted == 57
         assert rep.control_messages == handoff._MAX_RETRIES
@@ -252,43 +263,33 @@ class TestLossRecovery:
 
 class TestMonotonicity:
     def test_latency_monotone_in_graft_length(self):
-        edges = [(0, 1), (1, 2), (1, 3)] + [(i, i + 1) for i in range(3, 8)]
-        topo = make_topology("chain", 9, edges)
-        oracle = PathOracle(topo)
+        """Old one hop below the meet node, which is one below the CN; L = 1..6."""
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
-        for new in range(3, 9):  # L = 1..6, meet always node 1
-            rep = simulate_handoff(oracle, 0, 2, new, cfg)
-            assert rep.control_path_hops == new - 2
+        for graft in range(1, 7):
+            rep = simulate_handoff((1, 1, graft), cfg)
+            assert rep.control_path_hops == graft
             latencies.append(rep.handoff_latency)
         assert latencies == sorted(latencies)
 
     def test_mip_latency_monotone_in_b(self):
-        edges = [(0, 1), (1, 2)] + [(i, i + 1) for i in range(2, 8)]
-        topo = make_topology("chain", 9, edges)
-        oracle = PathOracle(topo)
+        """The HA one hop from the CN and from old; B = 2..7."""
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
-        for new in range(3, 9):  # B = 2..7 along the chain, old fixed at 2
-            rep = simulate_mip_handoff(oracle, 0, 1, 2, new, cfg)
-            assert rep.control_path_hops == new - 1
+        for b_new in range(2, 8):
+            rep = simulate_mip_handoff((1, 1, b_new), cfg)
+            assert rep.control_path_hops == b_new
             latencies.append(rep.handoff_latency)
         assert latencies == sorted(latencies)
 
 
 class TestMobileIp:
-    def _topo(self):
-        # cn 0-..-5 = ha; two 5-hop tunnels: old chain 6..10, new chain 11..15
-        edges = [(i, i + 1) for i in range(5)]
-        edges += [(5, 6)] + [(i, i + 1) for i in range(6, 10)]
-        edges += [(5, 11)] + [(i, i + 1) for i in range(11, 15)]
-        return make_topology("mip", 16, edges)
+    # cn 0-..-5 = ha; two 5-hop tunnels from the HA, to old 10 and to new 15
+    B5 = (5, 5, 5)
 
     def test_closed_form_b5(self):
-        topo = self._topo()
-        oracle = PathOracle(topo)
         cfg = HandoffConfig(**BASE)
-        rep = simulate_mip_handoff(oracle, 0, 5, 10, 15, cfg)
+        rep = simulate_mip_handoff(self.B5, cfg)
         # trigger 140; registration crosses its 5 hops by 190; the packet
         # emitted at 140 reaches the HA right then and lands at 240
         assert rep.trigger_ms == 140.0
@@ -297,11 +298,7 @@ class TestMobileIp:
         assert rep.packets_lost == 0  # make_before_break default
 
     def test_break_mode_loses_dead_window(self):
-        topo = self._topo()
-        oracle = PathOracle(topo)
-        rep = simulate_mip_handoff(
-            oracle, 0, 5, 10, 15, HandoffConfig(overlap="break_before_make", **BASE)
-        )
+        rep = simulate_mip_handoff(self.B5, HandoffConfig(overlap="break_before_make", **BASE))
         # emissions 2..6 were committed to the old tunnel and the MN had left
         assert rep.packets_lost == 5
         assert rep.packets_duplicated == 0
@@ -310,67 +307,50 @@ class TestMobileIp:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_every_strategy_runs_as_a_plain_registration(self, strategy, loss):
         """No strategy moves the trigger, copies the registration or sends it early."""
-        oracle = PathOracle(make_topology("y", 5, [(0, 1), (1, 2), (2, 3), (1, 4)]))
         cfg = HandoffConfig(advance_lead=200.0, message_loss_rate=loss, refresh_period=500.0,
                             seed=9, **BASE)
-        plain = simulate_mip_handoff(oracle, 0, 1, 3, 4, cfg)
+        plain = simulate_mip_handoff((1, 2, 1), cfg)
         assert plain.trigger_ms == 60.0
-        assert simulate_mip_handoff(oracle, 0, 1, 3, 4,
-                                    dataclasses.replace(cfg, strategy=strategy)) == plain
+        assert simulate_mip_handoff((1, 2, 1), dataclasses.replace(cfg, strategy=strategy)) == plain
 
     def test_new_location_is_home_agent(self):
-        topo = self._topo()
-        oracle = PathOracle(topo)
         cfg = HandoffConfig(**BASE)
-        rep = simulate_mip_handoff(oracle, 0, 5, 10, 5, cfg)
+        rep = simulate_mip_handoff((5, 5, 0), cfg)
         assert rep.control_path_hops == 0
         assert rep.handoff_latency <= cfg.packet_interval
 
 
 class TestDeterminism:
-    def test_same_seed_same_report(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_same_seed_same_report(self):
         cfg = HandoffConfig(message_loss_rate=0.3, seed=123, **BASE)
-        a = simulate_handoff(oracle, 0, 3, 6, cfg)
-        b = simulate_handoff(oracle, 0, 3, 6, cfg)
-        assert a == b
-
-    def test_reads_only_the_cn_vector(self, handoff_fixture):
-        """The sweep's warm oracle holds the CN's vector, so a simulation searches nothing."""
-        topo, oracle = handoff_fixture
-        simulate_handoff(oracle, 0, 3, 6, HandoffConfig(**BASE))
-        assert set(oracle._dist) == {0}
+        assert simulate_handoff(SHAPE, cfg) == simulate_handoff(SHAPE, cfg)
 
 
 class TestPreconditions:
-    def test_old_must_not_be_the_cn(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_old_must_not_be_the_cn(self):
         with pytest.raises(HandoffError, match="correspondent"):
-            simulate_handoff(oracle, 0, 0, 6, HandoffConfig(**BASE))
+            simulate_handoff((0, 0, 3), HandoffConfig(**BASE))
         with pytest.raises(HandoffError, match="correspondent"):
-            simulate_mip_handoff(oracle, 0, 1, 0, 6, HandoffConfig(**BASE))
+            simulate_mip_handoff((0, 0, 3), HandoffConfig(**BASE))
 
-    def test_rejects_same_location(self, handoff_fixture):
-        topo, oracle = handoff_fixture
+    def test_rejects_same_location(self):
         with pytest.raises(HandoffError, match="distinct"):
-            simulate_handoff(oracle, 0, 3, 3, HandoffConfig(**BASE))
+            simulate_handoff((3, 0, 0), HandoffConfig(**BASE))
         with pytest.raises(HandoffError, match="distinct"):
-            simulate_mip_handoff(oracle, 0, 1, 3, 3, HandoffConfig(**BASE))
+            simulate_mip_handoff((3, 0, 0), HandoffConfig(**BASE))
 
-    def test_reference_rejects_a_branch_that_repeats_a_node(self, handoff_fixture):
-        """The event-queue reference refuses a looped branch before its queue can grow."""
-        topo, oracle = handoff_fixture
-        tree = establish(oracle, 0, 3)
-        tree.branch = [3, 2, 1, 2, 1, 0]
-        with pytest.raises(HandoffError, match="repeats a node"):
-            heap_simulate_handoff(tree, 3, 6, HandoffConfig(**BASE))
+    def test_rejects_cn_target(self):
+        with pytest.raises(HandoffError, match="correspondent"):
+            simulate_handoff((0, 3, 0), HandoffConfig(**BASE))
+        with pytest.raises(HandoffError, match="correspondent"):
+            simulate_mip_handoff((0, 3, 0), HandoffConfig(**BASE))
 
-    def test_rejects_cn_target(self, handoff_fixture):
-        topo, oracle = handoff_fixture
-        with pytest.raises(HandoffError, match="correspondent"):
-            simulate_handoff(oracle, 0, 3, 0, HandoffConfig(**BASE))
-        with pytest.raises(HandoffError, match="correspondent"):
-            simulate_mip_handoff(oracle, 0, 1, 3, 0, HandoffConfig(**BASE))
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 2, 3, 4), (1, -2, 3), (1, 2.0, 3),
+                                       (True, 2, 3), [1, 2, 3], None])
+    def test_rejects_a_shape_that_is_not_three_hop_counts(self, shape):
+        for simulate in (simulate_handoff, simulate_mip_handoff):
+            with pytest.raises(HandoffError, match="three hop counts"):
+                simulate(shape, HandoffConfig(**BASE))
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.1, 0.3])
@@ -381,21 +361,16 @@ class TestPreconditions:
 def test_kernel_properties(strategy, overlap, loss, seed):
     """Delivery times, loss and duplicate accounting of both simulators on random graphs."""
     rng = random.Random(seed)
-    n = rng.randrange(4, 30)
-    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
-    oracle = PathOracle(topo)
-    adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
-    cn, ha = rng.randrange(n), rng.randrange(n)
-    nodes = [v for v in range(n) if v != cn]
-    old = rng.choice(nodes)
-    new = rng.choice([v for v in nodes if v != old])
+    oracle, cn, ha, old, new = _random_move(rng, 4, 30)
     cfg = HandoffConfig(
         strategy=strategy, overlap=overlap, message_loss_rate=loss,
         advance_lead=rng.choice([0.0, 40.0, 100.0]), refresh_period=500.0, seed=seed, **BASE,
     )
+    adj = oracle.topo.adj
     from_cn, from_ha = bfs_dist(adj, cn), bfs_dist(adj, ha)
-    mcast = simulate_handoff(oracle, cn, old, new, cfg)
-    mip = simulate_mip_handoff(oracle, cn, ha, old, new, cfg)
+    mcast_shape, mip_shape = _shapes(oracle, cn, ha, old, new)
+    mcast = simulate_handoff(mcast_shape, cfg)
+    mip = simulate_mip_handoff(mip_shape, cfg)
     for rep, hops in (
         (mcast, {"old": from_cn[old], "new": from_cn[new]}),
         (mip, {"old": from_cn[ha] + from_ha[old], "new": from_cn[ha] + from_ha[new]}),
@@ -411,8 +386,8 @@ def test_kernel_properties(strategy, overlap, loss, seed):
             assert rep.handoff_latency < math.inf
             if overlap == "make_before_break":
                 assert rep.packets_lost == 0
-    assert simulate_handoff(oracle, cn, old, new, cfg) == mcast
-    assert simulate_mip_handoff(oracle, cn, ha, old, new, cfg) == mip
+    assert simulate_handoff(mcast_shape, cfg) == mcast
+    assert simulate_mip_handoff(mip_shape, cfg) == mip
 
 
 def _ts50_r50_sweep(block):
@@ -441,8 +416,8 @@ def _deliveries_sha256(rows):
 def test_lossy_sweep_csv_is_pinned(tmp_path):
     """handoff.csv of a small lossy sweep, byte for byte.
 
-    Pins the seeded loss draws: one stream per (kind, link), seeded from
-    "seed:kind:src:dst" and consumed in the order that link is crossed. Each
+    Pins the seeded loss draws: one stream per (kind, leg, hop), seeded from
+    "seed:kind:leg:hop" and consumed in the order that link is crossed. Each
     data or registration hop draws once, and each join or prune hop draws
     once per copy until a copy survives.
     """
@@ -453,7 +428,7 @@ def test_lossy_sweep_csv_is_pinned(tmp_path):
     path = tmp_path / "handoff.csv"
     reporting.write_handoff(str(path), rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "644bd0c98a662a0511103a6172891c5680be8a4d932f7d11b07d97e3f475eb3e"
+        "d28fb6bdbcad540a7f59c5fd3a0ea21137b7afb1df3afa3b5019e4b650374430"
     )
 
 
@@ -468,90 +443,149 @@ def test_lossy_make_before_break_sweep_csv_is_pinned(tmp_path):
     path = tmp_path / "handoff.csv"
     reporting.write_handoff(str(path), rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f9ba69fa622b30e11636019a1e891d512205168fd69325c0e2240ef6408d533e"
+        "f9c28ae7a740c8310d023d20c85a71c8f61a23dbc4c19fe22fd3ed2f7849d7fa"
     )
     assert _deliveries_sha256(rows) == (
-        "de2fe1d94817e3d42b733b1fd037e0f0afe28b6449fd66c1b33f9a63c4c8eb9e"
+        "78107ebd824294fb8605506cfcb0ae628a0f4c3e51a4968f23a987d5cb31ef37"
     )
 
 
 def test_lossy_sweep_at_the_default_refresh_period_is_pinned(tmp_path):
     """The sweep at 5% loss and the default 60 s refresh period, log included.
 
-    A lost join or registration waits out a whole refresh period, so 37 rows
-    emit more than 100 packets (133,658 in all) and one gives up at 6,010.
+    A lost join or registration waits out a whole refresh period, so 43 rows
+    emit more than 100 packets (142,702 in all) and one gives up at 6,011.
     Most of those packets go out while no new arrival can start the tail.
     """
     rows = _ts50_r50_sweep(HandoffBlock(message_loss_rate=0.05))
     assert len(rows) == 476
     emitted = [row.report.packets_emitted for row in rows]
-    assert (sum(emitted), sum(e > 100 for e in emitted), max(emitted)) == (133_658, 37, 6_010)
+    assert (sum(emitted), sum(e > 100 for e in emitted), max(emitted)) == (142_702, 43, 6_011)
     path = tmp_path / "handoff.csv"
     reporting.write_handoff(str(path), rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "256bfe47f68d98fb603767ed90e2b52bf04b910d819e050bf3bbbda5fdf89982"
+        "4fb16ada88cdace4dbcce187bf50c3674b5cd0159709e9185855baf25f7e0626"
     )
     assert _deliveries_sha256(rows) == (
-        "d98f774fa908d38910b994f73d1c4a113103b96c3b3a9dfaa639eded94eb5a75"
+        "cc9be39bd1c1b0430f9f9ab16ad5c2642f7d01073b8f03dba433fbd323bbfff6"
     )
 
 
-def test_searches_only_from_the_cn_and_the_ha(monkeypatch):
-    """Mobile IP reads every path from the HA's vector; a sweep adds only the CN's."""
-    sources = set()
-    dist_from = PathOracle.dist_from
-
-    def counted(oracle, source):
-        sources.add(source)
-        return dist_from(oracle, source)
-
-    rng = random.Random(23)
-    topo = make_topology("g", 40, random_connected_edges(rng, 40, 30))
-    monkeypatch.setattr(PathOracle, "dist_from", counted)
-    oracle = PathOracle(topo)
-    for old, new in ((3, 17), (17, 29), (29, 3), (3, 11)):
-        simulate_mip_handoff(oracle, 5, 11, old, new, HandoffConfig(**BASE))
-    assert sources == {11}
-
-    monkeypatch.setattr(PathOracle, "dist_from", dist_from)
+def _small_sweep(loss):
+    """A config of one 50-node transit-stub topology, two runs of 21 moves, swept at `loss`."""
     spec = TopologySpec(name="ts50", topo_type="transit_stub",
                         generator=GeneratorParams("transit_stub", 50, 3.7, seed=3))
-    cfg = ScenarioConfig(topologies=(spec,), master_seed=7, seeds_per_scenario=2,
-                         moves_per_run=21, handoff=HandoffBlock(runs=2))
+    return ScenarioConfig(topologies=(spec,), master_seed=7, seeds_per_scenario=2,
+                          moves_per_run=21,
+                          handoff=HandoffBlock(message_loss_rate=loss, refresh_period=500.0,
+                                               runs=2))
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.05])
+def test_sweep_makes_no_path_oracle_query(monkeypatch, loss):
+    """Each move's hop triple comes off the run's samples: the sweep searches nothing."""
+    result = experiment.execute_scenario(_small_sweep(loss))
+
+    def query(*args, **kwargs):
+        raise AssertionError("the sweep queried a path oracle")
+
+    monkeypatch.setattr(PathOracle, "dist_from", query)
+    monkeypatch.setattr(PathOracle, "shortest_path", query)
+    rows = experiment.handoff_sweep(result)
+    assert len({row.report.control_path_hops for row in rows}) > 1
+
+
+def test_loss_streams_are_positional_and_draw_at_the_rate(monkeypatch):
+    """Under loss, each simulation seeds its streams from distinct `seed:kind:leg:hop` strings.
+
+    Every stream made by one simulation has its own seed string, which names
+    a link of that simulation's legs, so no two legs or kinds share draws.
+    Pooled over the sweep, the share of draws below the loss rate is within
+    4 binomial standard deviations of the rate.
+    """
+    cfg = _small_sweep(0.2)
     result = experiment.execute_scenario(cfg)
-    monkeypatch.setattr(PathOracle, "dist_from", counted)
-    for run in result.runs:
-        sources.clear()
-        rows = experiment._sweep_run(PathOracle(result.topologies["ts50"]), run, cfg.handoff,
-                                       {})
-        assert len({row.report.control_path_hops for row in rows}) > 1
-        assert sources == {run.cn, run.ha}
+    rate = cfg.handoff.message_loss_rate
+    sims, tally = [], [0, 0]  # per simulation: (shape, seed strings); draws, draws below rate
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            sims[-1][1].append(seed)
+            super().__init__(seed)
+
+        def random(self):
+            u = super().random()
+            tally[0] += 1
+            tally[1] += u < rate
+            return u
+
+    for name in ("simulate_handoff", "simulate_mip_handoff"):
+        def simulated(shape, hcfg, _real=getattr(experiment, name)):
+            sims.append((shape, []))
+            return _real(shape, hcfg)
+
+        monkeypatch.setattr(experiment, name, simulated)
+    monkeypatch.setattr(handoff, "random", SimpleNamespace(Random=Counted))
+    rows = experiment.handoff_sweep(result)
+    assert len(sims) == len(rows)
+    for shape, seeds in sims:
+        assert len(set(seeds)) == len(seeds), f"two streams of {shape} share a seed string"
+        legs = dict(zip(("above", "old", "new"), shape))
+        for seed in seeds:
+            _, kind, leg, hop = seed.split(":")
+            assert kind in ("data", "join", "prune", "registration")
+            assert 0 <= int(hop) < legs[leg]
+    draws, below = tally
+    assert draws > 10_000
+    assert abs(below - rate * draws) <= 4 * math.sqrt(draws * rate * (1 - rate))
 
 
 def _fresh_reports(oracle, run, block):
     """The sweep's reports of one run, each from its own reference call and real seed.
 
-    The tree is walked here, join then prune per move, as the run walks it,
-    and each move is simulated on it by `heap_handoff`, the event-queue
-    reference, which reads the tree and not the oracle's paths.
+    The tree is walked here, join then prune per move, as the run walks it.
+    Each move's multicast triple is read off that tree and the walk
+    `shortest_path` takes from new, its Mobile IP triple off `bfs_dist`, and
+    each is simulated by `heap_handoff`, the event-queue reference.
     """
     reports = []
     steps = run.trace.steps[:block.max_moves + 1]
-    tree = establish(oracle, run.cn, steps[0])
+    cn, adj = run.cn, oracle.topo.adj
+    from_ha = bfs_dist(adj, run.ha)
+    tree = establish(oracle, cn, steps[0])
     for i, (old, new) in enumerate(zip(steps, steps[1:]), start=1):
         if old == new:
             continue
+        walk = oracle.shortest_path(new, cn, stop=tree.nodes)
+        meet = tree.branch.index(walk[-1])
+        mcast = len(tree.branch) - 1 - meet, meet, len(walk) - 1
         for strategy in block.strategies:
             seed = stable_seed(run.record.child_seed, "handoff", i, strategy)
-            reports.append(heap_simulate_handoff(tree, old, new,
-                                                 block.handoff_config(strategy, seed)))
+            reports.append(heap_simulate_handoff(mcast, block.handoff_config(strategy, seed)))
         if block.include_mobile_ip:
             seed = stable_seed(run.record.child_seed, "handoff", i, "mobile_ip")
-            reports.append(heap_simulate_mip_handoff(oracle, run.cn, run.ha, old, new,
+            reports.append(heap_simulate_mip_handoff((from_ha[cn], from_ha[old], from_ha[new]),
                                                      block.handoff_config("plain_join", seed)))
         tree.join(new)
         tree.prune(old)
     return reports
+
+
+def _random_run(seed, n_max=20):
+    """A random graph's oracle and a run on it with a random trace (repeats included)."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, n_max)
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
+    oracle = PathOracle(topo)
+    cn, ha = rng.sample(range(n), 2)
+    steps = [rng.choice([v for v in range(n) if v != cn])]
+    for _ in range(rng.randrange(1, 12)):  # a repeat is a move that stays put
+        steps.append(rng.choice([steps[-1]] + [v for v in range(n) if v != cn]))
+    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=2, moves=1,
+                                seed=seed, run_index=0, endpoints=(cn, ha))
+    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)),
+                              samples=tuple(routing.run_scenario(oracle, cn, ha, steps)))
+    return oracle, run
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.1])
@@ -564,40 +598,14 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
     """No tree is handed to the simulator, yet every row is the walked tree's report.
 
     On a random graph and trace, each sweep row equals the event-queue
-    reference run on a tree walked join then prune, and the old branch and
-    graft walk that `simulate_handoff` reads off the oracle for each move are
-    those `establish` gives.
+    reference run on the hop triple of a tree walked join then prune, so the
+    sweep's reading of each triple off the run's samples is checked too.
     """
-    rng = random.Random(seed)
-    n = rng.randrange(3, 20)
-    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
-    oracle = PathOracle(topo)
-    cn, ha = rng.sample(range(n), 2)
-    steps = [rng.choice([v for v in range(n) if v != cn])]
-    for _ in range(rng.randrange(1, 12)):  # a repeat is a move that stays put
-        steps.append(rng.choice([steps[-1]] + [v for v in range(n) if v != cn]))
-    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=2, moves=1,
-                                seed=seed, run_index=0, endpoints=(cn, ha))
-    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)),
-                              samples=tuple(routing.run_scenario(oracle, cn, ha, steps)))
+    oracle, run = _random_run(seed)
     block = HandoffBlock(message_loss_rate=loss, refresh_period=500.0, strategies=tuple(strategies),
-                         overlap=overlap, advance_lead=lead, max_moves=len(steps))
-    rows = experiment._sweep_run(oracle, run, block, {})
+                         overlap=overlap, advance_lead=lead, max_moves=len(run.trace.steps))
+    rows = experiment._sweep_run(run, block, {})
     assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
-    shortest_path = oracle.shortest_path
-    for old, new in zip(steps, steps[1:]):
-        if old != new:
-            tree = establish(oracle, cn, old)
-            expected = [tree.branch, shortest_path(new, cn, stop=tree.nodes)]
-            walked = []
-
-            def recorded(*args, **kwargs):
-                walked.append(shortest_path(*args, **kwargs))
-                return walked[-1]
-
-            with mock.patch.object(oracle, "shortest_path", recorded):
-                simulate_handoff(oracle, cn, old, new, HandoffConfig())
-            assert walked == expected
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.1])
@@ -609,46 +617,15 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     On a random graph and trace (with repeats, ties at the meet node and
     moves along the old branch), the reference walks each move's old branch
     and graft walk and reads each distance from the oracle. The sweep reads
-    them off the run's samples and asks the oracle for no path outside its
-    simulations. Both architectures key a report by the hop triple (CN to
-    fork node, fork to old, fork to new) and the row's label, so a Mobile IP
-    row and a plain_join row of one triple stay apart.
+    them off the run's samples. Both architectures key a report by the hop
+    triple (CN to fork node, fork to old, fork to new) and the row's label,
+    so a Mobile IP row and a plain_join row of one triple stay apart.
     """
-    rng = random.Random(seed)
-    n = rng.randrange(3, 20)
-    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
-    oracle = PathOracle(topo)
-    cn, ha = rng.sample(range(n), 2)
-    steps = [rng.choice([v for v in range(n) if v != cn])]
-    for _ in range(rng.randrange(1, 12)):
-        steps.append(rng.choice([steps[-1]] + [v for v in range(n) if v != cn]))
-    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=2, moves=1,
-                                seed=seed, run_index=0, endpoints=(cn, ha))
-    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)),
-                              samples=tuple(routing.run_scenario(oracle, cn, ha, steps)))
+    oracle, run = _random_run(seed)
+    cn, ha, steps = run.cn, run.ha, run.trace.steps
     block = HandoffBlock(message_loss_rate=loss, max_moves=len(steps))
-    memo, simulating, outside = {}, [], []
-    shortest_path = oracle.shortest_path
-
-    def query(*args, **kwargs):
-        if not simulating:
-            outside.append(args)
-        return shortest_path(*args, **kwargs)
-
-    def inside(simulate):
-        def simulated(*args):
-            simulating.append(simulate)
-            try:
-                return simulate(*args)
-            finally:
-                simulating.pop()
-        return simulated
-
-    with mock.patch.object(oracle, "shortest_path", query), \
-            mock.patch.object(experiment, "simulate_handoff", inside(simulate_handoff)), \
-            mock.patch.object(experiment, "simulate_mip_handoff", inside(simulate_mip_handoff)):
-        rows = experiment._sweep_run(oracle, run, block, memo)
-    assert outside == []
+    memo = {}
+    rows = experiment._sweep_run(run, block, memo)
     from_ha = oracle.dist_from(ha)
     keys, graft_links, b_hops = [], [], []
     for i, (old, new) in enumerate(zip(steps, steps[1:]), start=1):
@@ -668,7 +645,7 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
     assert [row.graft_links for row in rows] == graft_links
     assert [row.b_hops for row in rows] == b_hops
     with pytest.raises(ValueError, match="samples for"):
-        experiment._sweep_run(oracle, dataclasses.replace(run, samples=run.samples[:-1]), block, {})
+        experiment._sweep_run(dataclasses.replace(run, samples=run.samples[:-1]), block, {})
 
 
 def test_sweep_keeps_a_mobile_ip_row_apart_from_a_multicast_row_of_its_triple():
@@ -686,11 +663,11 @@ def test_sweep_keeps_a_mobile_ip_row_apart_from_a_multicast_row_of_its_triple():
                               samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4))))
     memo = {}
     block = HandoffBlock(strategies=("plain_join",), max_moves=1)
-    mcast, mip = (row.report for row in experiment._sweep_run(oracle, run, block, memo))
+    mcast, mip = (row.report for row in experiment._sweep_run(run, block, memo))
     assert list(memo) == [((1, 2, 1), "plain_join", 0), ((1, 2, 1), "mobile_ip", 0)]
     assert mcast != mip
-    assert mcast == simulate_handoff(oracle, 0, 3, 4, block.handoff_config("plain_join", 0))
-    assert mip == simulate_mip_handoff(oracle, 0, 1, 3, 4, block.handoff_config("plain_join", 0))
+    assert mcast == simulate_handoff((1, 2, 1), block.handoff_config("plain_join", 0))
+    assert mip == simulate_mip_handoff((1, 2, 1), block.handoff_config("plain_join", 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -704,20 +681,19 @@ def test_multicast_equals_mobile_ip_with_the_home_agent_at_the_meet_node(seed, d
 
     A multicast handoff's legs fork at the meet node, and so do those of the
     Mobile IP handoff whose HA is that node: CN to fork, fork to old, fork
-    to new have the same hops. Without a prune, a packet that goes down both
-    legs after the commit is no longer at old when it arrives there, so
-    every report field, the delivery log included, is the same.
+    to new have the same hops, read here off a random graph. Without a
+    prune, a packet that goes down both legs after the commit is no longer
+    at old when it arrives there, so every report field, the delivery log
+    included, is the same.
     """
     rng = random.Random(seed)
-    n = rng.randrange(3, 30)
-    oracle = PathOracle(make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n))))
-    cn = rng.randrange(n)
-    old, new = rng.sample([v for v in range(n) if v != cn], 2)
+    oracle, cn, _, old, new = _random_move(rng, 3, 30)
     meet = oracle.shortest_path(new, cn, stop=oracle.shortest_path(old, cn))[-1]
+    mcast, mip = _shapes(oracle, cn, meet, old, new)
+    assert mcast == mip
     cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval,
                         overlap="break_before_make", refresh_period=refresh)
-    assert (simulate_handoff(oracle, cn, old, new, cfg)
-            == simulate_mip_handoff(oracle, cn, meet, old, new, cfg))
+    assert simulate_handoff(mcast, cfg) == simulate_mip_handoff(mip, cfg)
 
 
 @pytest.mark.parametrize("advance_lead", [0.0, 60.0])
@@ -764,7 +740,7 @@ def test_sweep_shares_one_simulation_between_mirror_image_ties(monkeypatch):
                               samples=tuple(routing.run_scenario(oracle, 0, 1, (2, 3, 2))))
     block = HandoffBlock(max_moves=2)
     monkeypatch.setattr(experiment, "simulate_handoff", counted)
-    rows = experiment._sweep_run(oracle, run, block, {})
+    rows = experiment._sweep_run(run, block, {})
     assert len(calls) == len(block.strategies)
     assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
     for step in (1, 2):
@@ -797,7 +773,7 @@ def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
                               samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4, 6, 4))))
     block = HandoffBlock(max_moves=3)
     monkeypatch.setattr(experiment, "simulate_handoff", counted)
-    rows = experiment._sweep_run(oracle, run, block, {})
+    rows = experiment._sweep_run(run, block, {})
     assert len(calls) == 2 * len(block.strategies)
     assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
 
@@ -813,36 +789,30 @@ def test_sweep_simulates_each_lossless_shape_once(monkeypatch, loss):
             return _real(*args)
 
         monkeypatch.setattr(experiment, name, counted)
-    spec = TopologySpec(name="ts50", topo_type="transit_stub",
-                        generator=GeneratorParams("transit_stub", 50, 3.7, seed=3))
-    cfg = ScenarioConfig(topologies=(spec,), master_seed=7, seeds_per_scenario=2,
-                         moves_per_run=21,
-                         handoff=HandoffBlock(message_loss_rate=loss, refresh_period=500.0, runs=2))
-    rows = experiment.handoff_sweep(experiment.execute_scenario(cfg))
+    rows = experiment.handoff_sweep(experiment.execute_scenario(_small_sweep(loss)))
     if loss:
         assert len(calls) == len(rows)
     else:
         assert len(calls) < len(rows)
 
 
-def test_lossless_kernel_draws_nothing(monkeypatch, handoff_fixture):
+def test_lossless_kernel_draws_nothing(monkeypatch):
     """At loss 0 no hop consults the RNG, so the seed cannot reach the report."""
     class NoDraws(random.Random):
         def random(self):
             raise AssertionError("a loss draw at rate 0")
 
     monkeypatch.setattr(handoff, "random", SimpleNamespace(Random=NoDraws))
-    topo, oracle = handoff_fixture
     for strategy in STRATEGIES:
         cfg = HandoffConfig(strategy=strategy, advance_lead=40.0, seed=3, **BASE)
-        assert simulate_handoff(oracle, 0, 3, 6, cfg) == simulate_handoff(
-            oracle, 0, 3, 6, dataclasses.replace(cfg, seed=4))
-        simulate_mip_handoff(oracle, 0, 1, 3, 6, cfg)
+        assert simulate_handoff(SHAPE, cfg) == simulate_handoff(
+            SHAPE, dataclasses.replace(cfg, seed=4))
+        simulate_mip_handoff(SHAPE, cfg)
 
 
-def _tie_chain():
-    """The chain 0-1-2-3-4 plus the link 1-5: old 4 is three hops below node 1, new 5 one."""
-    return PathOracle(make_topology("tie", 6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)]))
+# The chain 0-1-2-3-4 plus the link 1-5, cn 0: old 4 is three hops below node 1,
+# new 5 one. With the HA at node 1, Mobile IP has the same triple.
+TIE = (1, 3, 1)
 
 
 @pytest.mark.parametrize("interval, first, second, out_of_order, duplicates, emitted", [
@@ -860,9 +830,7 @@ def test_same_instant_deliveries_come_out_in_closed_form_order(interval, first, 
     earlier, and past the CN each step is the previous emission); the packet
     whose ancestor is earlier is delivered first.
     """
-    oracle = _tie_chain()
-    rep = simulate_handoff(oracle, 0, 4, 5,
-                           HandoffConfig(per_hop_delay=10.0, packet_interval=interval))
+    rep = simulate_handoff(TIE, HandoffConfig(per_hop_delay=10.0, packet_interval=interval))
     log = list(rep.deliveries)
     assert log.index(first) + 1 == log.index(second)
     if interval == 20.0:
@@ -879,17 +847,14 @@ def test_same_instant_deliveries_come_out_in_closed_form_order(interval, first, 
 ])
 def test_mobile_ip_same_instant_deliveries_come_out_in_closed_form_order(interval, first, second):
     """The Mobile IP tunnels of the chain above, with cn 0 and the HA at node 1."""
-    rep = simulate_mip_handoff(_tie_chain(), 0, 1, 4, 5,
-                               HandoffConfig(per_hop_delay=10.0, packet_interval=interval))
+    rep = simulate_mip_handoff(TIE, HandoffConfig(per_hop_delay=10.0, packet_interval=interval))
     log = list(rep.deliveries)
     assert log.index(first) + 1 == log.index(second)
     assert rep.out_of_order == 1
 
 
-@pytest.mark.parametrize("simulate", [
-    lambda oracle, cfg: simulate_handoff(oracle, 0, 4, 5, cfg),
-    lambda oracle, cfg: simulate_mip_handoff(oracle, 0, 1, 4, 5, cfg),
-], ids=["multicast", "mobile_ip"])
+@pytest.mark.parametrize("simulate", [simulate_handoff, simulate_mip_handoff],
+                         ids=["multicast", "mobile_ip"])
 def test_same_instant_order_does_not_follow_float_rounding(simulate):
     """The chain's d = 10, I = 5 timeline scaled to d = 2.2, I = 1.1 keeps its order.
 
@@ -898,8 +863,7 @@ def test_same_instant_order_does_not_follow_float_rounding(simulate):
     decided by the closed rule alone, so the log lists the same packets
     through the same locations and every counter is the same.
     """
-    oracle = _tie_chain()
-    exact, scaled = (simulate(oracle, HandoffConfig(per_hop_delay=d, packet_interval=i))
+    exact, scaled = (simulate(TIE, HandoffConfig(per_hop_delay=d, packet_interval=i))
                      for d, i in ((10.0, 5.0), (2.2, 1.1)))
     assert [(seq, via) for seq, _, via in scaled.deliveries] == [
         (seq, via) for seq, _, via in exact.deliveries]
@@ -919,18 +883,9 @@ def test_same_instant_order_does_not_follow_float_rounding(simulate):
        interval=st.sampled_from([0.3, 3.3, 5.0, 7.5, 10.0, 20.0]))
 def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refresh, delay, interval):
     """Every report of both simulators equals the event-queue reference's, log included."""
-    rng = random.Random(seed)
-    n = rng.randrange(3, 16)
-    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(n)))
-    oracle = PathOracle(topo)
-    cn, ha = rng.randrange(n), rng.randrange(n)
-    nodes = [v for v in range(n) if v != cn]
-    old = rng.choice(nodes)
-    new = rng.choice([v for v in nodes if v != old])
+    mcast, mip = _shapes(*_random_move(random.Random(seed), 3, 16))
     cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval, message_loss_rate=loss,
                         strategy=strategy, advance_lead=lead, overlap=overlap,
                         refresh_period=refresh, seed=seed)
-    assert (simulate_handoff(oracle, cn, old, new, cfg)
-            == heap_simulate_handoff(establish(oracle, cn, old), old, new, cfg))
-    assert (simulate_mip_handoff(oracle, cn, ha, old, new, cfg)
-            == heap_simulate_mip_handoff(oracle, cn, ha, old, new, cfg))
+    assert simulate_handoff(mcast, cfg) == heap_simulate_handoff(mcast, cfg)
+    assert simulate_mip_handoff(mip, cfg) == heap_simulate_mip_handoff(mip, cfg)

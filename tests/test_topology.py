@@ -18,7 +18,7 @@ from mcastmob.topology import (
     load_edge_list,
 )
 
-from conftest import bfs_dist, edges_of, make_topology, random_connected_edges
+from conftest import bfs_dist, cluster_blocks, edges_of, make_topology, random_connected_edges
 
 
 class TestLoadEdgeList:
@@ -147,6 +147,33 @@ PINNED_EDGES = [
 ]
 
 
+_EDGE_LINE = st.one_of(
+    st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map("{0[0]} {0[1]}".format),
+    st.text(max_size=12),
+)
+_CHAIN_LINES = st.integers(2, 9).flatmap(lambda n: st.permutations(range(n))).map(
+    lambda order: [f"{u} {v}" for u, v in zip(order, order[1:])])
+# free text, free lines, and a connected chain with a few free lines after it
+_EDGE_LIST_TEXT = st.one_of(
+    st.text(),
+    st.lists(_EDGE_LINE, max_size=20).map("\n".join),
+    st.tuples(_CHAIN_LINES, st.lists(_EDGE_LINE, max_size=3)).map(
+        lambda parts: "\n".join(parts[0] + parts[1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_EDGE_LIST_TEXT)
+def test_any_edge_list_text_loads_or_raises_topology_error(text):
+    """Whatever the text, `load_edge_list` returns a connected topology or raises TopologyError."""
+    try:
+        topo = load_edge_list(text)
+    except TopologyError:
+        return
+    assert isinstance(topo, Topology)
+    assert topo.n >= 2 and topo.edge_count >= topo.n - 1
+
+
 class TestGenerate:
     @pytest.mark.parametrize("params,digest", PINNED_EDGES)
     def test_edge_sets_are_pinned(self, params, digest):
@@ -170,26 +197,35 @@ class TestGenerate:
         assert edges_of(a) != edges_of(b)
 
     def test_transit_stub_ts100(self):
-        topo = generate(GeneratorParams("transit_stub", 100, 3.7, seed=4), name="ts100")
+        params = GeneratorParams("transit_stub", 100, 3.7, seed=4)
+        topo = generate(params, name="ts100")
         assert abs(topo.avg_degree - 3.7) <= 0.15 * 3.7
-        assert topo.clusters
+        blocks = cluster_blocks(params)
         # clusters are contiguous id blocks covering everything past the core
-        stops = [b[1] for b in topo.clusters]
-        starts = [b[0] for b in topo.clusters]
+        stops = [b[1] for b in blocks]
+        starts = [b[0] for b in blocks]
         assert stops[-1] == topo.n
         assert starts[1:] == stops[:-1]
+        # stub i has an uplink to transit node i % core, the core being ids below the first stub
+        core = starts[0]
+        for i, (lo, hi) in enumerate(blocks):
+            assert any(i % core in topo.adj[u] for u in range(lo, hi)), (lo, hi)
 
     def test_transit_stub_clusters_internally_connected(self):
-        topo = generate(GeneratorParams("transit_stub", 120, 3.7, seed=5))
-        for lo, hi in topo.clusters:
+        params = GeneratorParams("transit_stub", 120, 3.7, seed=5)
+        topo = generate(params)
+        for lo, hi in cluster_blocks(params):
             inside = set(range(lo, hi))
             adj = {u: [v for v in topo.adj[u] if v in inside] for u in inside}
             assert len(bfs_dist(adj, lo)) == hi - lo
 
     def test_tiers_like_near_tree(self):
-        topo = generate(GeneratorParams("tiers_like", 1000, 2.81, seed=6), name="ti1000")
+        params = GeneratorParams("tiers_like", 1000, 2.81, seed=6)
+        topo = generate(params, name="ti1000")
         assert abs(topo.avg_degree - 2.81) <= 0.15 * 2.81
-        assert topo.clusters
+        # every cluster is a LAN-style star around its first id
+        for lo, hi in cluster_blocks(params):
+            assert all(lo in topo.adj[j] for j in range(lo + 1, hi)), (lo, hi)
 
     def test_infeasible_degree(self):
         with pytest.raises(GenerationError):
