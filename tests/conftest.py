@@ -9,7 +9,6 @@ Test topologies are built from their edge lists by `load_edge_list`.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from itertools import accumulate
 

@@ -6,7 +6,6 @@ session-scoped and shared across criteria.
 """
 
 import json
-import math
 import random
 from pathlib import Path
 from statistics import fmean, pstdev
@@ -17,8 +16,7 @@ from mcastmob import config as config_mod
 from mcastmob import experiment, metrics
 from mcastmob.cli import EXIT_OK, main
 from mcastmob.handoff import HandoffConfig, simulate_handoff, simulate_mip_handoff
-from mcastmob.movement import MovementModel, generate_trace
-from mcastmob.routing import establish, run_scenario
+from mcastmob.routing import establish
 from mcastmob.topology import PathOracle
 
 from conftest import bfs_dist, group_rows, make_topology, random_connected_edges, validate_tree

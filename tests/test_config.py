@@ -1,5 +1,6 @@
 """Scenario configuration parsing and validation."""
 
+import hashlib
 import json
 
 import pytest
@@ -48,6 +49,18 @@ def test_canonical_json_is_stable():
     cfg = from_json(MINIMAL)
     assert cfg.canonical_json() == from_json(MINIMAL).canonical_json()
     assert cfg.sha256() == from_json(MINIMAL).sha256()
+
+
+def test_reference_suite_json_with_a_default_handoff_block_is_pinned():
+    """The handoff block's JSON keys and defaults, byte for byte.
+
+    A report's `config_sha256` is this digest, so a change to how the block
+    is declared must not move it.
+    """
+    text = reference_suite_config(handoff=HandoffBlock()).canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d9e881896597b9456431b02e7d11f0dbac6c70132854caea989ab99bd83e58ea"
+    )
 
 
 @pytest.mark.parametrize(

@@ -326,6 +326,22 @@ class TestDeterminism:
         assert simulate_handoff(SHAPE, cfg) == simulate_handoff(SHAPE, cfg)
 
 
+WIRE = ("per_hop_delay", "packet_interval", "message_loss_rate", "advance_lead", "overlap",
+        "refresh_period")
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_block_simulates_as_the_config_of_its_wire(strategy, loss):
+    """A sweep block and a config with the same six wire fields give the same reports."""
+    block = HandoffBlock(per_hop_delay=7.5, packet_interval=5.0, message_loss_rate=loss,
+                         advance_lead=40.0, overlap="break_before_make", refresh_period=500.0)
+    wire = {name: getattr(block, name) for name in WIRE}
+    for simulate in (simulate_handoff, simulate_mip_handoff):
+        assert simulate(SHAPE, block.handoff_config(strategy, 9)) == simulate(
+            SHAPE, HandoffConfig(strategy=strategy, seed=9, **wire))
+
+
 class TestPreconditions:
     def test_old_must_not_be_the_cn(self):
         with pytest.raises(HandoffError, match="correspondent"):

@@ -1,6 +1,8 @@
-"""Package hygiene: each module uses what it imports, and the public names resolve."""
+"""Package hygiene: each module and test module uses what it imports, the package
+imports nothing outside the standard library, and the public names resolve."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import mcastmob
 
 MODULES = sorted(Path(mcastmob.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -26,10 +29,30 @@ def _unused_imports(tree):
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda path: path.stem if path in MODULES else f"tests/{path.stem}")
 def test_every_import_is_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _unused_imports(tree) == []
+    assert _unused_imports(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_imports_only_the_standard_library(path):
+    """Every module the package imports is in the standard library or the package itself."""
+    allowed = sys.stdlib_module_names | {mcastmob.__name__}
+    outside = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []  # a relative import is the package's
+        else:
+            continue
+        outside += [name for name in names if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_every_exported_name_resolves():
