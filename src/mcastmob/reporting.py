@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import sys
 from html import escape
 
 from .metrics import REFERENCE, group_stats
@@ -157,7 +158,8 @@ def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
     plot_w, plot_h = width - left - right, height - top - bottom
     numbers = [v for v in values.values() if v is not None]
     numbers.extend(v for _, v in references)
-    ymax = max(numbers, default=1.0) * 1.15 or 1.0
+    # headroom above the tallest bar, which must not overflow a finite maximum to inf
+    ymax = min(max(numbers, default=1.0) * 1.15, sys.float_info.max) or 1.0
 
     def y(v):
         return top + plot_h - (v / ymax) * plot_h

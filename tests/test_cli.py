@@ -10,10 +10,14 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
+from decimal import Decimal
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcastmob import config, experiment
 from mcastmob.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
@@ -450,6 +454,72 @@ def test_plot_reads_quoted_cells(workdir):
         assert ">a,b</text>" in quoted
         # the same bars as the unquoted type: no cell shifted into the next column
         assert quoted.replace(">a,b</text>", ">ab</text>") == svg.read_text()
+
+
+# a coordinate or length attribute, and the number that ends an axis tick or reference label
+_SVG_NUMBERS = re.compile(r'\b(?:x|y|x1|y1|x2|y2|width|height)="([^"]*)"'
+                          r'|text-anchor="end"[^>]*>(?:[^<]* )?([^< ]*)</text>')
+
+
+def _assert_svg_numbers_finite(plots):
+    for svg in plots.iterdir():
+        numbers = [a or b for a, b in _SVG_NUMBERS.findall(svg.read_text())]
+        assert numbers and all(Decimal(n.rstrip("%")).is_finite() for n in numbers), svg.name
+
+
+def test_plot_draws_the_largest_finite_cell_with_finite_numbers(workdir):
+    """A total of 1.7e308 is finite and >= 0, so it is drawn: its axis must not overflow."""
+    header = AGGREGATE_HEADER + BAD_ROW.format(mean_r=2.5, b_over_l=1.2, total_ab=1.7e308)
+    assert _plot_rows(workdir, "huge", header) == EXIT_OK
+    _assert_svg_numbers_finite(workdir / "huge" / "plots")
+
+
+_NUMBERS = st.one_of(  # cells that read as a number >= 0 or as empty
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.just(""),
+)
+_GARBAGE = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "1e309", "x", '"1,5"']),
+    st.text(alphabet='0123456789.e-+,"naif x', max_size=6),
+)
+
+
+@st.composite
+def _aggregate_texts(draw):
+    """aggregate.csv text: the real header, perhaps less one column, then rows of number cells.
+
+    A row may hold one garbage cell, or one cell too few or too many.
+    """
+    columns = AGGREGATE_HEADER.strip().split(",")
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        columns.remove(draw(st.sampled_from(columns)))
+    rows = [",".join(columns)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        cells = [draw(st.sampled_from(["ts", "r", "a<b", ""])),
+                 draw(st.sampled_from(["random", "neighbor", "cluster"]))]
+        cells += [draw(_NUMBERS) for _ in columns[2:]]
+        if draw(st.booleans()):
+            cells[draw(st.integers(min_value=2, max_value=len(cells) - 1))] = draw(_GARBAGE)
+        ragged = draw(st.sampled_from([0, 0, 0, -1, 1]))
+        cells = cells[:-1] if ragged < 0 else cells + ["1"] * ragged
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_aggregate_texts())
+def test_plot_of_any_aggregate_text_exits_2_or_draws_finite_numbers(text):
+    """`plot` either exits 2 and writes no SVG, or exits 0 and every SVG number is finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "aggregate.csv").write_text(text)
+        code = main(["plot", "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert not (out / "plots").exists()
+        else:
+            _assert_svg_numbers_finite(out / "plots")
 
 
 def test_env_var_output_dir(workdir, monkeypatch):
