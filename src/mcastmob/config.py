@@ -56,15 +56,13 @@ class TopologySpec:
 
 
 @dataclass(frozen=True)
-class HandoffBlock:
-    """Handoff sweep settings; strategy is swept, everything else is shared."""
+class HandoffBlock(HandoffConfig):
+    """Handoff sweep settings: the wire every handoff shares, and what the sweep covers.
 
-    per_hop_delay: float = 10.0
-    packet_interval: float = 20.0
-    message_loss_rate: float = 0.0
-    advance_lead: float = 100.0
-    overlap: str = "make_before_break"
-    refresh_period: float = 60_000.0
+    The block is itself the simulators' config: the sweep passes it with
+    each row's strategy and seed.
+    """
+
     strategies: tuple[str, ...] = STRATEGIES
     include_mobile_ip: bool = True
     max_moves: int = 20
@@ -81,22 +79,9 @@ class HandoffBlock:
         if len(set(self.strategies)) != len(self.strategies):  # each row would repeat
             raise ConfigError(f"handoff strategies must be unique, not {list(self.strategies)}")
         try:
-            self.handoff_config("plain_join", 0)
+            super().__post_init__()
         except HandoffError as exc:
             raise ConfigError(f"handoff block: {exc}") from exc
-
-    def handoff_config(self, strategy, seed) -> HandoffConfig:
-        """The simulator settings of one handoff: the shared wire fields plus its own."""
-        return HandoffConfig(
-            per_hop_delay=self.per_hop_delay,
-            packet_interval=self.packet_interval,
-            message_loss_rate=self.message_loss_rate,
-            strategy=strategy,
-            advance_lead=self.advance_lead,
-            overlap=self.overlap,
-            refresh_period=self.refresh_period,
-            seed=seed,
-        )
 
 
 @dataclass(frozen=True)

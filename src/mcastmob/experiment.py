@@ -197,13 +197,13 @@ def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:
     no path and asks no path oracle anything.
 
     A report is a function of its hop triple (CN to fork node, fork to old,
-    fork to new), its config and its seed, and depends on the seed only when
-    there is loss. So the sweep simulates each (triple, label, seed) once,
-    the label being the row's strategy or "mobile_ip", and rows of one key
-    share the report. The triple is (C - meet, meet, L) for multicast, meet
-    being the meet node's index on the old branch, and (A, B old, B new)
-    for Mobile IP. At loss > 0 each row's own seed is in the key, so every
-    row is simulated.
+    fork to new), the block's wire, its strategy and its seed, and depends on
+    the seed only when there is loss. So the sweep simulates each (triple,
+    label, seed) once, the label being the row's strategy or "mobile_ip",
+    and rows of one key share the report. The triple is (C - meet, meet, L)
+    for multicast, meet being the meet node's index on the old branch, and
+    (A, B old, B new) for Mobile IP. At loss > 0 each row's own seed is in
+    the key, so every row is simulated.
     """
     block = result.config.handoff
     if block is None:
@@ -220,24 +220,23 @@ def _sweep_run(run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
     Hop triples and B hops come from `run.samples`, which must be its trace's.
-    `memo` maps (triple, label, seed) to a report of this sweep under `block`;
-    see `handoff_sweep`.
+    Each simulator takes `block` itself as its wire, with the row's seed and,
+    for multicast, its strategy. `memo` maps (triple, label, seed) to a
+    report of this sweep under `block`; see `handoff_sweep`.
     """
     rec = run.record
     where = (rec.topology, rec.model, rec.run_index)
     steps, samples = run.trace.steps, run.samples
     if len(samples) != len(steps):
         raise ValueError(f"run {where} has {len(samples)} samples for {len(steps)} steps")
-    configs = {s: block.handoff_config(s, 0) for s in {*block.strategies, "plain_join"}}
     rows = []
 
-    def simulated(simulate, triple, strategy, i, label):
+    def simulated(simulate, triple, i, label, *strategy):
         # without loss the seed is inert (no draw is made), so it leaves the key
         seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
         rep = memo.get((triple, label, seed))
         if rep is None:
-            cfg = block.handoff_config(strategy, seed) if seed else configs[strategy]
-            rep = memo[triple, label, seed] = simulate(triple, cfg)
+            rep = memo[triple, label, seed] = simulate(triple, block, *strategy, seed=seed)
         return rep
 
     for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
@@ -248,11 +247,11 @@ def _sweep_run(run: RunResult, block, memo) -> list[HandoffRow]:
         graft, b_hops, meet = after.added_links, after.b_hops, after.removed_links
         triple = before.c_hops - meet, meet, graft
         for strategy in block.strategies:
-            rep = simulated(simulate_handoff, triple, strategy, i, strategy)
+            rep = simulated(simulate_handoff, triple, i, strategy, strategy)
             rows.append(HandoffRow(*where, i, strategy, graft, b_hops, rep))
         if block.include_mobile_ip:
             triple = after.a_hops, before.b_hops, b_hops
-            rep = simulated(simulate_mip_handoff, triple, "plain_join", i, "mobile_ip")
+            rep = simulated(simulate_mip_handoff, triple, i, "mobile_ip")
             # the multicast graft length, for comparison
             rows.append(HandoffRow(*where, i, "mobile_ip", graft, b_hops, rep))
     return rows

@@ -25,7 +25,7 @@ import math
 import operator
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, repeat
 
@@ -43,22 +43,20 @@ class HandoffError(Exception):
 
 @dataclass(frozen=True)
 class HandoffConfig:
-    """Wire-level knobs for one handoff simulation. Times are milliseconds.
+    """The wire every handoff of a sweep runs on. Times are milliseconds.
 
-    `seed` seeds one loss stream per (kind, leg, hop), see `_loss_stream`,
-    so a report is a function of its hop triple, this config and the seed.
-    At message_loss_rate 0 no stream is made, so the seed cannot change the
-    report.
+    Every strategy and both architectures share it; only the strategy and
+    the loss seed differ from one simulation to the next, and the
+    simulators take those as arguments. `advance_lead` is how long before
+    the trigger an advance_join sends its join.
     """
 
     per_hop_delay: float = 10.0
     packet_interval: float = 20.0
     message_loss_rate: float = 0.0
-    strategy: str = "plain_join"
-    advance_lead: float = 0.0
+    advance_lead: float = 100.0
     overlap: str = "make_before_break"
     refresh_period: float = 60_000.0
-    seed: int = 0
 
     def __post_init__(self):
         if not all(0 < t < math.inf for t in (self.per_hop_delay, self.packet_interval,
@@ -66,8 +64,6 @@ class HandoffConfig:
             raise HandoffError("delays, intervals and refresh period must be positive and finite")
         if not (0.0 <= self.message_loss_rate < 1.0):
             raise HandoffError("message_loss_rate must be in [0, 1)")
-        if self.strategy not in STRATEGIES:
-            raise HandoffError(f"unknown strategy {self.strategy!r}")
         if self.overlap not in OVERLAP_MODES:
             raise HandoffError(f"unknown overlap mode {self.overlap!r}")
         if not (0 <= self.advance_lead < math.inf):
@@ -81,10 +77,8 @@ class HandoffReport:
     trigger_ms is the relocation trigger. handoff_latency is the time from it
     to the first packet delivered through the new attachment point, which
     arrives at trigger_ms + handoff_latency (inf when none arrives within the
-    simulated window). control_path_hops is the new leg's length: the graft
-    length L for multicast, the registration distance B for Mobile IP.
-    deliveries logs every packet handed to the mobile as (seq, time_ms,
-    "old"/"new"), duplicates included.
+    simulated window). deliveries logs every packet handed to the mobile as
+    (seq, time_ms, "old"/"new"), duplicates included.
     """
 
     trigger_ms: float
@@ -93,7 +87,6 @@ class HandoffReport:
     packets_duplicated: int
     out_of_order: int
     control_messages: int
-    control_path_hops: int
     packets_emitted: int
     packets_delivered: int
     deliveries: tuple[tuple[int, float, str], ...]
@@ -119,24 +112,24 @@ class _Pass:
     then on a packet at F goes down the new leg too, or instead under
     `redirect` (Mobile IP). `emit` sends batches whose crossings of a link
     follow their sequence numbers, so they draw what single packets would.
-    The pass owns the per-link loss streams, the control relay and the
-    delivery log. At loss 0 nothing draws.
+    The pass owns the per-link loss streams, seeded from `seed`, the control
+    relay and the delivery log. At loss 0 nothing draws.
 
     Two packets that meet at one instant (two deliveries, or a delivery and
     an emission) go earlier-emitted first iff per_hop_delay >= packet_interval;
     a packet's two copies at one instant go old first.
     """
 
-    def __init__(self, cfg: HandoffConfig, shape, redirect):
-        self.cfg, self.redirect = cfg, redirect
+    def __init__(self, cfg: HandoffConfig, shape, redirect, strategy, seed):
+        self.cfg, self.redirect, self.seed = cfg, redirect, seed
         self.legs = dict(zip(("above", "old", "new"), shape))
-        self.lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
+        self.lead = cfg.advance_lead if strategy == "advance_join" else 0.0
         # relocate on an emission boundary once the pipeline to the old location is full,
         # and no earlier than `lead`: the control message leaves `lead` before it
         interval, warm_hops = cfg.packet_interval, shape[0] + shape[1]
         self.t0 = max((math.floor(warm_hops * cfg.per_hop_delay / interval) + 2) * interval,
                       math.ceil(self.lead / interval) * interval)
-        self.copies = 3 if cfg.strategy == "triple_join" else 1  # copies sent per control hop
+        self.copies = 3 if strategy == "triple_join" else 1  # copies sent per control hop
         self.committed = math.inf  # when the control message commits at F
         self.earlier_first = cfg.per_hop_delay >= interval
         self.streams = {}  # (kind, leg, hop) -> that link's loss stream
@@ -147,7 +140,7 @@ class _Pass:
 
     def stream(self, *key):
         streams = self.streams
-        return streams.get(key) or streams.setdefault(key, _loss_stream(self.cfg.seed, *key))
+        return streams.get(key) or streams.setdefault(key, _loss_stream(self.seed, *key))
 
     def lost(self, kind, leg, hop, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
@@ -265,14 +258,13 @@ class _Pass:
             packets_duplicated=len(log) - len(delivered),
             out_of_order=late,
             control_messages=self.control,
-            control_path_hops=self.legs["new"],
             packets_emitted=emitted,
             packets_delivered=len(delivered),
             deliveries=tuple(log),
         )
 
 
-def _handoff(cfg, shape, kind, redirect) -> HandoffReport:
+def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
     """One handoff over its three legs (see `_Pass`), started by a `kind` control message.
 
     `shape` is the legs' hop counts (above, old, new): three ints >= 0, with
@@ -289,7 +281,9 @@ def _handoff(cfg, shape, kind, redirect) -> HandoffReport:
         raise HandoffError("the mobile cannot be at the correspondent node")
     if not old + new:
         raise HandoffError("handoff requires distinct old and new locations")
-    p = _Pass(cfg, shape, redirect)
+    if strategy not in STRATEGIES:
+        raise HandoffError(f"unknown strategy {strategy!r}")
+    p = _Pass(cfg, shape, redirect, strategy, seed)
     p.committed = p.relay(kind, "new", p.t0 - p.lead)
     first_new = p.emit()
     if not redirect:
@@ -300,7 +294,7 @@ def _handoff(cfg, shape, kind, redirect) -> HandoffReport:
     return p.report()
 
 
-def simulate_handoff(shape, cfg) -> HandoffReport:
+def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport:
     """Simulate one multicast handoff of hop triple `shape`: (CN to meet node, meet node to old, L).
 
     Between moves the delivery tree is the shortest path from old to the CN
@@ -311,22 +305,22 @@ def simulate_handoff(shape, cfg) -> HandoffReport:
     delivery through new starts the prune; once it commits at the meet
     node, no node from there down to old forwards.
 
-    The report is a function of the shape, `cfg` and its seed: no node id
-    or path is read. `experiment.handoff_sweep` reads each move's shape off
-    the run's samples.
+    `strategy` is one of STRATEGIES, and `seed` seeds the loss streams (see
+    `_loss_stream`). The report is a function of the shape, the wire `cfg`,
+    the strategy and the seed, and no node id or path is read:
+    `experiment.handoff_sweep` reads each move's shape off the run's samples.
     """
-    return _handoff(cfg, shape, "join", False)
+    return _handoff(cfg, shape, "join", False, strategy, seed)
 
 
-def simulate_mip_handoff(shape, cfg) -> HandoffReport:
+def simulate_mip_handoff(shape, cfg, seed=0) -> HandoffReport:
     """Mobile IP baseline of hop triple `shape`: (A, B old, B new), registration new -> HA.
 
     Packets always travel the A links CN -> HA, then down the tunnel to
     whichever location is registered when they reach the HA: the new one
     iff they get there at or after the registration commits. Registration
-    has no copies and cannot precede arrival, so every strategy runs as
-    plain_join.
+    has no copies and cannot precede arrival, so Mobile IP takes no
+    strategy: the report is a function of the shape, the wire `cfg` and
+    `seed`.
     """
-    if cfg.strategy != "plain_join":
-        cfg = replace(cfg, strategy="plain_join")
-    return _handoff(cfg, shape, "registration", True)
+    return _handoff(cfg, shape, "registration", True, "plain_join", seed)

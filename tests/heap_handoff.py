@@ -12,13 +12,13 @@ three legs out as nodes named (leg, index), the fork node being the last
 node of "above", and forwards packets over that small tree. A link is
 (leg, hop), hop counted from the leg's upper end. It shares only the
 loss-stream seeding, `HandoffConfig` and `HandoffReport` with the package,
-so a test that finds both giving equal reports checks the pass against an
-independent event loop.
+and takes the same arguments: the triple, the wire, the strategy
+(multicast only) and the seed. So a test that finds both giving equal
+reports checks the pass against an independent event loop.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 
@@ -44,11 +44,12 @@ class _Kernel:
     Scheduled callables are called as fn(t, *args).
 
     Without loss (rate 0) no hop makes a draw, so the seed is inert and the
-    report is a function of the legs and the config.
+    report is a function of the legs, the config and the strategy.
     """
 
-    def __init__(self, cfg: HandoffConfig, t0, copies):
+    def __init__(self, cfg: HandoffConfig, seed, t0, copies):
         self.cfg = cfg
+        self.seed = seed
         self.t0 = t0
         self.copies = copies  # copies sent per control hop
         self.streams = {}  # (kind, leg, hop) -> that link's loss stream
@@ -79,7 +80,7 @@ class _Kernel:
             return False
         rng = self.streams.get((kind, *link))
         if rng is None:
-            rng = self.streams[kind, *link] = _loss_stream(self.cfg.seed, kind, *link)
+            rng = self.streams[kind, *link] = _loss_stream(self.seed, kind, *link)
         return all(rng.random() < rate for _ in range(copies))
 
     def hop(self, t, seq, link, fn, *args):
@@ -135,7 +136,7 @@ class _Kernel:
         if t + interval <= deadline:
             self.push(t + interval, _DATA, self.rank(seq + 1), self._emit, seq + 1, launch)
 
-    def run(self, launch, control_path_hops) -> HandoffReport:
+    def run(self, launch) -> HandoffReport:
         self.push(0.0, _DATA, self.rank(0), self._emit, 0, launch)
         heap = self.heap
         while heap:
@@ -149,18 +150,17 @@ class _Kernel:
             packets_duplicated=self.duplicates,
             out_of_order=self.out_of_order,
             control_messages=self.control,
-            control_path_hops=control_path_hops,
             packets_emitted=self.emitted,
             packets_delivered=len(self.delivered),
             deliveries=tuple(self.log),
         )
 
 
-def _trigger_time(cfg, warm_hops):
+def _trigger_time(cfg, warm_hops, lead):
     # relocate on an emission boundary once the pipeline to the old location is full
     t0 = (math.floor(warm_hops * cfg.per_hop_delay / cfg.packet_interval) + 2) * cfg.packet_interval
-    if cfg.strategy == "advance_join" and cfg.advance_lead > 0:
-        t0 = max(t0, math.ceil(cfg.advance_lead / cfg.packet_interval) * cfg.packet_interval)
+    if lead > 0:
+        t0 = max(t0, math.ceil(lead / cfg.packet_interval) * cfg.packet_interval)
     return t0
 
 
@@ -181,7 +181,7 @@ def _links(nodes, leg):
     return [(up, down, (leg, hop)) for hop, (up, down) in enumerate(zip(nodes, nodes[1:]))]
 
 
-def simulate_handoff(shape, cfg) -> HandoffReport:
+def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport:
     """Simulate the multicast handoff of hop triple (CN to meet node, meet node to old, L).
 
     Packets follow a forwarding map that starts as the old branch, CN to
@@ -195,8 +195,9 @@ def simulate_handoff(shape, cfg) -> HandoffReport:
     fwd = {}  # node -> [(child, link)], in forwarding order
     for up, child, link in _links(legs["above"], "above") + _links(legs["old"], "old"):
         fwd.setdefault(up, []).append((child, link))
-    k = _Kernel(cfg, _trigger_time(cfg, shape[0] + shape[1]),
-                3 if cfg.strategy == "triple_join" else 1)
+    lead = cfg.advance_lead if strategy == "advance_join" else 0.0
+    k = _Kernel(cfg, seed, _trigger_time(cfg, shape[0] + shape[1], lead),
+                3 if strategy == "triple_join" else 1)
 
     def arrive(t, node, seq):
         # the old side is gated by attachment alone: with make_before_break the
@@ -222,25 +223,22 @@ def simulate_handoff(shape, cfg) -> HandoffReport:
     up_new = [link for _, _, link in reversed(_links(legs["new"], "new"))]
     if cfg.overlap == "make_before_break":
         k.on_first_new = lambda t: k.push(t, _CONTROL, 0, k.relay, "prune", up_old, pruned)
-    lead = cfg.advance_lead if cfg.strategy == "advance_join" else 0.0
     k.push(k.t0 - lead, _CONTROL, 0, k.relay, "join", up_new, grafted)
-    return k.run(lambda t, seq: arrive(t, cn, seq), shape[2])
+    return k.run(lambda t, seq: arrive(t, cn, seq))
 
 
-def simulate_mip_handoff(shape, cfg) -> HandoffReport:
+def simulate_mip_handoff(shape, cfg, seed=0) -> HandoffReport:
     """Mobile IP baseline of hop triple (A, B old, B new): registration new -> HA.
 
     Packets always travel the A links CN -> HA, then down the tunnel to
-    whichever location is registered when they reach the HA. Every strategy
-    runs as plain_join: registration has no copies and cannot precede
-    arrival.
+    whichever location is registered when they reach the HA. It takes no
+    strategy: registration has no copies and cannot precede arrival.
     """
-    cfg = dataclasses.replace(cfg, strategy="plain_join")
     a, b_old, b_new = shape
     path_a = [("above", hop) for hop in range(a)]
     tunnels = {"old": [("old", hop) for hop in range(b_old)],
                "new": [("new", hop) for hop in range(b_new)]}
-    k = _Kernel(cfg, _trigger_time(cfg, a + b_old), 1)
+    k = _Kernel(cfg, seed, _trigger_time(cfg, a + b_old, 0.0), 1)
     registered = False
 
     def along(t, links, idx, seq, via):
@@ -257,4 +255,4 @@ def simulate_mip_handoff(shape, cfg) -> HandoffReport:
         registered = True
 
     k.push(k.t0, _CONTROL, 0, k.relay, "registration", tunnels["new"][::-1], registered_at)
-    return k.run(lambda t, seq: along(t, path_a, 0, seq, None), b_new)
+    return k.run(lambda t, seq: along(t, path_a, 0, seq, None))

@@ -181,15 +181,13 @@ def test_criterion_09_handoff_simulator_properties():
         walk = oracle.shortest_path(new, cn, stop=branch)
         meet = branch.index(walk[-1])
         shape = (len(branch) - 1 - meet, meet, len(walk) - 1)
-        rep = simulate_handoff(
-            shape, HandoffConfig(overlap="make_before_break", seed=trial, **base)
-        )
+        rep = simulate_handoff(shape, HandoffConfig(overlap="make_before_break", **base),
+                               seed=trial)
         assert rep.packets_lost == 0, (trial, rep)
         # (b) an advance join with lead >= the graft round trip hides the handoff
-        lead = 2 * rep.control_path_hops * base["per_hop_delay"]
-        adv = simulate_handoff(
-            shape, HandoffConfig(strategy="advance_join", advance_lead=lead, seed=trial, **base)
-        )
+        lead = 2 * shape[2] * base["per_hop_delay"]
+        adv = simulate_handoff(shape, HandoffConfig(advance_lead=lead, **base), "advance_join",
+                               seed=trial)
         assert adv.packets_lost == 0
         assert adv.handoff_latency <= adv.trigger_ms and adv.handoff_latency <= 20.0
 

@@ -75,7 +75,7 @@ class TestConfigValidation:
             dict(per_hop_delay=0),
             dict(packet_interval=-1),
             dict(message_loss_rate=1.0),
-            dict(strategy="hope"),
+            dict(refresh_period=math.inf),
             dict(overlap="sideways"),
             dict(advance_lead=-5),
             dict(refresh_period=0),
@@ -100,13 +100,10 @@ class TestBreakBeforeMake:
         assert rep.packets_duplicated == 0
         assert rep.out_of_order == 0
         assert rep.control_messages == 3
-        assert rep.control_path_hops == 3
 
     def test_triple_join_triples_control_traffic(self):
-        plain = simulate_handoff(SHAPE, HandoffConfig(overlap="break_before_make", **BASE))
-        triple = simulate_handoff(
-            SHAPE, HandoffConfig(overlap="break_before_make", strategy="triple_join", **BASE)
-        )
+        cfg = HandoffConfig(overlap="break_before_make", **BASE)
+        plain, triple = (simulate_handoff(SHAPE, cfg, s) for s in ("plain_join", "triple_join"))
         assert triple.control_messages == 3 * plain.control_messages
         assert triple.handoff_latency == plain.handoff_latency
 
@@ -155,9 +152,8 @@ class TestMakeBeforeBreak:
         for trial in range(40):
             oracle, cn, ha, old, new = _random_move(rng, 6, 30)
             mcast, _ = _shapes(oracle, cn, ha, old, new)
-            rep = simulate_handoff(
-                mcast, HandoffConfig(overlap="make_before_break", seed=trial, **BASE)
-            )
+            rep = simulate_handoff(mcast, HandoffConfig(overlap="make_before_break", **BASE),
+                                   seed=trial)
             assert rep.packets_lost == 0
             assert rep.handoff_latency < math.inf
 
@@ -165,16 +161,15 @@ class TestMakeBeforeBreak:
 class TestAdvanceJoin:
     def test_sufficient_lead_zero_loss(self):
         # graft round trip is 2L*d = 60; lead 80 also clears L+depth = 7 hops
-        cfg = HandoffConfig(strategy="advance_join", advance_lead=80.0, **BASE)
-        rep = simulate_handoff(SHAPE, cfg)
+        cfg = HandoffConfig(advance_lead=80.0, **BASE)
+        rep = simulate_handoff(SHAPE, cfg, "advance_join")
         assert rep.trigger_ms == 80.0
         assert rep.packets_lost == 0
         assert rep.handoff_latency <= cfg.packet_interval
         assert rep.handoff_latency == 0.0  # packets were waiting at the new BS
 
     def test_insufficient_lead_still_delivers(self):
-        cfg = HandoffConfig(strategy="advance_join", advance_lead=10.0, **BASE)
-        rep = simulate_handoff(SHAPE, cfg)
+        rep = simulate_handoff(SHAPE, HandoffConfig(advance_lead=10.0, **BASE), "advance_join")
         assert rep.packets_lost == 0  # make_before_break still covers the gap
         assert rep.handoff_latency > 0.0
 
@@ -184,7 +179,6 @@ class TestNoGraftNeeded:
         """Old 3 to new 2 on the branch 0-1-2-3: new is the meet node, L = 0."""
         cfg = HandoffConfig(**BASE)
         rep = simulate_handoff((2, 1, 0), cfg)
-        assert rep.control_path_hops == 0
         assert rep.handoff_latency <= cfg.packet_interval
         assert rep.packets_lost == 0
 
@@ -267,9 +261,7 @@ class TestMonotonicity:
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
         for graft in range(1, 7):
-            rep = simulate_handoff((1, 1, graft), cfg)
-            assert rep.control_path_hops == graft
-            latencies.append(rep.handoff_latency)
+            latencies.append(simulate_handoff((1, 1, graft), cfg).handoff_latency)
         assert latencies == sorted(latencies)
 
     def test_mip_latency_monotone_in_b(self):
@@ -277,9 +269,7 @@ class TestMonotonicity:
         cfg = HandoffConfig(overlap="break_before_make", **BASE)
         latencies = []
         for b_new in range(2, 8):
-            rep = simulate_mip_handoff((1, 1, b_new), cfg)
-            assert rep.control_path_hops == b_new
-            latencies.append(rep.handoff_latency)
+            latencies.append(simulate_mip_handoff((1, 1, b_new), cfg).handoff_latency)
         assert latencies == sorted(latencies)
 
 
@@ -306,28 +296,30 @@ class TestMobileIp:
     @pytest.mark.parametrize("loss", [0.0, 0.3])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_every_strategy_runs_as_a_plain_registration(self, strategy, loss):
-        """No strategy moves the trigger, copies the registration or sends it early."""
-        cfg = HandoffConfig(advance_lead=200.0, message_loss_rate=loss, refresh_period=500.0,
-                            seed=9, **BASE)
-        plain = simulate_mip_handoff((1, 2, 1), cfg)
-        assert plain.trigger_ms == 60.0
-        assert simulate_mip_handoff((1, 2, 1), dataclasses.replace(cfg, strategy=strategy)) == plain
+        """A sweep's Mobile IP row is the same whichever strategy the block sweeps.
+
+        Mobile IP takes no strategy, so none moves the trigger, copies the
+        registration or sends it early: the row is the plain registration of
+        its triple under the block's wire and the row's seed.
+        """
+        run = _y_run()
+        block = HandoffBlock(advance_lead=200.0, message_loss_rate=loss, refresh_period=500.0,
+                             strategies=(strategy,), max_moves=1, **BASE)
+        *_, mip = experiment._sweep_run(run, block, {})
+        seed = stable_seed(run.record.child_seed, "handoff", 1, "mobile_ip") if loss else 0
+        assert mip.report == simulate_mip_handoff((1, 2, 1), block, seed=seed)
+        assert mip.report.trigger_ms == 60.0
 
     def test_new_location_is_home_agent(self):
         cfg = HandoffConfig(**BASE)
         rep = simulate_mip_handoff((5, 5, 0), cfg)
-        assert rep.control_path_hops == 0
         assert rep.handoff_latency <= cfg.packet_interval
 
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
-        cfg = HandoffConfig(message_loss_rate=0.3, seed=123, **BASE)
-        assert simulate_handoff(SHAPE, cfg) == simulate_handoff(SHAPE, cfg)
-
-
-WIRE = ("per_hop_delay", "packet_interval", "message_loss_rate", "advance_lead", "overlap",
-        "refresh_period")
+        cfg = HandoffConfig(message_loss_rate=0.3, **BASE)
+        assert simulate_handoff(SHAPE, cfg, seed=123) == simulate_handoff(SHAPE, cfg, seed=123)
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.3])
@@ -336,10 +328,21 @@ def test_a_block_simulates_as_the_config_of_its_wire(strategy, loss):
     """A sweep block and a config with the same six wire fields give the same reports."""
     block = HandoffBlock(per_hop_delay=7.5, packet_interval=5.0, message_loss_rate=loss,
                          advance_lead=40.0, overlap="break_before_make", refresh_period=500.0)
-    wire = {name: getattr(block, name) for name in WIRE}
-    for simulate in (simulate_handoff, simulate_mip_handoff):
-        assert simulate(SHAPE, block.handoff_config(strategy, 9)) == simulate(
-            SHAPE, HandoffConfig(strategy=strategy, seed=9, **wire))
+    wire = HandoffConfig(**{f.name: getattr(block, f.name)
+                            for f in dataclasses.fields(HandoffConfig)})
+    assert simulate_handoff(SHAPE, block, strategy, seed=9) == simulate_handoff(
+        SHAPE, wire, strategy, seed=9)
+    assert simulate_mip_handoff(SHAPE, block, seed=9) == simulate_mip_handoff(SHAPE, wire, seed=9)
+
+
+def test_the_wire_has_one_default_lead():
+    """The simulators' default wire is the sweep block's: one advance_lead, 100 ms."""
+    assert HandoffConfig().advance_lead == HandoffBlock().advance_lead == 100.0
+
+
+def test_an_unknown_strategy_argument_is_rejected():
+    with pytest.raises(HandoffError, match="unknown strategy 'hope'"):
+        simulate_handoff(SHAPE, HandoffConfig(**BASE), "hope")
 
 
 class TestPreconditions:
@@ -379,14 +382,14 @@ def test_kernel_properties(strategy, overlap, loss, seed):
     rng = random.Random(seed)
     oracle, cn, ha, old, new = _random_move(rng, 4, 30)
     cfg = HandoffConfig(
-        strategy=strategy, overlap=overlap, message_loss_rate=loss,
-        advance_lead=rng.choice([0.0, 40.0, 100.0]), refresh_period=500.0, seed=seed, **BASE,
+        overlap=overlap, message_loss_rate=loss, advance_lead=rng.choice([0.0, 40.0, 100.0]),
+        refresh_period=500.0, **BASE,
     )
     adj = oracle.topo.adj
     from_cn, from_ha = bfs_dist(adj, cn), bfs_dist(adj, ha)
     mcast_shape, mip_shape = _shapes(oracle, cn, ha, old, new)
-    mcast = simulate_handoff(mcast_shape, cfg)
-    mip = simulate_mip_handoff(mip_shape, cfg)
+    mcast = simulate_handoff(mcast_shape, cfg, strategy, seed)
+    mip = simulate_mip_handoff(mip_shape, cfg, seed)
     for rep, hops in (
         (mcast, {"old": from_cn[old], "new": from_cn[new]}),
         (mip, {"old": from_cn[ha] + from_ha[old], "new": from_cn[ha] + from_ha[new]}),
@@ -402,8 +405,8 @@ def test_kernel_properties(strategy, overlap, loss, seed):
             assert rep.handoff_latency < math.inf
             if overlap == "make_before_break":
                 assert rep.packets_lost == 0
-    assert simulate_handoff(mcast_shape, cfg) == mcast
-    assert simulate_mip_handoff(mip_shape, cfg) == mip
+    assert simulate_handoff(mcast_shape, cfg, strategy, seed) == mcast
+    assert simulate_mip_handoff(mip_shape, cfg, seed) == mip
 
 
 def _ts50_r50_sweep(block):
@@ -508,7 +511,7 @@ def test_sweep_makes_no_path_oracle_query(monkeypatch, loss):
     monkeypatch.setattr(PathOracle, "dist_from", query)
     monkeypatch.setattr(PathOracle, "shortest_path", query)
     rows = experiment.handoff_sweep(result)
-    assert len({row.report.control_path_hops for row in rows}) > 1
+    assert len({row.graft_links for row in rows}) > 1
 
 
 def test_loss_streams_are_positional_and_draw_at_the_rate(monkeypatch):
@@ -536,9 +539,9 @@ def test_loss_streams_are_positional_and_draw_at_the_rate(monkeypatch):
             return u
 
     for name in ("simulate_handoff", "simulate_mip_handoff"):
-        def simulated(shape, hcfg, _real=getattr(experiment, name)):
+        def simulated(shape, *args, _real=getattr(experiment, name), **kwargs):
             sims.append((shape, []))
-            return _real(shape, hcfg)
+            return _real(shape, *args, **kwargs)
 
         monkeypatch.setattr(experiment, name, simulated)
     monkeypatch.setattr(handoff, "random", SimpleNamespace(Random=Counted))
@@ -577,11 +580,11 @@ def _fresh_reports(oracle, run, block):
         mcast = len(tree.branch) - 1 - meet, meet, len(walk) - 1
         for strategy in block.strategies:
             seed = stable_seed(run.record.child_seed, "handoff", i, strategy)
-            reports.append(heap_simulate_handoff(mcast, block.handoff_config(strategy, seed)))
+            reports.append(heap_simulate_handoff(mcast, block, strategy, seed))
         if block.include_mobile_ip:
             seed = stable_seed(run.record.child_seed, "handoff", i, "mobile_ip")
             reports.append(heap_simulate_mip_handoff((from_ha[cn], from_ha[old], from_ha[new]),
-                                                     block.handoff_config("plain_join", seed)))
+                                                     block, seed))
         tree.join(new)
         tree.prune(old)
     return reports
@@ -664,6 +667,19 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
         experiment._sweep_run(dataclasses.replace(run, samples=run.samples[:-1]), block, {})
 
 
+def _y_run():
+    """cn 0 above node 1, the HA, which forks to old 3 (through 2) and to new 4: move 3 -> 4.
+
+    Both architectures' hop triples are (1, 2, 1).
+    """
+    topo = make_topology("y", 5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    oracle = PathOracle(topo)
+    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=1,
+                                seed=5, run_index=0, endpoints=(0, 1))
+    return dataclasses.replace(run, trace=MovementTrace((3, 4)),
+                               samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4))))
+
+
 def test_sweep_keeps_a_mobile_ip_row_apart_from_a_multicast_row_of_its_triple():
     """With the HA at the meet node, both rows of move 3 -> 4 have the hop triple (1, 2, 1).
 
@@ -671,19 +687,13 @@ def test_sweep_keeps_a_mobile_ip_row_apart_from_a_multicast_row_of_its_triple():
     packets go down both legs, so the two reports differ and the memo keeps
     both under their labels.
     """
-    topo = make_topology("y", 5, [(0, 1), (1, 2), (2, 3), (1, 4)])
-    oracle = PathOracle(topo)
-    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=1,
-                                seed=5, run_index=0, endpoints=(0, 1))
-    run = dataclasses.replace(run, trace=MovementTrace((3, 4)),
-                              samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4))))
     memo = {}
     block = HandoffBlock(strategies=("plain_join",), max_moves=1)
-    mcast, mip = (row.report for row in experiment._sweep_run(run, block, memo))
+    mcast, mip = (row.report for row in experiment._sweep_run(_y_run(), block, memo))
     assert list(memo) == [((1, 2, 1), "plain_join", 0), ((1, 2, 1), "mobile_ip", 0)]
     assert mcast != mip
-    assert mcast == simulate_handoff((1, 2, 1), block.handoff_config("plain_join", 0))
-    assert mip == simulate_mip_handoff((1, 2, 1), block.handoff_config("plain_join", 0))
+    assert mcast == simulate_handoff((1, 2, 1), block)
+    assert mip == simulate_mip_handoff((1, 2, 1), block)
 
 
 @settings(max_examples=150, deadline=None)
@@ -744,9 +754,9 @@ def test_sweep_shares_one_simulation_between_mirror_image_ties(monkeypatch):
     calls = []
     real = experiment.simulate_handoff
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     topo = make_topology("fork", 4, [(0, 1), (1, 2), (1, 3)])
     oracle = PathOracle(topo)
@@ -777,9 +787,9 @@ def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
     calls = []
     real = experiment.simulate_handoff
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     topo = make_topology("fork", 7, [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (5, 6)])
     oracle = PathOracle(topo)
@@ -800,9 +810,9 @@ def test_sweep_simulates_each_lossless_shape_once(monkeypatch, loss):
     for name in ("simulate_handoff", "simulate_mip_handoff"):
         real = getattr(experiment, name)
 
-        def counted(*args, _real=real):
+        def counted(*args, _real=real, **kwargs):
             calls.append(args)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(experiment, name, counted)
     rows = experiment.handoff_sweep(experiment.execute_scenario(_small_sweep(loss)))
@@ -819,11 +829,11 @@ def test_lossless_kernel_draws_nothing(monkeypatch):
             raise AssertionError("a loss draw at rate 0")
 
     monkeypatch.setattr(handoff, "random", SimpleNamespace(Random=NoDraws))
+    cfg = HandoffConfig(advance_lead=40.0, **BASE)
     for strategy in STRATEGIES:
-        cfg = HandoffConfig(strategy=strategy, advance_lead=40.0, seed=3, **BASE)
-        assert simulate_handoff(SHAPE, cfg) == simulate_handoff(
-            SHAPE, dataclasses.replace(cfg, seed=4))
-        simulate_mip_handoff(SHAPE, cfg)
+        assert simulate_handoff(SHAPE, cfg, strategy, seed=3) == simulate_handoff(
+            SHAPE, cfg, strategy, seed=4)
+    simulate_mip_handoff(SHAPE, cfg, seed=3)
 
 
 # The chain 0-1-2-3-4 plus the link 1-5, cn 0: old 4 is three hops below node 1,
@@ -901,7 +911,7 @@ def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refres
     """Every report of both simulators equals the event-queue reference's, log included."""
     mcast, mip = _shapes(*_random_move(random.Random(seed), 3, 16))
     cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval, message_loss_rate=loss,
-                        strategy=strategy, advance_lead=lead, overlap=overlap,
-                        refresh_period=refresh, seed=seed)
-    assert simulate_handoff(mcast, cfg) == heap_simulate_handoff(mcast, cfg)
-    assert simulate_mip_handoff(mip, cfg) == heap_simulate_mip_handoff(mip, cfg)
+                        advance_lead=lead, overlap=overlap, refresh_period=refresh)
+    assert simulate_handoff(mcast, cfg, strategy, seed) == heap_simulate_handoff(
+        mcast, cfg, strategy, seed)
+    assert simulate_mip_handoff(mip, cfg, seed) == heap_simulate_mip_handoff(mip, cfg, seed)
