@@ -1,9 +1,10 @@
 """Command-line front end: run scenarios, handoff sweeps, plots, replays.
 
-Exit codes: 0 success, 2 configuration problems, 3 topology load/generation
-failures, 4 failed runs in `run`, `handoff` or `replay`: internal invariant
-violations or movement traces that cannot continue (the offending run's
-child seed is printed for replay).
+Exit codes: 0 success, also when stdout is closed before the summary is
+printed (every report file is written first), 2 configuration problems, 3
+topology load/generation failures, 4 failed runs in `run`, `handoff` or
+`replay`: internal invariant violations or movement traces that cannot
+continue (the offending run's child seed is printed for replay).
 """
 
 from __future__ import annotations
@@ -171,7 +172,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # stdout closed early, say by `| head -1`: the reports are written
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the rest goes nowhere, and the exit flush passes
+        os.close(devnull)
+        return EXIT_OK
     except _CliError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -16,25 +16,25 @@ apply before same-instant data forwarding. A control hop that loses all its
 copies is re-sent one refresh period later, which is how soft state recovers
 a lost join. There is no event queue: each control message is relayed first
 to get its commit time, and each packet's fate then follows from the fixed
-delays, those commit times and its loss draws.
+delays, those commit times and its loss draws. Times are exact integer
+ticks (see `HandoffConfig`), so no float rounding orders two events.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress, repeat
+from operator import itemgetter
 
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
 
 _MAX_RETRIES = 25  # stop re-sending a control hop after this many losses
 _TAIL_INTERVALS = 3  # emissions kept flowing after the first delivery via new
-_GIVE_UP_REFRESH = 2.0  # abort window (in refresh periods) when the graft never completes
+_GIVE_UP_REFRESH = 2  # abort window (in refresh periods) when the graft never completes
 
 
 class HandoffError(Exception):
@@ -49,6 +49,11 @@ class HandoffConfig:
     the loss seed differ from one simulation to the next, and the
     simulators take those as arguments. `advance_lead` is how long before
     the trigger an advance_join sends its join.
+
+    `_ticks`, not a field, is (D, per_hop_delay, packet_interval,
+    refresh_period, advance_lead), the four as whole ticks of 1/D ms: a
+    float is a binary fraction, so the largest of their denominators D
+    divides each of the others.
     """
 
     per_hop_delay: float = 10.0
@@ -68,9 +73,13 @@ class HandoffConfig:
             raise HandoffError(f"unknown overlap mode {self.overlap!r}")
         if not (0 <= self.advance_lead < math.inf):
             raise HandoffError("advance_lead must be >= 0 and finite")
+        ratios = [t.as_integer_ratio() for t in (self.per_hop_delay, self.packet_interval,
+                                                 self.refresh_period, self.advance_lead)]
+        unit = max(den for _, den in ratios)
+        object.__setattr__(self, "_ticks", (unit, *(num * (unit // den) for num, den in ratios)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs more, once per simulation
 class HandoffReport:
     """Outcome of one simulated handoff.
 
@@ -103,195 +112,158 @@ def _loss_stream(seed, kind, leg, hop):
     return random.Random(f"{seed}:{kind}:{leg}:{hop}")
 
 
-class _Pass:
+def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
     """One handoff of either architecture, as a pass over the packets in emission order.
 
-    The handoff is three legs of `legs` hops: packets go from the CN down
-    "above" to the fork node F (the meet node, or the HA), then down "old".
-    The control message walks "new" up and commits at F at `committed`; from
-    then on a packet at F goes down the new leg too, or instead under
-    `redirect` (Mobile IP). `emit` sends batches whose crossings of a link
-    follow their sequence numbers, so they draw what single packets would.
-    The pass owns the per-link loss streams, seeded from `seed`, the control
-    relay and the delivery log. At loss 0 nothing draws.
+    `shape` is the legs' hop counts (above, old, new): packets go from the
+    CN down "above" to the fork node F (the meet node, or the HA), then down
+    "old". The `kind` control message walks "new" up and commits at F at
+    `committed`; from then on a packet at F goes down the new leg too, or
+    instead under `redirect` (Mobile IP). Without `redirect`, under
+    make_before_break, the first delivery through new starts the prune.
 
-    Two packets that meet at one instant (two deliveries, or a delivery and
-    an emission) go earlier-emitted first iff per_hop_delay >= packet_interval;
-    a packet's two copies at one instant go old first.
-    """
-
-    def __init__(self, cfg: HandoffConfig, shape, redirect, strategy, seed):
-        self.cfg, self.redirect, self.seed = cfg, redirect, seed
-        self.legs = dict(zip(("above", "old", "new"), shape))
-        self.lead = cfg.advance_lead if strategy == "advance_join" else 0.0
-        # relocate on an emission boundary once the pipeline to the old location is full,
-        # and no earlier than `lead`: the control message leaves `lead` before it
-        interval, warm_hops = cfg.packet_interval, shape[0] + shape[1]
-        self.t0 = max((math.floor(warm_hops * cfg.per_hop_delay / interval) + 2) * interval,
-                      math.ceil(self.lead / interval) * interval)
-        self.copies = 3 if strategy == "triple_join" else 1  # copies sent per control hop
-        self.committed = math.inf  # when the control message commits at F
-        self.earlier_first = cfg.per_hop_delay >= interval
-        self.streams = {}  # (kind, leg, hop) -> that link's loss stream
-        self.control = 0
-        self.times: list[float] = []  # emission time of each packet
-        self.at_fork = [], []  # (seqs, times) of the packets at F, kept unless redirecting
-        self.arrivals = {"old": [], "new": []}  # (seq, time, via) in sequence order
-
-    def stream(self, *key):
-        streams = self.streams
-        return streams.get(key) or streams.setdefault(key, _loss_stream(self.seed, *key))
-
-    def lost(self, kind, leg, hop, copies=1):
-        """True when every copy of a hop is lost; one draw per copy until one survives."""
-        rate = self.cfg.message_loss_rate
-        if not rate:
-            return False
-        dropped = self.stream(kind, leg, hop).random() < rate
-        return dropped and (copies == 1 or self.lost(kind, leg, hop, copies - 1))
-
-    def relay(self, kind, leg, t):
-        """When control message `kind`, sent up `leg` from its end at t, commits at F (inf: never).
-
-        A hop sends `copies` messages, re-sent a refresh period later while all are lost.
-        """
-        for hop in reversed(range(self.legs[leg])):
-            for _ in range(_MAX_RETRIES):
-                self.control += self.copies
-                if not self.lost(kind, leg, hop, self.copies):
-                    break
-                t += self.cfg.refresh_period
-            else:
-                return math.inf
-            t += self.cfg.per_hop_delay
-        return t
-
-    def down(self, leg, seqs, times, stop=math.inf):
-        """The survivors of the batch (seqs, times) at the top of `leg`, and their times at its end.
-
-        It crosses one link at a time, each link's stream drawing once per packet.
-        A packet at a node at or after `stop` goes no further (times rise with seq).
-        """
-        d, rate = self.cfg.per_hop_delay, self.cfg.message_loss_rate
-        for hop in range(self.legs[leg]):
-            if times and times[-1] >= stop:
-                cut = bisect_left(times, stop)
-                seqs, times = seqs[:cut], times[:cut]
-            if rate and seqs:
-                draw = self.stream("data", leg, hop).random
-                kept = [draw() >= rate for _ in seqs]
-                seqs, times = list(compress(seqs, kept)), compress(times, kept)
-            times = [t + d for t in times]
-        return seqs, times
-
-    def arrive(self, via, seqs, times):
-        """The batch (seqs, times) reached location "old" or "new"."""
-        if via == "new" or self.cfg.overlap != "make_before_break":
-            cut = bisect_left(times, self.t0)  # the mobile is at old before t0, at new from it
-            seqs, times = (seqs[cut:], times[cut:]) if via == "new" else (seqs[:cut], times[:cut])
-        self.arrivals[via] += zip(seqs, times, repeat(via))
-
-    def launch(self, seqs, times):
-        """The batch (seqs, times) leaves the CN."""
-        seqs, times = self.down("above", seqs, times)
-        cut = bisect_left(times, self.committed)  # from here on, packets take the new leg
-        if self.redirect:
-            self.arrive("old", *self.down("old", seqs[:cut], times[:cut]))
-        else:
-            self.at_fork[0].extend(seqs)
-            self.at_fork[1].extend(times)
-        self.arrive("new", *self.down("new", seqs[cut:], times[cut:]))
-
-    def emit(self):
-        """Emit packets every interval until the deadline; the first new arrival time, or None.
-
-        No packet arrives through new before t0 or the commit carried down the
-        new leg, so each emission up to the earlier of that and the give-up
-        deadline, plus the tail, happens: one batch. Each later one waits for
-        those before it until a first new arrival fixes the rest: one batch.
-        """
-        interval, times, new = self.cfg.packet_interval, self.times, self.arrivals["new"]
-        give_up = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period
-        hops = repeat(self.cfg.per_hop_delay, self.legs["new"])
-        earliest = max(self.t0, reduce(operator.add, hops, self.committed))
-        sure = min(earliest, give_up) + _TAIL_INTERVALS * interval  # the earliest deadline
-        sent, t = 0, 0.0  # packets launched, last emission
-        while True:
-            times.append(t)
-            while t + interval <= sure:
-                t += interval
-                times.append(t)
-            if not new:  # this emission's deadline waits on the packets so far
-                self.launch(range(sent, len(times)), times[sent:])
-                sent = len(times)
-            # the tail starts once the first delivery through new has happened
-            first = new[0][1] if new else math.inf
-            known = first < t or first == t and self.earlier_first
-            if not t + interval <= (first if known else give_up) + _TAIL_INTERVALS * interval:
-                break
-            t += interval
-        if sent < len(times):
-            self.launch(range(sent, len(times)), times[sent:])
-        return new[0][1] if new else None
-
-    def report(self) -> HandoffReport:
-        old, new = self.arrivals["old"], self.arrivals["new"]
-        log = sorted(old + new, key=operator.itemgetter(1))  # stable: old first at one instant
-        earlier_first = self.earlier_first
-        for i in range(1, len(log)):  # at most one old and one new share an instant
-            (seq, t, _), (prev, t_prev, _) = log[i], log[i - 1]
-            if t == t_prev and seq != prev and (seq < prev) == earlier_first:
-                log[i - 1], log[i] = log[i], log[i - 1]
-        delivered, top, late = set(), -1, 0  # first deliveries, their highest seq, those below it
-        for seq, _, _ in log:
-            if seq not in delivered:
-                delivered.add(seq)
-                if seq < top:
-                    late += 1
-                else:
-                    top = seq
-        emitted = len(self.times)
-        return HandoffReport(
-            trigger_ms=self.t0,
-            handoff_latency=new[0][1] - self.t0 if new else math.inf,
-            packets_lost=emitted - len(delivered),
-            packets_duplicated=len(log) - len(delivered),
-            out_of_order=late,
-            control_messages=self.control,
-            packets_emitted=emitted,
-            packets_delivered=len(delivered),
-            deliveries=tuple(log),
-        )
-
-
-def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
-    """One handoff over its three legs (see `_Pass`), started by a `kind` control message.
-
-    `shape` is the legs' hop counts (above, old, new): three ints >= 0, with
-    the mobile never at the CN and its two locations distinct. Without
-    `redirect`, under make_before_break, the first delivery through new
-    starts the prune; once it commits at F, no node below F on the old leg
-    forwards.
+    Times are ticks of `cfg._ticks`, converted to ms in the report. A batch
+    of packets keeps its times at the top of a leg, so at hop h of it a
+    packet is h·d later, and the leg's delay is added once, at its end.
+    Each link's loss stream, seeded from `seed`, draws once per packet in
+    sequence order, so batches draw what single packets would; at loss 0
+    nothing draws. Two packets that meet at one instant (two deliveries, or
+    a delivery and an emission) go earlier-emitted first iff per_hop_delay
+    >= packet_interval; a packet's two copies at one instant go old first.
     """
     if not (type(shape) is tuple and len(shape) == 3
             and all(type(h) is int and h >= 0 for h in shape)):
         raise HandoffError(f"a shape is three hop counts >= 0, not {shape!r}")
-    above, old, new = shape
-    if not (above + old and above + new):
+    above, old_hops, new_hops = shape
+    if not (above + old_hops and above + new_hops):
         raise HandoffError("the mobile cannot be at the correspondent node")
-    if not old + new:
+    if not old_hops + new_hops:
         raise HandoffError("handoff requires distinct old and new locations")
     if strategy not in STRATEGIES:
         raise HandoffError(f"unknown strategy {strategy!r}")
-    p = _Pass(cfg, shape, redirect, strategy, seed)
-    p.committed = p.relay(kind, "new", p.t0 - p.lead)
-    first_new = p.emit()
+    unit, d, interval, refresh, lead = cfg._ticks
+    rate, mbb, inf = cfg.message_loss_rate, cfg.overlap == "make_before_break", math.inf
+    if strategy != "advance_join":
+        lead = 0
+    copies = 3 if strategy == "triple_join" else 1  # copies sent per control hop
+    # relocate on an emission boundary once the pipeline to the old location is full,
+    # and no earlier than `lead`: the control message leaves `lead` before it
+    t0 = max(((above + old_hops) * d // interval + 2) * interval, -(-lead // interval) * interval)
+    streams = {}  # (kind, leg, hop) -> that link's loss stream
+    control = 0
+    fork_seqs, fork_times = [], []  # the packets at F, kept unless redirecting
+    old_seqs, old_times, new_seqs, new_times = [], [], [], []  # arrivals, in sequence order
+
+    def stream(*key):
+        return streams.get(key) or streams.setdefault(key, _loss_stream(seed, *key))
+
+    def relay(kind, leg, hops, t):
+        """When `kind`, sent up `leg` at t, commits at F (inf: never); `copies` per hop and try."""
+        nonlocal control
+        if not rate:
+            control += copies * hops
+            return t + hops * d
+        for hop in reversed(range(hops)):
+            draw = stream(kind, leg, hop).random
+            for _ in range(_MAX_RETRIES):
+                control += copies
+                if not all(draw() < rate for _ in range(copies)):  # one draw per copy
+                    break
+                t += refresh
+            else:
+                return inf
+            t += d
+        return t
+
+    def down(leg, hops, seqs, times, stop=inf):
+        """A batch's survivors down `leg`, with times at its end; none leaves a node at stop."""
+        if rate:
+            for hop in range(hops):
+                cut = bisect_left(times, stop - hop * d)
+                seqs, times = seqs[:cut], times[:cut]
+                if seqs:
+                    draw = stream("data", leg, hop).random
+                    kept = [draw() >= rate for _ in seqs]
+                    seqs, times = list(compress(seqs, kept)), list(compress(times, kept))
+        elif hops and stop < inf:  # without loss the last node's cut is the one that binds
+            cut = bisect_left(times, stop - (hops - 1) * d)
+            seqs, times = seqs[:cut], times[:cut]
+        span = hops * d
+        return seqs, [t + span for t in times]
+
+    def reach_old(seqs, times):  # the mobile is at old before t0, at new from it
+        cut = len(times) if mbb else bisect_left(times, t0)
+        old_seqs.extend(seqs[:cut])
+        old_times.extend(times[:cut])
+
+    def launch(first, end):
+        """Packets first .. end - 1 leave the CN; at F from `committed` they take the new leg."""
+        seqs, times = down("above", above, range(first, end),
+                           range(first * interval, end * interval, interval))
+        cut = bisect_left(times, committed)
+        if redirect:
+            reach_old(*down("old", old_hops, seqs[:cut], times[:cut]))
+        else:
+            fork_seqs.extend(seqs)
+            fork_times.extend(times)
+        seqs, times = down("new", new_hops, seqs[cut:], times[cut:])
+        cut = bisect_left(times, t0)
+        new_seqs.extend(seqs[cut:])
+        new_times.extend(times[cut:])
+
+    committed = relay(kind, "new", new_hops, t0 - lead)
+    # No packet arrives through new before t0 or the commit carried down the new leg,
+    # so each emission up to the earlier of that and the give-up deadline, plus the
+    # tail, happens: one batch. Each later one waits for those before it until a
+    # first new arrival fixes the rest: one batch.
+    earlier_first = d >= interval
+    give_up, tail = t0 + _GIVE_UP_REFRESH * refresh, _TAIL_INTERVALS * interval
+    sure = min(max(t0, committed + new_hops * d), give_up) + tail  # the earliest deadline
+    sent, emitted = 0, sure // interval + 1  # packets launched, emitted
+    while True:
+        if not new_times:  # this emission's deadline waits on the packets so far
+            launch(sent, emitted)
+            sent = emitted
+        # the tail starts once the first delivery through new has happened
+        t, first = (emitted - 1) * interval, new_times[0] if new_times else inf
+        known = first < t or first == t and earlier_first
+        if t + interval > (first if known else give_up) + tail:
+            break
+        emitted += 1
+    if sent < emitted:
+        launch(sent, emitted)
     if not redirect:
-        prune = first_new is not None and cfg.overlap == "make_before_break"
-        pruned = p.relay("prune", "old", first_new) if prune else math.inf
+        pruned = relay("prune", "old", old_hops, new_times[0]) if new_times and mbb else inf
         # nothing else draws from the old leg's streams, so its fates can wait for the prune
-        p.arrive("old", *p.down("old", *p.at_fork, pruned))
-    return p.report()
+        reach_old(*down("old", old_hops, fork_seqs, fork_times, pruned))
+
+    log = sorted([*zip(old_seqs, old_times, repeat("old")),
+                  *zip(new_seqs, new_times, repeat("new"))],
+                 key=itemgetter(1))  # stable: old first at one instant
+    if not set(old_times).isdisjoint(new_times):  # at most one old and one new share a tick
+        for i in range(1, len(log)):
+            (seq, t, _), (prev, t_prev, _) = log[i], log[i - 1]
+            if t == t_prev and seq != prev and (seq < prev) == earlier_first:
+                log[i - 1], log[i] = log[i], log[i - 1]
+    delivered, top, late = set(), -1, 0  # first deliveries, their highest seq, those below it
+    for seq, _, _ in log:
+        if seq not in delivered:
+            delivered.add(seq)
+            if seq < top:
+                late += 1
+            else:
+                top = seq
+    return HandoffReport(
+        trigger_ms=t0 / unit,
+        handoff_latency=(new_times[0] - t0) / unit if new_times else inf,
+        packets_lost=emitted - len(delivered),
+        packets_duplicated=len(log) - len(delivered),
+        out_of_order=late,
+        control_messages=control,
+        packets_emitted=emitted,
+        packets_delivered=len(delivered),
+        deliveries=tuple([(seq, t / unit, via) for seq, t, via in log]),
+    )
 
 
 def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport:

@@ -48,14 +48,16 @@ def cluster_window(node, n, radius=6):
     """
     radius = min(radius, n - 1)
     half = radius // 2
+    low, high = node - radius + half, node + half + 1
     # radius + 1 <= n consecutive ids: distinct residues, and only `node` itself is node
-    return sorted(v % n for v in range(node - radius + half, node + half + 1) if v != node)
+    window = [v % n for v in range(low, high) if v != node]
+    return window if 0 <= low and high <= n else sorted(window)  # in order unless it wraps
 
 
-def _moves(topo, model, eligible, forbidden, node):
-    """Nodes the mobile may move to from `node` under `model`."""
+def _moves(topo, model, forbidden, node):
+    """Nodes the mobile may move to from `node` under `model`; None: every id not forbidden."""
     if model.kind == "random":
-        return eligible
+        return None
     if model.kind == "neighbor":
         return [v for v in topo.adj[node] if v not in forbidden]
     return [v for v in cluster_window(node, topo.n, model.cluster_radius) if v not in forbidden]
@@ -70,36 +72,50 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
     the neighbor model a node reached by a move can always move back, so
     only the start can be trapped). Sampling is with replacement: revisits
     are allowed, and the random model may stay put. Raises MovementError
-    when a step has no eligible candidate.
+    when a step has no eligible candidate. Each draw makes the `getrandbits`
+    calls of `random.Random.choice` over the candidates in id order.
     """
     if count < 1:
         raise MovementError("count must be >= 1")
     for node in forbidden:
         if not (0 <= node < topo.n):
             raise MovementError(f"forbidden id {node} not in topology")
-    rng = random.Random(seed)
-    eligible = list(range(topo.n))
-    for v in sorted(set(forbidden), reverse=True):  # from the top, so lower ids keep their index
-        del eligible[v]
-    if not eligible:
+    skipped = sorted(set(forbidden))
+    if len(skipped) == topo.n:
         raise MovementError("forbidden set excludes every node")
+    getrandbits = random.Random(seed).getrandbits
+
+    def choice(candidates):
+        n = topo.n - len(skipped) if candidates is None else len(candidates)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        if candidates is not None:
+            return candidates[r]
+        for v in skipped:  # the r-th id that is not forbidden
+            if v > r:
+                break
+            r += 1
+        return r
+
     if start is None:
-        start = rng.choice(eligible)
-        if count > 1 and not _moves(topo, model, eligible, forbidden, start):
-            free = [v for v in eligible if _moves(topo, model, eligible, forbidden, v)]
+        start = choice(None)
+        if count > 1 and _moves(topo, model, forbidden, start) == []:
+            free = [v for v in range(topo.n)
+                    if v not in forbidden and _moves(topo, model, forbidden, v)]
             if not free:
                 raise MovementError(f"no eligible node has a move under {model.kind}")
-            start = rng.choice(free)
+            start = choice(free)
     elif not (0 <= start < topo.n) or start in forbidden:
         raise MovementError(f"invalid start node {start}")
 
     steps = [start]
     current = start
     for _ in range(count - 1):
-        candidates = _moves(topo, model, eligible, forbidden, current)
-        if not candidates:
+        candidates = _moves(topo, model, forbidden, current)
+        if candidates == []:
             raise MovementError(f"no eligible move from node {current} under {model.kind}")
-        current = rng.choice(candidates)
+        current = choice(candidates)
         steps.append(current)
     return MovementTrace(tuple(steps))
-

@@ -2,10 +2,12 @@
 
 This is the heap kernel the package used before its per-packet pass: one
 event per packet per hop, popped by (time, control before data, rank,
-insertion order). A data event's rank is its packet's seq when
-per_hop_delay >= packet_interval and -seq otherwise, so of two packets at
-one instant the earlier-emitted goes first exactly then; a packet's copies
-share a rank, and the meet node forwards to its old-branch child first.
+insertion order). Times are exact integers of ticks, which the reference
+converts itself (`_ticks`), and the report converts back to ms. A data
+event's rank is its packet's seq when per_hop_delay >= packet_interval and
+-seq otherwise, so of two packets at one instant the earlier-emitted goes
+first exactly then; a packet's copies share a rank, and the meet node
+forwards to its old-branch child first.
 
 A handoff is given by its hop triple (`_layout`): the reference lays the
 three legs out as nodes named (leg, index), the fork node being the last
@@ -28,7 +30,20 @@ _CONTROL = 0  # heap priority: state changes beat same-time data
 _DATA = 1
 _MAX_RETRIES = 25  # stop re-sending a control hop after this many losses
 _TAIL_INTERVALS = 3  # emissions kept flowing after the first delivery via new
-_GIVE_UP_REFRESH = 2.0  # abort window (in refresh periods) when the graft never completes
+_GIVE_UP_REFRESH = 2  # abort window (in refresh periods) when the graft never completes
+
+
+def _ticks(cfg):
+    """(unit, per_hop_delay, packet_interval, refresh_period, advance_lead) in ticks of 1/unit ms.
+
+    unit is the least common multiple of the four settings' denominators as
+    exact fractions, so each is a whole number of ticks and every sum of
+    them is exact.
+    """
+    ratios = [x.as_integer_ratio() for x in (cfg.per_hop_delay, cfg.packet_interval,
+                                             cfg.refresh_period, cfg.advance_lead)]
+    unit = math.lcm(*(den for _, den in ratios))
+    return (unit, *(num * unit // den for num, den in ratios))
 
 
 class _Kernel:
@@ -49,6 +64,7 @@ class _Kernel:
 
     def __init__(self, cfg: HandoffConfig, seed, t0, copies):
         self.cfg = cfg
+        self.unit, self.delay, self.interval, self.refresh, _ = _ticks(cfg)
         self.seed = seed
         self.t0 = t0
         self.copies = copies  # copies sent per control hop
@@ -58,11 +74,11 @@ class _Kernel:
         self.emitted = 0
         self.control = 0
         self.delivered: set[int] = set()
-        self.log: list[tuple[int, float, str]] = []
+        self.log: list[tuple[int, int, str]] = []
         self.duplicates = 0
         self.out_of_order = 0
         self.max_seq = -1
-        self.first_new: float | None = None
+        self.first_new: int | None = None
         self.on_first_new = None
 
     def push(self, time, prio, rank, fn, *args):
@@ -71,7 +87,7 @@ class _Kernel:
 
     def rank(self, seq):
         """The heap rank of packet `seq`'s data events: see the module docstring."""
-        return seq if self.cfg.per_hop_delay >= self.cfg.packet_interval else -seq
+        return seq if self.delay >= self.interval else -seq
 
     def lost(self, kind, link, copies=1):
         """True when every copy of a hop is lost; one draw per copy until one survives."""
@@ -86,7 +102,7 @@ class _Kernel:
     def hop(self, t, seq, link, fn, *args):
         """Packet `seq` crosses `link` unless lost; fn(t', *args) runs on arrival."""
         if not self.lost("data", link):
-            self.push(t + self.cfg.per_hop_delay, _DATA, self.rank(seq), fn, *args)
+            self.push(t + self.delay, _DATA, self.rank(seq), fn, *args)
 
     def relay(self, t, kind, links, on_done, idx=0, attempt=0):
         """Control message `kind` is before links[idx]; on_done(t) runs once it crossed them all.
@@ -99,10 +115,9 @@ class _Kernel:
             return
         self.control += self.copies
         if not self.lost(kind, links[idx], self.copies):
-            self.push(t + self.cfg.per_hop_delay, _CONTROL, 0, self.relay, kind, links, on_done,
-                      idx + 1)
+            self.push(t + self.delay, _CONTROL, 0, self.relay, kind, links, on_done, idx + 1)
         elif attempt + 1 < _MAX_RETRIES:
-            self.push(t + self.cfg.refresh_period, _CONTROL, 0, self.relay, kind, links, on_done,
+            self.push(t + self.refresh, _CONTROL, 0, self.relay, kind, links, on_done,
                       idx, attempt + 1)
 
     def deliver(self, t, seq, via):
@@ -128,39 +143,41 @@ class _Kernel:
     def _emit(self, t, seq, launch):
         self.emitted += 1
         launch(t, seq)
-        interval = self.cfg.packet_interval
+        interval = self.interval
         if self.first_new is not None:
             deadline = self.first_new + _TAIL_INTERVALS * interval
         else:
-            deadline = self.t0 + _GIVE_UP_REFRESH * self.cfg.refresh_period + _TAIL_INTERVALS * interval
+            deadline = self.t0 + _GIVE_UP_REFRESH * self.refresh + _TAIL_INTERVALS * interval
         if t + interval <= deadline:
             self.push(t + interval, _DATA, self.rank(seq + 1), self._emit, seq + 1, launch)
 
     def run(self, launch) -> HandoffReport:
-        self.push(0.0, _DATA, self.rank(0), self._emit, 0, launch)
+        self.push(0, _DATA, self.rank(0), self._emit, 0, launch)
         heap = self.heap
         while heap:
             t, _, _, _, fn, args = heapq.heappop(heap)
             fn(t, *args)
-        first_new = self.first_new
+        first_new, unit = self.first_new, self.unit
         return HandoffReport(
-            trigger_ms=self.t0,
-            handoff_latency=first_new - self.t0 if first_new is not None else math.inf,
+            trigger_ms=self.t0 / unit,
+            handoff_latency=(first_new - self.t0) / unit if first_new is not None else math.inf,
             packets_lost=self.emitted - len(self.delivered),
             packets_duplicated=self.duplicates,
             out_of_order=self.out_of_order,
             control_messages=self.control,
             packets_emitted=self.emitted,
             packets_delivered=len(self.delivered),
-            deliveries=tuple(self.log),
+            deliveries=tuple((seq, t / unit, via) for seq, t, via in self.log),
         )
 
 
 def _trigger_time(cfg, warm_hops, lead):
+    """The trigger in ticks, for a join sent `lead` ticks before it."""
+    _, delay, interval, _, _ = _ticks(cfg)
     # relocate on an emission boundary once the pipeline to the old location is full
-    t0 = (math.floor(warm_hops * cfg.per_hop_delay / cfg.packet_interval) + 2) * cfg.packet_interval
+    t0 = (warm_hops * delay // interval + 2) * interval
     if lead > 0:
-        t0 = max(t0, math.ceil(lead / cfg.packet_interval) * cfg.packet_interval)
+        t0 = max(t0, -(-lead // interval) * interval)
     return t0
 
 
@@ -195,7 +212,7 @@ def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport
     fwd = {}  # node -> [(child, link)], in forwarding order
     for up, child, link in _links(legs["above"], "above") + _links(legs["old"], "old"):
         fwd.setdefault(up, []).append((child, link))
-    lead = cfg.advance_lead if strategy == "advance_join" else 0.0
+    lead = _ticks(cfg)[4] if strategy == "advance_join" else 0
     k = _Kernel(cfg, seed, _trigger_time(cfg, shape[0] + shape[1], lead),
                 3 if strategy == "triple_join" else 1)
 
@@ -238,7 +255,7 @@ def simulate_mip_handoff(shape, cfg, seed=0) -> HandoffReport:
     path_a = [("above", hop) for hop in range(a)]
     tunnels = {"old": [("old", hop) for hop in range(b_old)],
                "new": [("new", hop) for hop in range(b_new)]}
-    k = _Kernel(cfg, seed, _trigger_time(cfg, a + b_old, 0.0), 1)
+    k = _Kernel(cfg, seed, _trigger_time(cfg, a + b_old, 0), 1)
     registered = False
 
     def along(t, links, idx, seq, via):

@@ -295,6 +295,37 @@ def test_replay_reproduces_run(workdir):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("buffering", [1, -1], ids=["line_buffered", "block_buffered"])
+def test_a_stdout_closed_early_exits_0_with_every_report_file(workdir, monkeypatch, buffering):
+    """`| head -1` closes the pipe before a command prints: it exits 0 with its files written.
+
+    stdout is a pipe whose reader is closed, so its first write raises
+    BrokenPipeError: at the first print when line-buffered, and at main's
+    flush otherwise. Each command writes the same files as with an open
+    stdout.
+    """
+    assert main(["run", "--config", "cfg.json", "--out", "ref"]) == EXIT_OK
+    stats = (workdir / "ref" / "run_stats.csv").read_text().splitlines()
+    seed = stats[1].split(",")[stats[0].split(",").index("child_seed")]
+
+    def commands(out):
+        return [["run", "--config", "cfg.json", "--out", out],
+                ["handoff", "--config", "cfg.json", "--out", out],
+                ["plot", "--out", out],
+                ["replay", "--config", "cfg.json", "--replay", seed, "--out", f"{out}/replay"]]
+
+    for argv in commands("ref")[1:]:
+        assert main(argv) == EXIT_OK
+    for argv in commands("piped"):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", buffering=buffering) as closed, monkeypatch.context() as m:
+            m.setattr(sys, "stdout", closed)
+            assert main(argv) == EXIT_OK
+    assert tree_bytes(workdir / "piped") == tree_bytes(workdir / "ref")
+    assert {"handoff.csv", "plots/mean_r.svg"} <= set(tree_bytes(workdir / "piped"))
+
+
 def test_edge_list_path_is_relative_to_the_config(workdir):
     sub = workdir / "sub"
     sub.mkdir()

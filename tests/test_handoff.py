@@ -898,6 +898,60 @@ def test_same_instant_order_does_not_follow_float_rounding(simulate):
     assert scaled.packets_emitted == exact.packets_emitted
 
 
+@pytest.mark.parametrize("simulate", [simulate_handoff, simulate_mip_handoff],
+                         ids=["multicast", "mobile_ip"])
+def test_an_inexact_timeline_commits_as_its_exact_twin(simulate):
+    """With d = I the chain's packet 2 reaches F at the commit instant and takes the new leg.
+
+    At 1.1 ms the float sums of that instant's two sides round apart, but
+    times are exact ticks, so 1.1 ms reports what 10 ms does: the first
+    packet through new two intervals after the trigger, and 12 emitted.
+    """
+    for step in (10.0, 1.1):
+        rep = simulate(TIE, HandoffConfig(per_hop_delay=step, packet_interval=step))
+        assert rep.handoff_latency / step == 2.0
+        assert rep.packets_emitted == 12
+
+
+def _outcome(rep):
+    """A report's counters and the (seq, via) order of its log."""
+    return (rep.packets_lost, rep.packets_duplicated, rep.out_of_order, rep.control_messages,
+            rep.packets_emitted, rep.packets_delivered,
+            [(seq, via) for seq, _, via in rep.deliveries])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       scale=st.floats(min_value=1e-6, max_value=1e6),
+       powers=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(4, 8), st.integers(-1, 7)),
+       loss=st.sampled_from([0.0, 0.2]),
+       strategy=st.sampled_from(STRATEGIES),
+       overlap=st.sampled_from(OVERLAP_MODES))
+def test_a_timeline_scaled_by_any_float_is_its_integer_twin_scaled(seed, scale, powers, loss,
+                                                                    strategy, overlap):
+    """Settings u·(2^i, 2^j, 2^k, 2^l) give the reports of (2^i, 2^j, 2^k, 2^l), times × u.
+
+    The four are per_hop_delay, packet_interval, refresh_period and
+    advance_lead (l = -1 stands for a lead of 0). Every counter and the
+    log's order are the integer twin's, and every time is the twin's
+    time × u, rounded once: no float sum of the scaled timeline decides an
+    order.
+    """
+    mcast, mip = _shapes(*_random_move(random.Random(seed), 3, 12))
+    twin = dict(zip(("per_hop_delay", "packet_interval", "refresh_period", "advance_lead"),
+                    (2.0 ** p if p >= 0 else 0.0 for p in powers)))
+    scaled = {name: value * scale for name, value in twin.items()}
+    for simulate, shape, args in ((simulate_handoff, mcast, (strategy,)),
+                                  (simulate_mip_handoff, mip, ())):
+        exact, rep = (simulate(shape, HandoffConfig(message_loss_rate=loss, overlap=overlap,
+                                                    **wire), *args, seed=seed)
+                      for wire in (twin, scaled))
+        assert _outcome(rep) == _outcome(exact)
+        assert rep.trigger_ms == exact.trigger_ms * scale
+        assert rep.handoff_latency == exact.handoff_latency * scale
+        assert [t for _, t, _ in rep.deliveries] == [t * scale for _, t, _ in exact.deliveries]
+
+
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9),
        loss=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
