@@ -55,12 +55,18 @@ def cluster_window(node, n, radius=6):
 
 
 def _moves(topo, model, forbidden, node):
-    """Nodes the mobile may move to from `node` under `model`; None: every id not forbidden."""
+    """Nodes the mobile may move to from `node` under `model`; None: every id not forbidden.
+
+    The neighbourhood or window itself when no `forbidden` id is in it, else
+    a filtered copy; in id order either way.
+    """
     if model.kind == "random":
         return None
     if model.kind == "neighbor":
-        return [v for v in topo.adj[node] if v not in forbidden]
-    return [v for v in cluster_window(node, topo.n, model.cluster_radius) if v not in forbidden]
+        near = topo.adj[node]
+    else:
+        near = cluster_window(node, topo.n, model.cluster_radius)
+    return near if forbidden.isdisjoint(near) else [v for v in near if v not in forbidden]
 
 
 def generate_trace(topo, model, forbidden, count, seed, start=None):
@@ -77,10 +83,11 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
     """
     if count < 1:
         raise MovementError("count must be >= 1")
+    forbidden = frozenset(forbidden)
     for node in forbidden:
         if not (0 <= node < topo.n):
             raise MovementError(f"forbidden id {node} not in topology")
-    skipped = sorted(set(forbidden))
+    skipped = sorted(forbidden)
     if len(skipped) == topo.n:
         raise MovementError("forbidden set excludes every node")
     getrandbits = random.Random(seed).getrandbits
@@ -101,7 +108,7 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
 
     if start is None:
         start = choice(None)
-        if count > 1 and _moves(topo, model, forbidden, start) == []:
+        if count > 1 and model.kind != "random" and not _moves(topo, model, forbidden, start):
             free = [v for v in range(topo.n)
                     if v not in forbidden and _moves(topo, model, forbidden, v)]
             if not free:
@@ -114,7 +121,7 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
     current = start
     for _ in range(count - 1):
         candidates = _moves(topo, model, forbidden, current)
-        if candidates == []:
+        if candidates is not None and not candidates:
             raise MovementError(f"no eligible move from node {current} under {model.kind}")
         current = choice(candidates)
         steps.append(current)

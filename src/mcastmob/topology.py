@@ -68,12 +68,15 @@ def _levels(adj, source):
     """Breadth-first hop distance from `source` to every node, None where unreached.
 
     The `is None` test is the cheapest per-link check of an unvisited node.
+    The search stops once every node has its distance, so the last level's
+    links, which can reach no new node, are never checked.
     """
     dist = [None] * len(adj)
     dist[source] = 0
     frontier = [source]
+    left = len(adj) - 1  # nodes still without a distance
     d = 0
-    while frontier:
+    while frontier and left:
         d += 1
         level = []
         push = level.append
@@ -82,6 +85,7 @@ def _levels(adj, source):
                 if dist[v] is None:
                     dist[v] = d
                     push(v)
+        left -= len(level)
         frontier = level
     return dist
 
@@ -196,15 +200,20 @@ def _edge_budget(params):
 
 
 # The per-link loops below (`_random_tree`, `_fill_uniform`, `_fill_clustered`)
-# inline `rng.randrange` and `_add_edge`: the same getrandbits calls on the same
-# Random, so every edge set is unchanged.
+# inline `rng.randrange`, `rng.shuffle` and `_add_edge`: the same getrandbits
+# calls on the same Random, so every edge set is unchanged.
 
 
 def _random_tree(edges, n, nodes, rng):
     """Link `nodes` by a random recursive tree, which guarantees their connectivity."""
     order = list(nodes)
-    rng.shuffle(order)
     getrandbits, add = rng.getrandbits, edges.add
+    for i in range(len(order) - 1, 0, -1):  # rng.shuffle(order)
+        k = (i + 1).bit_length()
+        r = getrandbits(k)
+        while r > i:
+            r = getrandbits(k)
+        order[i], order[r] = order[r], order[i]
     for i in range(1, len(order)):
         k = i.bit_length()
         r = getrandbits(k)
@@ -284,7 +293,7 @@ def _transit_stub(params, rng):
     for i, (lo, hi) in enumerate(blocks):
         _random_tree(edges, n, range(lo, hi), rng)
         _add_edge(edges, n, rng.randrange(lo, hi), i % core)
-    _fill_clustered(edges, n, budget, rng, blocks, core)
+    _fill_clustered(edges, n, budget, rng, blocks, core, outside=0)
     return edges
 
 
@@ -305,18 +314,29 @@ def _tiers_like(params, rng):
         else:
             plo, phi = blocks[rng.randrange(mid)]
             _add_edge(edges, n, rng.randrange(lo, hi), rng.randrange(plo, phi))
-    _fill_clustered(edges, n, budget, rng, blocks, core)
+    # every leaf-to-mid link lies outside the clustered class
+    _fill_clustered(edges, n, budget, rng, blocks, core, outside=len(blocks) - mid)
     return edges
 
 
-def _fill_clustered(edges, n, budget, rng, blocks, core):
+def _fill_clustered(edges, n, budget, rng, blocks, core, outside):
+    """Add in-block, block-to-core and core links until `budget`, then uniform ones.
+
+    The clustered class is every pair inside one block, between a block and
+    the core, or inside the core; `outside` counts the links already in
+    `edges` that are not in it. Once the class is full the uniform fallback
+    starts at once.
+    """
     getrandbits, random, add = rng.getrandbits, rng.random, edges.add
     count, kb, kc = len(blocks), len(blocks).bit_length(), core.bit_length()
     spans = [(lo, hi - lo, (hi - lo).bit_length()) for lo, hi in blocks]
+    full = outside + core * (core - 1) // 2 + core * (n - core)
+    full += sum(m * (m - 1) // 2 for _, m, _ in spans)
+    stop = min(budget, full)
     cap = 80 * max(budget, 1) + 10_000
     for _ in range(cap // 2):
-        if len(edges) >= budget:
-            return
+        if len(edges) >= stop:
+            break
         r = random()
         if blocks and (r < 0.85 or r < 0.95 and core):
             b = getrandbits(kb)
@@ -349,7 +369,7 @@ def _fill_clustered(edges, n, budget, rng, blocks, core):
             add(u * n + v)
         elif v < u:
             add(v * n + u)
-    # nearly saturated clusters: fall back to uniform placement
+    # at the budget this returns at once; else the class is full or the draws ran out
     _fill_uniform(edges, n, budget, rng, cap - cap // 2)
 
 

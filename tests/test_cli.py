@@ -1,6 +1,7 @@
 """CLI behavior: end-to-end runs, determinism, replay, exit codes."""
 
 import concurrent.futures
+import csv
 import hashlib
 import io
 import json
@@ -208,6 +209,23 @@ def test_a_pool_job_sends_back_its_runs_without_the_topology(workdir):
     assert Recorder(io.BytesIO(pickle.dumps(runs))).load() == runs
     assert "RunResult" in loaded
     assert "PathOracle" not in loaded and "Topology" not in loaded
+
+
+def test_run_prints_the_overall_bandwidth_ratio_of_run_stats(workdir, capsys):
+    """The printed ratio is sum(A+B) / sum(C) over every run in run_stats.csv.
+
+    Both topologies are of one type here, so a group row averages two
+    topologies' sums. Each topology has the same number of runs in each
+    group, so the ratio of those sums is the ratio of the runs' sums.
+    """
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc["topologies"][0]["type"] = "random"
+    (workdir / "one_type.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", "one_type.json"]) == EXIT_OK
+    with open(workdir / "out" / "run_stats.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    ratio = sum(int(r["total_ab"]) for r in rows) / sum(int(r["total_c"]) for r in rows)
+    assert f"overall bandwidth ratio sum(A+B)/sum(C) = {ratio:.3f}\n" in capsys.readouterr().out
 
 
 def test_run_without_any_b_over_l_prints_n_a(workdir, capsys):

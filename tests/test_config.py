@@ -45,6 +45,17 @@ def test_generator_seed_derived_from_master_seed():
     assert b.topologies[0].generator.seed == stable_seed(9, "topology", "g")
 
 
+def test_generator_seed_without_a_master_seed_derives_from_0():
+    assert from_json(MINIMAL).topologies[0].generator.seed == stable_seed(0, "topology", "g")
+
+
+def test_cluster_radius_2_is_the_least_the_cluster_model_takes():
+    doc = '{"movement_models": ["cluster"], "cluster_radius": %d, ' + MINIMAL.strip()[1:]
+    assert from_json(doc % 2).cluster_radius == 2
+    with pytest.raises(ConfigError, match="cluster_radius must be >= 2 for the cluster model"):
+        from_json(doc % 1)
+
+
 def test_canonical_json_is_stable():
     cfg = from_json(MINIMAL)
     assert cfg.canonical_json() == from_json(MINIMAL).canonical_json()

@@ -140,3 +140,58 @@ def test_trace_csv_round_trip(path5, tmp_path):
     assert len(lines) == 5
     assert lines[1] == "0,0"
     assert [int(ln.split(",")[1]) for ln in lines[1:]] == list(trace.steps)
+
+
+def reference_trace(topo, model, forbidden, count, seed):
+    """A trace drawn by `random.Random.choice` from a freshly filtered list at every step.
+
+    Raises IndexError where a draw has no candidate.
+    """
+    forbidden = set(forbidden)
+    rng = random.Random(seed)
+
+    def moves(node):
+        if model.kind == "random":
+            near = range(topo.n)
+        elif model.kind == "neighbor":
+            near = topo.adj[node]
+        else:
+            near = cluster_window(node, topo.n, model.cluster_radius)
+        return [v for v in near if v not in forbidden]
+
+    eligible = [v for v in range(topo.n) if v not in forbidden]
+    start = rng.choice(eligible)
+    if count > 1 and not moves(start):
+        start = rng.choice([v for v in eligible if moves(v)])
+    steps = [start]
+    for _ in range(count - 1):
+        steps.append(rng.choice(moves(steps[-1])))
+    return tuple(steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    kind=st.sampled_from(["random", "neighbor", "cluster"]),
+    radius=st.integers(min_value=1, max_value=8),
+    as_type=st.sampled_from([list, set, frozenset]),
+    data=st.data(),
+)
+def test_traces_equal_a_list_filtering_reference(seed, kind, radius, as_type, data):
+    """A move draws from the neighbourhood or window itself unless a forbidden id is in it.
+
+    Over a 30-step trace on at most 20 nodes, some steps have a forbidden
+    id among their candidates and some do not.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(2, 20)
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(0, 2 * n)))
+    model = MovementModel(kind, cluster_radius=radius)
+    forbidden = data.draw(st.lists(st.integers(0, n - 1), max_size=min(3, n - 1), unique=True))
+    try:
+        expect = reference_trace(topo, model, forbidden, 30, seed)
+    except IndexError:
+        with pytest.raises(MovementError):
+            generate_trace(topo, model, as_type(forbidden), 30, seed)
+        return
+    assert generate_trace(topo, model, as_type(forbidden), 30, seed).steps == expect

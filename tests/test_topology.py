@@ -1,19 +1,21 @@
 """Topology loading, generation, and shortest-path oracle tests."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcastmob.config import stable_seed
+from mcastmob.config import reference_suite_config, stable_seed
 from mcastmob.topology import (
     GenerationError,
     GeneratorParams,
     PathOracle,
     Topology,
     TopologyError,
+    _random_tree,
     generate,
     load_edge_list,
 )
@@ -135,16 +137,32 @@ PINNED_EDGES = [
     # the large_topology benchmark's ts10000 at seed 7
     _pin("transit_stub", 10_000, 3.7, stable_seed(7, "topology", "ts10000"),
          "3b9f6fbc4790f273c21076c46dd914659f31047fa68cd4c636981d5c27af67a9"),
-    # dense one-node and small blocks: _fill_clustered falls back to uniform placement
-    _pin("transit_stub", 30, 20.0, 1, "a90dd77766d736586da6559d719d3c92e017fe306a3bece4abbeffc811d4ae74",
+    # dense one-node and small blocks: their clustered links fill up, and _fill_clustered
+    # falls back to uniform placement
+    _pin("transit_stub", 30, 20.0, 1, "46c90308c9c563f7ebf5a71475f1e4d99879378bdd1239f9b4aedc6fffce799a",
          stub_size=1),
-    _pin("tiers_like", 30, 6.0, 1, "1f0087c90610eb4d19fe6d7c1943272712ebf98e5f9c5a9a2bb458ad0a32791f",
+    _pin("tiers_like", 30, 6.0, 1, "ea12b34e8ff3189be9eb8aac76d2853fc4bb9cf41b48b80aca2c77160410b071",
          stub_size=1, stubs_per_transit=1),
-    _pin("transit_stub", 60, 20.0, 1, "a98719b5c593340f7ccba1ac89ae543665a64b6489f39d8aebfc1ed97e942603",
+    _pin("transit_stub", 60, 20.0, 1, "57d3ae7913648d5c85e1654c3d900585b71aee8578d13e00b646cf1bbbf154b1",
          stub_size=3),
     # r250's shape: a dense flat graph
     _pin("flat_random", 250, 49.68, 1, "fe9fa83fd75c9976cd473a47f5c2c0a2889abff549304e442d14a1b29d0270b3"),
 ]
+
+
+# sha256 of every reference-suite topology at one master seed, in suite order: its name
+# line, then "u v\n" per edge of edges_of; recorded before the generators drew their
+# stub shuffles inline and fell back from saturated clusters at once
+SUITE_EDGES = {
+    0: "e5b4e27e5d22ae832f9a465811ed401635f623e880326a78828e1b4014f10b87",
+    1: "f605047e1d4d6907875d794d92ed67b412904bca468cd4aa487fb14e6cd4a2da",
+    2: "3c358714ef2ee5523cd3089d6aa8f2d7332894219c9a6c99ea4031dc436d293d",
+    3: "d30d3dd6082c16b6ac8f42ed85b6e9274b397c6e27bbc7c1d6949ef1185c2cf2",
+    4: "5bb27d6e36c2f318c4980e886a5948546670101f81518919b7965832c07b1462",
+    5: "3f63ba50492d0575fc137ab2c8584d41426564014e9a5e150b55515159d63053",
+    6: "c5bd4a9cb5cd54eade1eacee5f2d36ed2ed5d0c8d065aecacc8f7ff331f12344",
+    7: "c745e7439ce4f9cf694ec911285f7a5df9d77131c4d47f5f2057d687bf8f1d5d",
+}
 
 
 _EDGE_LINE = st.one_of(
@@ -180,6 +198,29 @@ class TestGenerate:
         edges = edges_of(generate(params))
         text = "".join(f"{u} {v}\n" for u, v in edges)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("master_seed", sorted(SUITE_EDGES))
+    def test_reference_suite_edge_sets_are_pinned(self, master_seed):
+        digest = hashlib.sha256()
+        for spec in reference_suite_config(master_seed=master_seed).topologies:
+            digest.update(f"{spec.name}\n".encode())
+            digest.update("".join(f"{u} {v}\n" for u, v in edges_of(generate(spec.generator))).encode())
+        assert digest.hexdigest() == SUITE_EDGES[master_seed]
+
+    def test_random_tree_orders_its_nodes_as_random_shuffle(self):
+        """The inline shuffle makes `random.Random.shuffle`'s draws, so the tree is the same."""
+        for size, seed in itertools.product(range(1, 41), range(4)):
+            lo, n = 5, size + 8
+            rng, ref = random.Random(seed), random.Random(seed)
+            edges = set()
+            _random_tree(edges, n, range(lo, lo + size), rng)
+            order = list(range(lo, lo + size))
+            ref.shuffle(order)
+            expect = set()
+            for i in range(1, size):
+                u, v = sorted((order[i], order[ref.randrange(i)]))
+                expect.add(u * n + v)
+            assert edges == expect and rng.getstate() == ref.getstate(), (size, seed)
 
     def test_flat_random_r50(self):
         params = GeneratorParams("flat_random", 50, 8.68, seed=1)
@@ -256,6 +297,55 @@ class TestGenerate:
         # connectivity re-checked with the independent BFS
         adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
         assert len(bfs_dist(adj, 0)) == n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_dist_from_equals_the_independent_bfs(seed):
+    """A search that stops once every node is reached still gives every distance.
+
+    Up to a complete graph, where the search stops after its first level.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(2, 30)
+    topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(0, n * n // 2 + 1)))
+    oracle = PathOracle(topo)
+    for s in range(n):
+        expect = bfs_dist(topo.adj, s)
+        assert oracle.dist_from(s) == tuple(expect[v] for v in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_a_disconnected_graph_names_its_lowest_unreached_node(seed):
+    """Two parts, each connected, with enough links to pass the link-count guard."""
+    rng = random.Random(seed)
+    n = rng.randrange(5, 30)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    cut = rng.randrange(1, n)
+    parts = sorted((ids[:cut], ids[cut:]), key=len)
+    keys = set()
+    for part in parts:
+        for a, b in random_connected_edges(rng, len(part), rng.randrange(0, len(part))):
+            u, v = sorted((part[a], part[b]))
+            keys.add(u * n + v)
+    for u, v in itertools.combinations(sorted(parts[1]), 2):  # the larger part has room
+        if len(keys) >= n - 1:
+            break
+        keys.add(u * n + v)
+    assert len(keys) >= n - 1
+    adj = {u: [] for u in range(n)}
+    for key in keys:
+        u, v = divmod(key, n)
+        adj[u].append(v)
+        adj[v].append(u)
+    reached = bfs_dist(adj, 0)
+    unreached = min(set(range(n)) - set(reached))
+    with pytest.raises(TopologyError) as exc:
+        Topology._from_keys("g", n, keys)
+    assert str(exc.value) == (f"disconnected graph: only {len(reached)} of {n} nodes reachable "
+                              f"(node {unreached} unreached)")
 
 
 class TestPathOracle:
