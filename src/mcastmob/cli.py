@@ -102,7 +102,7 @@ def cmd_handoff(args):
     if cfg.handoff is None:
         raise ConfigError("handoff command needs a 'handoff' block")
     out_dir = _resolve_out(args, cfg)
-    result = experiment.execute_scenario(cfg, workers=workers)
+    result = experiment.execute_scenario(experiment.trim_to_sweep(cfg), workers=workers)
     rows = experiment.handoff_sweep(result)
     reporting.write_handoff(os.path.join(out_dir, "handoff.csv"), rows)
     print(f"wrote {len(rows)} handoff simulations to {os.path.join(out_dir, 'handoff.csv')}")

@@ -10,7 +10,7 @@ so each worker reuses one shortest-path cache.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import metrics, movement, routing
 from .config import ScenarioConfig, stable_seed
@@ -187,6 +187,19 @@ class HandoffRow:
     graft_links: int
     b_hops: int
     report: HandoffReport
+
+
+def trim_to_sweep(cfg: ScenarioConfig) -> ScenarioConfig:
+    """`cfg` cut to the runs and moves its handoff sweep reads, with the same sweep rows.
+
+    A run's child seed depends only on its index, and a trace draws each
+    step after the one before, so the first `runs` runs of `max_moves + 1`
+    steps are those of `cfg`, and so are the sweep's rows. Moves past them
+    are neither walked nor checked.
+    """
+    block = cfg.handoff
+    return replace(cfg, seeds_per_scenario=min(cfg.seeds_per_scenario, block.runs),
+                   moves_per_run=min(cfg.moves_per_run, block.max_moves + 1))
 
 
 def handoff_sweep(result: ExperimentResult) -> list[HandoffRow]:

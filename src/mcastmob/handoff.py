@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import itemgetter
 
@@ -86,8 +86,11 @@ class HandoffReport:
     trigger_ms is the relocation trigger. handoff_latency is the time from it
     to the first packet delivered through the new attachment point, which
     arrives at trigger_ms + handoff_latency (inf when none arrives within the
-    simulated window). deliveries logs every packet handed to the mobile as
-    (seq, time_ms, "old"/"new"), duplicates included.
+    simulated window). The counters come from `arrivals`, the seqs and times
+    (ticks of 1/unit ms) of the packets handed to the mobile through old and
+    through new, each in sequence and time order. `deliveries` is built from
+    them when read: every packet handed over, as (seq, time_ms, "old"/"new")
+    in order, duplicates included, by `_handoff`'s same-instant rule.
     """
 
     trigger_ms: float
@@ -98,7 +101,56 @@ class HandoffReport:
     control_messages: int
     packets_emitted: int
     packets_delivered: int
-    deliveries: tuple[tuple[int, float, str], ...]
+    arrivals: tuple = field(repr=False)  # (old seqs, old times, new seqs, new times)
+    unit: int = field(repr=False)
+    earlier_first: bool = field(repr=False)
+
+    @property
+    def deliveries(self) -> tuple[tuple[int, float, str], ...]:
+        old_seqs, old_times, new_seqs, new_times = self.arrivals
+        log = sorted([*zip(old_seqs, old_times, repeat("old")),
+                      *zip(new_seqs, new_times, repeat("new"))],
+                     key=itemgetter(1))  # stable: old first at one instant
+        if not set(old_times).isdisjoint(new_times):  # at most one old and one new share a tick
+            for i in range(1, len(log)):
+                (seq, t, _), (prev, t_prev, _) = log[i], log[i - 1]
+                if t == t_prev and seq != prev and (seq < prev) == self.earlier_first:
+                    log[i - 1], log[i] = log[i], log[i - 1]
+        unit = self.unit
+        return tuple([(seq, t / unit, via) for seq, t, via in log])
+
+
+def _counts(old_seqs, old_times, new_seqs, new_times, earlier_first):
+    """(packets delivered, first deliveries after a higher seq) of a report's `arrivals`.
+
+    Old arrivals before every new one come in order, and a new one after
+    every old one is late iff it is below the top so far and old did not
+    deliver it, so only the stretch between is walked. There, of two
+    arrivals at one tick the lower rank, seq if earlier_first else -seq, goes
+    first.
+    """
+    if not new_seqs:
+        return len(old_seqs), 0
+    olds = set(old_seqs[bisect_left(old_seqs, new_seqs[0]):])  # no lower old seq is new
+    n, i, j, late = len(old_seqs), bisect_left(old_times, new_times[0]), 0, 0
+    stretch = bisect_right(new_times, old_times[-1]) if old_seqs else 0
+    sign = 1 if earlier_first else -1
+    top, walked = (old_seqs[i - 1] if i else -1), set()  # highest seq so far, new seqs walked
+    while i < n or j < stretch:
+        if j == stretch or i < n and ((old_times[i], sign * old_seqs[i])
+                                      <= (new_times[j], sign * new_seqs[j])):
+            seq, i = old_seqs[i], i + 1
+            first = seq not in walked
+        else:
+            seq, j = new_seqs[j], j + 1
+            walked.add(seq)
+            first = seq not in olds or i < n and seq >= old_seqs[i]  # old has not delivered it
+        if first:
+            late += seq < top
+            top = max(top, seq)
+    below = bisect_left(new_seqs, top, stretch)
+    late += below - stretch - len(olds.intersection(new_seqs[stretch:below]))
+    return len(old_seqs) + len(new_seqs) - len(olds.intersection(new_seqs)), late
 
 
 def _loss_stream(seed, kind, leg, hop):
@@ -237,32 +289,20 @@ def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
         # nothing else draws from the old leg's streams, so its fates can wait for the prune
         reach_old(*down("old", old_hops, fork_seqs, fork_times, pruned))
 
-    log = sorted([*zip(old_seqs, old_times, repeat("old")),
-                  *zip(new_seqs, new_times, repeat("new"))],
-                 key=itemgetter(1))  # stable: old first at one instant
-    if not set(old_times).isdisjoint(new_times):  # at most one old and one new share a tick
-        for i in range(1, len(log)):
-            (seq, t, _), (prev, t_prev, _) = log[i], log[i - 1]
-            if t == t_prev and seq != prev and (seq < prev) == earlier_first:
-                log[i - 1], log[i] = log[i], log[i - 1]
-    delivered, top, late = set(), -1, 0  # first deliveries, their highest seq, those below it
-    for seq, _, _ in log:
-        if seq not in delivered:
-            delivered.add(seq)
-            if seq < top:
-                late += 1
-            else:
-                top = seq
+    arrivals = old_seqs, old_times, new_seqs, new_times
+    delivered, late = _counts(*arrivals, earlier_first)
     return HandoffReport(
         trigger_ms=t0 / unit,
         handoff_latency=(new_times[0] - t0) / unit if new_times else inf,
-        packets_lost=emitted - len(delivered),
-        packets_duplicated=len(log) - len(delivered),
+        packets_lost=emitted - delivered,
+        packets_duplicated=len(old_seqs) + len(new_seqs) - delivered,
         out_of_order=late,
         control_messages=control,
         packets_emitted=emitted,
-        packets_delivered=len(delivered),
-        deliveries=tuple([(seq, t / unit, via) for seq, t, via in log]),
+        packets_delivered=delivered,
+        arrivals=arrivals,
+        unit=unit,
+        earlier_first=earlier_first,
     )
 
 

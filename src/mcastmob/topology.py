@@ -154,6 +154,7 @@ class GeneratorParams:
             raise GenerationError("target_avg_degree must be finite and >= 2 for connectivity")
         if self.stub_size < 1 or self.stubs_per_transit < 1:
             raise GenerationError("clustering knobs must be >= 1")
+        _edge_budget(self)  # a link count no simple graph of node_count nodes holds fails here
 
 
 def generate(params, name=None):

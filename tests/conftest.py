@@ -99,6 +99,19 @@ def cluster_blocks(params):
     return [(lo, hi) for lo, hi in zip(stops, stops[1:]) if hi > lo]
 
 
+def key_paths(doc, prefix=()):
+    """The path of every key in a parsed JSON document, a list index standing for its item."""
+    for key, value in doc.items():
+        path = prefix + (key,)
+        yield path
+        if type(value) is dict:
+            yield from key_paths(value, path)
+        elif type(value) is list:
+            for i, item in enumerate(value):
+                if type(item) is dict:
+                    yield from key_paths(item, path + (i,))
+
+
 def group_rows(agg):
     """An AggregateStats' rows by (topology type, movement model)."""
     return {(row.topo_type, row.model): row for row in agg.rows}

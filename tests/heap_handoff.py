@@ -15,8 +15,12 @@ node of "above", and forwards packets over that small tree. A link is
 (leg, hop), hop counted from the leg's upper end. It shares only the
 loss-stream seeding, `HandoffConfig` and `HandoffReport` with the package,
 and takes the same arguments: the triple, the wire, the strategy
-(multicast only) and the seed. So a test that finds both giving equal
-reports checks the pass against an independent event loop.
+(multicast only) and the seed. Each returns (report, log): the report
+keeps its arrivals split by location, as the package's does, and the log
+is the heap's own (seq, time_ms, via) list in the order it handed packets
+over. A report rebuilds its `deliveries` from its arrivals, so a test that
+finds both reports equal and the package's `deliveries` equal to the log
+checks the pass against an independent event loop.
 """
 
 from __future__ import annotations
@@ -151,14 +155,18 @@ class _Kernel:
         if t + interval <= deadline:
             self.push(t + interval, _DATA, self.rank(seq + 1), self._emit, seq + 1, launch)
 
-    def run(self, launch) -> HandoffReport:
+    def run(self, launch) -> tuple[HandoffReport, tuple]:
+        """(report, delivery log): the log in ms, in the order the heap handed the packets over."""
         self.push(0, _DATA, self.rank(0), self._emit, 0, launch)
         heap = self.heap
         while heap:
             t, _, _, _, fn, args = heapq.heappop(heap)
             fn(t, *args)
         first_new, unit = self.first_new, self.unit
-        return HandoffReport(
+        # (old seqs, old times, new seqs, new times), each in the log's order
+        arrivals = tuple([entry[i] for entry in self.log if entry[2] == via]
+                         for via in ("old", "new") for i in (0, 1))
+        report = HandoffReport(
             trigger_ms=self.t0 / unit,
             handoff_latency=(first_new - self.t0) / unit if first_new is not None else math.inf,
             packets_lost=self.emitted - len(self.delivered),
@@ -167,8 +175,11 @@ class _Kernel:
             control_messages=self.control,
             packets_emitted=self.emitted,
             packets_delivered=len(self.delivered),
-            deliveries=tuple((seq, t / unit, via) for seq, t, via in self.log),
+            arrivals=arrivals,
+            unit=unit,
+            earlier_first=self.delay >= self.interval,
         )
+        return report, tuple((seq, t / unit, via) for seq, t, via in self.log)
 
 
 def _trigger_time(cfg, warm_hops, lead):
@@ -198,7 +209,7 @@ def _links(nodes, leg):
     return [(up, down, (leg, hop)) for hop, (up, down) in enumerate(zip(nodes, nodes[1:]))]
 
 
-def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport:
+def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> tuple[HandoffReport, tuple]:
     """Simulate the multicast handoff of hop triple (CN to meet node, meet node to old, L).
 
     Packets follow a forwarding map that starts as the old branch, CN to
@@ -244,7 +255,7 @@ def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport
     return k.run(lambda t, seq: arrive(t, cn, seq))
 
 
-def simulate_mip_handoff(shape, cfg, seed=0) -> HandoffReport:
+def simulate_mip_handoff(shape, cfg, seed=0) -> tuple[HandoffReport, tuple]:
     """Mobile IP baseline of hop triple (A, B old, B new): registration new -> HA.
 
     Packets always travel the A links CN -> HA, then down the tunnel to

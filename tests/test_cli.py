@@ -1,6 +1,7 @@
 """CLI behavior: end-to-end runs, determinism, replay, exit codes."""
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import io
@@ -20,9 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcastmob import config, experiment
+from mcastmob import config, experiment, reporting
 from mcastmob.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
 from mcastmob.topology import PathOracle
+
+from conftest import key_paths
 
 RING = "\n".join(["0 1", "1 2", "2 3", "3 4", "4 5", "5 0", "0 3"]) + "\n"
 
@@ -421,6 +424,30 @@ def test_handoff_prints_the_means_of_each_strategy(workdir, capsys):
     assert means == expected
 
 
+@pytest.mark.parametrize("loss", [0.0, 0.2])
+def test_handoff_runs_only_what_it_sweeps_and_writes_the_full_sweeps_bytes(workdir, monkeypatch,
+                                                                         loss):
+    """More seeds than `runs` and more moves than `max_moves + 1`: those are not run at all."""
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc.update(seeds_per_scenario=4, moves_per_run=30)
+    doc["handoff"].update(runs=2, max_moves=5, message_loss_rate=loss, refresh_period=200.0)
+    (workdir / "sweep.json").write_text(json.dumps(doc))
+    cfg = config.load("sweep.json")
+    full = workdir / "full.csv"
+    reporting.write_handoff(str(full), experiment.handoff_sweep(experiment.execute_scenario(cfg)))
+    executed = []
+    real = experiment.execute_scenario
+
+    def spy(cfg, workers=1):
+        executed.append((cfg.seeds_per_scenario, cfg.moves_per_run))
+        return real(cfg, workers)
+
+    monkeypatch.setattr(experiment, "execute_scenario", spy)
+    assert main(["handoff", "--config", "sweep.json"]) == EXIT_OK
+    assert executed == [(2, 6)]
+    assert (workdir / "out" / "handoff.csv").read_bytes() == full.read_bytes()
+
+
 def test_handoff_requires_block(workdir):
     doc = json.loads((workdir / "cfg.json").read_text())
     del doc["handoff"]
@@ -601,12 +628,30 @@ def test_undecodable_files_exit_codes(workdir, capsys):
     assert not (workdir / "out").exists()
 
 
-def test_overflowing_edge_budget_exits_3(workdir, capsys):
+def test_overflowing_edge_budget_exits_2_at_load(workdir, capsys, monkeypatch):
     doc = json.loads((workdir / "cfg.json").read_text())
     doc["topologies"][1]["generator"]["target_avg_degree"] = 1e308  # 16 * 1e308 / 2 is inf
     (workdir / "huge.json").write_text(json.dumps(doc))
-    assert main(["run", "--config", "huge.json"]) == EXIT_TOPOLOGY
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a topology was built before the config was checked")
+
+    monkeypatch.setattr(experiment, "build_topology", no_build)
+    assert main(["handoff", "--config", "huge.json"]) == EXIT_CONFIG
     assert "more than a 16-node simple graph holds" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_more_links_than_a_simple_graph_holds_exit_2_at_load(workdir, capsys):
+    """10 nodes at average degree 20 need 100 links; a 10-node simple graph holds 45."""
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc["topologies"][1]["generator"].update(node_count=10, target_avg_degree=20)
+    (workdir / "dense.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", "dense.json"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: topology 'g16' generator: target degree 20 needs 100 edges, "
+        "more than a 10-node simple graph holds\n")
+    assert not (workdir / "out").exists()
 
 
 def test_malformed_topology_file_exit_code(workdir):
@@ -680,3 +725,77 @@ def test_bad_values_fail_at_load(workdir, capsys, monkeypatch, command, mutate):
     assert main([command, "--config", "bad.json"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+# A value of each kind that some key of a config rejects, and none that makes a small
+# config large: a count or a time of 2 stays cheap wherever it lands.
+_ODD_VALUES = [-1, 0, 2, 2.5, "x", None, True, [], {}, math.inf, math.nan]
+
+
+@st.composite
+def _small_configs(draw):
+    """A config of one generated topology of at most 30 nodes and at most 3 moves.
+
+    Three in four have a handoff block, and one in three has one key that
+    holds an odd value.
+    """
+    doc = {
+        "master_seed": draw(st.integers(0, 2**32)),
+        "moves_per_run": draw(st.integers(1, 3)),
+        "seeds_per_scenario": draw(st.integers(1, 2)),
+        "movement_models": draw(st.lists(st.sampled_from(["random", "neighbor", "cluster"]),
+                                         min_size=1, max_size=3, unique=True)),
+        "cluster_radius": draw(st.integers(2, 8)),
+        "endpoint_policy": draw(st.sampled_from(["per_run", "per_topology"])),
+        "topologies": [{"name": "g", "type": "random", "generator": {
+            "kind": draw(st.sampled_from(["flat_random", "transit_stub", "tiers_like"])),
+            "node_count": draw(st.integers(4, 30)),
+            "target_avg_degree": draw(st.floats(2.0, 4.0)),
+            "seed": draw(st.integers(0, 2**32)),
+        }}],
+    }
+    if draw(st.integers(0, 3)):
+        doc["handoff"] = {
+            "message_loss_rate": draw(st.sampled_from([0.0, 0.1, 0.5])),
+            "refresh_period": draw(st.sampled_from([200.0, 2000.0])),
+            "per_hop_delay": draw(st.sampled_from([3.3, 10.0, 20.0])),
+            "packet_interval": draw(st.sampled_from([5.0, 20.0])),
+            "advance_lead": draw(st.sampled_from([0.0, 40.0])),
+            "overlap": draw(st.sampled_from(["make_before_break", "break_before_make"])),
+            "strategies": draw(st.lists(st.sampled_from(["plain_join", "triple_join",
+                                                         "advance_join"]),
+                                        min_size=1, max_size=3, unique=True)),
+            "include_mobile_ip": draw(st.booleans()),
+            "max_moves": draw(st.integers(1, 3)),
+            "runs": draw(st.integers(1, 2)),
+        }
+    if draw(st.integers(0, 2)) == 0:
+        path = draw(st.sampled_from(sorted(key_paths(doc), key=repr)))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(st.sampled_from(_ODD_VALUES))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_small_configs(), command=st.sampled_from(["run", "handoff"]))
+def test_a_small_config_exits_0_2_or_3_without_a_traceback_and_writes_only_its_out(doc,
+                                                                                   command):
+    """An exit 2 writes nothing at all; otherwise only --out is written to."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "cfg.json").write_text(json.dumps(doc))
+        before = sorted(Path(tmp).rglob("*"))
+        out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", "cfg.json", "--out", "out"])
+        finally:
+            os.chdir(cwd)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_TOPOLOGY), err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        written = [p for p in sorted(Path(tmp).rglob("*")) if p not in before]
+        assert all(p.relative_to(tmp).parts[0] == "out" for p in written), written
+        if code == EXIT_CONFIG:
+            assert written == []

@@ -19,6 +19,8 @@ from mcastmob.config import (
 )
 from mcastmob.topology import GeneratorParams
 
+from conftest import key_paths
+
 MINIMAL = """
 {
   "topologies": [
@@ -268,19 +270,6 @@ def test_endpoint_policy(policy):
         assert all(len(p) > 1 for p in pairs.values())
 
 
-def _key_paths(doc, prefix=()):
-    """The path of every key in a parsed JSON document, a list index standing for its item."""
-    for key, value in doc.items():
-        path = prefix + (key,)
-        yield path
-        if type(value) is dict:
-            yield from _key_paths(value, path)
-        elif type(value) is list:
-            for i, item in enumerate(value):
-                if type(item) is dict:
-                    yield from _key_paths(item, path + (i,))
-
-
 _REFERENCE = reference_suite_config(handoff=HandoffBlock()).to_dict()
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -291,7 +280,7 @@ _JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(path=st.sampled_from(sorted(_key_paths(_REFERENCE), key=repr)), value=_JSON_VALUES)
+@given(path=st.sampled_from(sorted(key_paths(_REFERENCE), key=repr)), value=_JSON_VALUES)
 def test_a_reference_config_with_any_value_at_one_key_loads_or_raises_config_error(path, value):
     """Whatever JSON value one key holds, `from_json` returns a config or raises ConfigError."""
     doc = json.loads(json.dumps(_REFERENCE))

@@ -237,7 +237,7 @@ class TestLossRecovery:
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=500.0, overlap=overlap, **BASE)
         _script_losses(monkeypatch, _first_hop_up_new("join"), handoff._MAX_RETRIES)
         rep = simulate_handoff(SHAPE, cfg)
-        assert rep == heap_simulate_handoff(SHAPE, cfg)
+        assert (rep, rep.deliveries) == heap_simulate_handoff(SHAPE, cfg)
         assert rep.handoff_latency == math.inf
         assert rep.packets_emitted == 57
         assert rep.control_messages == handoff._MAX_RETRIES
@@ -249,7 +249,7 @@ class TestLossRecovery:
         cfg = HandoffConfig(message_loss_rate=0.5, refresh_period=500.0, overlap=overlap, **BASE)
         _script_losses(monkeypatch, _first_hop_up_new("registration"), handoff._MAX_RETRIES)
         rep = simulate_mip_handoff(SHAPE, cfg)
-        assert rep == heap_simulate_mip_handoff(SHAPE, cfg)
+        assert (rep, rep.deliveries) == heap_simulate_mip_handoff(SHAPE, cfg)
         assert rep.handoff_latency == math.inf
         assert rep.packets_emitted == 57
         assert rep.control_messages == handoff._MAX_RETRIES
@@ -409,6 +409,39 @@ def test_kernel_properties(strategy, overlap, loss, seed):
     assert simulate_mip_handoff(mip_shape, cfg, seed) == mip
 
 
+def _recount(log):
+    """(first deliveries, duplicates, first deliveries below the highest seq before them)."""
+    delivered, top, late = set(), -1, 0
+    for seq, _, _ in log:
+        if seq not in delivered:
+            delivered.add(seq)
+            late += seq < top
+            top = max(top, seq)
+    return len(delivered), len(log) - len(delivered), late
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9),
+       shape=st.tuples(*[st.integers(min_value=0, max_value=9)] * 3).filter(
+           lambda s: s[0] + s[1] and s[0] + s[2] and s[1] + s[2]),
+       loss=st.sampled_from([0.0, 0.05, 0.3, 0.6]),
+       strategy=st.sampled_from(STRATEGIES),
+       overlap=st.sampled_from(OVERLAP_MODES),
+       lead=st.sampled_from([0.0, 40.0, 100.0]),
+       refresh=st.sampled_from([7.0, 120.0, 500.0]),
+       delay=st.sampled_from([0.3, 3.3, 5.0, 10.0, 20.0]),
+       interval=st.sampled_from([0.3, 3.3, 5.0, 10.0, 20.0]))
+def test_counters_recount_from_the_delivery_log(seed, shape, loss, strategy, overlap, lead,
+                                                refresh, delay, interval):
+    """Each counter, taken off the arrival lists, is what a walk of `deliveries` counts."""
+    cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval, message_loss_rate=loss,
+                        advance_lead=lead, overlap=overlap, refresh_period=refresh)
+    for rep in (simulate_handoff(shape, cfg, strategy, seed),
+                simulate_mip_handoff(shape, cfg, seed)):
+        assert (rep.packets_delivered, rep.packets_duplicated, rep.out_of_order) == _recount(
+            rep.deliveries)
+
+
 def _ts50_r50_sweep(block):
     """The handoff sweep of ts50 and r50 at master seed 7, one run of 21 moves each."""
     specs = tuple(
@@ -560,7 +593,7 @@ def test_loss_streams_are_positional_and_draw_at_the_rate(monkeypatch):
 
 
 def _fresh_reports(oracle, run, block):
-    """The sweep's reports of one run, each from its own reference call and real seed.
+    """The sweep's (report, log) pairs of one run, each from its own reference call and seed.
 
     The tree is walked here, join then prune per move, as the run walks it.
     Each move's multicast triple is read off that tree and the walk
@@ -624,7 +657,8 @@ def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategie
     block = HandoffBlock(message_loss_rate=loss, refresh_period=500.0, strategies=tuple(strategies),
                          overlap=overlap, advance_lead=lead, max_moves=len(run.trace.steps))
     rows = experiment._sweep_run(run, block, {})
-    assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
+    expected = _fresh_reports(oracle, run, block)
+    assert [(row.report, row.report.deliveries) for row in rows] == expected
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.1])
@@ -739,8 +773,8 @@ def test_lossless_sweep_shares_reports_only_between_equal_shapes(overlap, advanc
     result = experiment.execute_scenario(cfg)
     rows = experiment.handoff_sweep(result)
     oracle = PathOracle(result.topologies["g"])
-    expected = [rep for run in result.runs for rep in _fresh_reports(oracle, run, block)]
-    assert [row.report for row in rows] == expected
+    expected = [pair for run in result.runs for pair in _fresh_reports(oracle, run, block)]
+    assert [(row.report, row.report.deliveries) for row in rows] == expected
 
 
 def test_sweep_shares_one_simulation_between_mirror_image_ties(monkeypatch):
@@ -768,7 +802,8 @@ def test_sweep_shares_one_simulation_between_mirror_image_ties(monkeypatch):
     monkeypatch.setattr(experiment, "simulate_handoff", counted)
     rows = experiment._sweep_run(run, block, {})
     assert len(calls) == len(block.strategies)
-    assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
+    expected = _fresh_reports(oracle, run, block)
+    assert [(row.report, row.report.deliveries) for row in rows] == expected
     for step in (1, 2):
         log = next(r.report for r in rows if r.step == step and r.strategy == "plain_join").deliveries
         ties = [(a, b) for a, b in zip(log, log[1:]) if a[:2] == b[:2]]
@@ -801,7 +836,8 @@ def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
     monkeypatch.setattr(experiment, "simulate_handoff", counted)
     rows = experiment._sweep_run(run, block, {})
     assert len(calls) == 2 * len(block.strategies)
-    assert [row.report for row in rows] == _fresh_reports(oracle, run, block)
+    expected = _fresh_reports(oracle, run, block)
+    assert [(row.report, row.report.deliveries) for row in rows] == expected
 
 
 @pytest.mark.parametrize("loss", [0.05, 0.0])
@@ -966,6 +1002,7 @@ def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refres
     mcast, mip = _shapes(*_random_move(random.Random(seed), 3, 16))
     cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval, message_loss_rate=loss,
                         advance_lead=lead, overlap=overlap, refresh_period=refresh)
-    assert simulate_handoff(mcast, cfg, strategy, seed) == heap_simulate_handoff(
-        mcast, cfg, strategy, seed)
-    assert simulate_mip_handoff(mip, cfg, seed) == heap_simulate_mip_handoff(mip, cfg, seed)
+    rep = simulate_handoff(mcast, cfg, strategy, seed)
+    mip_rep = simulate_mip_handoff(mip, cfg, seed)
+    assert (rep, rep.deliveries) == heap_simulate_handoff(mcast, cfg, strategy, seed)
+    assert (mip_rep, mip_rep.deliveries) == heap_simulate_mip_handoff(mip, cfg, seed)
