@@ -33,8 +33,8 @@ class _CliError(Exception):
     """A usage problem, printed as it is; exit 2."""
 
 
-def _resolve_out(args, cfg):
-    return args.out or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
+def _resolve_out(args, default):
+    return args.out or os.environ.get(OUTPUT_DIR_ENV) or default
 
 
 def _workers(args):
@@ -83,7 +83,7 @@ def _write_report(out_dir, result):
 def cmd_run(args):
     workers = _workers(args)
     cfg = _load_config(args.config)
-    out_dir = _resolve_out(args, cfg)
+    out_dir = _resolve_out(args, cfg.output_dir)
     result = experiment.execute_scenario(cfg, workers=workers)
     _write_report(out_dir, result)
     agg = result.aggregate
@@ -101,7 +101,7 @@ def cmd_handoff(args):
     cfg = _load_config(args.config)
     if cfg.handoff is None:
         raise ConfigError("handoff command needs a 'handoff' block")
-    out_dir = _resolve_out(args, cfg)
+    out_dir = _resolve_out(args, cfg.output_dir)
     result = experiment.execute_scenario(experiment.trim_to_sweep(cfg), workers=workers)
     rows = experiment.handoff_sweep(result)
     reporting.write_handoff(os.path.join(out_dir, "handoff.csv"), rows)
@@ -120,7 +120,7 @@ def cmd_handoff(args):
 
 
 def cmd_plot(args):
-    out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV)
+    out_dir = _resolve_out(args, None)
     if not out_dir:
         raise _CliError("plot needs --out (the report directory)")
     try:
@@ -136,7 +136,7 @@ def cmd_replay(args):
     cfg = _load_config(args.config)
     if args.replay is None:
         raise _CliError("replay needs --replay <child-seed>")
-    out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or os.path.join(cfg.output_dir, "replay")
+    out_dir = _resolve_out(args, os.path.join(cfg.output_dir, "replay"))
     result = experiment.replay_run(cfg, args.replay)
     if result is None:
         raise _CliError(f"child seed {args.replay} does not belong to this config")

@@ -254,25 +254,14 @@ REFERENCE_SUITE = (
 def reference_suite_config(master_seed=7, seeds=10, moves=100, output_dir="report",
                            handoff=None) -> ScenarioConfig:
     """The generator stand-in suite: 13 topologies x 3 movement models."""
-    specs = tuple(
-        TopologySpec(
-            name=name,
-            topo_type=ttype,
-            generator=GeneratorParams(
-                kind=kind,
-                node_count=nodes,
-                target_avg_degree=deg,
-                seed=stable_seed(master_seed, "topology", name),
-            ),
-        )
-        for name, ttype, kind, nodes, deg in REFERENCE_SUITE
-    )
-    return ScenarioConfig(
-        topologies=specs,
-        name="reference_suite",
-        master_seed=master_seed,
-        moves_per_run=moves,
-        seeds_per_scenario=seeds,
-        handoff=handoff,
-        output_dir=output_dir,
-    )
+    cfg = from_dict({
+        "topologies": [{"name": name, "type": ttype, "generator": {
+            "kind": kind, "node_count": nodes, "target_avg_degree": deg}}
+            for name, ttype, kind, nodes, deg in REFERENCE_SUITE],
+        "name": "reference_suite",
+        "master_seed": master_seed,
+        "moves_per_run": moves,
+        "seeds_per_scenario": seeds,
+        "output_dir": output_dir,
+    })
+    return replace(cfg, handoff=handoff)

@@ -111,15 +111,12 @@ def _draw_endpoints(rng, n):
     return cn, ha
 
 
-def _job(cfg, spec, topo, model, run_indices):
-    """The `_pair_job` argument for the given runs of one (topology, model)."""
-    seeds = [(i, child_seed(cfg.master_seed, spec.name, model, i)) for i in run_indices]
-    return cfg, topo, spec.topo_type, model, seeds
-
-
 def _pair_job(args):
-    """All runs for one (topology, model), executed inline or in a pool worker."""
-    cfg, topo, topo_type, model_kind, seeds = args
+    """The given runs of one (topology, model), executed inline or in a pool worker.
+
+    `args` is (cfg, spec, topo, model, run indices).
+    """
+    cfg, spec, topo, model_kind, run_indices = args
     oracle = PathOracle(topo)
     endpoints = None
     if cfg.endpoint_policy == "per_topology":
@@ -127,10 +124,11 @@ def _pair_job(args):
             random.Random(stable_seed(cfg.master_seed, "endpoints", topo.name)), topo.n
         )
     out = []
-    for run_index, seed in seeds:
+    for run_index in run_indices:
+        seed = child_seed(cfg.master_seed, spec.name, model_kind, run_index)
         try:
             out.append(run_single(
-                topo, oracle, topo_type, model_kind, cfg.cluster_radius, cfg.moves_per_run,
+                topo, oracle, spec.topo_type, model_kind, cfg.cluster_radius, cfg.moves_per_run,
                 seed, run_index, endpoints=endpoints,
             ))
         except (routing.SimulationInvariantError, movement.MovementError) as exc:
@@ -144,7 +142,7 @@ def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:
         spec.name: build_topology(spec, cfg.master_seed) for spec in cfg.topologies
     }
     jobs = [
-        _job(cfg, spec, topologies[spec.name], model, range(cfg.seeds_per_scenario))
+        (cfg, spec, topologies[spec.name], model, range(cfg.seeds_per_scenario))
         for spec in cfg.topologies
         for model in cfg.movement_models
     ]
@@ -171,7 +169,7 @@ def replay_run(cfg: ScenarioConfig, seed) -> RunResult | None:
             for i in range(cfg.seeds_per_scenario):
                 if child_seed(cfg.master_seed, spec.name, model, i) == seed:
                     topo = build_topology(spec, cfg.master_seed)
-                    return _pair_job(_job(cfg, spec, topo, model, [i]))[0]
+                    return _pair_job((cfg, spec, topo, model, [i]))[0]
     return None
 
 

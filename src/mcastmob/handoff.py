@@ -27,7 +27,6 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import itemgetter
 
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
@@ -35,6 +34,7 @@ OVERLAP_MODES = ("make_before_break", "break_before_make")
 _MAX_RETRIES = 25  # stop re-sending a control hop after this many losses
 _TAIL_INTERVALS = 3  # emissions kept flowing after the first delivery via new
 _GIVE_UP_REFRESH = 2  # abort window (in refresh periods) when the graft never completes
+_MAX_SPAN = 1_000_000  # the longest setting, in packet intervals: a handoff emits about that many
 
 
 class HandoffError(Exception):
@@ -48,7 +48,9 @@ class HandoffConfig:
     Every strategy and both architectures share it; only the strategy and
     the loss seed differ from one simulation to the next, and the
     simulators take those as arguments. `advance_lead` is how long before
-    the trigger an advance_join sends its join.
+    the trigger an advance_join sends its join. A handoff emits packets in
+    proportion to its longest setting over `packet_interval`, so that ratio
+    is at most `_MAX_SPAN`.
 
     `_ticks`, not a field, is (D, per_hop_delay, packet_interval,
     refresh_period, advance_lead), the four as whole ticks of 1/D ms: a
@@ -73,6 +75,10 @@ class HandoffConfig:
             raise HandoffError(f"unknown overlap mode {self.overlap!r}")
         if not (0 <= self.advance_lead < math.inf):
             raise HandoffError("advance_lead must be >= 0 and finite")
+        if max(self.per_hop_delay, self.refresh_period, self.advance_lead) > (
+                _MAX_SPAN * self.packet_interval):
+            raise HandoffError(f"per_hop_delay, refresh_period and advance_lead must each be at "
+                               f"most {_MAX_SPAN:,} packet intervals")
         ratios = [t.as_integer_ratio() for t in (self.per_hop_delay, self.packet_interval,
                                                  self.refresh_period, self.advance_lead)]
         unit = max(den for _, den in ratios)
@@ -108,14 +114,10 @@ class HandoffReport:
     @property
     def deliveries(self) -> tuple[tuple[int, float, str], ...]:
         old_seqs, old_times, new_seqs, new_times = self.arrivals
+        sign = 1 if self.earlier_first else -1  # the rank of `_counts`
         log = sorted([*zip(old_seqs, old_times, repeat("old")),
                       *zip(new_seqs, new_times, repeat("new"))],
-                     key=itemgetter(1))  # stable: old first at one instant
-        if not set(old_times).isdisjoint(new_times):  # at most one old and one new share a tick
-            for i in range(1, len(log)):
-                (seq, t, _), (prev, t_prev, _) = log[i], log[i - 1]
-                if t == t_prev and seq != prev and (seq < prev) == self.earlier_first:
-                    log[i - 1], log[i] = log[i], log[i - 1]
+                     key=lambda e: (e[1], sign * e[0], e[2] == "new"))
         unit = self.unit
         return tuple([(seq, t / unit, via) for seq, t, via in log])
 
@@ -164,15 +166,16 @@ def _loss_stream(seed, kind, leg, hop):
     return random.Random(f"{seed}:{kind}:{leg}:{hop}")
 
 
-def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
+def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     """One handoff of either architecture, as a pass over the packets in emission order.
 
     `shape` is the legs' hop counts (above, old, new): packets go from the
     CN down "above" to the fork node F (the meet node, or the HA), then down
-    "old". The `kind` control message walks "new" up and commits at F at
-    `committed`; from then on a packet at F goes down the new leg too, or
-    instead under `redirect` (Mobile IP). Without `redirect`, under
-    make_before_break, the first delivery through new starts the prune.
+    "old". A join, or under `redirect` (Mobile IP) a registration, walks
+    "new" up and commits at F at `committed`; from then on a packet at F goes
+    down the new leg too, or instead under `redirect`. Without `redirect`,
+    under make_before_break, the first delivery through new starts the
+    prune.
 
     Times are ticks of `cfg._ticks`, converted to ms in the report. A batch
     of packets keeps its times at the top of a leg, so at hop h of it a
@@ -203,8 +206,8 @@ def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
     t0 = max(((above + old_hops) * d // interval + 2) * interval, -(-lead // interval) * interval)
     streams = {}  # (kind, leg, hop) -> that link's loss stream
     control = 0
-    fork_seqs, fork_times = [], []  # the packets at F, kept unless redirecting
-    old_seqs, old_times, new_seqs, new_times = [], [], [], []  # arrivals, in sequence order
+    fork_seqs, fork_times = [], []  # the packets F sends down the old leg
+    new_seqs, new_times = [], []  # arrivals through new, in sequence order
 
     def stream(*key):
         return streams.get(key) or streams.setdefault(key, _loss_stream(seed, *key))
@@ -243,27 +246,20 @@ def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
         span = hops * d
         return seqs, [t + span for t in times]
 
-    def reach_old(seqs, times):  # the mobile is at old before t0, at new from it
-        cut = len(times) if mbb else bisect_left(times, t0)
-        old_seqs.extend(seqs[:cut])
-        old_times.extend(times[:cut])
-
     def launch(first, end):
         """Packets first .. end - 1 leave the CN; at F from `committed` they take the new leg."""
         seqs, times = down("above", above, range(first, end),
                            range(first * interval, end * interval, interval))
         cut = bisect_left(times, committed)
-        if redirect:
-            reach_old(*down("old", old_hops, seqs[:cut], times[:cut]))
-        else:
-            fork_seqs.extend(seqs)
-            fork_times.extend(times)
+        fork = cut if redirect else len(seqs)  # a redirect sends each packet one way
+        fork_seqs.extend(seqs[:fork])
+        fork_times.extend(times[:fork])
         seqs, times = down("new", new_hops, seqs[cut:], times[cut:])
         cut = bisect_left(times, t0)
         new_seqs.extend(seqs[cut:])
         new_times.extend(times[cut:])
 
-    committed = relay(kind, "new", new_hops, t0 - lead)
+    committed = relay("registration" if redirect else "join", "new", new_hops, t0 - lead)
     # No packet arrives through new before t0 or the commit carried down the new leg,
     # so each emission up to the earlier of that and the give-up deadline, plus the
     # tail, happens: one batch. Each later one waits for those before it until a
@@ -284,10 +280,13 @@ def _handoff(cfg, shape, kind, redirect, strategy, seed) -> HandoffReport:
         emitted += 1
     if sent < emitted:
         launch(sent, emitted)
-    if not redirect:
-        pruned = relay("prune", "old", old_hops, new_times[0]) if new_times and mbb else inf
-        # nothing else draws from the old leg's streams, so its fates can wait for the prune
-        reach_old(*down("old", old_hops, fork_seqs, fork_times, pruned))
+    prune = new_times and mbb and not redirect  # a redirect leaves the old leg nothing to prune
+    pruned = relay("prune", "old", old_hops, new_times[0]) if prune else inf
+    # nothing else draws from the old leg's streams, so its fates can wait for the prune
+    old_seqs, old_times = down("old", old_hops, fork_seqs, fork_times, pruned)
+    if not mbb:  # the mobile is at old before t0, at new from it
+        cut = bisect_left(old_times, t0)
+        old_seqs, old_times = old_seqs[:cut], old_times[:cut]
 
     arrivals = old_seqs, old_times, new_seqs, new_times
     delivered, late = _counts(*arrivals, earlier_first)
@@ -322,7 +321,7 @@ def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport
     the strategy and the seed, and no node id or path is read:
     `experiment.handoff_sweep` reads each move's shape off the run's samples.
     """
-    return _handoff(cfg, shape, "join", False, strategy, seed)
+    return _handoff(cfg, shape, False, strategy, seed)
 
 
 def simulate_mip_handoff(shape, cfg, seed=0) -> HandoffReport:
@@ -335,4 +334,4 @@ def simulate_mip_handoff(shape, cfg, seed=0) -> HandoffReport:
     strategy: the report is a function of the shape, the wire `cfg` and
     `seed`.
     """
-    return _handoff(cfg, shape, "registration", True, "plain_join", seed)
+    return _handoff(cfg, shape, True, "plain_join", seed)

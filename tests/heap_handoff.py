@@ -98,9 +98,10 @@ class _Kernel:
         rate = self.cfg.message_loss_rate
         if not rate:
             return False
-        rng = self.streams.get((kind, *link))
+        key = (kind, *link)
+        rng = self.streams.get(key)
         if rng is None:
-            rng = self.streams[kind, *link] = _loss_stream(self.seed, kind, *link)
+            rng = self.streams[key] = _loss_stream(self.seed, kind, *link)
         return all(rng.random() < rate for _ in range(copies))
 
     def hop(self, t, seq, link, fn, *args):

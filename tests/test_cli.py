@@ -199,9 +199,8 @@ def test_a_pool_job_sends_back_its_runs_without_the_topology(workdir):
     """What `_pair_job` returns is pickled back from a worker: runs only, no oracle or Topology."""
     cfg = config.load("cfg.json")
     spec = cfg.topologies[0]
-    job = experiment._job(cfg, spec, experiment.build_topology(spec, cfg.master_seed),
-                          cfg.movement_models[0], range(cfg.seeds_per_scenario))
-    runs = experiment._pair_job(job)
+    runs = experiment._pair_job((cfg, spec, experiment.build_topology(spec, cfg.master_seed),
+                                 cfg.movement_models[0], range(cfg.seeds_per_scenario)))
     loaded = []
 
     class Recorder(pickle.Unpickler):
@@ -639,6 +638,25 @@ def test_overflowing_edge_budget_exits_2_at_load(workdir, capsys, monkeypatch):
     monkeypatch.setattr(experiment, "build_topology", no_build)
     assert main(["handoff", "--config", "huge.json"]) == EXIT_CONFIG
     assert "more than a 16-node simple graph holds" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("wire", [{"packet_interval": 1e-5}, {"per_hop_delay": 1e300},
+                                  {"advance_lead": 1e9}])
+def test_a_wire_of_too_many_packets_exits_2_at_load(workdir, capsys, monkeypatch, wire):
+    """A handoff emits packets in proportion to its longest setting over the packet interval."""
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc["handoff"].update(wire)
+    (workdir / "wire.json").write_text(json.dumps(doc))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a topology was built before the config was checked")
+
+    monkeypatch.setattr(experiment, "build_topology", no_build)
+    assert main(["handoff", "--config", "wire.json"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: handoff block: per_hop_delay, refresh_period and advance_lead must each "
+        "be at most 1,000,000 packet intervals\n")
     assert not (workdir / "out").exists()
 
 

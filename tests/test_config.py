@@ -181,8 +181,21 @@ def test_handoff_block_validation():
         HandoffBlock(overlap="diagonal")
     with pytest.raises(ConfigError):
         HandoffBlock(max_moves=0)
+    with pytest.raises(ConfigError, match="include_mobile_ip must be true or false, not 1"):
+        HandoffBlock(include_mobile_ip=1)
     block = HandoffBlock(strategies=("plain_join",))
     assert block.include_mobile_ip
+
+
+def test_a_scenario_needs_a_topology():
+    with pytest.raises(ConfigError, match="at least one topology"):
+        ScenarioConfig(topologies=())
+
+
+def test_a_sweep_needs_a_handoff_block():
+    cfg = ScenarioConfig(topologies=(TopologySpec(name="x", file="f"),))
+    with pytest.raises(ValueError, match="no handoff block"):
+        experiment.handoff_sweep(experiment.ExperimentResult(cfg, {}, (), None))
 
 
 def test_cluster_radius_is_free_without_the_cluster_model():

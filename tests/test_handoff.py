@@ -79,11 +79,20 @@ class TestConfigValidation:
             dict(overlap="sideways"),
             dict(advance_lead=-5),
             dict(refresh_period=0),
+            dict(packet_interval=1e-5),
+            dict(per_hop_delay=1e300),
+            dict(advance_lead=1e9),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(HandoffError):
             HandoffConfig(**kwargs)
+
+    def test_the_longest_setting_is_at_most_a_million_packet_intervals(self):
+        for name in ("per_hop_delay", "refresh_period", "advance_lead"):
+            HandoffConfig(**{name: 1e6}, packet_interval=1.0)
+            with pytest.raises(HandoffError, match="1,000,000 packet intervals"):
+                HandoffConfig(**{name: 1e6 + 1}, packet_interval=1.0)
 
 
 class TestBreakBeforeMake:

@@ -110,6 +110,17 @@ def test_bad_start(path5):
         generate_trace(path5, MovementModel("random"), frozenset({2}), 3, seed=1, start=2)
 
 
+@pytest.mark.parametrize("forbidden, count, message", [
+    ({1}, 0, "count must be >= 1"),
+    ({5}, 3, "forbidden id 5 not in topology"),
+    ({-1}, 3, "forbidden id -1 not in topology"),
+    ({0, 1, 2, 3, 4}, 3, "excludes every node"),
+])
+def test_bad_trace_arguments(path5, forbidden, count, message):
+    with pytest.raises(MovementError, match=message):
+        generate_trace(path5, MovementModel("random"), forbidden, count, seed=1)
+
+
 def test_random_model_visits_uniformly():
     topo = generate(GeneratorParams("flat_random", 50, 6.0, seed=10))
     trace = generate_trace(topo, MovementModel("random"), frozenset(), 10_000, seed=12)

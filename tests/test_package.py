@@ -11,6 +11,7 @@ import mcastmob
 
 MODULES = sorted(Path(mcastmob.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+BENCH_MODULES = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -53,6 +54,21 @@ def test_imports_only_the_standard_library(path):
             continue
         outside += [name for name in names if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES + BENCH_MODULES,
+                         ids=lambda path: f"{path.parent.name}/{path.stem}")
+def test_no_starred_subscript(path):
+    """`x[a, *b]` is Python 3.11 syntax, and the package supports 3.10.
+
+    The syntax tree of `x[(a, *b)]`, which 3.10 takes, is the same, and
+    `ast.parse(..., feature_version=(3, 10))` accepts both, so every star in
+    a subscript is refused: bind the key first.
+    """
+    starred = [node.lineno for node in ast.walk(_parse(path)) if isinstance(node, ast.Subscript)
+               and any(isinstance(part, ast.Starred)
+                       for part in getattr(node.slice, "elts", [node.slice]))]
+    assert starred == []
 
 
 def test_every_exported_name_resolves():

@@ -102,6 +102,11 @@ class TestTreePathHops:
         tree = _tree_on(path5, 3, 4)
         assert tree.path_hops(4) == 1
 
+    def test_non_leaf_rejected(self, path5):
+        tree = _tree_on(path5, 0, 4)
+        with pytest.raises(SimulationInvariantError, match="2 is not a joined leaf"):
+            tree.path_hops(2)
+
     def test_equals_bfs_after_random_churn(self):
         rng = random.Random(21)
         for _ in range(20):
