@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, also when stdout is closed before the summary is
 printed (every report file is written first), 2 configuration problems, 3
-topology load/generation failures, 4 failed runs in `run`, `handoff` or
+edge lists that cannot be read or loaded, 4 failed runs in `run`, `handoff` or
 `replay`: internal invariant violations or movement traces that cannot
 continue (the offending run's child seed is printed for replay).
 """

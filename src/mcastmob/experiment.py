@@ -112,10 +112,7 @@ def _draw_endpoints(rng, n):
 
 
 def _pair_job(args):
-    """The given runs of one (topology, model), executed inline or in a pool worker.
-
-    `args` is (cfg, spec, topo, model, run indices).
-    """
+    """Runs `run_indices` of one (topology, model), executed inline or in a pool worker."""
     cfg, spec, topo, model_kind, run_indices = args
     oracle = PathOracle(topo)
     endpoints = None

@@ -48,9 +48,7 @@ class HandoffConfig:
     Every strategy and both architectures share it; only the strategy and
     the loss seed differ from one simulation to the next, and the
     simulators take those as arguments. `advance_lead` is how long before
-    the trigger an advance_join sends its join. A handoff emits packets in
-    proportion to its longest setting over `packet_interval`, so that ratio
-    is at most `_MAX_SPAN`.
+    the trigger an advance_join sends its join.
 
     `_ticks`, not a field, is (D, per_hop_delay, packet_interval,
     refresh_period, advance_lead), the four as whole ticks of 1/D ms: a
@@ -171,11 +169,10 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
 
     `shape` is the legs' hop counts (above, old, new): packets go from the
     CN down "above" to the fork node F (the meet node, or the HA), then down
-    "old". A join, or under `redirect` (Mobile IP) a registration, walks
+    "old". The join, or under `redirect` (Mobile IP) the registration, walks
     "new" up and commits at F at `committed`; from then on a packet at F goes
     down the new leg too, or instead under `redirect`. Without `redirect`,
-    under make_before_break, the first delivery through new starts the
-    prune.
+    under make_before_break, the first delivery through new starts the prune.
 
     Times are ticks of `cfg._ticks`, converted to ms in the report. A batch
     of packets keeps its times at the top of a leg, so at hop h of it a
