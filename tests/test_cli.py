@@ -672,6 +672,30 @@ def test_more_links_than_a_simple_graph_holds_exit_2_at_load(workdir, capsys):
     assert not (workdir / "out").exists()
 
 
+def test_no_movement_model_exits_2_at_load(workdir, capsys):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc["movement_models"] = []
+    (workdir / "still.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", "still.json"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: at least one movement model is required\n"
+    assert not (workdir / "out").exists()
+
+
+def test_an_empty_stub_exits_2_at_load(workdir, capsys, monkeypatch):
+    doc = json.loads((workdir / "cfg.json").read_text())
+    doc["topologies"][1]["generator"].update(kind="transit_stub", stub_size=0)
+    (workdir / "stubless.json").write_text(json.dumps(doc))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a topology was built before the config was checked")
+
+    monkeypatch.setattr(experiment, "build_topology", no_build)
+    assert main(["run", "--config", "stubless.json"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: topology 'g16' generator: clustering knobs must be >= 1\n")
+    assert not (workdir / "out").exists()
+
+
 def test_malformed_topology_file_exit_code(workdir):
     (workdir / "edges.txt").write_text("0 1\n1 1\n")
     assert main(["run", "--config", "cfg.json"]) == EXIT_TOPOLOGY

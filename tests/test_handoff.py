@@ -786,6 +786,33 @@ def test_lossless_sweep_shares_reports_only_between_equal_shapes(overlap, advanc
     assert [(row.report, row.report.deliveries) for row in rows] == expected
 
 
+@pytest.mark.parametrize("loss, max_moves, simulations", [(0.0, 20, 616), (0.05, 2, 308)])
+def test_the_benchmark_sweep_equals_the_heap_row_by_row(monkeypatch, loss, max_moves, simulations):
+    """The reference suite's sweep at seed 7, one run per scenario, equals the reference.
+
+    Lossless with the default block, this is the `handoff_clean` benchmark's
+    sweep: 3,108 rows from 616 simulations. At 5% loss every row is its own
+    simulation. Each simulation the sweep makes is run again by
+    `heap_handoff`, and every row's report and log equal that run's.
+    """
+    calls = {}  # id(report) -> the reference's (report, log) of the same arguments
+    for name in ("simulate_handoff", "simulate_mip_handoff"):
+        def recorded(*args, _real=getattr(experiment, name),
+                     _heap=getattr(heap_handoff, name), **kwargs):
+            rep = _real(*args, **kwargs)
+            calls[id(rep)] = rep, _heap(*args, **kwargs)
+            return rep
+
+        monkeypatch.setattr(experiment, name, recorded)
+    cfg = config.reference_suite_config(
+        master_seed=7, seeds=1, handoff=HandoffBlock(message_loss_rate=loss, max_moves=max_moves))
+    rows = experiment.handoff_sweep(experiment.execute_scenario(experiment.trim_to_sweep(cfg)))
+    assert len(calls) == simulations
+    assert len(rows) == (3108 if max_moves == 20 else simulations)
+    assert [(row.report, row.report.deliveries) for row in rows] == [
+        calls[id(row.report)][1] for row in rows]
+
+
 def test_sweep_shares_one_simulation_between_mirror_image_ties(monkeypatch):
     """Moves 2 -> 3 and 3 -> 2 are one shape, whichever child of the meet node has the lower id.
 
