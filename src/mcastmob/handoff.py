@@ -26,7 +26,6 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 
 STRATEGIES = ("plain_join", "triple_join", "advance_join")
 OVERLAP_MODES = ("make_before_break", "break_before_make")
@@ -90,11 +89,14 @@ class HandoffReport:
     trigger_ms is the relocation trigger. handoff_latency is the time from it
     to the first packet delivered through the new attachment point, which
     arrives at trigger_ms + handoff_latency (inf when none arrives within the
-    simulated window). The counters come from `arrivals`, the seqs and times
-    (ticks of 1/unit ms) of the packets handed to the mobile through old and
-    through new, each in sequence and time order. `deliveries` is built from
-    them when read: every packet handed over, as (seq, time_ms, "old"/"new")
-    in order, duplicates included, by `_handoff`'s same-instant rule.
+    simulated window). The counters come from `arrivals`, the seqs of the
+    packets handed to the mobile through old and through new, each in
+    sequence order. A packet leaves the CN at seq·interval and no hop waits,
+    so packet seq reaches a location at seq·interval + that location's depth,
+    its hop count from the CN times per_hop_delay: `interval` and `depths`
+    (old, new) are in ticks of 1/unit ms. `deliveries` is built from them
+    when read: every packet handed over, as (seq, time_ms, "old"/"new") in
+    order, duplicates included, by `_handoff`'s same-instant rule.
     """
 
     trigger_ms: float
@@ -105,52 +107,45 @@ class HandoffReport:
     control_messages: int
     packets_emitted: int
     packets_delivered: int
-    arrivals: tuple = field(repr=False)  # (old seqs, old times, new seqs, new times)
+    arrivals: tuple = field(repr=False)  # (old seqs, new seqs)
     unit: int = field(repr=False)
+    interval: int = field(repr=False)
+    depths: tuple = field(repr=False)  # (old depth, new depth)
     earlier_first: bool = field(repr=False)
 
     @property
     def deliveries(self) -> tuple[tuple[int, float, str], ...]:
-        old_seqs, old_times, new_seqs, new_times = self.arrivals
-        sign = 1 if self.earlier_first else -1  # the rank of `_counts`
-        log = sorted([*zip(old_seqs, old_times, repeat("old")),
-                      *zip(new_seqs, new_times, repeat("new"))],
+        interval, sign = self.interval, 1 if self.earlier_first else -1
+        log = sorted([(seq, seq * interval + depth, via)
+                      for seqs, depth, via in zip(self.arrivals, self.depths, ("old", "new"))
+                      for seq in seqs],
                      key=lambda e: (e[1], sign * e[0], e[2] == "new"))
         unit = self.unit
         return tuple([(seq, t / unit, via) for seq, t, via in log])
 
 
-def _counts(old_seqs, old_times, new_seqs, new_times, earlier_first):
+def _counts(old_seqs, new_seqs, interval, lag, earlier_first):
     """(packets delivered, first deliveries after a higher seq) of a report's `arrivals`.
 
-    Old arrivals before every new one come in order, and a new one after
-    every old one is late iff it is below the top so far and old did not
-    deliver it, so only the stretch between is walked. There, of two
-    arrivals at one tick the lower rank, seq if earlier_first else -seq, goes
-    first.
+    `lag` is the new depth minus the old one, in ticks. Each location hands
+    packets over in sequence order, so only a first delivery through the
+    slower location can be late: a packet the faster location did not hand
+    over before, with a higher seq through the faster location before it.
+    The earliest such seq is the next higher one there, `next`, which comes
+    first iff (next - seq)·interval < |lag|, or = |lag| when the
+    later-emitted of two packets at one instant goes first (not
+    earlier_first). At lag 0 nothing is late: different seqs never meet.
     """
-    if not new_seqs:
-        return len(old_seqs), 0
-    olds = set(old_seqs[bisect_left(old_seqs, new_seqs[0]):])  # no lower old seq is new
-    n, i, j, late = len(old_seqs), bisect_left(old_times, new_times[0]), 0, 0
-    stretch = bisect_right(new_times, old_times[-1]) if old_seqs else 0
-    sign = 1 if earlier_first else -1
-    top, walked = (old_seqs[i - 1] if i else -1), set()  # highest seq so far, new seqs walked
-    while i < n or j < stretch:
-        if j == stretch or i < n and ((old_times[i], sign * old_seqs[i])
-                                      <= (new_times[j], sign * new_seqs[j])):
-            seq, i = old_seqs[i], i + 1
-            first = seq not in walked
-        else:
-            seq, j = new_seqs[j], j + 1
-            walked.add(seq)
-            first = seq not in olds or i < n and seq >= old_seqs[i]  # old has not delivered it
-        if first:
-            late += seq < top
-            top = max(top, seq)
-    below = bisect_left(new_seqs, top, stretch)
-    late += below - stretch - len(olds.intersection(new_seqs[stretch:below]))
-    return len(old_seqs) + len(new_seqs) - len(olds.intersection(new_seqs)), late
+    slow, fast = (new_seqs, old_seqs) if lag > 0 else (old_seqs, new_seqs)
+    window = abs(lag) + (not earlier_first)  # late iff (next - seq)·interval < window
+    n, dup, late = len(fast), 0, 0
+    for seq in slow:
+        i = bisect_right(fast, seq)
+        if i and fast[i - 1] == seq:
+            dup += 1
+        elif i < n and (fast[i] - seq) * interval < window:
+            late += 1
+    return len(old_seqs) + len(new_seqs) - dup, late
 
 
 def _loss_stream(seed, kind, leg, hop):
@@ -175,13 +170,14 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     under make_before_break, the first delivery through new starts the prune.
 
     Times are ticks of `cfg._ticks`, converted to ms in the report. A batch
-    of packets keeps its times at the top of a leg, so at hop h of it a
-    packet is h·d later, and the leg's delay is added once, at its end.
-    Each link's loss stream, seeded from `seed`, draws once per packet in
-    sequence order, so batches draw what single packets would; at loss 0
-    nothing draws. Two packets that meet at one instant (two deliveries, or
-    a delivery and an emission) go earlier-emitted first iff per_hop_delay
-    >= packet_interval; a packet's two copies at one instant go old first.
+    is its packets' seqs alone: packet seq leaves the CN at seq·interval and
+    no hop waits, so it is at depth h·d (h hops below the CN) at seq·interval
+    + h·d, and a cut at an instant is one seq bound. Each link's loss stream,
+    seeded from `seed`, draws once per packet in sequence order, so batches
+    draw what single packets would; at loss 0 nothing draws. Two packets that
+    meet at one instant (two deliveries, or a delivery and an emission) go
+    earlier-emitted first iff per_hop_delay >= packet_interval; a packet's
+    two copies at one instant go old first.
     """
     if not (type(shape) is tuple and len(shape) == 3
             and all(type(h) is int and h >= 0 for h in shape)):
@@ -198,13 +194,14 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     if strategy != "advance_join":
         lead = 0
     copies = 3 if strategy == "triple_join" else 1  # copies sent per control hop
+    fork, old_depth, new_depth = above * d, (above + old_hops) * d, (above + new_hops) * d
     # relocate on an emission boundary once the pipeline to the old location is full,
     # and no earlier than `lead`: the control message leaves `lead` before it
-    t0 = max(((above + old_hops) * d // interval + 2) * interval, -(-lead // interval) * interval)
+    t0 = max((old_depth // interval + 2) * interval, -(-lead // interval) * interval)
     streams = {}  # (kind, leg, hop) -> that link's loss stream
     control = 0
-    fork_seqs, fork_times = [], []  # the packets F sends down the old leg
-    new_seqs, new_times = [], []  # arrivals through new, in sequence order
+    fork_seqs = []  # the packets F sends down the old leg
+    new_seqs = []  # arrivals through new, in sequence order
 
     def stream(*key):
         return streams.get(key) or streams.setdefault(key, _loss_stream(seed, *key))
@@ -227,34 +224,29 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
             t += d
         return t
 
-    def down(leg, hops, seqs, times, stop=inf):
-        """A batch's survivors down `leg`, with times at its end; none leaves a node at stop."""
+    def since(t, depth):
+        """The lowest seq that is at `depth` at t or later: a ceiling division; inf for inf."""
+        return t if t == inf else -((depth - t) // interval)
+
+    def down(leg, hops, seqs, at, stop=inf):
+        """A batch's survivors down `leg`, its top at depth `at`; none leaves a node at stop."""
         if rate:
             for hop in range(hops):
-                cut = bisect_left(times, stop - hop * d)
-                seqs, times = seqs[:cut], times[:cut]
+                seqs = seqs[:bisect_left(seqs, since(stop, at + hop * d))]
                 if seqs:
                     draw = stream("data", leg, hop).random
-                    kept = [draw() >= rate for _ in seqs]
-                    seqs, times = list(compress(seqs, kept)), list(compress(times, kept))
+                    seqs = [seq for seq in seqs if draw() >= rate]
         elif hops and stop < inf:  # without loss the last node's cut is the one that binds
-            cut = bisect_left(times, stop - (hops - 1) * d)
-            seqs, times = seqs[:cut], times[:cut]
-        span = hops * d
-        return seqs, [t + span for t in times]
+            seqs = seqs[:bisect_left(seqs, since(stop, at + (hops - 1) * d))]
+        return seqs
 
     def launch(first, end):
         """Packets first .. end - 1 leave the CN; at F from `committed` they take the new leg."""
-        seqs, times = down("above", above, range(first, end),
-                           range(first * interval, end * interval, interval))
-        cut = bisect_left(times, committed)
-        fork = cut if redirect else len(seqs)  # a redirect sends each packet one way
-        fork_seqs.extend(seqs[:fork])
-        fork_times.extend(times[:fork])
-        seqs, times = down("new", new_hops, seqs[cut:], times[cut:])
-        cut = bisect_left(times, t0)
-        new_seqs.extend(seqs[cut:])
-        new_times.extend(times[cut:])
+        seqs = down("above", above, range(first, end), 0)
+        cut = bisect_left(seqs, since(committed, fork))
+        fork_seqs.extend(seqs[:cut] if redirect else seqs)  # a redirect sends each packet one way
+        seqs = down("new", new_hops, seqs[cut:], fork)
+        new_seqs.extend(seqs[bisect_left(seqs, since(t0, new_depth)):])
 
     committed = relay("registration" if redirect else "join", "new", new_hops, t0 - lead)
     # No packet arrives through new before t0 or the commit carried down the new leg,
@@ -266,38 +258,38 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     sure = min(max(t0, committed + new_hops * d), give_up) + tail  # the earliest deadline
     sent, emitted = 0, sure // interval + 1  # packets launched, emitted
     while True:
-        if not new_times:  # this emission's deadline waits on the packets so far
+        if not new_seqs:  # this emission's deadline waits on the packets so far
             launch(sent, emitted)
             sent = emitted
         # the tail starts once the first delivery through new has happened
-        t, first = (emitted - 1) * interval, new_times[0] if new_times else inf
+        t, first = (emitted - 1) * interval, new_seqs[0] * interval + new_depth if new_seqs else inf
         known = first < t or first == t and earlier_first
         if t + interval > (first if known else give_up) + tail:
             break
         emitted += 1
-    if sent < emitted:
+    if sent < emitted:  # seqs above every one launched: `first` stays the first new arrival
         launch(sent, emitted)
-    prune = new_times and mbb and not redirect  # a redirect leaves the old leg nothing to prune
-    pruned = relay("prune", "old", old_hops, new_times[0]) if prune else inf
+    prune = new_seqs and mbb and not redirect  # a redirect leaves the old leg nothing to prune
+    pruned = relay("prune", "old", old_hops, first) if prune else inf
     # nothing else draws from the old leg's streams, so its fates can wait for the prune
-    old_seqs, old_times = down("old", old_hops, fork_seqs, fork_times, pruned)
+    old_seqs = down("old", old_hops, fork_seqs, fork, pruned)
     if not mbb:  # the mobile is at old before t0, at new from it
-        cut = bisect_left(old_times, t0)
-        old_seqs, old_times = old_seqs[:cut], old_times[:cut]
+        old_seqs = old_seqs[:bisect_left(old_seqs, since(t0, old_depth))]
 
-    arrivals = old_seqs, old_times, new_seqs, new_times
-    delivered, late = _counts(*arrivals, earlier_first)
+    delivered, late = _counts(old_seqs, new_seqs, interval, new_depth - old_depth, earlier_first)
     return HandoffReport(
         trigger_ms=t0 / unit,
-        handoff_latency=(new_times[0] - t0) / unit if new_times else inf,
+        handoff_latency=(first - t0) / unit,
         packets_lost=emitted - delivered,
         packets_duplicated=len(old_seqs) + len(new_seqs) - delivered,
         out_of_order=late,
         control_messages=control,
         packets_emitted=emitted,
         packets_delivered=delivered,
-        arrivals=arrivals,
+        arrivals=(old_seqs, new_seqs),
         unit=unit,
+        interval=interval,
+        depths=(old_depth, new_depth),
         earlier_first=earlier_first,
     )
 

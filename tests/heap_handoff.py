@@ -15,12 +15,14 @@ node of "above", and forwards packets over that small tree. A link is
 (leg, hop), hop counted from the leg's upper end. It shares only the
 loss-stream seeding, `HandoffConfig` and `HandoffReport` with the package,
 and takes the same arguments: the triple, the wire, the strategy
-(multicast only) and the seed. Each returns (report, log): the report
-keeps its arrivals split by location, as the package's does, and the log
-is the heap's own (seq, time_ms, via) list in the order it handed packets
-over. A report rebuilds its `deliveries` from its arrivals, so a test that
-finds both reports equal and the package's `deliveries` equal to the log
-checks the pass against an independent event loop.
+(multicast only) and the seed. Each returns (report, log). The report
+keeps its log's seqs split by location and its layout's depths, as the
+package's does, and the log is the heap's own (seq, time_ms, via) list, at
+the times its events carried, in the order it handed packets over. A
+report rebuilds its `deliveries` from its seqs and depths (a packet is at
+depth h·d at seq·interval + h·d), so a test that finds both reports equal
+and the package's `deliveries` equal to the log checks the pass, and that
+law, against an independent event loop.
 """
 
 from __future__ import annotations
@@ -156,17 +158,19 @@ class _Kernel:
         if t + interval <= deadline:
             self.push(t + interval, _DATA, self.rank(seq + 1), self._emit, seq + 1, launch)
 
-    def run(self, launch) -> tuple[HandoffReport, tuple]:
-        """(report, delivery log): the log in ms, in the order the heap handed the packets over."""
+    def run(self, launch, hops) -> tuple[HandoffReport, tuple]:
+        """(report, delivery log): the log in ms, in the order the heap handed the packets over.
+
+        `hops` is the hop count from the CN to the old and to the new location.
+        """
         self.push(0, _DATA, self.rank(0), self._emit, 0, launch)
         heap = self.heap
         while heap:
             t, _, _, _, fn, args = heapq.heappop(heap)
             fn(t, *args)
         first_new, unit = self.first_new, self.unit
-        # (old seqs, old times, new seqs, new times), each in the log's order
-        arrivals = tuple([entry[i] for entry in self.log if entry[2] == via]
-                         for via in ("old", "new") for i in (0, 1))
+        # (old seqs, new seqs), each in the log's order
+        arrivals = tuple([seq for seq, _, via in self.log if via == loc] for loc in ("old", "new"))
         report = HandoffReport(
             trigger_ms=self.t0 / unit,
             handoff_latency=(first_new - self.t0) / unit if first_new is not None else math.inf,
@@ -178,6 +182,8 @@ class _Kernel:
             packets_delivered=len(self.delivered),
             arrivals=arrivals,
             unit=unit,
+            interval=self.interval,
+            depths=tuple(h * self.delay for h in hops),
             earlier_first=self.delay >= self.interval,
         )
         return report, tuple((seq, t / unit, via) for seq, t, via in self.log)
@@ -253,7 +259,8 @@ def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> tuple[Handoff
     if cfg.overlap == "make_before_break":
         k.on_first_new = lambda t: k.push(t, _CONTROL, 0, k.relay, "prune", up_old, pruned)
     k.push(k.t0 - lead, _CONTROL, 0, k.relay, "join", up_new, grafted)
-    return k.run(lambda t, seq: arrive(t, cn, seq))
+    return k.run(lambda t, seq: arrive(t, cn, seq),
+                 [len(legs["above"]) + len(legs[loc]) - 2 for loc in ("old", "new")])
 
 
 def simulate_mip_handoff(shape, cfg, seed=0) -> tuple[HandoffReport, tuple]:
@@ -284,4 +291,5 @@ def simulate_mip_handoff(shape, cfg, seed=0) -> tuple[HandoffReport, tuple]:
         registered = True
 
     k.push(k.t0, _CONTROL, 0, k.relay, "registration", tunnels["new"][::-1], registered_at)
-    return k.run(lambda t, seq: along(t, path_a, 0, seq, None))
+    return k.run(lambda t, seq: along(t, path_a, 0, seq, None),
+                 (len(path_a) + len(tunnels["old"]), len(path_a) + len(tunnels["new"])))

@@ -88,6 +88,12 @@ class TestConfigValidation:
         with pytest.raises(HandoffError):
             HandoffConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["per_hop_delay", "packet_interval", "refresh_period",
+                                      "advance_lead"])
+    def test_an_infinite_setting_is_rejected_as_not_finite(self, name):
+        with pytest.raises(HandoffError, match="finite"):
+            HandoffConfig(**{name: math.inf})
+
     def test_the_longest_setting_is_at_most_a_million_packet_intervals(self):
         for name in ("per_hop_delay", "refresh_period", "advance_lead"):
             HandoffConfig(**{name: 1e6}, packet_interval=1.0)
@@ -264,6 +270,25 @@ class TestLossRecovery:
         assert rep.control_messages == handoff._MAX_RETRIES
 
 
+def test_a_draw_at_the_rate_is_not_a_loss(monkeypatch):
+    """A crossing is lost iff its draw is below the rate: with every draw at it, none is."""
+    def stream(seed, kind, leg, hop):
+        return SimpleNamespace(random=lambda: 0.5)
+
+    monkeypatch.setattr(handoff, "_loss_stream", stream)
+    monkeypatch.setattr(heap_handoff, "_loss_stream", stream)
+    for overlap in OVERLAP_MODES:
+        lossless = HandoffConfig(overlap=overlap, **BASE)
+        at_rate = HandoffConfig(overlap=overlap, message_loss_rate=0.5, **BASE)
+        for strategy in STRATEGIES:
+            rep = simulate_handoff(SHAPE, at_rate, strategy)
+            assert rep == simulate_handoff(SHAPE, lossless, strategy)
+            assert (rep, rep.deliveries) == heap_simulate_handoff(SHAPE, at_rate, strategy)
+        rep = simulate_mip_handoff(SHAPE, at_rate)
+        assert rep == simulate_mip_handoff(SHAPE, lossless)
+        assert (rep, rep.deliveries) == heap_simulate_mip_handoff(SHAPE, at_rate)
+
+
 class TestMonotonicity:
     def test_latency_monotone_in_graft_length(self):
         """Old one hop below the meet node, which is one below the CN; L = 1..6."""
@@ -329,6 +354,11 @@ class TestDeterminism:
     def test_same_seed_same_report(self):
         cfg = HandoffConfig(message_loss_rate=0.3, **BASE)
         assert simulate_handoff(SHAPE, cfg, seed=123) == simulate_handoff(SHAPE, cfg, seed=123)
+
+    def test_the_default_seed_is_0(self):
+        cfg = HandoffConfig(message_loss_rate=0.3, **BASE)
+        assert simulate_handoff(SHAPE, cfg) == simulate_handoff(SHAPE, cfg, seed=0)
+        assert simulate_mip_handoff(SHAPE, cfg) == simulate_mip_handoff(SHAPE, cfg, seed=0)
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.3])
