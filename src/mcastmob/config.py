@@ -194,13 +194,14 @@ def from_dict(doc) -> ScenarioConfig:
     topo_docs = _object(doc, "config").get("topologies")
     if type(topo_docs) is not list or not topo_docs:
         raise ConfigError("'topologies' must be a non-empty list")
+    master_seed = doc.get("master_seed", ScenarioConfig.master_seed)  # checked by _build below
     specs = []
     for td in topo_docs:
         where = f"topology {_object(td, 'topology').get('name')!r}"
         gen = td.get("generator")
         if gen is not None:
             # the document may still give the seed the master seed would derive
-            seed = stable_seed(doc.get("master_seed", 0), "topology", td.get("name"))
+            seed = stable_seed(master_seed, "topology", td.get("name"))
             gen = _build(GeneratorParams, {"seed": seed, **_object(gen, f"{where} generator")},
                          f"{where} generator")
         specs.append(_build(TopologySpec, td, where, generator=gen))

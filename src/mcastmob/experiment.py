@@ -68,28 +68,28 @@ def child_seed(master_seed, topology_name, model, run_index) -> int:
     return stable_seed(master_seed, "run", topology_name, model, run_index)
 
 
-def run_single(topo, oracle, topo_type, model_kind, cluster_radius, moves, seed, run_index,
-               endpoints=None) -> RunResult:
-    """Execute one seeded run: draw CN/HA, generate the trace, walk the tree.
+def run_single(cfg, spec, topo, oracle, model_kind, run_index, endpoints=None) -> RunResult:
+    """Execute run `run_index` of (`spec`, `model_kind`) under `cfg`.
 
-    `endpoints` pins (cn, ha) for the per_topology endpoint policy;
-    otherwise both are drawn from the child-seed stream.
+    Draws CN/HA from the run's child seed, generates the trace and walks the
+    tree. `endpoints` pins (cn, ha) for the per_topology endpoint policy;
+    otherwise both are drawn from the child-seed stream, before the trace
+    seed. Raises RunFailure, with the child seed, when the trace cannot
+    continue or the walk breaks an invariant.
     """
+    seed = child_seed(cfg.master_seed, spec.name, model_kind, run_index)
     rng = random.Random(seed)
     cn, ha = endpoints or _draw_endpoints(rng, topo.n)
-    trace_seed = rng.getrandbits(64)
-    trace = movement.generate_trace(
-        topo,
-        MovementModel(model_kind, cluster_radius),
-        frozenset({cn}),
-        moves,
-        trace_seed,
-    )
-    samples = routing.run_scenario(oracle, cn, ha, trace.steps)
+    try:
+        trace = movement.generate_trace(topo, MovementModel(model_kind, cfg.cluster_radius), cn,
+                                        cfg.moves_per_run, rng.getrandbits(64))
+        samples = routing.run_scenario(oracle, cn, ha, trace.steps)
+    except (routing.SimulationInvariantError, movement.MovementError) as exc:
+        raise RunFailure(topo.name, model_kind, run_index, seed, exc) from exc
     return RunResult(
         record=RunRecord(
             topology=topo.name,
-            topo_type=topo_type,
+            topo_type=spec.topo_type,
             model=model_kind,
             nodes=topo.n,
             run_index=run_index,
@@ -120,17 +120,7 @@ def _pair_job(args):
         endpoints = _draw_endpoints(
             random.Random(stable_seed(cfg.master_seed, "endpoints", topo.name)), topo.n
         )
-    out = []
-    for run_index in run_indices:
-        seed = child_seed(cfg.master_seed, spec.name, model_kind, run_index)
-        try:
-            out.append(run_single(
-                topo, oracle, spec.topo_type, model_kind, cfg.cluster_radius, cfg.moves_per_run,
-                seed, run_index, endpoints=endpoints,
-            ))
-        except (routing.SimulationInvariantError, movement.MovementError) as exc:
-            raise RunFailure(topo.name, model_kind, run_index, seed, exc) from exc
-    return out
+    return [run_single(cfg, spec, topo, oracle, model_kind, i, endpoints) for i in run_indices]
 
 
 def execute_scenario(cfg: ScenarioConfig, workers=1) -> ExperimentResult:

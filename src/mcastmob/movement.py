@@ -9,7 +9,7 @@ MODEL_KINDS = ("random", "neighbor", "cluster")
 
 
 class MovementError(Exception):
-    """No eligible next node under the model and forbidden-set constraints."""
+    """No eligible next node under the model without visiting the correspondent node."""
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,11 @@ def cluster_window(node, n, radius=6):
     return window if 0 <= low and high <= n else sorted(window)  # in order unless it wraps
 
 
-def _moves(topo, model, forbidden, node):
-    """Nodes the mobile may move to from `node` under `model`; None: every id not forbidden.
+def _moves(topo, model, cn, node):
+    """Nodes the mobile may move to from `node` under `model`; None: every id but `cn`.
 
-    The neighbourhood or window itself when no `forbidden` id is in it, else
-    a filtered copy; in id order either way.
+    The neighbourhood or window itself unless the correspondent node `cn` is
+    in it, else a filtered copy; in id order either way.
     """
     if model.kind == "random":
         return None
@@ -66,14 +66,13 @@ def _moves(topo, model, forbidden, node):
         near = topo.adj[node]
     else:
         near = cluster_window(node, topo.n, model.cluster_radius)
-    return near if forbidden.isdisjoint(near) else [v for v in near if v not in forbidden]
+    return [v for v in near if v != cn] if cn in near else near
 
 
-def generate_trace(topo, model, forbidden, count, seed, start=None):
-    """Seeded visit sequence of exactly `count` nodes.
+def generate_trace(topo, model, cn, count, seed):
+    """Seeded visit sequence of exactly `count` nodes, never the correspondent node `cn`.
 
-    `forbidden` ids (typically the correspondent node) never appear. The
-    start is drawn uniformly from eligible nodes unless given; a drawn start
+    The start is drawn uniformly from the other n - 1 ids; a drawn start
     with no eligible move is drawn again among the nodes that have one (for
     the neighbor model a node reached by a move can always move back, so
     only the start can be trapped). Sampling is with replacement: revisits
@@ -83,44 +82,31 @@ def generate_trace(topo, model, forbidden, count, seed, start=None):
     """
     if count < 1:
         raise MovementError("count must be >= 1")
-    forbidden = frozenset(forbidden)
-    for node in forbidden:
-        if not (0 <= node < topo.n):
-            raise MovementError(f"forbidden id {node} not in topology")
-    skipped = sorted(forbidden)
-    if len(skipped) == topo.n:
-        raise MovementError("forbidden set excludes every node")
+    if not (0 <= cn < topo.n):
+        raise MovementError(f"cn {cn} not in topology")
     getrandbits = random.Random(seed).getrandbits
 
     def choice(candidates):
-        n = topo.n - len(skipped) if candidates is None else len(candidates)
+        n = topo.n - 1 if candidates is None else len(candidates)
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
         if candidates is not None:
             return candidates[r]
-        for v in skipped:  # the r-th id that is not forbidden
-            if v > r:
-                break
-            r += 1
-        return r
+        return r + (r >= cn)  # the r-th id that is not the CN
 
-    if start is None:
-        start = choice(None)
-        if count > 1 and model.kind != "random" and not _moves(topo, model, forbidden, start):
-            free = [v for v in range(topo.n)
-                    if v not in forbidden and _moves(topo, model, forbidden, v)]
-            if not free:
-                raise MovementError(f"no eligible node has a move under {model.kind}")
-            start = choice(free)
-    elif not (0 <= start < topo.n) or start in forbidden:
-        raise MovementError(f"invalid start node {start}")
+    start = choice(None)
+    if count > 1 and model.kind != "random" and not _moves(topo, model, cn, start):
+        free = [v for v in range(topo.n) if v != cn and _moves(topo, model, cn, v)]
+        if not free:
+            raise MovementError(f"no eligible node has a move under {model.kind}")
+        start = choice(free)
 
     steps = [start]
     current = start
     for _ in range(count - 1):
-        candidates = _moves(topo, model, forbidden, current)
+        candidates = _moves(topo, model, cn, current)
         if candidates is not None and not candidates:
             raise MovementError(f"no eligible move from node {current} under {model.kind}")
         current = choice(candidates)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from mcastmob.config import (
     ScenarioConfig,
     TopologySpec,
     from_json,
+    load,
     reference_suite_config,
     stable_seed,
 )
@@ -49,6 +52,21 @@ def test_generator_seed_derived_from_master_seed():
 
 def test_generator_seed_without_a_master_seed_derives_from_0():
     assert from_json(MINIMAL).topologies[0].generator.seed == stable_seed(0, "topology", "g")
+
+
+def test_a_document_without_a_master_seed_loads_as_master_seed_0():
+    """The field's default is the master seed both of the run seeds and of the generator seeds."""
+    explicit = from_json(MINIMAL.replace('"topologies"', '"master_seed": 0, "topologies"', 1))
+    assert from_json(MINIMAL) == explicit
+    assert explicit.master_seed == 0
+
+
+def test_load_takes_a_relative_topology_file_from_the_config_directory(tmp_path):
+    """Only a topology given by file is moved to the config's directory; a generated one has none."""
+    doc = MINIMAL.replace('"topologies": [', '"topologies": [{"name": "f", "file": "edges.txt"},', 1)
+    (tmp_path / "cfg.json").write_text(doc)
+    cfg = load(str(tmp_path / "cfg.json"))
+    assert [t.file for t in cfg.topologies] == [os.path.join(str(tmp_path), "edges.txt"), None]
 
 
 def test_cluster_radius_2_is_the_least_the_cluster_model_takes():
@@ -169,6 +187,12 @@ def test_reference_suite_json_with_a_default_handoff_block_is_pinned():
         pytest.param('{"handoff": {"per_hop_delay": 1%s}, "topologies": [{"name": "x", '
                      '"file": "f"}]}' % ("0" * 400), "per_hop_delay must be a number",
                      id="int_beyond_float_range"),
+        # the largest float as an integer is a number, so the field's own check runs
+        pytest.param('{"handoff": {"message_loss_rate": %d}, "topologies": [{"name": "x", '
+                     '"file": "f"}]}' % int(sys.float_info.max),
+                     r"message_loss_rate must be in \[0, 1\)", id="int_at_float_range"),
+        ('{"handoff": {"strategies": []}, "topologies": [{"name": "x", "file": "f"}]}',
+         r"^invalid handoff strategies \(\)$"),
     ],
 )
 def test_rejects_bad_documents(mutate, fragment):

@@ -31,6 +31,7 @@ from mcastmob.handoff import (
     simulate_handoff,
     simulate_mip_handoff,
 )
+from mcastmob.metrics import RunRecord, run_stats
 from mcastmob.movement import MovementTrace
 from mcastmob.routing import establish
 from mcastmob.topology import GeneratorParams, PathOracle
@@ -662,6 +663,14 @@ def _fresh_reports(oracle, run, block):
     return reports
 
 
+def _walked_run(oracle, cn, ha, steps, seed):
+    """Run 0 walking `steps` with CN `cn` and HA `ha`, built as `run_single` builds a run."""
+    samples = tuple(routing.run_scenario(oracle, cn, ha, steps))
+    topo = oracle.topo
+    record = RunRecord(topo.name, "measured", "random", topo.n, 0, seed, run_stats(samples))
+    return experiment.RunResult(record, cn, ha, MovementTrace(tuple(steps)), samples)
+
+
 def _random_run(seed, n_max=20):
     """A random graph's oracle and a run on it with a random trace (repeats included)."""
     rng = random.Random(seed)
@@ -672,11 +681,7 @@ def _random_run(seed, n_max=20):
     steps = [rng.choice([v for v in range(n) if v != cn])]
     for _ in range(rng.randrange(1, 12)):  # a repeat is a move that stays put
         steps.append(rng.choice([steps[-1]] + [v for v in range(n) if v != cn]))
-    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=2, moves=1,
-                                seed=seed, run_index=0, endpoints=(cn, ha))
-    run = dataclasses.replace(run, trace=MovementTrace(tuple(steps)),
-                              samples=tuple(routing.run_scenario(oracle, cn, ha, steps)))
-    return oracle, run
+    return oracle, _walked_run(oracle, cn, ha, steps, seed)
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.1])
@@ -747,10 +752,7 @@ def _y_run():
     """
     topo = make_topology("y", 5, [(0, 1), (1, 2), (2, 3), (1, 4)])
     oracle = PathOracle(topo)
-    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=1,
-                                seed=5, run_index=0, endpoints=(0, 1))
-    return dataclasses.replace(run, trace=MovementTrace((3, 4)),
-                               samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4))))
+    return _walked_run(oracle, 0, 1, (3, 4), seed=5)
 
 
 def test_sweep_keeps_a_mobile_ip_row_apart_from_a_multicast_row_of_its_triple():
@@ -860,10 +862,7 @@ def test_sweep_shares_one_simulation_between_mirror_image_ties(monkeypatch):
 
     topo = make_topology("fork", 4, [(0, 1), (1, 2), (1, 3)])
     oracle = PathOracle(topo)
-    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=2,
-                                seed=5, run_index=0, endpoints=(0, 1))
-    run = dataclasses.replace(run, trace=MovementTrace((2, 3, 2)),
-                              samples=tuple(routing.run_scenario(oracle, 0, 1, (2, 3, 2))))
+    run = _walked_run(oracle, 0, 1, (2, 3, 2), seed=5)
     block = HandoffBlock(max_moves=2)
     monkeypatch.setattr(experiment, "simulate_handoff", counted)
     rows = experiment._sweep_run(run, block, {})
@@ -894,10 +893,7 @@ def test_sweep_shares_the_forwarding_order_when_no_copies_tie(monkeypatch):
 
     topo = make_topology("fork", 7, [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5), (5, 6)])
     oracle = PathOracle(topo)
-    run = experiment.run_single(topo, oracle, "measured", "random", cluster_radius=6, moves=3,
-                                seed=5, run_index=0, endpoints=(0, 1))
-    run = dataclasses.replace(run, trace=MovementTrace((3, 4, 6, 4)),
-                              samples=tuple(routing.run_scenario(oracle, 0, 1, (3, 4, 6, 4))))
+    run = _walked_run(oracle, 0, 1, (3, 4, 6, 4), seed=5)
     block = HandoffBlock(max_moves=3)
     monkeypatch.setattr(experiment, "simulate_handoff", counted)
     rows = experiment._sweep_run(run, block, {})

@@ -148,9 +148,7 @@ class TestRunScenario:
             topo = make_topology("t", n, edges)
             oracle = PathOracle(topo)
             cn = rng.randrange(n)
-            trace = generate_trace(
-                topo, MovementModel("neighbor"), frozenset({cn}), 25, seed=rng.randrange(10**6)
-            )
+            trace = generate_trace(topo, MovementModel("neighbor"), cn, 25, seed=rng.randrange(10**6))
             ha = rng.choice([v for v in range(n) if v != cn])
             samples = run_scenario(oracle, cn, ha, trace.steps)
             assert all(s.added_links <= 1 for s in samples[1:])
@@ -160,7 +158,7 @@ class TestRunScenario:
         topo = make_topology("g", 20, random_connected_edges(rng, 20, 20))
         oracle = PathOracle(topo)
         adj = {u: list(nbrs) for u, nbrs in enumerate(topo.adj)}
-        trace = generate_trace(topo, MovementModel("random"), frozenset({0}), 50, seed=10)
+        trace = generate_trace(topo, MovementModel("random"), 0, 50, seed=10)
         samples = run_scenario(oracle, 0, 5, trace.steps)
         dist_cn = bfs_dist(adj, 0)
         for s, node in zip(samples, trace.steps):
@@ -170,7 +168,7 @@ class TestRunScenario:
         rng = random.Random(11)
         topo = make_topology("g", 30, random_connected_edges(rng, 30, 30))
         oracle = PathOracle(topo)
-        trace = generate_trace(topo, MovementModel("random"), frozenset({2}), 60, seed=12)
+        trace = generate_trace(topo, MovementModel("random"), 2, 60, seed=12)
         samples = run_scenario(oracle, 2, 7, trace.steps)
         added = removed = 0
         for s in samples:
@@ -184,7 +182,7 @@ class TestRunScenario:
         rng = random.Random(13)
         topo = make_topology("g", 25, random_connected_edges(rng, 25, 20))
         oracle = PathOracle(topo)
-        trace = generate_trace(topo, MovementModel("cluster"), frozenset({1}), 40, seed=14)
+        trace = generate_trace(topo, MovementModel("cluster"), 1, 40, seed=14)
         for s in run_scenario(oracle, 1, 9, trace.steps):
             assert s.a_hops + s.b_hops >= s.c_hops
 
@@ -192,7 +190,7 @@ class TestRunScenario:
         rng = random.Random(15)
         topo = make_topology("g", 18, random_connected_edges(rng, 18, 12))
         oracle = PathOracle(topo)
-        trace = generate_trace(topo, MovementModel("random"), frozenset({4}), 30, seed=16)
+        trace = generate_trace(topo, MovementModel("random"), 4, 30, seed=16)
         first = run_scenario(oracle, 4, 6, trace.steps)
         second = run_scenario(PathOracle(topo), 4, 6, trace.steps)
         assert first == second
@@ -208,7 +206,7 @@ class TestRunScenario:
         monkeypatch.setattr(PathOracle, "dist_from", counted)
         rng = random.Random(19)
         topo = make_topology("g", 40, random_connected_edges(rng, 40, 30))
-        trace = generate_trace(topo, MovementModel("random"), frozenset({5}), 80, seed=20)
+        trace = generate_trace(topo, MovementModel("random"), 5, 80, seed=20)
         run_scenario(PathOracle(topo), 5, 11, trace.steps)
         assert len(set(trace.steps)) > 20
         assert sources == {5, 11}
