@@ -218,38 +218,39 @@ def _sweep_run(run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
     Hop triples and B hops come from `run.samples`, which must be its trace's.
-    Each simulator takes `block` itself as its wire, with the row's seed and,
-    for multicast, its strategy. `memo` maps (triple, label, seed) to a
-    report of this sweep under `block`; see `handoff_sweep`.
+    Each move has a (label, triple) entry per strategy, then "mobile_ip"'s if
+    included. `memo` maps (triple, label, seed) to a report of this sweep
+    under `block` (see `handoff_sweep`); an entry missing from it is
+    simulated, with `block` as its wire, and stored.
     """
     rec = run.record
-    where = (rec.topology, rec.model, rec.run_index)
+    topology, model, run_index, run_seed = rec.topology, rec.model, rec.run_index, rec.child_seed
     steps, samples = run.trace.steps, run.samples
     if len(samples) != len(steps):
-        raise ValueError(f"run {where} has {len(samples)} samples for {len(steps)} steps")
+        raise ValueError(f"run {topology, model, run_index} has {len(samples)} samples for "
+                         f"{len(steps)} steps")
     rows = []
-
-    def simulated(simulate, triple, i, label, *strategy):
-        # without loss the seed is inert (no draw is made), so it leaves the key
-        seed = stable_seed(rec.child_seed, "handoff", i, label) if block.message_loss_rate else 0
-        rep = memo.get((triple, label, seed))
-        if rep is None:
-            rep = memo[triple, label, seed] = simulate(triple, block, *strategy, seed=seed)
-        return rep
-
+    add, known = rows.append, memo.get
+    lossy, strategies = block.message_loss_rate, block.strategies
+    mobile_ip = block.include_mobile_ip
     for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
         if old == new:
             continue
         before, after = samples[i - 1], samples[i]
         # the prune cut the meet node's index on the old branch of C links
         graft, b_hops, meet = after.added_links, after.b_hops, after.removed_links
-        triple = before.c_hops - meet, meet, graft
-        for strategy in block.strategies:
-            rep = simulated(simulate_handoff, triple, i, strategy, strategy)
-            rows.append(HandoffRow(*where, i, strategy, graft, b_hops, rep))
-        if block.include_mobile_ip:
-            triple = after.a_hops, before.b_hops, b_hops
-            rep = simulated(simulate_mip_handoff, triple, i, "mobile_ip")
-            # the multicast graft length, for comparison
-            rows.append(HandoffRow(*where, i, "mobile_ip", graft, b_hops, rep))
+        mcast = before.c_hops - meet, meet, graft
+        entries = [(strategy, mcast) for strategy in strategies]
+        if mobile_ip:
+            entries.append(("mobile_ip", (after.a_hops, before.b_hops, b_hops)))
+        for label, triple in entries:
+            # without loss the seed is inert (no draw is made), so it leaves the key
+            seed = stable_seed(run_seed, "handoff", i, label) if lossy else 0
+            rep = known((triple, label, seed))
+            if rep is None:
+                rep = memo[triple, label, seed] = (
+                    simulate_mip_handoff(triple, block, seed=seed) if label == "mobile_ip"
+                    else simulate_handoff(triple, block, label, seed=seed))
+            # a Mobile IP row carries the multicast graft length, for comparison
+            add(HandoffRow(topology, model, run_index, i, label, graft, b_hops, rep))
     return rows

@@ -179,10 +179,12 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     earlier-emitted first iff per_hop_delay >= packet_interval; a packet's
     two copies at one instant go old first.
     """
-    if not (type(shape) is tuple and len(shape) == 3
-            and all(type(h) is int and h >= 0 for h in shape)):
+    if type(shape) is not tuple or len(shape) != 3:
         raise HandoffError(f"a shape is three hop counts >= 0, not {shape!r}")
     above, old_hops, new_hops = shape
+    if not (type(above) is type(old_hops) is type(new_hops) is int
+            and above >= 0 and old_hops >= 0 and new_hops >= 0):
+        raise HandoffError(f"a shape is three hop counts >= 0, not {shape!r}")
     if not (above + old_hops and above + new_hops):
         raise HandoffError("the mobile cannot be at the correspondent node")
     if not old_hops + new_hops:

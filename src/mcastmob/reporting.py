@@ -33,10 +33,11 @@ def fmt(value):
     return str(value)
 
 
-def _write(path, text):
+def _write(path, chunks):
+    """Write the strs of `chunks`, in order, to `path`, making its directory first."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _write_table(path, header, rows):
@@ -45,7 +46,7 @@ def _write_table(path, header, rows):
     table = csv.writer(buf, lineterminator="\n")
     table.writerow(header)
     table.writerows(rows)
-    _write(path, buf.getvalue())
+    _write(path, (buf.getvalue(),))
 
 
 # Samples and traces hold ints only, which the csv module prints as fmt does
@@ -131,17 +132,31 @@ HANDOFF_COLUMNS = (
 
 
 def write_handoff(path, rows):
-    # only the latency is a float; the csv module prints the str and int cells as fmt does
-    _write_table(path, HANDOFF_COLUMNS, (
-        (row.topology, row.model, row.run_index, row.step, row.strategy, row.graft_links,
-         row.b_hops, fmt(row.report.handoff_latency), row.report.packets_lost,
-         row.report.packets_duplicated, row.report.out_of_order, row.report.control_messages)
-        for row in rows
-    ))
+    """handoff.csv, streamed: `rows` is a list of `experiment.HandoffRow`s.
+
+    Rows of one simulation share its report, so each report's five cells are
+    formatted once, keyed by its id, which the list keeps alive. No cell
+    needs quoting (README, "Report layout"): the bytes are the csv module's.
+    """
+    tails = {}  # id(report) -> its five cells and the line end
+
+    def lines():
+        yield ",".join(HANDOFF_COLUMNS) + "\n"
+        for row in rows:
+            rep = row.report
+            tail = tails.get(id(rep))
+            if tail is None:
+                tail = tails[id(rep)] = (f"{fmt(rep.handoff_latency)},{rep.packets_lost},"
+                                         f"{rep.packets_duplicated},{rep.out_of_order},"
+                                         f"{rep.control_messages}\n")
+            yield (f"{row.topology},{row.model},{row.run_index},{row.step},{row.strategy},"
+                   f"{row.graft_links},{row.b_hops},{tail}")
+
+    _write(path, lines())
 
 
 def write_report_json(path, payload):
-    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, (json.dumps(payload, sort_keys=True, indent=2), "\n"))
 
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
@@ -295,6 +310,6 @@ def render_plots(report_dir):
     written = []
     for fname, title, ylabel, names, values, refs in charts:
         path = os.path.join(report_dir, "plots", fname)
-        _write(path, svg_grouped_bars(title, ylabel, groups, names, values, refs))
+        _write(path, (svg_grouped_bars(title, ylabel, groups, names, values, refs),))
         written.append(path)
     return written

@@ -146,7 +146,7 @@ def run_scenario(oracle, cn, ha, steps):
             removed = tree.prune(old)
         total_added += added
         total_removed += removed
-        if total_removed > total_added or total_added - total_removed != tree.edge_count:
+        if total_added - total_removed != tree.edge_count:
             raise SimulationInvariantError(
                 f"link accounting broken at step {i}: added {total_added}, "
                 f"removed {total_removed}, tree {tree.edge_count}, branch {tree.branch}"

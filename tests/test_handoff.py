@@ -11,10 +11,15 @@ old leaf at 20k+30 and the new one (once grafted) at 20k+50. With the HA at
 node 1, Mobile IP has the same triple.
 """
 
+import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import math
+import os
 import random
+import tempfile
 from types import SimpleNamespace
 
 import pytest
@@ -404,8 +409,9 @@ class TestPreconditions:
         with pytest.raises(HandoffError, match="correspondent"):
             simulate_mip_handoff((0, 3, 0), HandoffConfig(**BASE))
 
-    @pytest.mark.parametrize("shape", [(1, 2), (1, 2, 3, 4), (1, -2, 3), (1, 2.0, 3),
-                                       (True, 2, 3), [1, 2, 3], None])
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 2, 3, 4), (-1, 2, 3), (1, -2, 3), (1, 2, -3),
+                                       (1, 2.0, 3), (True, 2, 3), (1, True, 3), (1, 2, False),
+                                       [1, 2, 3], None])
     def test_rejects_a_shape_that_is_not_three_hop_counts(self, shape):
         for simulate in (simulate_handoff, simulate_mip_handoff):
             with pytest.raises(HandoffError, match="three hop counts"):
@@ -563,6 +569,66 @@ def test_lossy_sweep_at_the_default_refresh_period_is_pinned(tmp_path):
     )
 
 
+def _csv_module_handoff(rows):
+    """handoff.csv's bytes as the csv module writes them, each cell formatted per row."""
+    buf = io.StringIO()
+    table = csv.writer(buf, lineterminator="\n")
+    table.writerow(reporting.HANDOFF_COLUMNS)
+    table.writerows(
+        (row.topology, row.model, row.run_index, row.step, row.strategy, row.graft_links,
+         row.b_hops, reporting.fmt(row.report.handoff_latency), row.report.packets_lost,
+         row.report.packets_duplicated, row.report.out_of_order, row.report.control_messages)
+        for row in rows)
+    return buf.getvalue().encode()
+
+
+_COUNTS = st.integers(min_value=0, max_value=2) | st.integers(min_value=0, max_value=10**7)
+_LATENCIES = st.one_of(
+    st.sampled_from([math.inf, 0.0, 40.0, 0.3, 2.8e-17, 1234567.25, 1e15 - 1, 1e15, 1e15 + 2,
+                     999999999999999.9, 2.0**53]),
+    st.integers(min_value=0, max_value=10**16).map(float),
+    st.floats(min_value=0, allow_nan=False),
+)
+
+
+@st.composite
+def _handoff_rows(draw):
+    """Rows that share reports, and rows that hold equal but distinct reports."""
+    reports = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        if reports and draw(st.booleans()):
+            reports.append(copy.copy(draw(st.sampled_from(reports))))
+            continue
+        reports.append(handoff.HandoffReport(
+            trigger_ms=60.0, handoff_latency=draw(_LATENCIES), packets_lost=draw(_COUNTS),
+            packets_duplicated=draw(_COUNTS), out_of_order=draw(_COUNTS),
+            control_messages=draw(_COUNTS), packets_emitted=0, packets_delivered=0,
+            arrivals=((), ()), unit=1, interval=20, depths=(0, 0), earlier_first=False))
+    labels = st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True)
+    return [experiment.HandoffRow(
+        draw(labels), draw(st.sampled_from(["random", "neighbor", "cluster"])), draw(_COUNTS),
+        draw(_COUNTS), draw(st.sampled_from(STRATEGIES + ("mobile_ip",))), draw(_COUNTS),
+        draw(_COUNTS), draw(st.sampled_from(reports)),
+    ) for _ in range(draw(st.integers(min_value=0, max_value=12)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_handoff_rows())
+def test_handoff_csv_equals_the_csv_module_rendering(rows):
+    """`write_handoff`'s bytes are the csv module's, whether rows share a report or hold copies."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report", "handoff.csv")
+        reporting.write_handoff(path, rows)
+        with open(path, "rb") as fh:
+            assert fh.read() == _csv_module_handoff(rows)
+
+
+def test_an_empty_sweep_writes_the_header_alone(tmp_path):
+    path = tmp_path / "handoff.csv"
+    reporting.write_handoff(str(path), [])
+    assert path.read_bytes() == (",".join(reporting.HANDOFF_COLUMNS) + "\n").encode()
+
+
 def _small_sweep(loss):
     """A config of one 50-node transit-stub topology, two runs of 21 moves, swept at `loss`."""
     spec = TopologySpec(name="ts50", topo_type="transit_stub",
@@ -632,15 +698,18 @@ def test_loss_streams_are_positional_and_draw_at_the_rate(monkeypatch):
     assert abs(below - rate * draws) <= 4 * math.sqrt(draws * rate * (1 - rate))
 
 
-def _fresh_reports(oracle, run, block):
-    """The sweep's (report, log) pairs of one run, each from its own reference call and seed.
+def _fresh_rows(oracle, run, block):
+    """The sweep's rows of one run, each from its own reference call and seed.
 
-    The tree is walked here, join then prune per move, as the run walks it.
+    A row is (topology, model, run, step, strategy, L, B, report, log). The
+    tree is walked here, join then prune per move, as the run walks it.
     Each move's multicast triple is read off that tree and the walk
-    `shortest_path` takes from new, its Mobile IP triple off `bfs_dist`, and
-    each is simulated by `heap_handoff`, the event-queue reference.
+    `shortest_path` takes from new, its Mobile IP triple and B off
+    `bfs_dist`, and each is simulated by `heap_handoff`, the event-queue
+    reference.
     """
-    reports = []
+    rows = []
+    rec = run.record
     steps = run.trace.steps[:block.max_moves + 1]
     cn, adj = run.cn, oracle.topo.adj
     from_ha = bfs_dist(adj, run.ha)
@@ -651,16 +720,24 @@ def _fresh_reports(oracle, run, block):
         walk = oracle.shortest_path(new, cn, stop=tree.nodes)
         meet = tree.branch.index(walk[-1])
         mcast = len(tree.branch) - 1 - meet, meet, len(walk) - 1
+        where = rec.topology, rec.model, rec.run_index, i
         for strategy in block.strategies:
-            seed = stable_seed(run.record.child_seed, "handoff", i, strategy)
-            reports.append(heap_simulate_handoff(mcast, block, strategy, seed))
+            seed = stable_seed(rec.child_seed, "handoff", i, strategy)
+            rows.append((*where, strategy, len(walk) - 1, from_ha[new],
+                         *heap_simulate_handoff(mcast, block, strategy, seed)))
         if block.include_mobile_ip:
-            seed = stable_seed(run.record.child_seed, "handoff", i, "mobile_ip")
-            reports.append(heap_simulate_mip_handoff((from_ha[cn], from_ha[old], from_ha[new]),
-                                                     block, seed))
+            seed = stable_seed(rec.child_seed, "handoff", i, "mobile_ip")
+            rows.append((*where, "mobile_ip", len(walk) - 1, from_ha[new],
+                         *heap_simulate_mip_handoff((from_ha[cn], from_ha[old], from_ha[new]),
+                                                    block, seed)))
         tree.join(new)
         tree.prune(old)
-    return reports
+    return rows
+
+
+def _fresh_reports(oracle, run, block):
+    """The (report, log) pairs of `_fresh_rows`."""
+    return [row[-2:] for row in _fresh_rows(oracle, run, block)]
 
 
 def _walked_run(oracle, cn, ha, steps, seed):
@@ -689,20 +766,28 @@ def _random_run(seed, n_max=20):
 @given(seed=st.integers(min_value=0, max_value=10**9),
        strategies=st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=3, unique=True),
        overlap=st.sampled_from(OVERLAP_MODES),
-       lead=st.sampled_from([0.0, 40.0, 100.0]))
-def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategies, overlap, lead):
+       lead=st.sampled_from([0.0, 40.0, 100.0]),
+       mobile_ip=st.booleans(),
+       data=st.data())
+def test_sweep_rows_equal_the_reference_on_the_walked_tree(loss, seed, strategies, overlap, lead,
+                                                           mobile_ip, data):
     """No tree is handed to the simulator, yet every row is the walked tree's report.
 
     On a random graph and trace, each sweep row equals the event-queue
     reference run on the hop triple of a tree walked join then prune, so the
     sweep's reading of each triple off the run's samples is checked too.
+    Each row's coordinates, L and B are the reference's as well, with or
+    without Mobile IP, and with the sweep cut short of the trace or not.
     """
     oracle, run = _random_run(seed)
+    max_moves = data.draw(st.integers(min_value=1, max_value=len(run.trace.steps) + 2))
     block = HandoffBlock(message_loss_rate=loss, refresh_period=500.0, strategies=tuple(strategies),
-                         overlap=overlap, advance_lead=lead, max_moves=len(run.trace.steps))
+                         overlap=overlap, advance_lead=lead, include_mobile_ip=mobile_ip,
+                         max_moves=max_moves)
     rows = experiment._sweep_run(run, block, {})
-    expected = _fresh_reports(oracle, run, block)
-    assert [(row.report, row.report.deliveries) for row in rows] == expected
+    assert [(row.topology, row.model, row.run_index, row.step, row.strategy, row.graft_links,
+             row.b_hops, row.report, row.report.deliveries)
+            for row in rows] == _fresh_rows(oracle, run, block)
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.1])
