@@ -521,6 +521,13 @@ def test_plot_escapes_svg_text(workdir):
         assert ">a&lt;b</text>" in text and ">c&amp;d</text>" in text
 
 
+def test_plot_draws_a_zero_cell(workdir):
+    """0 is a number >= 0: a type whose mean_L is 0, with no B/L, is drawn, not refused."""
+    header = AGGREGATE_HEADER + "z,random,1,2,2.5,3,5,5,0,0,0,0,,69,127,1.84\n"
+    assert _plot_rows(workdir, "zero", header) == EXIT_OK
+    assert 'height="0.00"' in (workdir / "zero" / "plots" / "added_links.svg").read_text()
+
+
 def test_plot_reads_quoted_cells(workdir):
     assert _plot_rows(workdir, "quoted", AGGREGATE_HEADER, '"a,b"') == EXIT_OK
     assert _plot_rows(workdir, "plain", AGGREGATE_HEADER, "ab") == EXIT_OK
@@ -699,6 +706,11 @@ def test_an_empty_stub_exits_2_at_load(workdir, capsys, monkeypatch):
 def test_malformed_topology_file_exit_code(workdir):
     (workdir / "edges.txt").write_text("0 1\n1 1\n")
     assert main(["run", "--config", "cfg.json"]) == EXIT_TOPOLOGY
+
+
+def test_exit_codes_are_the_documented_numbers():
+    """Scripts test the numbers that the CLI docstring and README give, not the names."""
+    assert (EXIT_OK, EXIT_CONFIG, EXIT_TOPOLOGY, EXIT_INVARIANT) == (0, 2, 3, 4)
 
 
 def test_trapped_trace_exits_with_replay_line(workdir, capsys):

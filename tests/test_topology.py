@@ -147,6 +147,11 @@ PINNED_EDGES = [
          stub_size=3),
     # r250's shape: a dense flat graph
     _pin("flat_random", 250, 49.68, 1, "fe9fa83fd75c9976cd473a47f5c2c0a2889abff549304e442d14a1b29d0270b3"),
+    # one- and three-node transit cores at the default stub sizes: a core of one has no
+    # link of its own, and a core of three is a ring with no chord
+    _pin("transit_stub", 20, 3.7, 1, "8f662d711564d13a379c61d61554ba3b1a048908080ba4d66f8994054cbe0ec5"),
+    _pin("tiers_like", 12, 2.81, 1, "15e522f40cba90980dcdb5b882ad097f22b59ea9c1fcc10bbc1fd67ec698f282"),
+    _pin("transit_stub", 75, 3.7, 1, "f2d15e06eb291891670c4b7fc0d60b61bf1dd9362ed51b164b362b3053bce051"),
 ]
 
 
