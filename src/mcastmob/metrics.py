@@ -79,7 +79,7 @@ def run_stats(samples) -> RunStats:
         p90_L=float(nearest_rank_p90(added)) if added else 0.0,
         max_L=float(max(added)) if added else 0.0,
         mean_b=mean_b,
-        b_over_l=(mean_b / mean_l) if added and mean_l > 0 else None,
+        b_over_l=(mean_b / mean_l) if mean_l > 0 else None,  # mean_l is 0.0 with no handoff
     )
 
 

@@ -48,10 +48,8 @@ def cluster_window(node, n, radius=6):
     """
     radius = min(radius, n - 1)
     half = radius // 2
-    low, high = node - radius + half, node + half + 1
     # radius + 1 <= n consecutive ids: distinct residues, and only `node` itself is node
-    window = [v % n for v in range(low, high) if v != node]
-    return window if 0 <= low and high <= n else sorted(window)  # in order unless it wraps
+    return sorted([v % n for v in range(node - radius + half, node + half + 1) if v != node])
 
 
 def _moves(topo, model, cn, node):

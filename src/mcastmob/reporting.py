@@ -8,7 +8,7 @@ so re-running a scenario reproduces the report directory byte for byte.
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import math
 import os
@@ -22,8 +22,6 @@ def fmt(value):
     """Stable, compact number formatting for CSV cells."""
     if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         if math.isinf(value):
             return "inf"
@@ -40,26 +38,25 @@ def _write(path, chunks):
         fh.writelines(chunks)
 
 
-def _write_table(path, header, rows):
-    """One CSV file: the header, then the rows, written in a single call."""
-    buf = io.StringIO()
-    table = csv.writer(buf, lineterminator="\n")
-    table.writerow(header)
-    table.writerows(rows)
-    _write(path, (buf.getvalue(),))
+def _write_table(path, header, lines):
+    """One CSV file, streamed: the `header` names, then `lines`, each a finished line.
+
+    No cell needs quoting (README, "Report layout"), so the bytes are the csv
+    module's, and no table is held as one string.
+    """
+    _write(path, itertools.chain((",".join(header) + "\n",), lines))
 
 
-# Samples and traces hold ints only, which the csv module prints as fmt does
-# (str(int)); they skip fmt because they are most of a report's rows.
 def write_run_samples(path, samples):
     """One row per sample, numbered by its position: sample i is step i."""
-    rows = [(i, s.a_hops, s.b_hops, s.c_hops, s.added_links, s.removed_links)
-            for i, s in enumerate(samples)]
-    _write_table(path, ("step", "a", "b", "c", "added", "removed"), rows)
+    _write_table(path, ("step", "a", "b", "c", "added", "removed"), (
+        f"{i},{s.a_hops},{s.b_hops},{s.c_hops},{s.added_links},{s.removed_links}\n"
+        for i, s in enumerate(samples)))
 
 
 def write_trace(path, trace):
-    _write_table(path, ("step_index", "node_id"), enumerate(trace.steps))
+    _write_table(path, ("step_index", "node_id"),
+                 (f"{i},{node}\n" for i, node in enumerate(trace.steps)))
 
 
 RUN_STATS_COLUMNS = (
@@ -70,16 +67,16 @@ RUN_STATS_COLUMNS = (
 
 
 def write_run_stats(path, results):
-    def rows():
+    def lines():
         for res in results:
             rec, s = res.record, res.record.stats
-            yield map(fmt, (
+            yield ",".join(map(fmt, (
                 rec.topology, rec.topo_type, rec.model, rec.run_index, rec.child_seed, rec.nodes,
                 res.cn, res.ha, s.samples, s.handoffs, s.mean_r, s.p90_r, s.max_r, s.mean_L,
                 s.p90_L, s.max_L, s.mean_b, s.b_over_l, s.total_c, s.total_ab,
-            ))
+            ))) + "\n"
 
-    _write_table(path, RUN_STATS_COLUMNS, rows())
+    _write_table(path, RUN_STATS_COLUMNS, lines())
 
 
 AGGREGATE_COLUMNS = (
@@ -90,11 +87,11 @@ AGGREGATE_COLUMNS = (
 
 def write_aggregate(path, agg):
     _write_table(path, AGGREGATE_COLUMNS, (
-        map(fmt, (
+        ",".join(map(fmt, (
             g.topo_type, g.model, g.topologies, g.runs, g.mean_r, g.p90_r, g.max_r_avg, g.max_r,
             g.mean_L, g.p90_L, g.max_L_avg, g.max_L, g.b_over_l, g.total_c, g.total_ab,
             g.bw_ratio,
-        ))
+        ))) + "\n"
         for g in agg.rows
     ))
 
@@ -110,7 +107,7 @@ def write_summary(path, results):
     for res in results:
         by_key.setdefault((res.record.topology, res.record.model), []).append(res.record)
 
-    def rows():
+    def lines():
         for (topo, model), records in sorted(by_key.items()):
             g = group_stats(records)
             for metric, *cells in (
@@ -120,9 +117,9 @@ def write_summary(path, results):
                 ("total_c", g.total_c, None, None),
                 ("total_ab", g.total_ab, None, None),
             ):
-                yield (topo, model, metric, *map(fmt, cells))
+                yield ",".join((topo, model, metric, *map(fmt, cells))) + "\n"
 
-    _write_table(path, ("topology", "model", "metric", "mean", "p90", "max"), rows())
+    _write_table(path, ("topology", "model", "metric", "mean", "p90", "max"), lines())
 
 
 HANDOFF_COLUMNS = (
@@ -135,13 +132,11 @@ def write_handoff(path, rows):
     """handoff.csv, streamed: `rows` is a list of `experiment.HandoffRow`s.
 
     Rows of one simulation share its report, so each report's five cells are
-    formatted once, keyed by its id, which the list keeps alive. No cell
-    needs quoting (README, "Report layout"): the bytes are the csv module's.
+    formatted once, keyed by its id, which the list keeps alive.
     """
     tails = {}  # id(report) -> its five cells and the line end
 
     def lines():
-        yield ",".join(HANDOFF_COLUMNS) + "\n"
         for row in rows:
             rep = row.report
             tail = tails.get(id(rep))
@@ -152,7 +147,7 @@ def write_handoff(path, rows):
             yield (f"{row.topology},{row.model},{row.run_index},{row.step},{row.strategy},"
                    f"{row.graft_links},{row.b_hops},{tail}")
 
-    _write(path, lines())
+    _write_table(path, HANDOFF_COLUMNS, lines())
 
 
 def write_report_json(path, payload):
@@ -165,8 +160,8 @@ _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee", "#aa3377")
 def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
     """Self-contained grouped bar chart; deterministic text output.
 
-    values maps (group, series) -> number or None; references is a list of
-    (label, value) horizontal dashed annotation lines.
+    groups and series are non-empty; values maps (group, series) -> number or
+    None; references is a list of (label, value) horizontal dashed annotation lines.
     """
     width, height = 760, 430
     left, right, top, bottom = 70, 20, 40, 80
@@ -202,8 +197,8 @@ def svg_grouped_bars(title, ylabel, groups, series, values, references=()):
             f'<text x="{left - 8}" y="{y(val) + 4:.2f}" font-family="sans-serif" '
             f'font-size="11" text-anchor="end">{val:.4g}</text>'
         )
-    group_w = plot_w / max(len(groups), 1)
-    bar_w = group_w * 0.8 / max(len(series), 1)
+    group_w = plot_w / len(groups)
+    bar_w = group_w * 0.8 / len(series)
     for gi, group in enumerate(groups):
         gx = left + gi * group_w
         for si, name in enumerate(series):

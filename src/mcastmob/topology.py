@@ -259,13 +259,15 @@ def _blocks(first, total, size):
 
 
 def _core_edges(edges, n, count, rng):
-    if count == 2:
-        _add_edge(edges, n, 0, 1)
-    elif count >= 3:
-        for i in range(count):
-            _add_edge(edges, n, i, (i + 1) % count)
-        for _ in range(count // 4):
-            _add_edge(edges, n, rng.randrange(count), rng.randrange(count))
+    """A ring over the `count` core ids, then count // 4 random chords.
+
+    A core of two is the one link 0-1, and a core of one is a self-loop, which
+    `_add_edge` skips; neither draws a chord.
+    """
+    for i in range(count):
+        _add_edge(edges, n, i, (i + 1) % count)
+    for _ in range(count // 4):
+        _add_edge(edges, n, rng.randrange(count), rng.randrange(count))
 
 
 def _transit_stub(params, rng):
@@ -325,7 +327,7 @@ def _fill_clustered(edges, n, budget, rng, blocks, core, outside):
         if len(edges) >= stop:
             break
         r = random()
-        if blocks and (r < 0.85 or r < 0.95 and core):
+        if r < 0.95:  # `_blocks` makes at least one block, and the core has a node
             b = getrandbits(kb)
             while b >= count:
                 b = getrandbits(kb)

@@ -108,7 +108,7 @@ _GROUPS = st.builds(
 _SAMPLES = st.lists(st.builds(StepSample, _INTS, _INTS, _INTS, _INTS, _INTS), max_size=12)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(samples=_SAMPLES, steps=st.lists(_INTS, max_size=12), results=_results(),
        groups=st.lists(_GROUPS, max_size=4))
 def test_every_table_equals_the_csv_module_rendering(samples, steps, results, groups):
