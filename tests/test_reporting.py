@@ -37,11 +37,14 @@ def _reference_trace(trace):
 
 
 def _reference_run_stats(results):
-    return _csv_module(reporting.RUN_STATS_COLUMNS, (
-        map(fmt, (rec.topology, rec.topo_type, rec.model, rec.run_index, rec.child_seed,
-                  rec.nodes, res.cn, res.ha, s.samples, s.handoffs, s.mean_r, s.p90_r, s.max_r,
-                  s.mean_L, s.p90_L, s.max_L, s.mean_b, s.b_over_l, s.total_c, s.total_ab))
-        for res in results for rec, s in [(res.record, res.record.stats)]))
+    rows = []
+    for res in results:
+        rec, s = res.record, res.record.stats
+        rows.append(map(fmt, (
+            rec.topology, rec.topo_type, rec.model, rec.run_index, rec.child_seed, rec.nodes,
+            res.cn, res.ha, s.samples, s.handoffs, s.mean_r, s.p90_r, s.max_r, s.mean_L,
+            s.p90_L, s.max_L, s.mean_b, s.b_over_l, s.total_c, s.total_ab)))
+    return _csv_module(reporting.RUN_STATS_COLUMNS, rows)
 
 
 def _reference_aggregate(agg):
