@@ -114,6 +114,36 @@ def test_keyed_build_matches_load_edge_list(seed, n):
     assert all(list(nbrs) == sorted(nbrs) for nbrs in keyed.adj)
 
 
+def reference_adjacency(n, keys):
+    """Each node's neighbours in ascending id order, read off the key set `u * n + v`, u < v."""
+    pairs = [divmod(key, n) for key in keys]
+    return tuple(tuple(sorted([v for u, v in pairs if u == w] + [u for u, v in pairs if v == w]))
+                 for w in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=2, max_value=40))
+def test_keyed_adjacency_equals_the_reference(seed, n):
+    """Whatever order the key set iterates in, each node's neighbours come out ascending."""
+    rng = random.Random(seed)
+    keys = {u * n + v for u, v in random_connected_edges(rng, n, rng.randrange(0, n * n // 2 + 1))}
+    topo = Topology._from_keys("k", n, keys)
+    assert topo.adj == reference_adjacency(n, keys)
+    assert topo.edge_count == len(keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), n=st.integers(min_value=2, max_value=30),
+       data=st.data())
+def test_edge_list_line_order_does_not_change_the_topology(seed, n, data):
+    """Any permutation of an edge list's lines loads as the same `Topology`."""
+    rng = random.Random(seed)
+    lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}"
+             for u, v in random_connected_edges(rng, n, rng.randrange(0, 2 * n))]
+    shuffled = data.draw(st.permutations(lines))
+    assert load_edge_list("\n".join(shuffled), name="p") == load_edge_list("\n".join(lines), name="p")
+
+
 # sha256 of "u v\n" per edge of edges_of(generate(params)), recorded before the
 # generators drew through getrandbits directly and Topology derived its edges
 def _pin(kind, n, deg, seed, digest, **knobs):
