@@ -42,11 +42,12 @@ class Topology:
             raise TopologyError(f"disconnected graph: {len(keys)} links cannot join {n} nodes")
         adj = [[] for _ in range(n)]
         ids = list(range(n))  # one int object per node, not one per link end
-        # in key order each list receives its neighbors in ascending order
-        for key in sorted(keys):
+        for key in keys:
             u, v = divmod(key, n)
             adj[u].append(ids[v])
             adj[v].append(ids[u])
+        for nbrs in adj:  # ascending, so a search meets the lowest-id neighbor first
+            nbrs.sort()
         dist = _levels(adj, 0)
         if None in dist:
             raise TopologyError(
@@ -191,23 +192,34 @@ def _edge_budget(params):
 # calls on the same Random, so every edge set is unchanged.
 
 
-def _random_tree(edges, n, nodes, rng):
-    """Link `nodes` by a random recursive tree, which guarantees their connectivity."""
-    order = list(nodes)
+def _random_tree(edges, n, blocks, rng, core=0):
+    """Link each (lo, hi) id block by a random recursive tree, which guarantees its connectivity.
+
+    With a core, block b then draws one of its ids, as `rng.randrange(lo, hi)`,
+    and links it to core id b % core, which lies below every block.
+    """
     getrandbits, add = rng.getrandbits, edges.add
-    for i in range(len(order) - 1, 0, -1):  # rng.shuffle(order)
-        k = (i + 1).bit_length()
-        r = getrandbits(k)
-        while r > i:
+    for b, (lo, hi) in enumerate(blocks):
+        order = list(range(lo, hi))
+        for i in range(hi - lo - 1, 0, -1):  # rng.shuffle(order)
+            k = (i + 1).bit_length()
             r = getrandbits(k)
-        order[i], order[r] = order[r], order[i]
-    for i in range(1, len(order)):
-        k = i.bit_length()
-        r = getrandbits(k)
-        while r >= i:
+            while r > i:
+                r = getrandbits(k)
+            order[i], order[r] = order[r], order[i]
+        for i in range(1, hi - lo):
+            k = i.bit_length()
             r = getrandbits(k)
-        u, v = order[i], order[r]
-        add(u * n + v if u < v else v * n + u)
+            while r >= i:
+                r = getrandbits(k)
+            u, v = order[i], order[r]
+            add(u * n + v if u < v else v * n + u)
+        if core:
+            k = (hi - lo).bit_length()
+            r = getrandbits(k)
+            while r >= hi - lo:
+                r = getrandbits(k)
+            add(b % core * n + lo + r)
 
 
 def _add_edge(edges, n, u, v):
@@ -241,7 +253,7 @@ def _flat_random(params, rng):
     n = params.node_count
     budget = _edge_budget(params)
     edges = set()
-    _random_tree(edges, n, range(n), rng)
+    _random_tree(edges, n, [(0, n)], rng)
     _fill_uniform(edges, n, budget, rng, 60 * budget + 10_000)
     return edges
 
@@ -279,9 +291,7 @@ def _transit_stub(params, rng):
     edges = set()
     _core_edges(edges, n, core, rng)
     blocks = _blocks(core, n - core, params.stub_size)
-    for i, (lo, hi) in enumerate(blocks):
-        _random_tree(edges, n, range(lo, hi), rng)
-        _add_edge(edges, n, rng.randrange(lo, hi), i % core)
+    _random_tree(edges, n, blocks, rng, core)
     _fill_clustered(edges, n, budget, rng, blocks, core, outside=0)
     return edges
 

@@ -15,6 +15,7 @@ from mcastmob.topology import (
     PathOracle,
     Topology,
     TopologyError,
+    _add_edge,
     _random_tree,
     generate,
     load_edge_list,
@@ -243,19 +244,35 @@ class TestGenerate:
         assert digest.hexdigest() == SUITE_EDGES[master_seed]
 
     def test_random_tree_orders_its_nodes_as_random_shuffle(self):
-        """The inline shuffle makes `random.Random.shuffle`'s draws, so the tree is the same."""
-        for size, seed in itertools.product(range(1, 41), range(4)):
-            lo, n = 5, size + 8
+        """The inline draws are `random.Random`'s, so every tree and uplink is the same.
+
+        Per block, the reference shuffles its ids with `random.Random.shuffle` and
+        draws `randrange(i)` for each tree link; with a core it then draws the
+        uplink's end as `randrange(lo, hi)` and adds it by `_add_edge`.
+        """
+        sizes = random.Random(0)
+        cases = [(0, [size]) for size in range(1, 41)]  # one block and no core, as flat_random
+        for core in range(1, 6):
+            cases.append((core, list(range(1, 13))))
+            cases += [(core, [sizes.randrange(1, 13) for _ in range(sizes.randrange(1, 8))])
+                      for _ in range(10)]
+        for (core, lengths), seed in itertools.product(cases, range(4)):
+            stops = list(itertools.accumulate(lengths, initial=core or 5))
+            blocks = list(zip(stops, stops[1:]))
+            n = stops[-1] + 3
             rng, ref = random.Random(seed), random.Random(seed)
             edges = set()
-            _random_tree(edges, n, range(lo, lo + size), rng)
-            order = list(range(lo, lo + size))
-            ref.shuffle(order)
+            _random_tree(edges, n, blocks, rng, core)
             expect = set()
-            for i in range(1, size):
-                u, v = sorted((order[i], order[ref.randrange(i)]))
-                expect.add(u * n + v)
-            assert edges == expect and rng.getstate() == ref.getstate(), (size, seed)
+            for b, (lo, hi) in enumerate(blocks):
+                order = list(range(lo, hi))
+                ref.shuffle(order)
+                for i in range(1, hi - lo):
+                    u, v = sorted((order[i], order[ref.randrange(i)]))
+                    expect.add(u * n + v)
+                if core:
+                    _add_edge(expect, n, ref.randrange(lo, hi), b % core)
+            assert edges == expect and rng.getstate() == ref.getstate(), (core, lengths, seed)
 
     def test_flat_random_r50(self):
         params = GeneratorParams("flat_random", 50, 8.68, seed=1)
