@@ -184,7 +184,7 @@ def _edge_budget(params):
             f"target degree {params.target_avg_degree} needs {target} edges, "
             f"more than a {n}-node simple graph holds"
         )
-    return max(target, n - 1)
+    return target  # at least n links, as the degree is at least 2
 
 
 # The per-link loops below (`_random_tree`, `_fill_uniform`, `_fill_clustered`)
@@ -300,7 +300,7 @@ def _tiers_like(params, rng):
     """Three-level near-tree: core ring, mid clusters, leaf clusters, sparse cross links."""
     n = params.node_count
     budget = _edge_budget(params)
-    core = max(1, min(round(math.sqrt(n) / 3), n // 4))
+    core = max(1, round(math.sqrt(n) / 3))  # never above n // 4 once n >= 4
     edges = set()
     _core_edges(edges, n, core, rng)
     blocks = _blocks(core, n - core, params.stub_size)
@@ -332,7 +332,7 @@ def _fill_clustered(edges, n, budget, rng, blocks, core, outside):
     full = outside + core * (core - 1) // 2 + core * (n - core)
     full += sum(m * (m - 1) // 2 for _, m, _ in spans)
     stop = min(budget, full)
-    cap = 80 * max(budget, 1) + 10_000
+    cap = 80 * budget + 10_000
     for _ in range(cap // 2):
         if len(edges) >= stop:
             break

@@ -2,7 +2,8 @@
 
 The helpers here deliberately avoid the package's own graph code: BFS and
 random graph generation are re-implemented so oracle-equivalence tests mean
-something, and `validate_tree` checks tree path lengths against that BFS.
+something, `validate_tree` checks tree path lengths against that BFS, and
+`run_walk_model` computes a run's samples from its own parent tree.
 Test topologies are built from their edge lists by `load_edge_list`.
 """
 
@@ -13,8 +14,14 @@ from collections import deque
 from itertools import accumulate
 
 import pytest
+from hypothesis import Phase, settings
 
 from mcastmob.topology import load_edge_list
+
+# `tools/mutate.py` runs each mutant under this profile: a failing example
+# still fails the test, but is not shrunk, so a mutant that fails every
+# example costs one example, not a shrink.
+settings.register_profile("mutation", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def bfs_dist(adj, source):
@@ -51,6 +58,36 @@ def validate_tree(tree):
         assert any(b in adj[cut[-1]] for b in branch), f"cut {cut} hangs off no branch node"
     assert tree.nodes == set(branch + cut), f"stale (S,G) state: {tree.nodes ^ set(branch + cut)}"
     assert len(branch) - 1 == bfs_dist(adj, cn)[branch[0]], f"branch {branch} is not shortest"
+
+
+def run_walk_model(adj, cn, ha, steps):
+    """(a, b, c, added, removed) hops of each step of a run, as `run_scenario` samples them.
+
+    Every join walks the lowest-id shortest path toward the CN, so the tree
+    always lies inside the CN's lowest-id parent tree, and each move is an LCA
+    query in it: C = depth(new), added = depth(new) - depth(LCA(old, new)) and
+    removed = depth(old) - depth(LCA(old, new)). Step 0 establishes the branch
+    to steps[0]. Depths and A, B come from `bfs_dist`; the parent is the lowest
+    id one level up, whatever order `adj` lists it in.
+    """
+    depth, from_ha = bfs_dist(adj, cn), bfs_dist(adj, ha)
+    parent = {u: min(w for w in adj[u] if depth[w] == d - 1) for u, d in depth.items() if d}
+
+    def meet(u, v):
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        return depth[u]
+
+    first = steps[0]
+    out = [(depth[ha], from_ha[first], depth[first], depth[first], 0)]
+    for old, new in zip(steps, steps[1:]):
+        top = meet(old, new)
+        out.append((depth[ha], from_ha[new], depth[new], depth[new] - top, depth[old] - top))
+    return out
 
 
 def random_connected_edges(rng, n, extra):

@@ -3,15 +3,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcastmob import reporting
-from mcastmob.movement import MovementModel, generate_trace
+from mcastmob.config import reference_suite_config
+from mcastmob.experiment import execute_scenario
+from mcastmob.movement import MODEL_KINDS, MovementError, MovementModel, generate_trace
 from mcastmob.routing import MulticastTree, SimulationInvariantError, establish, run_scenario
 from mcastmob.topology import PathOracle
 
-from conftest import bfs_dist, make_topology, random_connected_edges, validate_tree
+from conftest import bfs_dist, make_topology, random_connected_edges, run_walk_model, validate_tree
 
 
 def _tree_on(topo, cn, loc):
@@ -258,6 +260,47 @@ def test_tree_invariants_hold_under_random_scenarios(seed):
         # between moves the tree is the branch a fresh establish builds
         fresh = establish(oracle, cn, loc)
         assert (tree.branch, tree.nodes, tree.pending) == (fresh.branch, fresh.nodes, None)
+
+
+def _hops(samples):
+    return [(s.a_hops, s.b_hops, s.c_hops, s.added_links, s.removed_links) for s in samples]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9), kind=st.sampled_from(MODEL_KINDS),
+       moves=st.integers(min_value=1, max_value=40))
+def test_run_scenario_equals_the_parent_tree_model(seed, kind, moves):
+    """Every sample equals the independent LCA model's, under each movement model.
+
+    The model reads an adjacency built from the edge list in shuffled order,
+    so it takes the lowest-id parent by value, not by list position.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(3, 30)
+    edges = random_connected_edges(rng, n, rng.randrange(0, 2 * n))
+    topo = make_topology("g", n, edges)
+    cn, ha = rng.sample(range(n), 2)
+    try:
+        steps = generate_trace(topo, MovementModel(kind, rng.randrange(1, 8)), cn, moves,
+                               rng.getrandbits(32)).steps
+    except MovementError:  # a neighbor walk with no move off the CN's leaves
+        assume(False)
+    rng.shuffle(edges)
+    adj = {u: [] for u in range(n)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    assert _hops(run_scenario(PathOracle(topo), cn, ha, steps)) == run_walk_model(adj, cn, ha, steps)
+
+
+def test_reference_suite_runs_equal_the_parent_tree_model():
+    """Every run of the reference suite at one master seed, step by step."""
+    result = execute_scenario(reference_suite_config(master_seed=3))
+    assert len(result.runs) == 13 * 3 * 10
+    for run in result.runs:
+        adj = result.topologies[run.record.topology].adj
+        assert _hops(run.samples) == run_walk_model(adj, run.cn, run.ha, run.trace.steps), (
+            run.record.topology, run.record.model, run.record.run_index)
 
 
 def test_samples_csv(path5, tmp_path):

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from mcastmob.topology import (
     Topology,
     TopologyError,
     _add_edge,
+    _fill_uniform,
     _random_tree,
     generate,
     load_edge_list,
@@ -35,6 +38,9 @@ class TestLoadEdgeList:
         topo = load_edge_list(text, name="c5")
         assert topo.avg_degree == 2.0
         assert PathOracle(topo).dist_from(0)[2] == 2
+
+    def test_summary_rounds_the_degree_to_two_places(self):
+        assert load_edge_list("0 1\n1 2", name="p3").summary() == "p3 3 2 1.33"
 
     def test_comments_and_blanks(self):
         topo = load_edge_list("# header\n\n0 1  # trailing\n1 2\n")
@@ -65,8 +71,10 @@ class TestLoadEdgeList:
             load_edge_list(text)
 
     def test_rejects_disconnected(self):
-        with pytest.raises(TopologyError, match="disconnected"):
+        # n - 2 links: one short of a spanning tree, so the link-count guard refuses them
+        with pytest.raises(TopologyError) as exc:
             load_edge_list("0 1\n2 3")
+        assert str(exc.value) == "disconnected graph: 2 links cannot join 4 nodes"
 
     def test_edges_are_the_sorted_normalised_input(self):
         rng = random.Random(3)
@@ -284,6 +292,19 @@ class TestGenerate:
         params = GeneratorParams("transit_stub", 100, 3.7, seed=9)
         assert edges_of(generate(params)) == edges_of(generate(params))
 
+    def test_an_unnamed_topology_is_named_by_its_kind_and_size(self):
+        assert generate(GeneratorParams("tiers_like", 40, 2.81)).name == "tiers_like-40"
+        assert generate(GeneratorParams("tiers_like", 40, 2.81), name="t").name == "t"
+
+    def test_the_default_seed_is_0(self):
+        params = GeneratorParams("flat_random", 40, 4.0)
+        assert edges_of(generate(params)) == edges_of(generate(replace(params, seed=0)))
+
+    def test_a_budget_met_on_the_last_attempt_is_not_a_stall(self):
+        edges = set()
+        _fill_uniform(edges, 1000, 1, random.Random(0), 1)  # its one draw is not a self-loop
+        assert len(edges) == 1
+
     def test_different_seeds_differ(self):
         a = generate(GeneratorParams("flat_random", 40, 4.0, seed=1))
         b = generate(GeneratorParams("flat_random", 40, 4.0, seed=2))
@@ -304,6 +325,30 @@ class TestGenerate:
         for i, (lo, hi) in enumerate(blocks):
             assert any(i % core in topo.adj[u] for u in range(lo, hi)), (lo, hi)
 
+    @pytest.mark.parametrize("n", [7, 11])
+    def test_a_core_above_half_the_nodes_is_clamped(self, n):
+        """One-node stubs, one per transit node: round(n / 2) passes n // 2, and the core keeps n // 2.
+
+        At degree 2 the budget is met by the ring and the uplinks alone, so
+        each stub node i links to core id i % core, as `cluster_blocks` lays them out.
+        """
+        params = GeneratorParams("transit_stub", n, 2.0, seed=1, stub_size=1, stubs_per_transit=1)
+        topo = generate(params)
+        blocks = cluster_blocks(params)
+        core = blocks[0][0]
+        assert all(i % core in topo.adj[lo] for i, (lo, _) in enumerate(blocks))
+
+    def test_dense_one_node_stubs_run_out_of_clustered_draws(self):
+        """The clustered draws end 4 links short of their class, so the draw caps set this edge set.
+
+        Its class is the 300 core pairs and 1,875 uplinks of 25 core ids and 75
+        one-node stubs; the uniform fallback adds the other 829 links.
+        """
+        topo = generate(GeneratorParams("transit_stub", 100, 60.0, seed=1, stub_size=1))
+        text = "".join(f"{u} {v}\n" for u, v in edges_of(topo))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "95dc748c91c450e67a23d3e958d90458f5faf4c8a8be2abe421a59bcb7589674")
+
     def test_transit_stub_clusters_internally_connected(self):
         params = GeneratorParams("transit_stub", 120, 3.7, seed=5)
         topo = generate(params)
@@ -320,6 +365,19 @@ class TestGenerate:
         for lo, hi in cluster_blocks(params):
             assert all(lo in topo.adj[j] for j in range(lo + 1, hi)), (lo, hi)
 
+    def test_tiers_like_with_few_clusters_has_one_mid_cluster(self):
+        """Below eight clusters a quarter of them rounds to 0, and one is still a mid cluster.
+
+        The mid cluster links to the core, and every leaf cluster into it.
+        """
+        params = GeneratorParams("tiers_like", 40, 2.81, seed=1)
+        topo = generate(params)
+        (mlo, mhi), *leaves = cluster_blocks(params)
+        assert len(leaves) == 4
+        assert any(0 in topo.adj[u] for u in range(mlo, mhi))
+        for lo, hi in leaves:
+            assert any(mlo <= v < mhi for u in range(lo, hi) for v in topo.adj[u]), (lo, hi)
+
     def test_infeasible_degree(self):
         with pytest.raises(GenerationError):
             generate(GeneratorParams("flat_random", 10, 20.0, seed=1))
@@ -331,6 +389,20 @@ class TestGenerate:
             GeneratorParams("flat_random", 10, 1.5)
         with pytest.raises(GenerationError):
             GeneratorParams("mystery", 10, 3.0)
+        with pytest.raises(GenerationError, match="must be finite"):
+            GeneratorParams("flat_random", 10, math.inf)
+        with pytest.raises(GenerationError, match="clustering knobs"):
+            GeneratorParams("transit_stub", 10, 3.0, stub_size=0)
+        with pytest.raises(GenerationError, match="clustering knobs"):
+            GeneratorParams("transit_stub", 10, 3.0, stubs_per_transit=0)
+
+    @pytest.mark.parametrize("kind", ["flat_random", "transit_stub", "tiers_like"])
+    def test_two_nodes_pass_the_count_check_and_fail_the_budget(self, kind):
+        """Two nodes are enough nodes; degree 2 asks for a second link that two nodes lack."""
+        with pytest.raises(GenerationError) as exc:
+            GeneratorParams(kind, 2, 2.0)
+        assert str(exc.value) == (
+            "target degree 2.0 needs 2 edges, more than a 2-node simple graph holds")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -434,6 +506,13 @@ class TestPathOracle:
             oracle.shortest_path(0, 9)
         with pytest.raises(TopologyError, match="unknown"):
             oracle.shortest_path(-1, 2)
+
+    def test_the_node_count_is_not_a_node(self, path5):
+        oracle = PathOracle(path5)
+        with pytest.raises(TopologyError, match="unknown node id 5"):
+            oracle.dist_from(path5.n)
+        with pytest.raises(TopologyError, match="unknown node id 5"):
+            oracle.shortest_path(path5.n, 0)
 
     def test_cached_source_still_checks_its_type(self, path5):
         oracle = PathOracle(path5)

@@ -15,9 +15,11 @@ enclosing top-level function, so every function that has one is covered.
 
 Each mutant is the module's syntax tree unparsed with that one change, in a
 copy of src/ and tests/, and runs the tests with pytest -x, a fixed
-hypothesis seed and no hypothesis database. It is killed when a test fails,
-or when the run outlives three times the unmutated run (a mutant that never
-stops) or its memory cap.
+hypothesis seed, no hypothesis database and the `mutation` hypothesis
+profile of tests/conftest.py, which does not shrink a failing example (a
+failure is a kill either way, and a shrink can take a minute). It is killed
+when a test fails, or when the run outlives three times the unmutated run (a
+mutant that never stops) or its memory cap.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def run_tests(copy, tests, timeout):
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", *tests],
+             "--hypothesis-seed=0", "--hypothesis-profile=mutation", *tests],
             cwd=copy, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout,
             preexec_fn=cap_memory, env=env)
     except subprocess.TimeoutExpired:
