@@ -283,7 +283,7 @@ def test_run_scenario_equals_the_parent_tree_model(seed, kind, moves):
     try:
         steps = generate_trace(topo, MovementModel(kind, rng.randrange(1, 8)), cn, moves,
                                rng.getrandbits(32)).steps
-    except MovementError:  # a neighbor walk with no move off the CN's leaves
+    except MovementError:  # under `neighbor`, every node's only move is onto the CN
         assume(False)
     rng.shuffle(edges)
     adj = {u: [] for u in range(n)}
