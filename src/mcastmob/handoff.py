@@ -178,6 +178,11 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     meet at one instant (two deliveries, or a delivery and an emission) go
     earlier-emitted first iff per_hop_delay >= packet_interval; a packet's
     two copies at one instant go old first.
+
+    The CN emits packets 0 .. emitted - 1. With `first` the first arrival through new, tail =
+    3 intervals and last = (t0 + 2 refresh periods + tail) // interval (the last packet the
+    give-up bound lets out), emitted = (first + tail) // interval + 1 if first < last·interval,
+    or first = last·interval and earlier-emitted goes first; else last + 1.
     """
     if type(shape) is not tuple or len(shape) != 3:
         raise HandoffError(f"a shape is three hop counts >= 0, not {shape!r}")
@@ -251,24 +256,18 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
         new_seqs.extend(seqs[bisect_left(seqs, since(t0, new_depth)):])
 
     committed = relay("registration" if redirect else "join", "new", new_hops, t0 - lead)
-    # No packet arrives through new before t0 or the commit carried down the new leg,
-    # so each emission up to the earlier of that and the give-up deadline, plus the
-    # tail, happens: one batch. Each later one waits for those before it until a
-    # first new arrival fixes the rest: one batch.
     earlier_first = d >= interval
     give_up, tail = t0 + _GIVE_UP_REFRESH * refresh, _TAIL_INTERVALS * interval
-    sure = min(max(t0, committed + new_hops * d), give_up) + tail  # the earliest deadline
-    sent, emitted = 0, sure // interval + 1  # packets launched, emitted
-    while True:
-        if not new_seqs:  # this emission's deadline waits on the packets so far
-            launch(sent, emitted)
-            sent = emitted
-        # the tail starts once the first delivery through new has happened
-        t, first = (emitted - 1) * interval, new_seqs[0] * interval + new_depth if new_seqs else inf
-        known = first < t or first == t and earlier_first
-        if t + interval > (first if known else give_up) + tail:
-            break
-        emitted += 1
+    sure = min(max(t0, committed + new_hops * d), give_up) + tail  # each emission to it happens
+    last = (give_up + tail) // interval  # the last emission the give-up bound allows
+    sent = sure // interval + 1  # packets launched
+    launch(0, sent)
+    while not new_seqs and sent <= last:  # then one at a time up to the first new arrival
+        launch(sent, sent + 1)
+        sent += 1
+    first = new_seqs[0] * interval + new_depth if new_seqs else inf
+    emitted = (first + tail) // interval + 1 if (
+        first < last * interval or first == last * interval and earlier_first) else last + 1
     if sent < emitted:  # seqs above every one launched: `first` stays the first new arrival
         launch(sent, emitted)
     prune = new_seqs and mbb and not redirect  # a redirect leaves the old leg nothing to prune

@@ -2,8 +2,9 @@
 
 The helpers here deliberately avoid the package's own graph code: BFS and
 random graph generation are re-implemented so oracle-equivalence tests mean
-something, `validate_tree` checks tree path lengths against that BFS, and
-`run_walk_model` computes a run's samples from its own parent tree.
+something, `validate_tree` checks tree path lengths against that BFS,
+`run_walk_model` computes a run's samples from its own parent tree, and
+`lossless_handoff_model` computes a lossless handoff from its rules alone.
 Test topologies are built from their edge lists by `load_edge_list`.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, count
 
 import pytest
 from hypothesis import Phase, settings
 
+from mcastmob.handoff import HandoffReport
 from mcastmob.topology import load_edge_list
 
 # `tools/mutate.py` runs each mutant under this profile: a failing example
@@ -35,6 +37,95 @@ def bfs_dist(adj, source):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def lossless_handoff_model(shape, cfg, strategy):
+    """(report, delivery log) of a lossless handoff, from its hop triple, wire and strategy.
+
+    `strategy` is a multicast strategy or "mobile_ip". Written from the
+    handoff's rules, not from `mcastmob.handoff`, on ticks of its own: 1/unit
+    ms, unit the least common multiple of the settings' denominators.
+    - Packet seq leaves the CN at seq·interval and no hop waits, so it is at
+      depth h·d (h hops below the CN) at seq·interval + h·d.
+    - The trigger t0 is two intervals past the last emission boundary at or
+      before old's depth (when its pipeline fills), and no earlier than the
+      join's lead.
+    - The join (Mobile IP: the registration) leaves new at t0 - lead and
+      commits at the fork node F after the new leg's hops. A packet at F at or
+      after the commit takes the new leg too (Mobile IP: instead).
+    - Under make_before_break the first delivery through new sends a prune up
+      the old leg (multicast only). From its commit at F no old-leg node
+      forwards.
+    - The mobile takes packets at new from t0, and at old before t0, or at
+      any time under make_before_break.
+    - The CN emits one packet at a time. It emits the next iff that comes at
+      most three intervals after the first delivery through new, once that
+      has happened, or else after t0 + 2 refresh periods. At one instant the
+      earlier-emitted of two packets goes first iff d >= interval, and a
+      packet's copy at old goes before its copy at new.
+    """
+    above, old_hops, new_hops = shape
+    ratios = [x.as_integer_ratio() for x in (cfg.per_hop_delay, cfg.packet_interval,
+                                             cfg.refresh_period, cfg.advance_lead)]
+    unit = math.lcm(*(den for _, den in ratios))
+    d, interval, refresh, lead = (num * unit // den for num, den in ratios)
+    mip, earlier_first = strategy == "mobile_ip", d >= interval
+    lead = lead if strategy == "advance_join" else 0
+    copies = 3 if strategy == "triple_join" else 1
+    fork, old_depth, new_depth = above * d, (above + old_hops) * d, (above + new_hops) * d
+    t0 = max((old_depth // interval + 2) * interval, -(-lead // interval) * interval)
+    commit = t0 - lead + new_hops * d
+    control = copies * new_hops
+
+    def to_new(seq):
+        return seq * interval + fork >= commit and seq * interval + new_depth >= t0
+
+    first = next(seq for seq in count() if to_new(seq)) * interval + new_depth
+    seq, give_up = 0, t0 + 2 * refresh  # seq: the packet just emitted, at seq·interval
+    while True:
+        t = seq * interval
+        happened = first < t or first == t and earlier_first
+        if t + interval > (first if happened else give_up) + 3 * interval:
+            break
+        seq += 1
+    emitted = seq + 1
+    new_seqs = [seq for seq in range(emitted) if to_new(seq)]
+    pruned = math.inf
+    if new_seqs and not mip and cfg.overlap == "make_before_break":
+        pruned, control = first + old_hops * d, control + copies * old_hops
+
+    def at_old(seq):
+        if mip:  # the HA tunnels it to old iff it gets there before the registration
+            reached = seq * interval + fork < commit
+        else:
+            reached = all(seq * interval + fork + h * d < pruned for h in range(old_hops))
+        return reached and (cfg.overlap == "make_before_break" or seq * interval + old_depth < t0)
+
+    old_seqs = [seq for seq in range(emitted) if at_old(seq)]
+    legs = (old_seqs, old_depth, "old"), (new_seqs, new_depth, "new")
+    log = sorted([(seq * interval + depth, seq, via) for seqs, depth, via in legs for seq in seqs],
+                 key=lambda e: (e[0], e[1] if earlier_first else -e[1], e[2] == "new"))
+    delivered, top, late = set(), -1, 0
+    for _, seq, _ in log:
+        late += seq not in delivered and seq < top
+        delivered.add(seq)
+        top = max(top, seq)
+    report = HandoffReport(
+        trigger_ms=t0 / unit,
+        handoff_latency=(first - t0) / unit if new_seqs else math.inf,
+        packets_lost=emitted - len(delivered),
+        packets_duplicated=len(log) - len(delivered),
+        out_of_order=late,
+        control_messages=control,
+        packets_emitted=emitted,
+        packets_delivered=len(delivered),
+        arrivals=(old_seqs, new_seqs),
+        unit=unit,
+        interval=interval,
+        depths=(old_depth, new_depth),
+        earlier_first=earlier_first,
+    )
+    return report, tuple((seq, t / unit, via) for t, seq, via in log)
 
 
 def validate_tree(tree):

@@ -240,6 +240,7 @@ def test_run_without_any_b_over_l_prints_n_a(workdir, capsys):
 
 
 def test_workers_are_bounded_by_the_jobs(workdir, monkeypatch):
+    """A pool of min(workers, jobs) processes, and none for one worker, the library's default."""
     sizes = []
 
     class Recorder:
@@ -259,9 +260,12 @@ def test_workers_are_bounded_by_the_jobs(workdir, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     assert main(["run", "--config", "cfg.json", "--out", "wide", "--workers", "100000"]) == EXIT_OK
+    assert main(["run", "--config", "cfg.json", "--out", "pair", "--workers", "2"]) == EXIT_OK
     assert main(["run", "--config", "cfg.json", "--out", "serial"]) == EXIT_OK
-    assert sizes == [4]  # 2 topologies x 2 models
-    assert tree_bytes(workdir / "wide") == tree_bytes(workdir / "serial")
+    experiment.execute_scenario(config.load("cfg.json"))
+    assert sizes == [4, 2]  # 2 topologies x 2 models, then two workers
+    serial = tree_bytes(workdir / "serial")
+    assert tree_bytes(workdir / "wide") == serial and tree_bytes(workdir / "pair") == serial
 
 
 def test_a_serial_handoff_run_imports_no_process_pool(workdir):

@@ -41,7 +41,7 @@ from mcastmob.movement import MovementTrace
 from mcastmob.routing import establish
 from mcastmob.topology import GeneratorParams, PathOracle
 
-from conftest import bfs_dist, make_topology, random_connected_edges
+from conftest import bfs_dist, lossless_handoff_model, make_topology, random_connected_edges
 import heap_handoff
 from heap_handoff import simulate_handoff as heap_simulate_handoff
 from heap_handoff import simulate_mip_handoff as heap_simulate_mip_handoff
@@ -274,6 +274,32 @@ class TestLossRecovery:
         assert rep.handoff_latency == math.inf
         assert rep.packets_emitted == 57
         assert rep.control_messages == handoff._MAX_RETRIES
+
+
+@pytest.mark.parametrize("delay, label, seed, emitted", [
+    (20.0, "plain_join", 10, 21), (20.0, "mobile_ip", 58, 21),
+    (10.0, "plain_join", 10, 17), (10.0, "mobile_ip", 23, 17)])
+def test_a_first_arrival_at_the_last_emission_the_give_up_allows(delay, label, seed, emitted):
+    """The first delivery through new lands on the give-up bound's last emission.
+
+    Triple (1, 1, 1) at 20 ms intervals and a 100 ms refresh period: the
+    give-up bound with its tail, t0 + 200 + 60, lets out packets up to the one
+    emitted at t0 + 260. With per_hop_delay 20 (t0 = 80) the earlier-emitted
+    arrival goes first, so the tail follows it: packets 0 .. 20. With
+    per_hop_delay 10 (t0 = 60) the emission goes first, and emission stops at
+    the give-up bound: packets 0 .. 16.
+    """
+    cfg = HandoffConfig(per_hop_delay=delay, packet_interval=20.0, message_loss_rate=0.5,
+                        refresh_period=100.0)
+    if label == "mobile_ip":
+        rep, reference = (simulate_mip_handoff((1, 1, 1), cfg, seed),
+                          heap_simulate_mip_handoff((1, 1, 1), cfg, seed))
+    else:
+        rep, reference = (simulate_handoff((1, 1, 1), cfg, label, seed),
+                          heap_simulate_handoff((1, 1, 1), cfg, label, seed))
+    assert (rep, rep.deliveries) == reference
+    assert rep.handoff_latency == 260.0
+    assert rep.packets_emitted == emitted
 
 
 def test_a_draw_at_the_rate_is_not_a_loss(monkeypatch):
@@ -1153,3 +1179,43 @@ def test_pass_equals_the_heap_kernel(seed, loss, strategy, overlap, lead, refres
     mip_rep = simulate_mip_handoff(mip, cfg, seed)
     assert (rep, rep.deliveries) == heap_simulate_handoff(mcast, cfg, strategy, seed)
     assert (mip_rep, mip_rep.deliveries) == heap_simulate_mip_handoff(mip, cfg, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(*[st.integers(min_value=0, max_value=6)] * 3).filter(
+           lambda s: s[0] + s[1] and s[0] + s[2] and s[1] + s[2]),
+       overlap=st.sampled_from(OVERLAP_MODES),
+       lead=st.sampled_from([0.0, 40.0, 100.0, 250.0]),
+       refresh=st.sampled_from([7.0, 50.0, 120.0, 500.0, 60_000.0]),
+       delay=st.sampled_from([0.1, 0.3, 3.3, 7.5, 10.0, 20.0, 40.0]),
+       interval=st.sampled_from([0.3, 3.3, 5.0, 7.5, 10.0, 20.0]))
+def test_lossless_reports_equal_the_closed_form_model(shape, overlap, lead, refresh, delay,
+                                                      interval):
+    """Every lossless report of both simulators equals `lossless_handoff_model`, log included."""
+    cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval, advance_lead=lead,
+                        overlap=overlap, refresh_period=refresh)
+    for strategy in STRATEGIES:
+        rep = simulate_handoff(shape, cfg, strategy)
+        assert (rep, rep.deliveries) == lossless_handoff_model(shape, cfg, strategy)
+    rep = simulate_mip_handoff(shape, cfg)
+    assert (rep, rep.deliveries) == lossless_handoff_model(shape, cfg, "mobile_ip")
+
+
+def test_the_lossless_benchmark_sweep_equals_the_model(monkeypatch):
+    """All 3,108 rows of the reference suite's lossless sweep at seed 7 equal the model."""
+    shapes = {}  # id(report) -> the hop triple it was simulated for
+    for name in ("simulate_handoff", "simulate_mip_handoff"):
+        def recorded(shape, *args, _real=getattr(experiment, name), **kwargs):
+            rep = _real(shape, *args, **kwargs)
+            shapes[id(rep)] = shape
+            return rep
+
+        monkeypatch.setattr(experiment, name, recorded)
+    block = HandoffBlock()
+    cfg = config.reference_suite_config(master_seed=7, seeds=1, handoff=block)
+    rows = experiment.handoff_sweep(experiment.execute_scenario(experiment.trim_to_sweep(cfg)))
+    assert len(rows) == 3108
+    for row in rows:
+        rep = row.report
+        model = lossless_handoff_model(shapes[id(rep)], block, row.strategy)
+        assert (rep, rep.deliveries) == model
