@@ -14,6 +14,7 @@ node 1, Mobile IP has the same triple.
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -595,6 +596,28 @@ def test_lossy_sweep_at_the_default_refresh_period_is_pinned(tmp_path):
     )
 
 
+def test_lossy_sweep_with_the_earlier_emitted_first_is_pinned(tmp_path):
+    """The make_before_break sweep above with per_hop_delay 20 > packet_interval 10.
+
+    Every other pinned sweep has per_hop_delay < packet_interval, so this one
+    pins the same-instant rule's other branch: of two packets that meet at
+    one instant the earlier-emitted goes first, in the tail's start and in
+    `out_of_order`. Its 476 rows have 201 late deliveries.
+    """
+    rows = _ts50_r50_sweep(HandoffBlock(per_hop_delay=20.0, packet_interval=10.0,
+                                        message_loss_rate=0.1, refresh_period=500.0))
+    assert len(rows) == 476
+    assert sum(row.report.out_of_order for row in rows) == 201
+    path = tmp_path / "handoff.csv"
+    reporting.write_handoff(str(path), rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1d7ede8d4e47f4c0ced6f4644533e28487cfc616f91d223e644a03b1bc5f63cb"
+    )
+    assert _deliveries_sha256(rows) == (
+        "53720f262125db71581c0298151b366ed182407d894d13cbfa5f5fe9246b99be"
+    )
+
+
 def _csv_module_handoff(rows):
     """handoff.csv's bytes as the csv module writes them, each cell formatted per row."""
     buf = io.StringIO()
@@ -722,6 +745,90 @@ def test_loss_streams_are_positional_and_draw_at_the_rate(monkeypatch):
     draws, below = tally
     assert draws > 10_000
     assert abs(below - rate * draws) <= 4 * math.sqrt(draws * rate * (1 - rate))
+
+
+# The law tests run one handoff, (above, old, new) = LAW_SHAPE at 20% loss and a 200 ms
+# refresh period, over fixed seeds, each label on seeds of its own. Each pools a count over
+# the seeds and compares it with its closed form, within 4 standard deviations. They read
+# reports only, never a stream, so they hold for any draw scheme with the same law.
+LAW_SHAPE, LAW_RATE, LAW_SEEDS = (2, 2, 3), 0.2, 2000
+LAW_LABELS = STRATEGIES + ("mobile_ip",)
+
+
+@functools.cache
+def _law_reports(overlap):
+    """label -> its reports of LAW_SHAPE under `overlap`, one per seed."""
+    cfg = HandoffConfig(message_loss_rate=LAW_RATE, refresh_period=200.0, overlap=overlap, **BASE)
+    return {label: [simulate_mip_handoff(LAW_SHAPE, cfg, seed) if label == "mobile_ip"
+                    else simulate_handoff(LAW_SHAPE, cfg, label, seed)
+                    for seed in range(j * LAW_SEEDS, (j + 1) * LAW_SEEDS)]
+            for j, label in enumerate(LAW_LABELS)}
+
+
+def _assert_control_law(reps, copies, hops):
+    """Total control_messages of `reps`, whose control hops number `hops` in all.
+
+    Each hop is tried until one of its `copies` survives, so its tries are
+    geometric with success q = 1 - p^copies: mean 1/q, variance (1 - q)/q².
+    (A hop gives up after 25 tries, with chance p^(25·copies): nil here.)
+    """
+    q = 1 - LAW_RATE ** copies
+    observed = sum(rep.control_messages for rep in reps)
+    mean, variance = copies * hops / q, copies ** 2 * hops * (1 - q) / q ** 2
+    assert abs(observed - mean) <= 4 * math.sqrt(variance), (observed, mean, variance)
+
+
+@pytest.mark.parametrize("label", LAW_LABELS)
+def test_control_hop_tries_are_geometric_in_the_copies_lost(label):
+    """Under break_before_make nothing prunes: the join or registration's `new` hops alone."""
+    reps = _law_reports("break_before_make")[label]
+    _assert_control_law(reps, 3 if label == "triple_join" else 1, LAW_SHAPE[2] * len(reps))
+
+
+@pytest.mark.parametrize("label", LAW_LABELS)
+def test_a_prune_is_sent_only_after_a_first_arrival_through_new(label):
+    """Under make_before_break a multicast row adds the prune's `old` hops iff its latency is finite.
+
+    Mobile IP never prunes. Counting the prune on every row would be wrong
+    by far more than 4 standard deviations: many rows never deliver through
+    new before the give-up bound.
+    """
+    reps = _law_reports("make_before_break")[label]
+    arrived = sum(rep.handoff_latency < math.inf for rep in reps)
+    if label != "triple_join":  # its joins almost never fail: rows without an arrival are few
+        assert arrived < 0.95 * len(reps)
+    _, old, new = LAW_SHAPE
+    hops = new * len(reps) + (old * arrived if label != "mobile_ip" else 0)
+    _assert_control_law(reps, 3 if label == "triple_join" else 1, hops)
+
+
+@pytest.mark.parametrize("leg", ["old", "new"])
+def test_a_packet_survives_k_lossy_links_with_one_minus_the_rate_to_the_k(leg):
+    """Packets survive k links with chance (1 - p)^k, pooled over every label under make_before_break.
+
+    "old": the packets that reach the old location before the trigger, seq
+    below (trigger - old depth) / interval rounded up, cross above + old
+    links; nothing stops them. "new": the packets emitted after the first
+    arrival through new, seqs first + 1 .. emitted - 1, are past the commit
+    at F and cross above + new links. Whether a seq is the first arrival
+    depends on no later packet's draws, so their fates are not selected.
+    """
+    above, old, new = LAW_SHAPE
+    interval, delay = BASE["packet_interval"], BASE["per_hop_delay"]
+    crossed = survived = 0
+    for reps in _law_reports("make_before_break").values():
+        for rep in reps:
+            old_seqs, new_seqs = rep.arrivals
+            if leg == "old":
+                before = math.ceil((rep.trigger_ms - (above + old) * delay) / interval)
+                crossed += before
+                survived += sum(seq < before for seq in old_seqs)
+            elif new_seqs:
+                crossed += rep.packets_emitted - 1 - new_seqs[0]
+                survived += len(new_seqs) - 1
+    s = (1 - LAW_RATE) ** (above + (old if leg == "old" else new))
+    assert crossed > 10_000
+    assert abs(survived - s * crossed) <= 4 * math.sqrt(crossed * s * (1 - s)), (survived, crossed)
 
 
 def _fresh_rows(oracle, run, block):
