@@ -218,10 +218,10 @@ def _sweep_run(run: RunResult, block, memo) -> list[HandoffRow]:
     """The handoff sweep's rows of one run's moves 1 .. `block.max_moves`.
 
     Hop triples and B hops come from `run.samples`, which must be its trace's.
-    Each move has a (label, triple) entry per strategy, then "mobile_ip"'s if
-    included. `memo` maps (triple, label, seed) to a report of this sweep
-    under `block` (see `handoff_sweep`); an entry missing from it is
-    simulated, with `block` as its wire, and stored.
+    Each move that changes location has a row per strategy, then a
+    "mobile_ip" row if included. `memo` maps (triple, label, seed) to a
+    report of this sweep under `block` (see `handoff_sweep`); a key missing
+    from it is simulated, with `block` as its wire, and stored.
     """
     rec = run.record
     topology, model, run_index, run_seed = rec.topology, rec.model, rec.run_index, rec.child_seed
@@ -231,26 +231,25 @@ def _sweep_run(run: RunResult, block, memo) -> list[HandoffRow]:
                          f"{len(steps)} steps")
     rows = []
     add, known = rows.append, memo.get
-    lossy, strategies = block.message_loss_rate, block.strategies
-    mobile_ip = block.include_mobile_ip
-    for i, (old, new) in enumerate(zip(steps, steps[1:block.max_moves + 1]), start=1):
-        if old == new:
+    lossy = block.message_loss_rate
+    labels = (*block.strategies, "mobile_ip") if block.include_mobile_ip else block.strategies
+    for i in range(1, min(len(steps), block.max_moves + 1)):
+        if steps[i] == steps[i - 1]:
             continue
         before, after = samples[i - 1], samples[i]
         # the prune cut the meet node's index on the old branch of C links
         graft, b_hops, meet = after.added_links, after.b_hops, after.removed_links
         mcast = before.c_hops - meet, meet, graft
-        entries = [(strategy, mcast) for strategy in strategies]
-        if mobile_ip:
-            entries.append(("mobile_ip", (after.a_hops, before.b_hops, b_hops)))
-        for label, triple in entries:
+        mip = after.a_hops, before.b_hops, b_hops
+        for label in labels:
             # without loss the seed is inert (no draw is made), so it leaves the key
             seed = stable_seed(run_seed, "handoff", i, label) if lossy else 0
-            rep = known((triple, label, seed))
+            key = (mip if label == "mobile_ip" else mcast), label, seed
+            rep = known(key)
             if rep is None:
-                rep = memo[triple, label, seed] = (
-                    simulate_mip_handoff(triple, block, seed=seed) if label == "mobile_ip"
-                    else simulate_handoff(triple, block, label, seed=seed))
+                rep = memo[key] = (
+                    simulate_mip_handoff(mip, block, seed=seed) if label == "mobile_ip"
+                    else simulate_handoff(mcast, block, label, seed=seed))
             # a Mobile IP row carries the multicast graft length, for comparison
             add(HandoffRow(topology, model, run_index, i, label, graft, b_hops, rep))
     return rows

@@ -159,6 +159,14 @@ def _loss_stream(seed, kind, leg, hop):
     return random.Random(f"{seed}:{kind}:{leg}:{hop}")
 
 
+def _draws(streams, seed, kind, leg, hop):
+    """The `random` of `kind`'s stream over link `hop` of `leg`, kept in `streams` from first use."""
+    draw = streams.get((kind, leg, hop))
+    if draw is None:
+        draw = streams[kind, leg, hop] = _loss_stream(seed, kind, leg, hop).random
+    return draw
+
+
 def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     """One handoff of either architecture, as a pass over the packets in emission order.
 
@@ -172,12 +180,14 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     Times are ticks of `cfg._ticks`, converted to ms in the report. A batch
     is its packets' seqs alone: packet seq leaves the CN at seq·interval and
     no hop waits, so it is at depth h·d (h hops below the CN) at seq·interval
-    + h·d, and a cut at an instant is one seq bound. Each link's loss stream,
-    seeded from `seed`, draws once per packet in sequence order, so batches
-    draw what single packets would; at loss 0 nothing draws. Two packets that
-    meet at one instant (two deliveries, or a delivery and an emission) go
-    earlier-emitted first iff per_hop_delay >= packet_interval; a packet's
-    two copies at one instant go old first.
+    + h·d, and a cut at an instant is one seq bound, a ceiling division:
+    one per simulation for the commit at F and for the trigger at new and at
+    old, and one per old-leg node for the prune's commit. Each link's loss
+    stream, seeded from `seed`, draws once per packet in sequence order, so
+    batches draw what single packets would; at loss 0 nothing draws. Two
+    packets that meet at one instant (two deliveries, or a delivery and an
+    emission) go earlier-emitted first iff per_hop_delay >= packet_interval;
+    a packet's two copies at one instant go old first.
 
     The CN emits packets 0 .. emitted - 1. With `first` the first arrival through new, tail =
     3 intervals and last = (t0 + 2 refresh periods + tail) // interval (the last packet the
@@ -205,13 +215,10 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     # relocate on an emission boundary once the pipeline to the old location is full,
     # and no earlier than `lead`: the control message leaves `lead` before it
     t0 = max((old_depth // interval + 2) * interval, -(-lead // interval) * interval)
-    streams = {}  # (kind, leg, hop) -> that link's loss stream
+    streams = {}  # (kind, leg, hop) -> that link's draws
     control = 0
     fork_seqs = []  # the packets F sends down the old leg
     new_seqs = []  # arrivals through new, in sequence order
-
-    def stream(*key):
-        return streams.get(key) or streams.setdefault(key, _loss_stream(seed, *key))
 
     def relay(kind, leg, hops, t):
         """When `kind`, sent up `leg` at t, commits at F (inf: never); `copies` per hop and try."""
@@ -220,7 +227,7 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
             control += copies * hops
             return t + hops * d
         for hop in reversed(range(hops)):
-            draw = stream(kind, leg, hop).random
+            draw = _draws(streams, seed, kind, leg, hop)
             for _ in range(_MAX_RETRIES):
                 control += copies
                 if not all(draw() < rate for _ in range(copies)):  # one draw per copy
@@ -231,31 +238,31 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
             t += d
         return t
 
-    def since(t, depth):
-        """The lowest seq that is at `depth` at t or later: a ceiling division; inf for inf."""
-        return t if t == inf else -((depth - t) // interval)
-
-    def down(leg, hops, seqs, at, stop=inf):
-        """A batch's survivors down `leg`, its top at depth `at`; none leaves a node at stop."""
+    def down(leg, hops, seqs, stop=inf):
+        """A batch's survivors down `leg`; none leaves a node at `stop`, the old leg's prune."""
         if rate:
             for hop in range(hops):
-                seqs = seqs[:bisect_left(seqs, since(stop, at + hop * d))]
+                if stop < inf:  # the lowest seq at node `hop` below F at stop or later
+                    seqs = seqs[:bisect_left(seqs, -((fork + hop * d - stop) // interval))]
                 if seqs:
-                    draw = stream("data", leg, hop).random
+                    draw = _draws(streams, seed, "data", leg, hop)
                     seqs = [seq for seq in seqs if draw() >= rate]
         elif hops and stop < inf:  # without loss the last node's cut is the one that binds
-            seqs = seqs[:bisect_left(seqs, since(stop, at + (hops - 1) * d))]
+            seqs = seqs[:bisect_left(seqs, -((fork + (hops - 1) * d - stop) // interval))]
         return seqs
 
     def launch(first, end):
         """Packets first .. end - 1 leave the CN; at F from `committed` they take the new leg."""
-        seqs = down("above", above, range(first, end), 0)
-        cut = bisect_left(seqs, since(committed, fork))
+        seqs = down("above", above, range(first, end)) if rate else range(first, end)
+        cut = bisect_left(seqs, at_commit)
         fork_seqs.extend(seqs[:cut] if redirect else seqs)  # a redirect sends each packet one way
-        seqs = down("new", new_hops, seqs[cut:], fork)
-        new_seqs.extend(seqs[bisect_left(seqs, since(t0, new_depth)):])
+        seqs = down("new", new_hops, seqs[cut:]) if rate else seqs[cut:]
+        new_seqs.extend(seqs[bisect_left(seqs, at_new):])
 
     committed = relay("registration" if redirect else "join", "new", new_hops, t0 - lead)
+    # the lowest seqs at F at or after the commit, and at new at or after t0
+    at_commit = -((fork - committed) // interval) if committed < inf else inf
+    at_new = -((new_depth - t0) // interval)
     earlier_first = d >= interval
     give_up, tail = t0 + _GIVE_UP_REFRESH * refresh, _TAIL_INTERVALS * interval
     sure = min(max(t0, committed + new_hops * d), give_up) + tail  # each emission to it happens
@@ -273,26 +280,15 @@ def _handoff(cfg, shape, redirect, strategy, seed) -> HandoffReport:
     prune = new_seqs and mbb and not redirect  # a redirect leaves the old leg nothing to prune
     pruned = relay("prune", "old", old_hops, first) if prune else inf
     # nothing else draws from the old leg's streams, so its fates can wait for the prune
-    old_seqs = down("old", old_hops, fork_seqs, fork, pruned)
+    old_seqs = down("old", old_hops, fork_seqs, pruned)
     if not mbb:  # the mobile is at old before t0, at new from it
-        old_seqs = old_seqs[:bisect_left(old_seqs, since(t0, old_depth))]
+        old_seqs = old_seqs[:bisect_left(old_seqs, -((old_depth - t0) // interval))]
 
     delivered, late = _counts(old_seqs, new_seqs, interval, new_depth - old_depth, earlier_first)
-    return HandoffReport(
-        trigger_ms=t0 / unit,
-        handoff_latency=(first - t0) / unit,
-        packets_lost=emitted - delivered,
-        packets_duplicated=len(old_seqs) + len(new_seqs) - delivered,
-        out_of_order=late,
-        control_messages=control,
-        packets_emitted=emitted,
-        packets_delivered=delivered,
-        arrivals=(old_seqs, new_seqs),
-        unit=unit,
-        interval=interval,
-        depths=(old_depth, new_depth),
-        earlier_first=earlier_first,
-    )
+    return HandoffReport(t0 / unit, (first - t0) / unit, emitted - delivered,  # in field order
+                         len(old_seqs) + len(new_seqs) - delivered, late, control, emitted,
+                         delivered, (old_seqs, new_seqs), unit, interval, (old_depth, new_depth),
+                         earlier_first)
 
 
 def simulate_handoff(shape, cfg, strategy="plain_join", seed=0) -> HandoffReport:
