@@ -105,7 +105,9 @@ def cmd_handoff(args):
     result = experiment.execute_scenario(experiment.trim_to_sweep(cfg), workers=workers)
     rows = experiment.handoff_sweep(result)
     reporting.write_handoff(os.path.join(out_dir, "handoff.csv"), rows)
-    print(f"wrote {len(rows)} handoff simulations to {os.path.join(out_dir, 'handoff.csv')}")
+    sims = len({id(row.report) for row in rows})  # rows of one memo key share its report
+    print(f"wrote {len(rows)} handoff rows from {sims} simulations to "
+          f"{os.path.join(out_dir, 'handoff.csv')}")
     by_strategy = {}  # in row order, so mobile_ip comes last
     for row in rows:
         by_strategy.setdefault(row.strategy, []).append(row.report)

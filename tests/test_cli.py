@@ -383,9 +383,16 @@ def test_replay_needs_a_seed(workdir, capsys):
     assert "replay needs --replay" in capsys.readouterr().err
 
 
-def test_handoff_command(workdir):
+def test_handoff_command(workdir, capsys):
     assert main(["handoff", "--config", "cfg.json"]) == EXIT_OK
     lines = (workdir / "out" / "handoff.csv").read_text().strip().splitlines()
+    # without loss, rows of one handoff shape share one simulation
+    sims = len({id(row.report) for row in experiment.handoff_sweep(
+        experiment.execute_scenario(config.load("cfg.json")))})
+    assert sims < len(lines) - 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"wrote {len(lines) - 1} handoff rows from {sims} simulations to "
+        f"{os.path.join('out', 'handoff.csv')}")
     assert lines[0].startswith("topology,model,run,step,strategy,L,B,latency_ms")
     rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
     strategies = {r["strategy"] for r in rows}
@@ -411,7 +418,9 @@ def test_handoff_prints_the_means_of_each_strategy(workdir, capsys):
     wrote, *means = capsys.readouterr().out.splitlines()
     lines = (workdir / "out" / "handoff.csv").read_text().strip().splitlines()
     rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
-    assert wrote == f"wrote {len(rows)} handoff simulations to {os.path.join('out', 'handoff.csv')}"
+    # under loss every row draws from its own seed, so each is its own simulation
+    assert wrote == (f"wrote {len(rows)} handoff rows from {len(rows)} simulations to "
+                     f"{os.path.join('out', 'handoff.csv')}")
     expected = []
     for strategy in ("plain_join", "triple_join", "advance_join", "mobile_ip"):
         mine = [r for r in rows if r["strategy"] == strategy]

@@ -1,14 +1,18 @@
 """Mutation score of one module: a fixed-seed sample of one-operator mutants against named tests.
 
     python3 tools/mutate.py tools/mutation/handoff.json            # run and print
-    python3 tools/mutate.py tools/mutation/handoff.json --check    # exit 1 below the record
+    python3 tools/mutate.py tools/mutation/handoff.json --check    # exit 1 on an unmarked survivor
     python3 tools/mutate.py tools/mutation/handoff.json --write    # store the run as the record
     python3 tools/mutate.py tools/mutation/handoff_all.json        # every site (share 1)
 
 The record names the module, the test files, the sample seed and the share
 of each function's sites to sample, and keeps the last recorded score with
 its survivors, each marked "equivalent" (no input can tell it apart) or
-"gap" (a test could, and none does). A mutant makes one change: a comparison
+"gap" (a test could, and none does). A survivor is matched to the record by
+its function and its source text before and after, not by line. `--check`
+fails iff a mutant survives that the record does not mark equivalent, so a
+change to the module's sites, which draws a different sample, fails it only
+when a kill is lost. A mutant makes one change: a comparison
 flipped (< and <=, > and >=, == and !=, is and is not, in and not in), + and
 -, * and //, `and` and `or`, or an int constant + 1. Sites are sampled per
 enclosing top-level function, so every function that has one is covered.
@@ -98,6 +102,19 @@ def mutant(source, i):
                                "after": ast.unparse(shown)}
 
 
+def marked(record, passed):
+    """Each surviving mutant's description in `passed`, with the record's verdict and reason.
+
+    A survivor the record does not list is "NEW".
+    """
+    known = {(s["function"], s["before"], s["after"]): s for s in record.get("survivors", [])}
+    out = []
+    for what in passed:
+        old = known.get((what["function"], what["before"], what["after"]), {})
+        out.append({**what, "verdict": old.get("verdict", "NEW"), "why": old.get("why", "")})
+    return out
+
+
 def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
@@ -133,14 +150,13 @@ def main(argv=None):
     parser.add_argument("record", type=Path)
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--check", action="store_true",
-                       help="exit 1 if the score is below the record")
+                       help="exit 1 if a survivor is not marked equivalent in the record")
     group.add_argument("--write", action="store_true", help="store this run as the record")
     args = parser.parse_args(argv)
     record = json.loads(args.record.read_text())
     module, tests = record["module"], record["tests"]
     source = (ROOT / module).read_text()
     picked = sample(source, record["seed"], record["share"])
-    known = {(s["function"], s["before"], s["after"]): s for s in record.get("survivors", [])}
     outcomes = {}  # sample index -> (description, outcome)
 
     def work(copy, chunk, timeout):
@@ -163,13 +179,7 @@ def main(argv=None):
             for done in [pool.submit(work, copy, picked[j::JOBS], timeout)
                          for j, copy in enumerate(copies)]:
                 done.result()
-    survivors = []
-    for i in picked:
-        what, outcome = outcomes[i]
-        if outcome == "passed":
-            old = known.get((what["function"], what["before"], what["after"]), {})
-            survivors.append({**what, "verdict": old.get("verdict", "NEW"),
-                              "why": old.get("why", "")})
+    survivors = marked(record, [outcomes[i][0] for i in picked if outcomes[i][1] == "passed"])
     killed = len(picked) - len(survivors)
     print(f"{module}: {killed} of {len(picked)} mutants killed")
     for s in survivors:
@@ -178,9 +188,9 @@ def main(argv=None):
     if args.write:
         record.update(killed=killed, sampled=len(picked), survivors=survivors)
         args.record.write_text(json.dumps(record, indent=2, ensure_ascii=False) + "\n")
-    if args.check and killed * record["sampled"] < record["killed"] * len(picked):
-        sys.exit(f"score {killed}/{len(picked)} is below the record "
-                 f"{record['killed']}/{record['sampled']}")
+    unmarked = [s for s in survivors if s["verdict"] != "equivalent"]
+    if args.check and unmarked:
+        sys.exit(f"{len(unmarked)} survivor(s) not marked equivalent in {args.record}")
 
 
 if __name__ == "__main__":
