@@ -46,25 +46,13 @@ def cluster_window(node, n, radius=6):
     modulo n, and never includes `node` itself. Returned sorted. The first
     n - 1 offsets already reach every other id, so no more are taken.
     """
-    radius = min(radius, n - 1)
-    half = radius // 2
+    if radius >= n:
+        radius = n - 1
+    lo, hi = node - radius + radius // 2, node + radius // 2 + 1
+    if 0 <= lo and hi <= n:  # no wrap: the window is already in id order
+        return [*range(lo, node), *range(node + 1, hi)]
     # radius + 1 <= n consecutive ids: distinct residues, and only `node` itself is node
-    return sorted([v % n for v in range(node - radius + half, node + half + 1) if v != node])
-
-
-def _moves(topo, model, cn, node):
-    """Nodes the mobile may move to from `node` under `model`; None: every id but `cn`.
-
-    The neighbourhood or window itself unless the correspondent node `cn` is
-    in it, else a filtered copy; in id order either way.
-    """
-    if model.kind == "random":
-        return None
-    if model.kind == "neighbor":
-        near = topo.adj[node]
-    else:
-        near = cluster_window(node, topo.n, model.cluster_radius)
-    return [v for v in near if v != cn] if cn in near else near
+    return sorted([v % n for v in range(lo, hi) if v != node])
 
 
 def generate_trace(topo, model, cn, count, seed):
@@ -84,29 +72,44 @@ def generate_trace(topo, model, cn, count, seed):
         raise MovementError(f"cn {cn} not in topology")
     getrandbits = random.Random(seed).getrandbits
 
-    def choice(candidates):
-        n = topo.n - 1 if candidates is None else len(candidates)
+    def index(n):
+        """A uniform index below n, drawn as `random.Random.choice` draws it."""
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        if candidates is not None:
-            return candidates[r]
-        return r + (r >= cn)  # the r-th id that is not the CN
+        return r
 
-    start = choice(None)
-    if count > 1 and model.kind != "random" and not _moves(topo, model, cn, start):
-        free = [v for v in range(topo.n) if v != cn and _moves(topo, model, cn, v)]
+    def other_id():
+        """A uniform id that is not the CN: the r-th such id."""
+        r = index(topo.n - 1)
+        return r + (r >= cn)
+
+    if model.kind == "random":
+        return MovementTrace(tuple([other_id() for _ in range(count)]))
+    if model.kind == "neighbor":
+        near = topo.adj.__getitem__
+    else:
+        n, radius = topo.n, model.cluster_radius
+        near = lambda node: cluster_window(node, n, radius)
+
+    def trapped(node):
+        """Whether every id around `node` is the CN."""
+        return all(v == cn for v in near(node))
+
+    current = other_id()
+    if count > 1 and trapped(current):
+        free = [v for v in range(topo.n) if v != cn and not trapped(v)]
         if not free:
             raise MovementError(f"no eligible node has a move under {model.kind}")
-        start = choice(free)
-
-    steps = [start]
-    current = start
+        current = free[index(len(free))]
+    steps = [current]
     for _ in range(count - 1):
-        candidates = _moves(topo, model, cn, current)
-        if candidates is not None and not candidates:
+        moves = near(current)
+        if cn in moves:  # else the neighbourhood or window itself, in id order
+            moves = [v for v in moves if v != cn]
+        if not moves:
             raise MovementError(f"no eligible move from node {current} under {model.kind}")
-        current = choice(candidates)
+        current = moves[index(len(moves))]
         steps.append(current)
     return MovementTrace(tuple(steps))

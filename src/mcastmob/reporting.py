@@ -32,8 +32,10 @@ def fmt(value):
 
 
 def _write(path, chunks):
-    """Write the strs of `chunks`, in order, to `path`, making its directory first."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    """Write the strs of `chunks`, in order, to `path`, making its directory first, if any."""
+    folder = os.path.dirname(path)
+    if folder:
+        os.makedirs(folder, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(chunks)
 

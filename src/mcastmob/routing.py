@@ -42,49 +42,53 @@ class StepSample:
 
 
 class MulticastTree:
-    """Mutable (S,G) state: the branch [leaf, ..., CN] and the nodes holding state.
+    """Mutable (S,G) state: the branch from the CN to the leaf, `path`.
 
-    Every join walks the shortest path toward the CN, so between moves the
-    tree is one branch. From a join to its prune, `pending` holds the old
-    leaf and the cut (the old branch below the meet node), still in `nodes`.
+    `path[d]` is the branch node at depth d, so `path[0]` is the CN and
+    `path[-1]` the leaf. Every join walks the shortest path toward the CN,
+    so between moves the tree is that one branch, and a node u is on it
+    exactly when `path[depth[u]] == u`, `depth` being the CN's distance
+    vector, read once when the tree is built. From a join to its prune,
+    `pending` holds the old leaf and the cut (the old branch below the meet
+    node, leaf first), which still holds state.
 
     Single-run object: one simulation thread mutates it at a time. The
     oracle, and through it the topology, is read-only shared.
     """
 
     def __init__(self, cn, oracle: PathOracle):
-        oracle._check(cn)
         self.cn = cn
         self.oracle = oracle
-        self.branch = [cn]
-        self.nodes = {cn}
+        self.depth = oracle.dist_from(cn)
+        self.path = [cn]
         self.pending = None  # (old leaf, cut) until the prune
 
     @property
+    def branch(self):
+        """The branch leaf first: [leaf, ..., CN]."""
+        return self.path[::-1]
+
+    @property
     def edge_count(self):
-        return len(self.nodes) - 1
+        return len(self.path) - 1 + (len(self.pending[1]) if self.pending else 0)
 
     def join(self, new_location) -> int:
         """Graft a branch from new_location toward the CN; returns added links L.
 
-        Walks the deterministic shortest path until the first node already
-        holding (S,G) state, the meet node. A location already on the branch
-        just becomes its leaf (L = 0).
+        Walks the deterministic shortest path until the first node on the
+        branch, the meet node, and grafts the walk below it. A location
+        already on the branch just becomes its leaf (L = 0).
         """
         if new_location == self.cn:
             raise SimulationInvariantError("mobile cannot join at the correspondent node")
         if self.pending is not None:
             raise SimulationInvariantError(f"join before the prune of {self.pending[0]}")
-        walk = self.oracle.shortest_path(new_location, self.cn, stop=self.nodes)
-        old = self.branch
-        try:
-            meet = old.index(walk[-1])
-        except ValueError:
-            raise SimulationInvariantError(f"graft walk stops off the branch at {walk[-1]}") from None
-        self.branch = walk[:-1] + old[meet:]
-        if old[0] != self.cn:  # the first join has no old leaf
-            self.pending = old[0], old[:meet]
-        self.nodes.update(walk)
+        path = self.path
+        walk = self.oracle.shortest_path(new_location, self.cn, stop=path)
+        meet = self.depth[walk[-1]]  # the walk ends on the branch: walk[-1] == path[meet]
+        if len(path) > 1:  # the first join has no old leaf
+            self.pending = path[-1], path[:meet:-1]
+        path[meet:] = walk[::-1]
         return len(walk) - 1
 
     def prune(self, old_location) -> int:
@@ -92,15 +96,14 @@ class MulticastTree:
         leaf, cut = self.pending or (None, ())
         if leaf != old_location:
             raise SimulationInvariantError(f"prune of non-leaf node {old_location}")
-        self.nodes.difference_update(cut)
         self.pending = None
         return len(cut)
 
     def path_hops(self, leaf) -> int:
         """Tree hop count from the CN to `leaf`; equals their shortest-path distance."""
-        if leaf != self.branch[0]:
+        if leaf != self.path[-1]:
             raise SimulationInvariantError(f"{leaf} is not a joined leaf")
-        return len(self.branch) - 1
+        return len(self.path) - 1
 
 
 def establish(oracle, cn, first_location) -> MulticastTree:
@@ -120,10 +123,10 @@ def run_scenario(oracle, cn, ha, steps):
     SimulationInvariantError so a bad run can never be reported silently.
     The CN's and the HA's distance vectors are read once per run, through
     the checked `dist_from`, and indexed per step: each step's location was
-    checked by its join's `shortest_path`, or equals the previous one.
-    Between moves the tree is the branch `establish` builds to the mobile's
-    location, so the handoff sweep reads it off the oracle. Both invariant
-    errors end with that branch.
+    checked by its join's `shortest_path`, or equals the previous one. C is
+    the length of the tree's path. Between moves the tree is the branch
+    `establish` builds to the mobile's location. Both invariant errors end
+    with that branch, leaf first.
     """
     oracle._check(cn)
     oracle._check(ha)
@@ -136,14 +139,14 @@ def run_scenario(oracle, cn, ha, steps):
     from_cn, from_ha = oracle.dist_from(cn), oracle.dist_from(ha)
     a_hops, first = from_cn[ha], steps[0]
     total_added, total_removed = tree.edge_count, 0
-    samples = [StepSample(a_hops, from_ha[first], tree.path_hops(first), total_added, 0)]
-    for i in range(1, len(steps)):
-        old, new = steps[i - 1], steps[i]
+    samples = [StepSample(a_hops, from_ha[first], len(tree.path) - 1, total_added, 0)]
+    join, prune = tree.join, tree.prune
+    for i, (old, new) in enumerate(zip(steps, steps[1:]), 1):
         if new == old:
             added = removed = 0
         else:
-            added = tree.join(new)
-            removed = tree.prune(old)
+            added = join(new)
+            removed = prune(old)
         total_added += added
         total_removed += removed
         if total_added - total_removed != tree.edge_count:
@@ -151,7 +154,7 @@ def run_scenario(oracle, cn, ha, steps):
                 f"link accounting broken at step {i}: added {total_added}, "
                 f"removed {total_removed}, tree {tree.edge_count}, branch {tree.branch}"
             )
-        c_hops, shortest = tree.path_hops(new), from_cn[new]
+        c_hops, shortest = len(tree.path) - 1, from_cn[new]
         if c_hops != shortest:
             raise SimulationInvariantError(
                 f"tree path {c_hops} != shortest path {shortest} at step {i}, branch {tree.branch}"

@@ -392,7 +392,7 @@ class PathOracle:
         """Distance vector from `source` to every node.
 
         The first call per source runs the breadth-first search; later calls
-        read the cache. Every query of the oracle reads its vector here.
+        read the cache. Every search of the oracle runs here.
         """
         self._check(source)
         cached = self._dist.get(source)
@@ -403,18 +403,22 @@ class PathOracle:
         return vec
 
     def shortest_path(self, u, v, stop=()):
-        """Deterministic shortest path [u, ..., v], cut at its first node in `stop`.
+        """Deterministic shortest path [u, ..., v], cut at its first node on `stop`.
 
-        Each step goes to the lowest-id neighbor one hop closer to v. Checks u
-        and v once, then steps through `v`'s vector: pass the fixed end as v.
+        Each step goes to the lowest-id neighbor one hop closer to v. `stop`
+        is a shortest path that starts at v, indexed by hop distance from v:
+        the walk ends at the first node w with `stop[dist(v, w)] == w`. Checks
+        u and v once, then steps through `v`'s vector, read straight off the
+        cache once cached: pass the fixed end as v.
         """
         self._check(u)
-        dist, adj = self.dist_from(v), self.topo.adj
-        path = [u]
-        while u != v and u not in stop:
-            want = dist[u] - 1
+        dist = (self._dist.get(v) if type(v) is int else None) or self.dist_from(v)
+        adj, end = self.topo.adj, len(stop)
+        d, path = dist[u], [u]
+        while d and (d >= end or stop[d] != u):
+            d -= 1
             for w in adj[u]:  # adjacency is sorted, first hit is lowest id
-                if dist[w] == want:
+                if dist[w] == d:
                     break
             else:
                 raise TopologyError(f"no next hop from {u} toward {v}")  # never when connected

@@ -129,26 +129,33 @@ def lossless_handoff_model(shape, cfg, strategy):
 
 
 def validate_tree(tree):
-    """Full structural audit of a MulticastTree; path lengths come from bfs_dist.
+    """Full structural audit of a MulticastTree; depths come from bfs_dist.
 
-    The branch [leaf, ..., CN] and the cut a pending prune will remove are
-    walks over topology edges with no node repeated, the cut hangs off a
-    branch node, exactly their nodes hold (S,G) state, and the branch is a
-    shortest path.
+    `path` starts at the CN and each `path[d]` is at depth d, with
+    consecutive entries linked, so it is a shortest path. The cut a pending
+    prune will remove is headed by the pending leaf, climbs one depth per
+    link, holds no path node, and hangs off the path node one depth above
+    its top, so the live links are the path's and one per cut node. `branch`
+    is the path leaf first.
     """
-    cn, adj = tree.cn, tree.oracle.topo.adj
-    branch = tree.branch
+    cn, adj, path = tree.cn, tree.oracle.topo.adj, tree.path
+    depth = bfs_dist(adj, cn)
     cut = tree.pending[1] if tree.pending is not None else []
-    assert branch[-1] == cn, f"branch {branch} does not end at the CN"
-    for walk in (branch, cut):
+    assert path[0] == cn, f"path {path} does not start at the CN"
+    assert [depth[u] for u in path] == list(range(len(path))), f"path {path} is not by depth"
+    for walk in (path, cut):
         for a, b in zip(walk, walk[1:]):
             assert b in adj[a], f"link {a}-{b} is not a topology edge"
-    assert len(set(branch + cut)) == len(branch) + len(cut), f"a node repeats in {branch}, {cut}"
     if cut:
         assert tree.pending[0] == cut[0], "the pending leaf does not head the cut"
-        assert any(b in adj[cut[-1]] for b in branch), f"cut {cut} hangs off no branch node"
-    assert tree.nodes == set(branch + cut), f"stale (S,G) state: {tree.nodes ^ set(branch + cut)}"
-    assert len(branch) - 1 == bfs_dist(adj, cn)[branch[0]], f"branch {branch} is not shortest"
+        top = depth[cut[-1]]
+        assert [depth[u] for u in cut] == list(range(top + len(cut) - 1, top - 1, -1)), (
+            f"cut {cut} does not climb one depth per link")
+        assert not set(cut) & set(path), f"cut {cut} shares a node with path {path}"
+        assert top <= len(path) and path[top - 1] in adj[cut[-1]], (
+            f"cut {cut} hangs off no node of path {path}")
+    assert tree.edge_count == len(path) - 1 + len(cut), f"edge count {tree.edge_count} is stale"
+    assert tree.branch == path[::-1], f"branch {tree.branch} is not path {path} leaf first"
 
 
 def run_walk_model(adj, cn, ha, steps):

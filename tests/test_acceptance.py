@@ -178,7 +178,7 @@ def test_criterion_09_handoff_simulator_properties():
         new = rng.choice([v for v in nodes if v != old])
         # the move's hop triple: CN to meet node, meet node to old, graft length L
         branch = establish(oracle, cn, old).branch
-        walk = oracle.shortest_path(new, cn, stop=branch)
+        walk = oracle.shortest_path(new, cn, stop=branch[::-1])
         meet = branch.index(walk[-1])
         shape = (len(branch) - 1 - meet, meet, len(walk) - 1)
         rep = simulate_handoff(shape, HandoffConfig(overlap="make_before_break", **base),

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcastmob import config, experiment, reporting
+from mcastmob import config, experiment, reporting, routing
 from mcastmob.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOPOLOGY, OUTPUT_DIR_ENV, main
 from mcastmob.topology import PathOracle
 
@@ -744,10 +744,16 @@ def test_trapped_trace_exits_with_replay_line(workdir, capsys):
 
 
 def test_invariant_failure_prints_the_tree_with_the_replay_line(workdir, capsys, monkeypatch):
-    # an oracle whose distances are one hop too long breaks the tree-path check
-    dist_from = PathOracle.dist_from
-    monkeypatch.setattr(PathOracle, "dist_from",
-                        lambda oracle, source: [d + 1 for d in dist_from(oracle, source)])
+    # distances read after the tree is built are one hop too long: the tree-path check breaks
+    dist_from, establish = PathOracle.dist_from, routing.establish
+
+    def then_off_by_one(oracle, cn, first):
+        tree = establish(oracle, cn, first)
+        monkeypatch.setattr(PathOracle, "dist_from",
+                            lambda oracle, source: [d + 1 for d in dist_from(oracle, source)])
+        return tree
+
+    monkeypatch.setattr(routing, "establish", then_off_by_one)
     assert main(["run", "--config", "cfg.json"]) == EXIT_INVARIANT
     failure, replay = capsys.readouterr().err.splitlines()[-2:]
     match = re.search(r"tree path (\d+) != shortest path (\d+) at step 1, branch (\[[\d, ]+\])$",

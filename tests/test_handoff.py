@@ -58,7 +58,7 @@ def _shapes(oracle, cn, ha, old, new):
     graft walk from new; the Mobile IP one, (A, B old, B new), reads `bfs_dist`.
     """
     branch = establish(oracle, cn, old).branch
-    walk = oracle.shortest_path(new, cn, stop=branch)
+    walk = oracle.shortest_path(new, cn, stop=branch[::-1])
     meet = branch.index(walk[-1])
     from_ha = bfs_dist(oracle.topo.adj, ha)
     return (len(branch) - 1 - meet, meet, len(walk) - 1), (from_ha[cn], from_ha[old], from_ha[new])
@@ -850,7 +850,7 @@ def _fresh_rows(oracle, run, block):
     for i, (old, new) in enumerate(zip(steps, steps[1:]), start=1):
         if old == new:
             continue
-        walk = oracle.shortest_path(new, cn, stop=tree.nodes)
+        walk = oracle.shortest_path(new, cn, stop=tree.path)
         meet = tree.branch.index(walk[-1])
         mcast = len(tree.branch) - 1 - meet, meet, len(walk) - 1
         where = rec.topology, rec.model, rec.run_index, i
@@ -947,7 +947,7 @@ def test_sweep_reads_each_shape_off_the_run_samples(loss, seed):
         if old == new:
             continue
         path_old = oracle.shortest_path(old, cn)
-        walk = oracle.shortest_path(new, cn, stop=path_old)
+        walk = oracle.shortest_path(new, cn, stop=path_old[::-1])
         meet = path_old.index(walk[-1])
         mcast = len(path_old) - 1 - meet, meet, len(walk) - 1
         mip = from_ha[cn], from_ha[old], from_ha[new]
@@ -1007,7 +1007,7 @@ def test_multicast_equals_mobile_ip_with_the_home_agent_at_the_meet_node(seed, d
     """
     rng = random.Random(seed)
     oracle, cn, _, old, new = _random_move(rng, 3, 30)
-    meet = oracle.shortest_path(new, cn, stop=oracle.shortest_path(old, cn))[-1]
+    meet = oracle.shortest_path(new, cn, stop=oracle.shortest_path(old, cn)[::-1])[-1]
     mcast, mip = _shapes(oracle, cn, meet, old, new)
     assert mcast == mip
     cfg = HandoffConfig(per_hop_delay=delay, packet_interval=interval,

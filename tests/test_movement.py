@@ -47,6 +47,17 @@ def test_cluster_window_wraps():
     assert cluster_window(1, 4, radius=10**9) == [0, 2, 3]
 
 
+def test_cluster_window_equals_the_sorted_wrapped_offsets():
+    """Every node, n 2..12, radius 1..n+1: the first min(radius, n - 1) offsets
+    -1, +1, -2, +2, ... from the node, wrapped modulo n and sorted."""
+    for n in range(2, 13):
+        for radius in range(1, n + 2):
+            offsets = [sign * k for k in range(1, n) for sign in (-1, 1)][:min(radius, n - 1)]
+            for node in range(n):
+                assert cluster_window(node, n, radius) == sorted((node + o) % n for o in offsets), (
+                    node, n, radius)
+
+
 def test_cluster_steps_stay_in_window():
     topo = generate(GeneratorParams("flat_random", 100, 4.0, seed=8))
     trace = generate_trace(topo, MovementModel("cluster"), 50, 200, seed=9)

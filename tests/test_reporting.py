@@ -137,3 +137,13 @@ def test_fmt_prints_integral_floats_as_ints_below_1e15_only():
         "999999999999999", "1e+15", "1e+15", "9.0072e+15"]
     assert [fmt(v) for v in (None, 0, 7, 0.0, 3.0, 0.3, math.inf, "ts50")] == [
         "", "0", "7", "0", "3", "0.3", "inf", "ts50"]
+
+
+def test_a_bare_file_name_is_written_in_the_working_directory(tmp_path, monkeypatch):
+    """A path with no directory part makes no directory: `os.makedirs("")` would raise."""
+    monkeypatch.chdir(tmp_path)
+    reporting.write_handoff("handoff.csv", [])
+    reporting.write_trace("trace.csv", MovementTrace((3, 1)))
+    assert (tmp_path / "handoff.csv").read_bytes() == (
+        ",".join(reporting.HANDOFF_COLUMNS) + "\n").encode()
+    assert (tmp_path / "trace.csv").read_bytes() == b"step_index,node_id\n0,3\n1,1\n"

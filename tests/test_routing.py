@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcastmob import reporting
+from mcastmob import reporting, routing
 from mcastmob.config import reference_suite_config
 from mcastmob.experiment import execute_scenario
 from mcastmob.movement import MODEL_KINDS, MovementError, MovementModel, generate_trace
@@ -73,12 +73,17 @@ class TestJoin:
         with pytest.raises(SimulationInvariantError, match="join before the prune of 4"):
             tree.join(3)
 
-    def test_walk_stopping_off_the_branch_rejected(self, path5):
-        # state at node 3 that the branch 2-1-0 does not hold stops the walk from 4 there
-        tree = _tree_on(path5, 0, 2)
-        tree.nodes.add(3)
-        with pytest.raises(SimulationInvariantError, match="off the branch at 3"):
-            tree.join(4)
+    def test_corrupted_path_reaches_an_invariant_error(self, path5, monkeypatch):
+        # a branch 0-2 that skips node 1 is one link short of the shortest path to 2
+        def skipping(oracle, cn, first):
+            tree = establish(oracle, cn, first)
+            del tree.path[1]
+            return tree
+
+        monkeypatch.setattr(routing, "establish", skipping)
+        with pytest.raises(SimulationInvariantError,
+                           match=r"tree path 1 != shortest path 2 at step 1, branch \[2, 0\]$"):
+            run_scenario(PathOracle(path5), 0, 1, (2, 2))
 
 
 class TestPrune:
@@ -87,7 +92,7 @@ class TestPrune:
         tree.join(3)
         assert tree.prune(2) == 1  # only the 2-hub link goes; hub feeds leaf 3
         assert tree.branch == [3, 0, 1]
-        assert tree.nodes == {3, 0, 1}
+        assert tree.path == [1, 0, 3]
 
     def test_prune_non_leaf_rejected(self, path5):
         tree = _tree_on(path5, 0, 4)
@@ -214,9 +219,16 @@ class TestRunScenario:
         assert sources == {5, 11}
 
     def test_invariant_failures_end_with_the_branch(self, path5, monkeypatch):
+        # the tree is built on true vectors; those the run reads after it are one hop too far
         dist_from = PathOracle.dist_from
-        monkeypatch.setattr(PathOracle, "dist_from",
-                            lambda oracle, source: [d + 1 for d in dist_from(oracle, source)])
+
+        def then_off_by_one(oracle, cn, first):
+            tree = establish(oracle, cn, first)
+            monkeypatch.setattr(PathOracle, "dist_from",
+                                lambda oracle, source: [d + 1 for d in dist_from(oracle, source)])
+            return tree
+
+        monkeypatch.setattr(routing, "establish", then_off_by_one)
         with pytest.raises(SimulationInvariantError,
                            match=r"tree path 3 != shortest path 4 at step 1, branch \[3, 2, 1, 0\]$"):
             run_scenario(PathOracle(path5), 0, 1, (4, 3))
@@ -259,7 +271,7 @@ def test_tree_invariants_hold_under_random_scenarios(seed):
         loc = new
         # between moves the tree is the branch a fresh establish builds
         fresh = establish(oracle, cn, loc)
-        assert (tree.branch, tree.nodes, tree.pending) == (fresh.branch, fresh.nodes, None)
+        assert (tree.path, tree.pending) == (fresh.path, None)
 
 
 def _hops(samples):

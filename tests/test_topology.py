@@ -519,6 +519,8 @@ class TestPathOracle:
         oracle.dist_from(1)
         with pytest.raises(TopologyError, match="unknown node id 1.0"):
             oracle.dist_from(1.0)
+        with pytest.raises(TopologyError, match="unknown node id 1.0"):
+            oracle.shortest_path(0, 1.0)  # 1.0 hashes as 1, whose vector is cached
 
     def test_matches_bfs_all_pairs(self):
         rng = random.Random(77)
@@ -556,6 +558,30 @@ class TestPathOracle:
                 assert oracle.dist_from(u)[v] == oracle.dist_from(v)[u]
                 for w in range(n):
                     assert oracle.dist_from(u)[w] <= oracle.dist_from(u)[v] + oracle.dist_from(v)[w]
+
+    def test_stop_is_read_at_each_nodes_distance(self, path5, diamond):
+        assert PathOracle(path5).shortest_path(4, 0, stop=[0, 1, 2]) == [4, 3, 2]
+        # 3 is on `stop`, but at index 1, not at its distance 3 from 0
+        assert PathOracle(path5).shortest_path(4, 0, stop=[0, 3]) == [4, 3, 2, 1, 0]
+        assert PathOracle(diamond).shortest_path(3, 0, stop=[0, 2]) == [3, 1, 0]
+        assert PathOracle(diamond).shortest_path(3, 0, stop=[0, 1]) == [3, 1]
+        assert PathOracle(diamond).shortest_path(1, 0, stop=[0, 1, 3]) == [1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**9))
+    def test_a_walk_stops_at_its_first_node_on_a_shortest_path_from_v(self, seed):
+        """Along a shortest path that starts at v, reading `stop` by distance is membership."""
+        rng = random.Random(seed)
+        n = rng.randrange(2, 25)
+        topo = make_topology("g", n, random_connected_edges(rng, n, rng.randrange(0, 2 * n)))
+        oracle = PathOracle(topo)
+        v = rng.randrange(n)
+        for other in range(n):
+            stop = oracle.shortest_path(other, v)[::-1]
+            for u in range(n):
+                full = oracle.shortest_path(u, v)
+                cut = next(i for i, w in enumerate(full) if w in stop)
+                assert oracle.shortest_path(u, v, stop=stop) == full[:cut + 1]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**9), data=st.data())
